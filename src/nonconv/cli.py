@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+import nonconv
 from nonconv.bounds import (
     berry_esseen_bound,
     chernoff_tail_bound,
@@ -38,12 +39,7 @@ from nonconv.reports import RunManifest, config_hash, fmt, write_csv, write_mani
 
 
 def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("nonconv")
-    except Exception:
-        return "0.0.0"
+    return nonconv.__version__
 
 
 def _parse_grid(text: str | None) -> list[int] | None:

@@ -33,15 +33,15 @@ import numpy as np
 
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
-from nonconv.observables import CenteredObservable, batch_sums
+from nonconv.observables import CenteredObservable, batch_sums, lookup_sums
 from nonconv.processes import (
     DoublingMapModel,
-    IIDModel,
     MarkovChainModel,
     MixingProfile,
     ProcessModel,
+    _tuples,
+    as_chain,
     beta_approx,
-    doubling_to_markov,
     mixing_profile,
     sample_state_paths,
 )
@@ -95,24 +95,6 @@ def _phi_tail(mixing: MixingProfile, cutoff: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _as_chain(model: ProcessModel) -> tuple[MarkovChainModel, str]:
-    if isinstance(model, MarkovChainModel):
-        return model, "finite-markov"
-    if isinstance(model, IIDModel):
-        n_atoms = model.law.atoms.shape[0]
-        return (
-            MarkovChainModel(
-                transition=np.tile(model.law.probs, (n_atoms, 1)),
-                values=model.law.atoms.copy(),
-                stationary=model.law.probs.copy(),
-            ),
-            "iid",
-        )
-    if isinstance(model, DoublingMapModel):
-        return doubling_to_markov(model), "doubling-map"
-    raise ConfigError(f"unknown model kind: {model!r}")
-
-
 @dataclass(eq=False)
 class MartingaleDecomposition:
     """Precomputed tables for the increment construction on one instance.
@@ -124,7 +106,6 @@ class MartingaleDecomposition:
     """
 
     chain: MarkovChainModel
-    source_kind: str
     centered: CenteredObservable
     n_terms: int
     arity: int
@@ -138,7 +119,6 @@ class MartingaleDecomposition:
     b_factor: float
     mixing: MixingProfile = field(repr=False)
     _f_tables: dict = field(default_factory=dict, repr=False)
-    _f_centered: np.ndarray | None = field(default=None, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
     _powers: dict = field(default_factory=dict, repr=False)
 
@@ -170,12 +150,6 @@ class MartingaleDecomposition:
         """Configured-constant bound on a whole-step increment |W_m|."""
         return self.arity * b1 * self.bound_const * (self.phi_sum + self.smoothing_radius + 1.0)
 
-    def r_sup_bound(self) -> float:
-        """Configured-constant bound on |R_{i,m}| (plus the certified tail)."""
-        return 2.0 * self.b_factor * self.bound_const * (
-            self.phi_sum + self.smoothing_radius + 1.0
-        )
-
     # -- internal tables ---------------------------------------------------
 
     def _pow(self, g: int) -> np.ndarray:
@@ -189,20 +163,10 @@ class MartingaleDecomposition:
         got = self._f_tables.get(i)
         if got is None:
             S = self.chain.n_states
-            grids = np.meshgrid(*([np.arange(S)] * i), indexing="ij")
-            pts = self.chain.values[np.stack([g.ravel() for g in grids], axis=1)]
+            pts = self.chain.values[_tuples(S, i)]
             got = self.centered.components[i - 1](pts).reshape((S,) * i)
             self._f_tables[i] = got
         return got
-
-    def _full_table(self) -> np.ndarray:
-        if self._f_centered is None:
-            S = self.chain.n_states
-            L = self.arity
-            grids = np.meshgrid(*([np.arange(S)] * L), indexing="ij")
-            pts = self.chain.values[np.stack([g.ravel() for g in grids], axis=1)]
-            self._f_centered = self.centered.centered(pts).reshape((S,) * L)
-        return self._f_centered
 
     def _u_for(self, i: int, nprime: int) -> list[np.ndarray]:
         """u[j0] integrates arguments j0+1..i of F_i forward from the value at
@@ -294,22 +258,23 @@ def build_decomposition(
             "smoothing radius below the doubling table level is not representable; "
             "use radius >= level so the smoothed summands are exact"
         )
-    chain, source_kind = _as_chain(model)
+    chain = as_chain(model)
     if chain.n_states ** centered.arity > 1_000_000:
         raise ConfigError("state space too large for the conditional tables")
     mixing = mixing_profile(chain)
     sups = centered.component_sups
-    sup_max = max(sups) if sups else 0.0
+
+    def tail_at(H: int) -> float:
+        if max(sups, default=0.0) <= 0:
+            return 0.0
+        return max(
+            2.0 * sups[i - 1] * (_phi_tail(mixing, H // i) + _phi_tail(mixing, H))
+            for i in range(1, centered.arity + 1)
+        )
 
     if horizon is None:
         H = 8
-        while True:
-            tail = max(
-                2.0 * sups[i - 1] * (_phi_tail(mixing, H // i) + _phi_tail(mixing, H))
-                for i in range(1, centered.arity + 1)
-            ) if sup_max > 0 else 0.0
-            if tail <= tail_target or H >= horizon_cap:
-                break
+        while (tail := tail_at(H)) > tail_target and H < horizon_cap:
             H *= 2
         if tail > tail_target:
             raise ConfigError(
@@ -319,16 +284,12 @@ def build_decomposition(
         H = int(horizon)
         if H < 1:
             raise ConfigError("horizon must be positive")
-        tail = max(
-            2.0 * sups[i - 1] * (_phi_tail(mixing, H // i) + _phi_tail(mixing, H))
-            for i in range(1, centered.arity + 1)
-        ) if sup_max > 0 else 0.0
+        tail = tail_at(H)
 
     value, tail_sum = varphi_sum(mixing, cutoff=64)
     beta_term = beta_approx(model, math.inf, smoothing_radius) ** centered.base.holder_exp
     return MartingaleDecomposition(
         chain=chain,
-        source_kind=source_kind,
         centered=centered,
         n_terms=n_terms,
         arity=centered.arity,
@@ -391,11 +352,9 @@ def evaluate_paths(
     getcol = lambda p: states[:, p - 1]
     B = n_replicates
 
-    full = decomp._full_table()
-    sums = np.zeros(B)
-    for n in range(1, N + 1):
-        cols = tuple(states[:, i * n - 1] for i in range(1, L + 1))
-        sums += full[cols]
+    # term n reads positions n, 2n, ..., Ln, i.e. state columns i*n - 1
+    positions = np.arange(1, N + 1)[:, None] * np.arange(1, L + 1)[None, :] - 1
+    sums = lookup_sums(decomp.centered.table_for(decomp.chain), states, positions)
 
     increments = np.zeros((B, LN))
     r_start = np.array([decomp.r_start(i) for i in range(1, L + 1)])

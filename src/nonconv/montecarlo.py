@@ -2,11 +2,15 @@
 
 Replicates are embarrassingly parallel: replicate j draws from a
 counter-based stream keyed by (master seed, j), blocks of 512 replicates are
-dispatched to whatever workers are configured, and every reduction runs in
-fixed index order with compensated summation, so outputs are bit-identical
-across worker counts.  Confidence machinery: exact binomial intervals for
-tail probabilities, delete-one jackknife for cumulants, a seeded bootstrap
-for moment functionals.  A Monte Carlo run can only fail to refute a bound;
+dispatched to whatever workers are configured, and each replicate's path sum
+is an np.sum over its own row of a C-contiguous block of terms, a reduction
+whose order depends only on N (the binomial-count shortcut is closed form),
+so outputs are bit-identical across worker counts and blockings.  Only the
+mean corrections are compensated: the exact one (``exact_mean_SN``) sums its
+terms with Kahan summation, the grand-mean fallback with math.fsum.
+Confidence machinery: exact binomial intervals for tail probabilities,
+delete-one jackknife for cumulants, a seeded bootstrap for moment
+functionals.  A Monte Carlo run can only fail to refute a bound;
 the pass verdicts here all mean "not refuted at the conservative CI edge".
 """
 
@@ -104,7 +108,7 @@ def _binomial_shortcut(
     law = model.law
     if law.atoms.shape[0] != 2:
         return None
-    vals = centered.base(law.atoms[:, None, :]) - centered.mean
+    vals = centered.table_for(model)
     return float(law.probs[1]), float(vals[0]), float(vals[1])
 
 

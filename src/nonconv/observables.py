@@ -19,15 +19,13 @@ from nonconv.budget import ensure_within_budget
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
 from nonconv.processes import (
-    DoublingMapModel,
     FiniteLaw,
     IIDModel,
-    MarkovChainModel,
     ProcessModel,
     _matrix_power,
     _tuples,
-    doubling_to_markov,
-    sample_paths,
+    as_chain,
+    sample_state_paths,
 )
 
 _CHUNK_ROWS = 1 << 21  # evaluation chunk for tuple grids
@@ -76,16 +74,19 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class CenteredObservable:
-    """Observable with its centering constant and telescoping components.
+    """Observable with its centering constant, centered table and telescoping components.
 
-    components[i-1] takes (n, i, dim) arrays; the components sum to
-    F - mean, and each integrates to zero in its final argument under the
-    marginal law used for the decomposition.
+    ``table`` holds F - mean on every tuple of atoms of ``law``, shape
+    (n_atoms,) * arity, so a tuple of integer states (atom indices) looks up
+    its centered term.  components[i-1] takes (n, i, dim) arrays; the
+    components sum to F - mean, and each integrates to zero in its final
+    argument under the marginal law used for the decomposition.
     """
 
     base: Observable
     law: FiniteLaw
     mean: float
+    table: np.ndarray = field(repr=False)
     components: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(repr=False)
     component_sups: tuple[float, ...] = ()
 
@@ -95,6 +96,13 @@ class CenteredObservable:
 
     def centered(self, points: np.ndarray) -> np.ndarray:
         return self.base(points) - self.mean
+
+    def table_for(self, model: ProcessModel) -> np.ndarray:
+        """``table``, after checking that ``model``'s states index the same atoms."""
+        atoms = model.marginal().atoms
+        if atoms.shape != self.law.atoms.shape or not np.array_equal(atoms, self.law.atoms):
+            raise ConfigError("observable was centered against another alphabet than the model's")
+        return self.table
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +213,17 @@ def _tuple_grid(law: FiniteLaw, length: int) -> tuple[np.ndarray, np.ndarray]:
     return law.atoms[tuples], weights  # (T, length, dim), (T,)
 
 
-def centering_constant(obs: Observable, law: FiniteLaw) -> float:
-    """Mean of F under the product of marginals, by exact atom enumeration."""
+def _grid_values(obs: Observable, law: FiniteLaw) -> tuple[np.ndarray, np.ndarray]:
+    """F on every atom tuple of the observable's arity, with the product weights."""
     pts, w = _tuple_grid(law, obs.arity)
     ensure_within_budget(pts.nbytes, "centering grid")
-    return float(obs(pts) @ w)
+    return obs(pts), w
+
+
+def centering_constant(obs: Observable, law: FiniteLaw) -> float:
+    """Mean of F under the product of marginals, by exact atom enumeration."""
+    vals, w = _grid_values(obs, law)
+    return float(vals @ w)
 
 
 def _partial_average(obs: Observable, law: FiniteLaw, keep: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -241,9 +255,11 @@ def decompose(obs: Observable, law: FiniteLaw) -> CenteredObservable:
 
     With G_i the average of F over all but the first i arguments, the i-th
     component is G_i - G_{i-1}; the first one absorbs the centering constant.
-    Component sup norms are taken over the exact atom grid.
+    Component sup norms are taken over the exact atom grid, where F - mean
+    is also kept as the centered table.
     """
-    mean = centering_constant(obs, law)
+    vals, w = _grid_values(obs, law)
+    mean = float(vals @ w)
     partials = [_partial_average(obs, law, i) for i in range(1, obs.arity + 1)]
 
     def make_component(i: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,7 +273,12 @@ def decompose(obs: Observable, law: FiniteLaw) -> CenteredObservable:
         pts, _ = _tuple_grid(law, i)
         sups.append(float(np.max(np.abs(components[i - 1](pts)))))
     return CenteredObservable(
-        base=obs, law=law, mean=mean, components=components, component_sups=tuple(sups)
+        base=obs,
+        law=law,
+        mean=mean,
+        table=(vals - mean).reshape((law.atoms.shape[0],) * obs.arity),
+        components=components,
+        component_sups=tuple(sups),
     )
 
 
@@ -279,6 +300,18 @@ def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.nd
     return uniq, inverse.reshape(cols.shape)
 
 
+def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Row sums of table lookups: sum over terms n of table[states[:, positions[n]]].
+
+    ``states`` is (R, n_positions) and ``positions`` (N, arity) maps each
+    term's slots to state columns.  The (R, N) block of terms is made
+    C-contiguous first, so np.sum reduces every row in the same fixed order
+    whatever the layout of the gather.
+    """
+    terms = table[tuple(states[:, positions[:, j]] for j in range(positions.shape[1]))]
+    return np.sum(np.ascontiguousarray(terms), axis=1)
+
+
 def batch_sums(
     model: ProcessModel,
     centered: CenteredObservable,
@@ -290,21 +323,18 @@ def batch_sums(
 ) -> np.ndarray:
     """Centered sums S_N for a block of replicates, shape (n_replicates,).
 
-    Each replicate draws the process at the union of family indices from its
-    own counter-based stream, evaluates F at the per-term argument tuples,
-    subtracts the centering constant, and reduces in fixed index order.
+    Each replicate draws the process states at the union of family indices
+    from its own counter-based stream, looks up the centered table at the
+    per-term state tuples, and reduces in fixed index order.
     """
+    table = centered.table_for(model)
     uniq, positions = family_indices(family, n_terms)
     ensure_within_budget(
         n_replicates * (uniq.size + n_terms * centered.arity) * model.dim * 8 * 2,
         "sum evaluation block",
     )
-    paths = sample_paths(model, uniq, master_seed, n_replicates, first_replicate)
-    args = paths[:, positions, :]  # (R, N, arity, dim)
-    vals = centered.base(args.reshape(-1, centered.arity, model.dim)).reshape(
-        n_replicates, n_terms
-    )
-    return np.sum(vals - centered.mean, axis=1)
+    states = sample_state_paths(model, uniq, master_seed, n_replicates, first_replicate)
+    return lookup_sums(table, states, positions)
 
 
 def nonconv_sum(
@@ -327,21 +357,17 @@ def exact_mean_SN(
     """E S_N by exact enumeration of the per-term joint laws.
 
     For a chain the joint law of the states at one term's indices is the
-    stationary start chained through gap kernels; the observable is evaluated
-    once on the full state grid and reweighted per term.  For i.i.d. models
-    every term has mean equal to the centering constant, so E S_N = 0.  The
-    tabulated doubling map goes through its exact chain representation.
+    stationary start chained through gap kernels, which reweights the
+    centered table per term.  For i.i.d. models every term has mean equal to
+    the centering constant, so E S_N = 0.  The tabulated doubling map goes
+    through its exact chain representation.
     """
     if isinstance(model, IIDModel):
         return 0.0
-    if isinstance(model, DoublingMapModel):
-        model = doubling_to_markov(model)
-    if not isinstance(model, MarkovChainModel):
-        raise ConfigError(f"unknown model kind: {model!r}")
+    model = as_chain(model)
+    f_vals = centered.table_for(model).reshape(-1)  # (S**arity,)
     arity = centered.arity
-    S = model.n_states
-    grid = _tuples(S, arity)
-    f_vals = centered.base(model.values[grid]) - centered.mean  # (S**arity,)
+    grid = _tuples(model.n_states, arity)
     ns = np.arange(family.ray_start, family.ray_start + n_terms, dtype=np.int64)
     cols = family.columns(ns)
     power_cache: dict[int, np.ndarray] = {}
@@ -380,9 +406,7 @@ def exact_d_squared(
         return None
     law = centered.law
     if centered.arity == 1:
-        pts = law.atoms[:, None, :]
-        vals = centered.base(pts) - centered.mean
-        return float(law.probs @ vals**2)
+        return float(law.probs @ centered.table**2)
     factors = centered.base.product_factors
     if factors is None:
         return None
@@ -393,48 +417,3 @@ def exact_d_squared(
             return None  # a non-centered factor leaves live cross terms
         out *= float(law.probs @ fv**2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# regularity spot checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    bound_margin: float
-    holder_margin: float
-    passed: bool
-
-
-def regularity_check(
-    obs: Observable, law: FiniteLaw, n_pairs: int = 2000, seed: int = 0
-) -> RegularityReport:
-    """Verify the declared (K, kappa, lambda) on sampled atom tuples.
-
-    Checks |F(x)| <= K (1 + sum |x_i|^lambda) and the Holder-in-each-argument
-    inequality on random tuple pairs.  A certificate over sampled points only.
-    """
-    rng = np.random.default_rng(seed)
-    n_atoms = law.atoms.shape[0]
-    ix = rng.integers(0, n_atoms, size=(n_pairs, obs.arity))
-    iy = rng.integers(0, n_atoms, size=(n_pairs, obs.arity))
-    x = law.atoms[ix]
-    y = law.atoms[iy]
-    fx = obs(x)
-    fy = obs(y)
-    norm_x = np.linalg.norm(x, axis=2)
-    norm_y = np.linalg.norm(y, axis=2)
-    lam = obs.growth_exp
-    grow_x = 1.0 + (np.sum(norm_x**lam, axis=1) if lam > 0 else 0.0)
-    grow_y = 1.0 + (np.sum(norm_y**lam, axis=1) if lam > 0 else 0.0)
-    bound_margin = float(np.max(np.abs(fx) - obs.bound_const * grow_x))
-    diff = np.sum(np.linalg.norm(x - y, axis=2) ** obs.holder_exp, axis=1)
-    allowed = obs.bound_const * (1.0 + (grow_x - 1.0) + (grow_y - 1.0)) * diff
-    with np.errstate(invalid="ignore"):
-        holder_margin = float(np.max(np.abs(fx - fy) - allowed))
-    return RegularityReport(
-        bound_margin=bound_margin,
-        holder_margin=holder_margin,
-        passed=bound_margin <= 1e-9 and holder_margin <= 1e-9,
-    )

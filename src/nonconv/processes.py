@@ -1,10 +1,12 @@
 """Stationary process models, path sampling, and mixing coefficients.
 
-Three model kinds share one sampling interface:
+Three model kinds share one sampler of integer states, each an index into
+the model's finite marginal alphabet:
 
-* finite-state Markov chains (started from the stationary law),
-* the dyadic shift ("doubling map") driven by an integer bit reservoir,
-* i.i.d. draws from a finite discrete law.
+* finite-state Markov chains (started from the stationary law): chain states,
+* the dyadic shift ("doubling map") driven by an integer bit reservoir:
+  dyadic cells of the value table,
+* i.i.d. draws from a finite discrete law: atoms.
 
 Uniform-mixing and strong-mixing coefficients come with exact brute-force
 enumeration oracles over cylinder events, so the closed forms used by the
@@ -115,10 +117,6 @@ class DoublingMapModel:
     @property
     def dim(self) -> int:
         return self.table.shape[1]
-
-    @property
-    def reservoir_depth(self) -> int:
-        return self.level
 
     def marginal(self) -> FiniteLaw:
         n = self.table.shape[0]
@@ -244,6 +242,26 @@ def doubling_to_markov(model: DoublingMapModel) -> MarkovChainModel:
     return MarkovChainModel(transition=P, values=model.table.copy(), stationary=np.full(S, 1.0 / S))
 
 
+def as_chain(model: ProcessModel) -> MarkovChainModel:
+    """The model as a finite chain whose states index its marginal atoms.
+
+    An i.i.d. law becomes the chain whose every row is that law; the doubling
+    map becomes its bit-window chain (levels up to 6).
+    """
+    if isinstance(model, MarkovChainModel):
+        return model
+    if isinstance(model, IIDModel):
+        n_atoms = model.law.atoms.shape[0]
+        return MarkovChainModel(
+            transition=np.tile(model.law.probs, (n_atoms, 1)),
+            values=model.law.atoms.copy(),
+            stationary=model.law.probs.copy(),
+        )
+    if isinstance(model, DoublingMapModel):
+        return doubling_to_markov(model)
+    raise ConfigError(f"unknown model kind: {model!r}")
+
+
 # ---------------------------------------------------------------------------
 # path sampling
 # ---------------------------------------------------------------------------
@@ -264,6 +282,44 @@ def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(nxt, cum_rows.shape[1] - 1)
 
 
+def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Atoms drawn from one law by inverse CDF, elementwise in ``u``."""
+    cum = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+def sample_state_paths(
+    model: ProcessModel,
+    indices,
+    master_seed: int,
+    n_replicates: int,
+    first_replicate: int = 0,
+) -> np.ndarray:
+    """Integer states of the process at the requested indices, one row per replicate.
+
+    Returns an int64 array of shape (n_replicates, n_indices) that indexes
+    ``model.marginal().atoms``: chain states, i.i.d. atoms, or dyadic cells.
+    Replicate ``first_replicate + j`` consumes only its own counter-based
+    stream, one uniform per index, so any batching of replicates reproduces
+    the same rows.  Work and memory scale with the number of requested
+    indices, not with the largest index: gaps in the index set are jumped
+    with precomputed multi-step transition kernels (chains) or by discarding
+    reservoir bits (doubling map).
+    """
+    idx = _check_indices(indices)
+    ensure_within_budget(n_replicates * idx.size * 16, "state path block")
+    uniforms = np.empty((n_replicates, idx.size))
+    for j in range(n_replicates):
+        uniforms[j] = replicate_rng(master_seed, first_replicate + j).random(idx.size)
+    if isinstance(model, IIDModel):
+        return _draw(model.law.probs, uniforms)
+    if isinstance(model, MarkovChainModel):
+        return _chain_states(model, idx, uniforms)
+    if isinstance(model, DoublingMapModel):
+        return _dyadic_cells(model, idx, uniforms)
+    raise ConfigError(f"unknown model kind: {model!r}")
+
+
 def sample_paths(
     model: ProcessModel,
     indices,
@@ -271,88 +327,42 @@ def sample_paths(
     n_replicates: int,
     first_replicate: int = 0,
 ) -> np.ndarray:
-    """Values of the process at the requested indices, one row per replicate.
+    """Values of the process at the requested indices, shape (n_replicates, n_indices, dim).
 
-    Returns an array of shape (n_replicates, n_indices, dim).  Replicate
-    ``first_replicate + j`` consumes only its own counter-based stream, so any
-    batching of replicates reproduces the same rows.  Work and memory scale
-    with the number of requested indices, not with the largest index: gaps in
-    the index set are jumped with precomputed multi-step transition kernels
-    (chains) or by discarding reservoir bits (doubling map).
+    The atoms of ``model.marginal()`` at the states of sample_state_paths,
+    drawn from the same streams.
     """
-    idx = _check_indices(indices)
-    n_idx = idx.size
-    ensure_within_budget(n_replicates * n_idx * (model.dim + 1) * 8, "path sampling block")
-    uniforms = np.empty((n_replicates, n_idx))
-    for j in range(n_replicates):
-        uniforms[j] = replicate_rng(master_seed, first_replicate + j).random(n_idx)
-
-    if isinstance(model, IIDModel):
-        cum = np.cumsum(model.law.probs)
-        choice = np.minimum(np.searchsorted(cum, uniforms, side="right"), cum.size - 1)
-        return model.law.atoms[choice]
-
-    if isinstance(model, MarkovChainModel):
-        states = _chain_states(model, idx, uniforms)
-        return model.values[states]
-
-    if isinstance(model, DoublingMapModel):
-        L = model.level
-        mask = (1 << L) - 1
-        gaps = np.diff(idx)
-        # window at index k holds the L bits after position k; a gap of g
-        # shifts g fresh bits in (all L refreshed once g >= L)
-        window = (uniforms[:, 0] * (1 << L)).astype(np.int64)
-        cells = np.empty((n_replicates, n_idx), dtype=np.int64)
-        cells[:, 0] = window
-        for t in range(1, n_idx):
-            g = int(min(gaps[t - 1], L))
-            fresh = (uniforms[:, t] * (1 << g)).astype(np.int64)
-            window = ((window << g) | fresh) & mask
-            cells[:, t] = window
-        return model.table[cells]
-
-    raise ConfigError(f"unknown model kind: {model!r}")
+    states = sample_state_paths(model, indices, master_seed, n_replicates, first_replicate)
+    ensure_within_budget(states.size * model.dim * 8, "path value block")
+    return model.marginal().atoms[states]
 
 
 def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     gaps = np.diff(idx)
     cum_pow = {int(g): np.cumsum(_matrix_power(model.transition, int(g)), axis=1) for g in set(gaps.tolist())}
-    cum_init = np.cumsum(model.stationary)
     states = np.empty(uniforms.shape, dtype=np.int64)
-    states[:, 0] = np.minimum(np.searchsorted(cum_init, uniforms[:, 0], side="right"), model.n_states - 1)
+    states[:, 0] = _draw(model.stationary, uniforms[:, 0])
     for t in range(1, idx.size):
         rows = cum_pow[int(gaps[t - 1])][states[:, t - 1]]
         states[:, t] = _inverse_cdf(rows, uniforms[:, t])
     return states
 
 
-def sample_state_paths(
-    model: MarkovChainModel,
-    indices,
-    master_seed: int,
-    n_replicates: int,
-    first_replicate: int = 0,
-) -> np.ndarray:
-    """State indices (not values) of a chain at the requested time indices.
-
-    Same streams as sample_paths: the two agree via values[states].
-    """
-    if not isinstance(model, MarkovChainModel):
-        raise ConfigError("state paths exist only for finite chains")
-    idx = _check_indices(indices)
-    ensure_within_budget(n_replicates * idx.size * 16, "state path block")
-    uniforms = np.empty((n_replicates, idx.size))
-    for j in range(n_replicates):
-        uniforms[j] = replicate_rng(master_seed, first_replicate + j).random(idx.size)
-    return _chain_states(model, idx, uniforms)
-
-
-def sample_at_indices(model: ProcessModel, indices, seed: int) -> dict[int, np.ndarray]:
-    """Single realization of the process at ``indices`` under master seed ``seed``."""
-    idx = _check_indices(indices)
-    row = sample_paths(model, idx, seed, n_replicates=1)[0]
-    return {int(k): row[t] for t, k in enumerate(idx)}
+def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    L = model.level
+    mask = (1 << L) - 1
+    gaps = np.diff(idx)
+    # window at index k holds the L bits after position k; a gap of g
+    # shifts g fresh bits in (all L refreshed once g >= L)
+    window = (uniforms[:, 0] * (1 << L)).astype(np.int64)
+    cells = np.empty(uniforms.shape, dtype=np.int64)
+    cells[:, 0] = window
+    for t in range(1, idx.size):
+        g = int(min(gaps[t - 1], L))
+        fresh = (uniforms[:, t] * (1 << g)).astype(np.int64)
+        window = ((window << g) | fresh) & mask
+        cells[:, t] = window
+    return cells
 
 
 def _matrix_power(P: np.ndarray, n: int) -> np.ndarray:
@@ -409,6 +419,30 @@ def _window_probs(model: MarkovChainModel, tuples: np.ndarray) -> np.ndarray:
     return p
 
 
+def _cylinder_conditional(
+    model: MarkovChainModel, n: int, past_window: int, future_window: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window laws and P(future atom | past atom) for windows separated by gap ``n``.
+
+    Returns the stationary probabilities of the past-window and future-window
+    state tuples and the (n_past, n_future) matrix of conditionals.
+    """
+    if not isinstance(model, MarkovChainModel):
+        raise ConfigError("cylinder enumeration needs a finite-state chain")
+    if n < 1 or past_window < 1 or future_window < 1:
+        raise ConfigError("gap and windows must be >= 1")
+    past = _tuples(model.n_states, past_window)
+    future = _tuples(model.n_states, future_window)
+    # n-step kernel assembled by repeated single-step products, kept local to
+    # the oracle
+    gap_kernel = reduce(np.matmul, [model.transition] * n)
+    cond_start = gap_kernel[past[:, -1]][:, future[:, 0]]  # (n_past, n_future)
+    internal = np.ones(future.shape[0])
+    for t in range(1, future.shape[1]):
+        internal *= model.transition[future[:, t - 1], future[:, t]]
+    return _window_probs(model, past), _window_probs(model, future), cond_start * internal[None, :]
+
+
 def phi_bruteforce(model: MarkovChainModel, n: int, past_window: int, future_window: int) -> float:
     """Exact sup of |P(B|A) - P(B)| over unions of cylinder events.
 
@@ -419,24 +453,8 @@ def phi_bruteforce(model: MarkovChainModel, n: int, past_window: int, future_win
     unions B is the positive part of the signed atom measure.  Both are
     enumerated exactly here; nothing is sampled.
     """
-    if not isinstance(model, MarkovChainModel):
-        raise ConfigError("brute-force enumeration needs a finite-state chain")
-    if n < 1 or past_window < 1 or future_window < 1:
-        raise ConfigError("gap and windows must be >= 1")
-    past = _tuples(model.n_states, past_window)
-    future = _tuples(model.n_states, future_window)
-    p_past = _window_probs(model, past)
-    p_future = _window_probs(model, future)
-    # n-step kernel assembled by repeated single-step products, kept local to
-    # the oracle
-    gap_kernel = reduce(np.matmul, [model.transition] * n)
-    cond_start = gap_kernel[past[:, -1]][:, future[:, 0]]  # (n_past, n_future)
-    internal = np.ones(future.shape[0])
-    for t in range(1, future.shape[1]):
-        internal *= model.transition[future[:, t - 1], future[:, t]]
-    cond = cond_start * internal[None, :]
-    live = p_past > 0
-    diffs = cond[live] - p_future[None, :]
+    p_past, p_future, cond = _cylinder_conditional(model, n, past_window, future_window)
+    diffs = cond[p_past > 0] - p_future[None, :]
     return float(np.max(np.sum(np.where(diffs > 0, diffs, 0.0), axis=1)))
 
 
@@ -455,25 +473,12 @@ def alpha_coefficient(
     positive-part sum).  Either variant is a lower bound for the unrestricted
     coefficient and obeys alpha(n) <= phi(n)/2.
     """
-    if not isinstance(model, MarkovChainModel):
-        raise ConfigError("enumeration needs a finite-state chain")
-    if n < 1 or past_window < 1 or future_window < 1:
-        raise ConfigError("gap and windows must be >= 1")
-    past = _tuples(model.n_states, past_window)
-    future = _tuples(model.n_states, future_window)
-    p_past = _window_probs(model, past)
-    p_future = _window_probs(model, future)
-    gap_kernel = reduce(np.matmul, [model.transition] * n)
-    cond_start = gap_kernel[past[:, -1]][:, future[:, 0]]
-    internal = np.ones(future.shape[0])
-    for t in range(1, future.shape[1]):
-        internal *= model.transition[future[:, t - 1], future[:, t]]
-    joint = p_past[:, None] * cond_start * internal[None, :]
-    m = joint - p_past[:, None] * p_future[None, :]
+    p_past, p_future, cond = _cylinder_conditional(model, n, past_window, future_window)
+    m = p_past[:, None] * cond - p_past[:, None] * p_future[None, :]
     if not unions:
         val = float(np.max(np.abs(m)))
         return 0.0 if val < _TV_NOISE else val
-    n_past = past.shape[0]
+    n_past = p_past.size
     if 2**n_past > 65536:
         raise ConfigError(f"union enumeration over 2^{n_past} past subsets exceeds the cap")
     subsets = np.arange(1, 2**n_past, dtype=np.uint32)
@@ -532,9 +537,6 @@ class MixingProfile:
     beta: Callable[[float, int], float]
     decay: tuple[float, float, float] | None  # (a, d, eta) with phi(n)+... <= d exp(-a n^eta)
     doeblin: bool
-
-    def phi_values(self, n_max: int) -> np.ndarray:
-        return np.array([self.phi(n) for n in range(n_max + 1)])
 
 
 def _dobrushin(P: np.ndarray) -> float:
@@ -743,67 +745,4 @@ def decoupling_check(
         sup_h=sup_h,
         gaps=gaps,
         passed=disc <= phi_bound + 1e-12,
-    )
-
-
-@dataclass(frozen=True)
-class FiberConditionalReport:
-    sup_gap: float
-    c_const: float
-    phi_windowed: float
-    bound: float
-    passed: bool
-
-
-def fiber_conditional_check(
-    model: MarkovChainModel,
-    gap: int,
-    past_window: int,
-    future_window: int,
-    x_grid: np.ndarray,
-    f_table: np.ndarray,
-    holder_exp: float = 1.0,
-) -> FiberConditionalReport:
-    """Conditional expectation of a random function, fiber by fiber.
-
-    ``f_table[i, b]`` is f(x_i, omega) for future-window atom b.  The check
-    compares sup over x and positive-probability past atoms of
-    |E[f(x, .) | past] - E f(x, .)| against 2 C phi(G, H), where C bounds both
-    |f| and its Holder quotient in x (computed from the table) and phi(G, H)
-    is the exact windowed coefficient from the brute-force oracle.
-    """
-    x = np.asarray(x_grid, dtype=float)
-    table = np.asarray(f_table, dtype=float)
-    future = _tuples(model.n_states, future_window)
-    if table.shape != (x.size, future.shape[0]):
-        raise ConfigError("f table must be (n_x, S**future_window)")
-    p_future = _window_probs(model, future)
-    gap_kernel = reduce(np.matmul, [model.transition] * gap)
-    past = _tuples(model.n_states, past_window)
-    p_past = _window_probs(model, past)
-    cond_start = gap_kernel[past[:, -1]][:, future[:, 0]]
-    internal = np.ones(future.shape[0])
-    for t in range(1, future.shape[1]):
-        internal *= model.transition[future[:, t - 1], future[:, t]]
-    cond = cond_start * internal[None, :]  # (n_past, n_future)
-
-    uncond = table @ p_future  # (n_x,)
-    cond_exp = table @ cond[p_past > 0].T  # (n_x, n_live)
-    sup_gap = float(np.max(np.abs(cond_exp - uncond[:, None])))
-
-    c_const = float(np.max(np.abs(table)))
-    if x.size > 1:
-        dx = np.abs(x[:, None] - x[None, :])
-        df = np.max(np.abs(table[:, None, :] - table[None, :, :]), axis=2)
-        off = ~np.eye(x.size, dtype=bool)
-        c_const = max(c_const, float(np.max(df[off] / dx[off] ** holder_exp)))
-
-    phi_gh = phi_bruteforce(model, gap, past_window, future_window)
-    bound = 2.0 * c_const * phi_gh
-    return FiberConditionalReport(
-        sup_gap=sup_gap,
-        c_const=c_const,
-        phi_windowed=phi_gh,
-        bound=bound,
-        passed=sup_gap <= bound + 1e-12,
     )

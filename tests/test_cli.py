@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import nonconv
 from nonconv.cli import main
 
 TINY_IID = """
@@ -112,6 +113,13 @@ class TestSimulateCommand:
         assert man["master_seed"] == 5
         assert man["verdicts"] == {}
         assert sorted(man["outputs"]) == ["sums.csv", "tails.csv"]
+
+    def test_manifest_records_package_version(self, tmp_path, capsys):
+        cfg = _write(tmp_path, TINY_IID)
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["version"] == nonconv.__version__
 
     def test_chain_run_records_chernoff_verdict(self, tmp_path, capsys):
         cfg = _write(tmp_path, TINY_CHAIN)

@@ -1,9 +1,12 @@
+import hashlib
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from nonconv.config import build_experiment, parse_config_text
 from nonconv.errors import ConfigError
 from nonconv.indexing import linear_family
 from nonconv.montecarlo import (
@@ -126,6 +129,31 @@ class TestReplicateSums:
         by_n = sums_over_grid(cfg)
         assert sorted(by_n) == [16, 64]
         assert by_n[64].n_terms == 64
+
+
+class TestGoldenBytes:
+    """Replicate sums pinned to the byte for three shipped presets.
+
+    R = 1024 spans two 512-replicate blocks and each preset keeps its own
+    seed.  A digest moves only when the drawn sums themselves change, which
+    the determinism contract forbids without saying which draws changed.
+    """
+
+    @pytest.mark.parametrize(
+        "name, n_terms, digest",
+        [
+            ("chain_pair", 256, "c040a0e48a26f541ff7bb0b095feb19f619bed0a48492437160996b2f82cd933"),
+            ("iid_product", 1024, "dbed9fa31a14c154ff6d8e4a4c5ece1a3a2076eba6986258a3992b6cdb74439a"),
+            ("doubling_pwc", 128, "13def2b3b0d2f512b4a807761b0de6bc76c26b52dda14a38f0aae5f38ec66f69"),
+        ],
+        ids=["chain_pair", "iid_product", "doubling_pwc"],
+    )
+    def test_preset_sums_digest(self, name, n_terms, digest):
+        text = (resources.files("nonconv") / "presets" / f"{name}.cfg").read_text(encoding="utf-8")
+        cfg = build_experiment(parse_config_text(text, path=name), replicates=1024).config
+        sample = replicate_sums(cfg, n_terms)
+        assert sample.method == "path-evaluation"
+        assert hashlib.sha256(sample.sums.tobytes()).hexdigest() == digest
 
 
 class TestTailEstimate:

@@ -13,12 +13,13 @@ from nonconv.observables import (
     clipped_poly_observable,
     exact_d_squared,
     exact_mean_SN,
+    family_indices,
     indicator_product_observable,
     nonconv_sum,
     product_observable,
     sum_observable,
 )
-from nonconv.processes import iid_model, markov_model
+from nonconv.processes import doubling_model, iid_model, markov_model, sample_paths
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
@@ -135,8 +136,6 @@ class TestBatchSums:
         # N = 2, linear pair family: S = x1 x2 + x2 x4 - 2/9
         c = center(product_observable(2), PAIR)
         fam = linear_family(2)
-        from nonconv.processes import sample_paths
-
         vals = sample_paths(PAIR, [1, 2, 4], 9, 5)[:, :, 0]
         expect = vals[:, 0] * vals[:, 1] + vals[:, 1] * vals[:, 2] - 2 / 9
         got = batch_sums(PAIR, c, fam, 2, 9, 5)
@@ -148,6 +147,45 @@ class TestBatchSums:
         fam = polynomial_family([[1, 0], [1, 1, 0]])
         s = batch_sums(RADEMACHER, c, fam, 4, 1, 64)
         assert np.all(np.abs(s) <= 4 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "model, obs, family",
+        [
+            (PAIR, product_observable(2), linear_family(2)),
+            (RADEMACHER, product_observable(2), linear_family(2)),
+            (
+                doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3),
+                sum_observable(2),
+                linear_family(2),
+            ),
+            (
+                iid_model([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]),
+                clipped_poly_observable(2, coeffs=[1.0, -0.5], degrees=[1, 2], clip=1.5,
+                                        value_bound=2.0),
+                polynomial_family([[1, 0], [1, 1, 0]]),
+            ),
+        ],
+        ids=["chain", "iid", "doubling", "polynomial-family"],
+    )
+    def test_table_lookup_is_bitwise_the_evaluated_sum(self, model, obs, family):
+        # the centered table holds F - mean exactly as F evaluates on values,
+        # so looking terms up reproduces the evaluated sum bit for bit
+        c = center(obs, model)
+        n_terms, seed, R, first = 300, 4, 24, 7
+        uniq, positions = family_indices(family, n_terms)
+        paths = sample_paths(model, uniq, seed, R, first_replicate=first)
+        args = np.ascontiguousarray(paths[:, positions, :])  # (R, N, arity, dim)
+        terms = c.centered(args.reshape(-1, c.arity, model.dim)).reshape(R, n_terms)
+        got = batch_sums(model, c, family, n_terms, seed, R, first_replicate=first)
+        assert got.tobytes() == np.sum(terms, axis=1).tobytes()
+
+    def test_alphabet_mismatch_raises(self):
+        c = center(product_observable(2), PAIR)
+        fam = linear_family(2)
+        with pytest.raises(ConfigError):  # same shape, other values
+            batch_sums(iid_model([[0.0], [1.0]], [0.5, 0.5]), c, fam, 4, 0, 8)
+        with pytest.raises(ConfigError):  # another number of atoms
+            batch_sums(iid_model([[1.0], [-1.0], [0.0]], [0.4, 0.4, 0.2]), c, fam, 4, 0, 8)
 
     def test_budget_violation_raises(self):
         c = center(product_observable(2), RADEMACHER)

@@ -127,10 +127,19 @@ class TestSampling:
         np.testing.assert_array_equal(full, np.concatenate([head, tail]))
 
     def test_states_agree_with_values(self, pair):
-        idx = [2, 3, 8]
-        states = sample_state_paths(pair, idx, 3, 5)
-        vals = sample_paths(pair, idx, 3, 5)
-        np.testing.assert_array_equal(pair.values[states], vals)
+        # one sampler for every model kind: values are the marginal atoms at
+        # the integer states drawn from the same streams
+        models = (
+            pair,
+            iid_model([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]),
+            doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3),
+        )
+        idx = [2, 3, 8, 9, 30]
+        for model in models:
+            states = sample_state_paths(model, idx, 3, 5, first_replicate=2)
+            assert states.dtype == np.int64 and states.shape == (5, len(idx))
+            vals = sample_paths(model, idx, 3, 5, first_replicate=2)
+            np.testing.assert_array_equal(model.marginal().atoms[states], vals)
 
     def test_gap_jumps_match_dense_sampling(self, pair):
         # sampling {1, 4} must give the same joint law as marginalizing {1,..,4};
