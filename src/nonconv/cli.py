@@ -24,7 +24,7 @@ from nonconv.bounds import (
     momthm_bound,
     variance_envelope,
 )
-from nonconv.config import build_experiment, load_config
+from nonconv.config import build_experiment, effective_sections, load_config
 from nonconv.errors import BudgetError, CheckFailure, ConfigError, OutOfWindowError
 from nonconv.martingale import build_decomposition
 from nonconv.montecarlo import (
@@ -59,7 +59,7 @@ def _parse_grid(text: str | None) -> list[int] | None:
 def _threshold_grid(extras: dict, centered: np.ndarray) -> np.ndarray:
     sec = extras.get("tails", {})
     if "thresholds" in sec:
-        return np.asarray(sec["thresholds"], dtype=float)
+        return np.asarray(sec["thresholds"])
     sigma = float(np.std(centered, ddof=1))
     return np.linspace(0.5, 5.0, 10) * sigma
 
@@ -112,12 +112,12 @@ def _stat_kolmogorov(exp, sums, out, manifest):
 
 def _stat_mdp(exp, sums, out, manifest):
     sec = exp.extras.get("mdp", {})
-    expo = float(sec.get("exponent", 0.1))
-    x_grid = [float(x) for x in sec.get("x_grid", [1.0])]
-    d_const = float(sec.get("d_const", 1.0))
+    expo = sec.get("exponent", 0.1)
+    x_grid = sec.get("x_grid", [1.0])
+    d_const = sec.get("d_const", 1.0)
     table = mdp_diagnostic(
         exp.config, lambda n: float(n) ** expo, x_grid, d_const, sums_by_n=sums,
-        min_count=int(sec.get("min_count", 20)),
+        min_count=sec.get("min_count", 20),
     )
     rows = [
         (
@@ -154,15 +154,15 @@ def _decomp_for(exp, n):
         exp.centered,
         exp.family,
         n,
-        smoothing_radius=int(sec.get("smoothing_radius", 0)),
-        b_factor=float(sec.get("b", 1.0)),
+        smoothing_radius=sec.get("smoothing_radius", 0),
+        b_factor=sec.get("b", 1.0),
     )
 
 
 def _check_chernoff(exp, sums, manifest):
     refuted = 0
     sec = exp.extras.get("martingale", {})
-    b = float(sec.get("b", 1.0))
+    b = sec.get("b", 1.0)
     for n in exp.config.n_grid:
         d = _decomp_for(exp, n)
         s = sums[n].centered
@@ -178,8 +178,8 @@ def _check_chernoff(exp, sums, manifest):
 
 def _check_concentration(exp, sums, manifest):
     sec = exp.extras.get("bounds", {})
-    c1 = float(sec.get("c1", 1.0))
-    c2 = float(sec.get("c2", 1.0))
+    c1 = sec.get("c1", 1.0)
+    c2 = sec.get("c2", 1.0)
     refuted = 0
     for n in exp.config.n_grid:
         s = sums[n].centered
@@ -219,11 +219,17 @@ def _cmd_simulate(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest(
-        config_hash=config_hash(raw.sections),
+        config_hash=config_hash(effective_sections(raw, exp.config)),
         master_seed=exp.config.master_seed,
         version=_version(),
+        n_replicates=exp.config.n_replicates,
+        n_grid=list(exp.config.n_grid),
     )
     sums = sums_over_grid(exp.config)
+    manifest.sampling = [
+        {"n_terms": n, "method": sums[n].method, "centering": sums[n].centering}
+        for n in exp.config.n_grid
+    ]
     _emit(
         args.out_dir,
         "sums.csv",

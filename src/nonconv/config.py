@@ -11,6 +11,7 @@ missing keys.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from nonconv.errors import ConfigError
@@ -68,6 +69,8 @@ def _parse_value(raw: str, path: str, lineno: int):
         if all(c in _BARE_WORD_OK for c in text):
             return text
         raise ConfigError(f"{path}:{lineno}: cannot parse value {text!r}")
+    except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
+        raise ConfigError(f"{path}:{lineno}: cannot parse value: {exc}") from exc
 
 
 def parse_config_text(text: str, path: str = "<string>") -> RawConfig:
@@ -180,6 +183,44 @@ def build_family(raw: RawConfig, arity: int) -> IndexFamily:
     return fam
 
 
+@contextmanager
+def _reading(raw: RawConfig, name: str):
+    """Report a value of section ``name`` that its reader cannot use as a ConfigError.
+
+    Readers convert and validate values (int(), float(), numpy arrays, model
+    constructors); a TypeError, ValueError, LookupError (a wrong shape) or
+    ArithmeticError they raise means a malformed value, and is reported at
+    the section's header line.
+    """
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
+        line = raw.header_lines.get(name, 0)
+        raise ConfigError(f"{raw.path}:{line}: bad value in [{name}]: {exc}") from exc
+
+
+def _floats(value) -> list[float]:
+    return [float(v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _names(value) -> tuple[str, ...]:
+    names = value if isinstance(value, list) else [value]
+    if not all(isinstance(v, str) for v in names):
+        raise TypeError(f"expected names, got {value!r}")
+    return tuple(names)
+
+
+# optional sections read at run time: key -> converter, applied when building
+_EXTRA_KEYS = {
+    "tails": {"thresholds": _floats},
+    "mdp": {"exponent": float, "x_grid": _floats, "d_const": float, "min_count": int},
+    "martingale": {"smoothing_radius": int, "b": float},
+    "bounds": {"gamma": float, "c1": float, "c2": float},
+}
+
+
 @dataclass(frozen=True)
 class Experiment:
     """Everything a run needs: the experiment config plus loose parameters."""
@@ -189,7 +230,7 @@ class Experiment:
     centered: CenteredObservable
     family: IndexFamily
     gamma: float
-    extras: dict  # remaining optional sections (mdp, martingale, bounds)
+    extras: dict  # remaining optional sections, known keys converted (_EXTRA_KEYS)
 
 
 def build_experiment(
@@ -199,47 +240,47 @@ def build_experiment(
     n_grid: list | None = None,
     workers: int | None = None,
 ) -> Experiment:
-    """Assemble a validated experiment, applying CLI overrides when given."""
-    model = build_model(raw)
-    obs = build_observable(raw, model.dim)
-    centered = center(obs, model)
-    family = build_family(raw, obs.arity)
+    """Assemble a validated experiment, applying CLI overrides when given.
+
+    Every malformed value ends in a ConfigError carrying the file and line.
+    """
+    with _reading(raw, "model"):
+        model = build_model(raw)
+    with _reading(raw, "observable"):
+        obs = build_observable(raw, model.dim)
+        centered = center(obs, model)
+    with _reading(raw, "family"):
+        family = build_family(raw, obs.arity)
 
     run = raw.section("run")
-    grid = n_grid if n_grid is not None else raw.require("run", "n_grid")
-    if isinstance(grid, (int, float)):
-        grid = [grid]
-    R = int(replicates if replicates is not None else run.get("replicates", 10_000))
-    master_seed = int(seed if seed is not None else run.get("seed", 0))
-    stats = run.get("statistics", ["tails"])
-    checks = run.get("bound_checks", [])
-    nworkers = int(workers if workers is not None else run.get("workers", 1))
-    if isinstance(stats, str):
-        stats = [stats]
-    if isinstance(checks, str):
-        checks = [checks]
-
-    config = ExperimentConfig(
-        model=model,
-        centered=centered,
-        family=family,
-        n_grid=tuple(int(n) for n in grid),
-        n_replicates=R,
-        master_seed=master_seed,
-        statistics=tuple(stats),
-        bound_checks=tuple(checks),
-        workers=nworkers,
-    )
-    bounds_sec = raw.section("bounds", required=False) or {}
-    gamma = float(bounds_sec.get("gamma", 1.0))
-    if gamma <= 0:
+    with _reading(raw, "run"):
+        grid = n_grid if n_grid is not None else raw.require("run", "n_grid")
+        if isinstance(grid, (int, float)):
+            grid = [grid]
+        config = ExperimentConfig(
+            model=model,
+            centered=centered,
+            family=family,
+            n_grid=tuple(int(n) for n in grid),
+            n_replicates=int(replicates if replicates is not None else run.get("replicates", 10_000)),
+            master_seed=int(seed if seed is not None else run.get("seed", 0)),
+            statistics=_names(run.get("statistics", ["tails"])),
+            bound_checks=_names(run.get("bound_checks", [])),
+            workers=int(workers if workers is not None else run.get("workers", 1)),
+        )
+    extras = {}
+    for name, sec in raw.sections.items():
+        if name in ("model", "observable", "family", "run"):
+            continue
+        extras[name] = dict(sec)
+        with _reading(raw, name):
+            for key, convert in _EXTRA_KEYS.get(name, {}).items():
+                if key in sec:
+                    extras[name][key] = convert(sec[key])
+    gamma = extras.get("bounds", {}).get("gamma", 1.0)
+    if not gamma > 0:
         line = raw.header_lines.get("bounds", raw.header_lines["run"])
         raise ConfigError(f"{raw.path}:{line}: gamma must be positive")
-    extras = {
-        name: dict(sec)
-        for name, sec in raw.sections.items()
-        if name not in ("model", "observable", "family", "run")
-    }
     return Experiment(
         config=config,
         model=model,
@@ -248,3 +289,19 @@ def build_experiment(
         gamma=gamma,
         extras=extras,
     )
+
+
+def effective_sections(raw: RawConfig, config: ExperimentConfig) -> dict:
+    """The parsed sections as the run uses them, which the manifest's config hash covers.
+
+    The [run] keys that command-line overrides can change (seed, replicates,
+    n_grid) hold their effective values.  ``workers`` is dropped: it never
+    changes an output byte, so runs differing only in it share a hash.
+    """
+    run = {k: v for k, v in raw.sections["run"].items() if k != "workers"}
+    run.update(
+        seed=config.master_seed,
+        replicates=config.n_replicates,
+        n_grid=list(config.n_grid),
+    )
+    return {**raw.sections, "run": run}

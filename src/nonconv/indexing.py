@@ -175,10 +175,14 @@ def rho_set(arity: int, set1: Sequence[int], set2: Sequence[int]) -> int:
 
 
 def neighborhood(arity_or_family, n: int, n_max: int, s: int) -> np.ndarray:
-    """All m in [1, n_max] within separation s of n, by direct filtering.
+    """All m in [1, n_max] within separation s of n, as a sorted int64 array.
 
     Pass an integer arity for the dilation distance, or an IndexFamily for
-    the general-family distance (filtering starts at the family ray).
+    the general-family distance (filtering starts at the family ray).  For
+    an integer arity, |i m - j n| <= s holds exactly for the integers m in
+    [ceil((j n - s) / i), floor((j n + s) / i)], so the neighborhood is the
+    union of these arity^2 intervals, clipped to [1, n_max]; a family is
+    filtered directly.
     """
     if s < 0 or n_max < 1:
         raise ConfigError("need s >= 0 and n_max >= 1")
@@ -199,12 +203,22 @@ def neighborhood(arity_or_family, n: int, n_max: int, s: int) -> np.ndarray:
     arity = int(arity_or_family)
     if arity < 1 or n < 1:
         raise ConfigError("need arity and n >= 1")
-    i = np.arange(1, arity + 1, dtype=np.int64)
-    ms = np.arange(1, n_max + 1, dtype=np.int64)
-    prods = i[None, :, None] * ms[:, None, None]  # (M, arity, 1)
-    targets = (i * n)[None, None, :]  # (1, 1, arity)
-    dist = np.min(np.abs(prods - targets), axis=(1, 2))
-    return ms[dist <= s]
+    spans = sorted(
+        (max(-((s - j * n) // i), 1), min((j * n + s) // i, n_max))
+        for i in range(1, arity + 1)
+        for j in range(1, arity + 1)
+    )
+    merged: list[list[int]] = []
+    for lo, hi in spans:
+        if lo > hi:
+            continue
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in merged]
+    )
 
 
 def neighborhood_cap(arity: int, s: int, lipschitz_q: float = 1.0) -> float:

@@ -1,11 +1,12 @@
 """Replicated simulation engine and the statistics layered on top of it.
 
 Replicates are embarrassingly parallel: replicate j draws from a
-counter-based stream keyed by (master seed, j), blocks of 512 replicates are
-dispatched to whatever workers are configured, and each replicate's path sum
-is an np.sum over its own row of a C-contiguous block of terms, a reduction
-whose order depends only on N (the binomial-count shortcut is closed form),
-so outputs are bit-identical across worker counts and blockings.  Only the
+counter-based stream keyed by (master seed, j) (one generator per block,
+re-keyed per replicate), blocks of 512 replicates are dispatched to
+whatever workers are configured, and each replicate's path sum is an np.sum
+over its own row of a C-contiguous block of terms, a reduction whose order
+depends only on N (the binomial-count shortcut is closed form), so outputs
+are bit-identical across worker counts and blockings.  Only the
 mean corrections are compensated: the exact one (``exact_mean_SN``) sums its
 terms with Kahan summation, the grand-mean fallback with math.fsum.
 Confidence machinery: exact binomial intervals for tail probabilities,
@@ -65,6 +66,8 @@ class ExperimentConfig:
             raise ConfigError("need at least 100 replicates for CI-bearing statistics")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master seed must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,10 @@ def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
         def run_block(edge: tuple[int, int]) -> None:
             a, b = edge
             ks = np.empty(b - a)
+            gen = None
             for j in range(a, b):
-                ks[j - a] = replicate_rng(config.master_seed, j).binomial(n_terms, p1)
+                gen = replicate_rng(config.master_seed, j, reuse=gen)
+                ks[j - a] = gen.binomial(n_terms, p1)
             out[a:b] = ks * f1 + (n_terms - ks) * f0
 
         method = "binomial-count"

@@ -304,12 +304,21 @@ def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) ->
     """Row sums of table lookups: sum over terms n of table[states[:, positions[n]]].
 
     ``states`` is (R, n_positions) and ``positions`` (N, arity) maps each
-    term's slots to state columns.  The (R, N) block of terms is made
-    C-contiguous first, so np.sum reduces every row in the same fixed order
-    whatever the layout of the gather.
+    term's slots to state columns.  The states are narrowed once to the
+    smallest unsigned type that holds a flat table index, and the flat index
+    of every (replicate, term) is built by Horner's rule over the slots
+    (every partial value is below table.size, so it never overflows).  The
+    flat index is C-contiguous before the gather, so the (R, N) block of
+    terms is too and np.sum reduces every row in the same fixed order
+    whatever the layout of the column gathers.
     """
-    terms = table[tuple(states[:, positions[:, j]] for j in range(positions.shape[1]))]
-    return np.sum(np.ascontiguousarray(terms), axis=1)
+    n_atoms = table.shape[0]
+    narrow = states.astype(np.min_scalar_type(table.size - 1))
+    flat = np.ascontiguousarray(narrow[:, positions[:, 0]])
+    for j in range(1, positions.shape[1]):
+        flat *= n_atoms
+        flat += narrow[:, positions[:, j]]
+    return np.sum(table.ravel()[flat], axis=1)
 
 
 def batch_sums(

@@ -276,12 +276,6 @@ def _check_indices(indices) -> np.ndarray:
     return idx
 
 
-def _inverse_cdf(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # cum_rows: (n, S) cumulative probabilities per row, u: (n,) uniforms
-    nxt = np.sum(cum_rows <= u[:, None], axis=1)
-    return np.minimum(nxt, cum_rows.shape[1] - 1)
-
-
 def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Atoms drawn from one law by inverse CDF, elementwise in ``u``."""
     cum = np.cumsum(probs)
@@ -300,8 +294,8 @@ def sample_state_paths(
     Returns an int64 array of shape (n_replicates, n_indices) that indexes
     ``model.marginal().atoms``: chain states, i.i.d. atoms, or dyadic cells.
     Replicate ``first_replicate + j`` consumes only its own counter-based
-    stream, one uniform per index, so any batching of replicates reproduces
-    the same rows.  Work and memory scale with the number of requested
+    stream, one uniform per index (one generator per call, re-keyed per
+    replicate), so any batching of replicates reproduces the same rows.  Work and memory scale with the number of requested
     indices, not with the largest index: gaps in the index set are jumped
     with precomputed multi-step transition kernels (chains) or by discarding
     reservoir bits (doubling map).
@@ -309,8 +303,10 @@ def sample_state_paths(
     idx = _check_indices(indices)
     ensure_within_budget(n_replicates * idx.size * 16, "state path block")
     uniforms = np.empty((n_replicates, idx.size))
+    gen = None
     for j in range(n_replicates):
-        uniforms[j] = replicate_rng(master_seed, first_replicate + j).random(idx.size)
+        gen = replicate_rng(master_seed, first_replicate + j, reuse=gen)
+        gen.random(out=uniforms[j])
     if isinstance(model, IIDModel):
         return _draw(model.law.probs, uniforms)
     if isinstance(model, MarkovChainModel):
@@ -338,14 +334,35 @@ def sample_paths(
 
 
 def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    gaps = np.diff(idx)
-    cum_pow = {int(g): np.cumsum(_matrix_power(model.transition, int(g)), axis=1) for g in set(gaps.tolist())}
-    states = np.empty(uniforms.shape, dtype=np.int64)
-    states[:, 0] = _draw(model.stationary, uniforms[:, 0])
-    for t in range(1, idx.size):
-        rows = cum_pow[int(gaps[t - 1])][states[:, t - 1]]
-        states[:, t] = _inverse_cdf(rows, uniforms[:, t])
-    return states
+    """Chain states by inverse CDF, walked time-major over all replicates at once.
+
+    A gap of g steps draws from P^g: the next state is the number of
+    thresholds k < S - 1 with cumsum(P^g)[prev, k] <= u, which equals
+    min(#{cum <= u}, S - 1) because every cumulative row is nondecreasing.
+    Each step reads one contiguous column of uniforms and writes one
+    contiguous column of states into preallocated buffers; the result is the
+    C-contiguous int64 (replicates, indices) array.
+    """
+    gaps = np.diff(idx).tolist()
+    # thresholds[g][k] holds cumsum(P^g)[:, k] for every source state
+    thresholds = {
+        g: np.ascontiguousarray(np.cumsum(_matrix_power(model.transition, g), axis=1)[:, :-1].T)
+        for g in set(gaps)
+    }
+    u_cols = np.ascontiguousarray(uniforms.T)
+    walk = np.empty(u_cols.shape, dtype=np.intp)
+    walk[0] = _draw(model.stationary, u_cols[0])
+    thr = np.empty(u_cols.shape[1])
+    hit = np.empty(u_cols.shape[1], dtype=bool)
+    for t, g in enumerate(gaps, start=1):
+        prev, nxt, u = walk[t - 1], walk[t], u_cols[t]
+        nxt[:] = 0
+        for row in thresholds[g]:
+            # states are always in range; "clip" writes into ``out`` unbuffered
+            row.take(prev, out=thr, mode="clip")
+            np.less_equal(thr, u, out=hit)
+            nxt += hit
+    return np.ascontiguousarray(walk.T, dtype=np.int64)
 
 
 def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

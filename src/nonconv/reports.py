@@ -39,9 +39,12 @@ def config_hash(sections: dict) -> str:
 
 @dataclass
 class RunManifest:
-    config_hash: str
+    config_hash: str  # of the effective config, after command-line overrides
     master_seed: int
     version: str
+    n_replicates: int = 0
+    n_grid: list = field(default_factory=list)
+    sampling: list = field(default_factory=list)  # per N: n_terms, method, centering
     verdicts: dict = field(default_factory=dict)  # check name -> pass|fail|inconclusive
     outputs: list = field(default_factory=list)
     wall_clock_s: float = 0.0
@@ -62,6 +65,9 @@ def write_manifest(path, manifest: RunManifest) -> None:
         "config_hash": manifest.config_hash,
         "master_seed": manifest.master_seed,
         "version": manifest.version,
+        "n_replicates": manifest.n_replicates,
+        "n_grid": manifest.n_grid,
+        "sampling": manifest.sampling,
         "verdicts": manifest.verdicts,
         "outputs": manifest.outputs,
         "wall_clock_s": manifest.wall_clock_s,

@@ -4,6 +4,12 @@ Every replicate gets its own Philox stream keyed by (master seed, replicate
 index), so results are independent of how replicates are batched or spread
 across workers.  Streams are consumed strictly sequentially within a
 replicate; nothing here depends on global RNG state.
+
+Philox is counter-based: a stream is fixed by its key alone, so one
+generator can be re-keyed from replicate to replicate and draws exactly what
+a freshly built one would.  Loops over the replicates of a block build one
+generator for the block and re-key it per replicate (``reuse``); a block
+starts with no generator, so a generator never crosses worker threads.
 """
 
 from __future__ import annotations
@@ -11,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_BUFFER = 4  # Philox4x64 words per counter block; buffer_pos == 4 means empty
+_ZEROS = np.zeros(_BUFFER, dtype=np.uint64)  # copied by the state setter, never written
+_ZEROS.setflags(write=False)
 
 
 def replicate_key(master_seed: int, replicate: int) -> np.ndarray:
@@ -20,9 +29,30 @@ def replicate_key(master_seed: int, replicate: int) -> np.ndarray:
     return np.array([master_seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
 
 
-def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
-    """Sequential generator for one replicate, independent of all others."""
-    return np.random.Generator(np.random.Philox(key=replicate_key(master_seed, replicate)))
+def replicate_rng(
+    master_seed: int, replicate: int, reuse: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Sequential generator for one replicate, independent of all others.
+
+    With ``reuse``, a generator returned by an earlier call, that generator
+    is re-keyed in place to the fresh state of this replicate's stream
+    (counter 0, buffer emptied, no cached half word) and returned; its draws
+    are bit-identical to those of a newly built one, at a fraction of the
+    construction cost.  The re-keyed generator is the caller's alone: share
+    it with no other thread.
+    """
+    key = replicate_key(master_seed, replicate)
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS,
+        "buffer_pos": _BUFFER,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
 
 
 def substream_rng(master_seed: int, purpose: int) -> np.random.Generator:

@@ -121,6 +121,37 @@ class TestSimulateCommand:
         man = json.loads((out / "manifest.json").read_text())
         assert man["version"] == nonconv.__version__
 
+    def test_manifest_records_effective_run(self, tmp_path, capsys):
+        cfg = _write(tmp_path, TINY_CHAIN)
+        out = tmp_path / "out"
+        main(["simulate", cfg, "--out-dir", str(out), "--replicates", "150", "--n-grid", "8,16"])
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["n_replicates"] == 150
+        assert man["n_grid"] == [8, 16]
+        assert man["sampling"] == [
+            {"n_terms": n, "method": "path-evaluation", "centering": "exact"} for n in (8, 16)
+        ]
+        cfg = _write(tmp_path, TINY_IID, name="iid.cfg")
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert (man["n_replicates"], man["n_grid"]) == (300, [50])
+        assert man["sampling"] == [{"n_terms": 50, "method": "binomial-count", "centering": "exact"}]
+
+    def test_config_hash_covers_overrides_but_not_workers(self, tmp_path, capsys):
+        cfg = _write(tmp_path, TINY_IID)
+
+        def hash_of(*extra):
+            out = tmp_path / "-".join(extra or ("plain",))
+            assert main(["simulate", cfg, "--out-dir", str(out), *extra]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        plain = hash_of()
+        assert hash_of("--replicates", "300") == plain  # the file's own value
+        assert hash_of("--replicates", "400") != plain
+        assert hash_of("--seed", "6") != plain
+        assert hash_of("--n-grid", "32") != plain
+        assert hash_of("--workers", "1") == hash_of("--workers", "2") == plain
+
     def test_chain_run_records_chernoff_verdict(self, tmp_path, capsys):
         cfg = _write(tmp_path, TINY_CHAIN)
         out = tmp_path / "out"

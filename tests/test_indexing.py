@@ -33,6 +33,16 @@ def brute_neighborhood(arity, n, n_max, s):
     return np.asarray(out, dtype=np.int64)
 
 
+def filter_neighborhood(arity, n, n_max, s):
+    # vectorized filter of every m in [1, n_max], O(n_max * arity^2)
+    i = np.arange(1, arity + 1, dtype=np.int64)
+    ms = np.arange(1, n_max + 1, dtype=np.int64)
+    prods = i[None, :, None] * ms[:, None, None]  # (M, arity, 1)
+    targets = (i * n)[None, None, :]  # (1, 1, arity)
+    dist = np.min(np.abs(prods - targets), axis=(1, 2))
+    return ms[dist <= s]
+
+
 class TestFamilies:
     def test_linear_values(self):
         fam = linear_family(3)
@@ -100,6 +110,20 @@ class TestNeighborhood:
             for s in (1, 5, 17):
                 got = neighborhood(arity, n, 100, s)
                 np.testing.assert_array_equal(got, brute_neighborhood(arity, n, 100, s))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_interval_union_matches_filter_oracle(self, arity):
+        for s in (0, 1, 7, 50):
+            for n in range(1, 501):
+                want = filter_neighborhood(arity, n, 500, s)
+                got = neighborhood(arity, n, 500, s)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+        for n_max in (1, 3, 37):  # clipped, and empty once n is far above n_max
+            for n in (1, 2, 40, 200):
+                got = neighborhood(arity, n, n_max, 5)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, filter_neighborhood(arity, n, n_max, 5))
 
     def test_contains_its_center(self):
         assert 13 in neighborhood(3, 13, 200, 1)

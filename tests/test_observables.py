@@ -15,6 +15,7 @@ from nonconv.observables import (
     exact_mean_SN,
     family_indices,
     indicator_product_observable,
+    lookup_sums,
     nonconv_sum,
     product_observable,
     sum_observable,
@@ -178,6 +179,16 @@ class TestBatchSums:
         terms = c.centered(args.reshape(-1, c.arity, model.dim)).reshape(R, n_terms)
         got = batch_sums(model, c, family, n_terms, seed, R, first_replicate=first)
         assert got.tobytes() == np.sum(terms, axis=1).tobytes()
+
+    @pytest.mark.parametrize("n_atoms", [3, 7])  # flat index fits uint8, needs uint16
+    def test_flat_index_lookup_matches_tuple_gather(self, n_atoms):
+        rs = np.random.default_rng(n_atoms)
+        table = rs.standard_normal((n_atoms,) * 3)
+        states = rs.integers(0, n_atoms, size=(33, 120))
+        positions = rs.integers(0, 120, size=(400, 3))
+        terms = table[tuple(states[:, positions[:, j]] for j in range(3))]
+        want = np.sum(np.ascontiguousarray(terms), axis=1)
+        assert lookup_sums(table, states, positions).tobytes() == want.tobytes()
 
     def test_alphabet_mismatch_raises(self):
         c = center(product_observable(2), PAIR)

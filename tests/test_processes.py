@@ -19,6 +19,7 @@ from nonconv.processes import (
     sample_state_paths,
     stationary_distribution,
 )
+from nonconv.rng import replicate_rng
 
 PAIR = [[0.9, 0.1], [0.2, 0.8]]
 PAIR_VALUES = [[1.0], [-1.0]]
@@ -140,6 +141,29 @@ class TestSampling:
             assert states.dtype == np.int64 and states.shape == (5, len(idx))
             vals = sample_paths(model, idx, 3, 5, first_replicate=2)
             np.testing.assert_array_equal(model.marginal().atoms[states], vals)
+
+    @pytest.mark.parametrize("n_states", [3, 5])
+    def test_chain_walk_matches_row_gather_reference(self, n_states):
+        # reference: per replicate a fresh stream, per step the cumulative
+        # row of P^g at the previous state, next = min(#{cum <= u}, S - 1)
+        rs = np.random.default_rng(n_states)
+        P = rs.random((n_states, n_states)) ** 3 + 0.01
+        P /= P.sum(axis=1, keepdims=True)
+        model = markov_model(P, np.arange(n_states, dtype=float)[:, None])
+        idx = np.cumsum(rs.choice([1, 2, 5], size=200))
+        cum = {g: np.cumsum(np.linalg.matrix_power(P, g), axis=1) for g in (1, 2, 5)}
+        seed, R, first = 2**63 + 5, 40, 9
+        want = np.empty((R, idx.size), dtype=np.int64)
+        for j in range(R):
+            u = replicate_rng(seed, first + j).random(idx.size)
+            pi_cum = np.cumsum(model.stationary)
+            want[j, 0] = min(np.searchsorted(pi_cum, u[0], side="right"), n_states - 1)
+            for t in range(1, idx.size):
+                row = cum[int(idx[t] - idx[t - 1])][want[j, t - 1]]
+                want[j, t] = min(int(np.sum(row <= u[t])), n_states - 1)
+        got = sample_state_paths(model, idx, seed, R, first_replicate=first)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
     def test_gap_jumps_match_dense_sampling(self, pair):
         # sampling {1, 4} must give the same joint law as marginalizing {1,..,4};

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nonconv.rng import replicate_rng, substream_rng
 
@@ -33,3 +34,38 @@ def test_substream_purposes_are_independent():
     a = substream_rng(9, 3).random(8)
     b = substream_rng(9, 7).random(8)
     assert not np.array_equal(a, b)
+
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**63 + 5])
+def test_rekeyed_generator_draws_the_fresh_stream(seed):
+    # re-keying must reset everything a partly consumed stream leaves behind:
+    # the counter, the buffered words, the cached half word of int32 draws
+    # and the binomial set-up cache
+    for j in (0, 7, (1 << 48) + 3):
+        gen = replicate_rng(seed + 1, j + 2)
+        gen.random(3)
+        gen.binomial(1000, 0.3, size=2)
+        gen.integers(0, 1 << 20, size=3, dtype=np.int32)
+        used = gen.bit_generator.state
+        assert used["buffer_pos"] != 4 and used["has_uint32"] == 1
+        rekeyed = replicate_rng(seed, j, reuse=gen)
+        fresh = replicate_rng(seed, j)
+        assert rekeyed is gen
+        got, want = rekeyed.bit_generator.state, fresh.bit_generator.state
+        for part in ("key", "counter"):
+            assert got["state"][part].tolist() == want["state"][part].tolist()
+        assert got["buffer"].tolist() == want["buffer"].tolist()
+        for k in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[k] == want[k]
+        draws = [
+            (
+                g.random(5).tobytes(),
+                g.binomial(1000, 0.3, size=4).tobytes(),
+                g.integers(0, 1 << 20, size=5, dtype=np.int32).tobytes(),
+                int(g.binomial(10_000, 0.5)),
+                g.random(7).tobytes(),
+            )
+            for g in (rekeyed, fresh)
+        ]
+        assert draws[0] == draws[1]
