@@ -1,11 +1,13 @@
 """Closed-form evaluators for the concentration, deviation, and moment bounds.
 
-Everything here is a deterministic formula: exponential concentration for the
-normalized sum, the Chernoff tail from the martingale constants, the
+Everything here is a deterministic formula: the exponent gamma of a
+regularity regime, exponential concentration for the normalized sum, the
+Chernoff tail and its threshold from the martingale constants, the
 moderate-deviation envelope and rate, the Berry-Esseen bound, the
 moment-versus-Gaussian bound, and the variance envelope.  No constant is
-baked in; each named constant arrives through BoundConstants with its
-provenance, normally from the calibration routines in the Monte Carlo layer.
+baked in: every constant is an argument, supplied by the caller from the
+calibration routines in the Monte Carlo layer, a config file's [bounds] and
+[martingale] sections, or the options of ``nonconv bounds``.
 
 All evaluators work in log space internally and document their monotone
 directions, which the property tests exercise.
@@ -14,7 +16,7 @@ directions, which the property tests exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -79,53 +81,6 @@ class AssumptionParams:
         return 1.0 / (self.eta * arity**2)
 
 
-_CONSTANT_FIELDS = (
-    "c1", "c2", "c3", "c4", "c5", "c6", "c7",
-    "c0", "a0", "a_ell", "c_ell", "C0", "C1", "B",
-)
-
-
-@dataclass
-class BoundConstants:
-    """Named positive constants with per-constant provenance.
-
-    The theory only asserts these exist; values are either configured by the
-    user or produced by calibration, and ``sources`` records which for each.
-    """
-
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    c4: float = 1.0
-    c5: float = 1.0
-    c6: float = 1.0
-    c7: float = 1.0
-    c0: float = 1.0
-    a0: float = 1.0
-    a_ell: float = 1.0
-    c_ell: float = 1.0
-    C0: float = 1.0
-    C1: float = 1.0
-    B: float = 1.0
-    sources: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in _CONSTANT_FIELDS:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"constant {name} must be positive")
-            self.sources.setdefault(name, "configured")
-
-    def set_calibrated(self, **values: float) -> "BoundConstants":
-        for name, v in values.items():
-            if name not in _CONSTANT_FIELDS:
-                raise ConfigError(f"unknown constant {name}")
-            if v <= 0:
-                raise ConfigError(f"constant {name} must be positive")
-            setattr(self, name, float(v))
-            self.sources[name] = "calibrated"
-        return self
-
-
 # ---------------------------------------------------------------------------
 # exponential concentration for the normalized sum
 # ---------------------------------------------------------------------------
@@ -150,81 +105,6 @@ def concentration_log(x: float, n_terms: float, c1: float, c2: float, gamma: flo
 
 def concentration_bound(x: float, n_terms: float, c1: float, c2: float, gamma: float) -> float:
     return math.exp(concentration_log(x, n_terms, c1, c2, gamma))
-
-
-def epsilon_shape_log(eps: float, n_terms: float, c7: float, gamma: float) -> float:
-    """log of the linear-scale display exp(-c7 (eps N)^(1/(1+gamma)))."""
-    if eps <= 0 or n_terms < 1 or c7 <= 0 or gamma <= 0:
-        raise ConfigError("need eps, c7, gamma > 0 and n_terms >= 1")
-    return -c7 * (eps * n_terms) ** (1.0 / (1.0 + gamma))
-
-
-def epsilon_window_start(eps: float, c6: float, gamma: float) -> float:
-    """Smallest N of the window N >= c6 eps^(-2 - 1/gamma)."""
-    if eps <= 0 or c6 <= 0 or gamma <= 0:
-        raise ConfigError("need eps, c6, gamma > 0")
-    return c6 * eps ** (-2.0 - 1.0 / gamma)
-
-
-def dominance_window_constant(c1: float, c2: float, gamma: float, margin: float = 4.0) -> float:
-    """The c6 making the window the region where the x-linear denominator term
-    exceeds ``margin`` times the constant one at x = eps sqrt(N).
-
-    Solving c2 eps N^(gamma/(1+2 gamma)) >= margin c1 for N gives
-    N >= (margin c1 / c2)^((1+2 gamma)/gamma) eps^(-2-1/gamma).
-    """
-    if margin < 1:
-        raise ConfigError("margin must be >= 1")
-    if c1 <= 0 or c2 <= 0 or gamma <= 0:
-        raise ConfigError("need c1, c2, gamma > 0")
-    return (margin * c1 / c2) ** ((1.0 + 2.0 * gamma) / gamma)
-
-
-@dataclass(frozen=True)
-class SlopeCheck:
-    slope: float
-    target: float
-    rel_err: float
-    c7: float
-    n_window: tuple[float, float]
-    passed: bool
-
-
-def epsilon_slope_check(
-    eps: float,
-    n_grid,
-    c1: float,
-    c2: float,
-    gamma: float,
-    tol: float = 0.05,
-) -> SlopeCheck:
-    """Fit the log-log slope of the concentration exponent in the linear regime.
-
-    Deviations at the linear scale eps*N correspond to x = eps sqrt(N) for
-    the normalized sum.  On the dominance window the negated log-bound grows
-    like (eps N)^(1/(1+gamma)); the fitted slope of log(-log bound) against
-    log(eps N) is compared to that exponent, and the reported c7 is the
-    largest constant keeping the displayed shape above the bound on the grid.
-    """
-    grid = np.asarray(n_grid, dtype=float)
-    if grid.size < 2:
-        raise ConfigError("need at least two grid points")
-    neg_logs = np.array(
-        [-concentration_log(eps * math.sqrt(n), n, c1, c2, gamma) for n in grid]
-    )
-    t = np.log(eps * grid)
-    slope, _ = np.polyfit(t, np.log(neg_logs), 1)
-    target = 1.0 / (1.0 + gamma)
-    rel = abs(slope - target) / target
-    c7 = float(np.min(neg_logs / (eps * grid) ** target))
-    return SlopeCheck(
-        slope=float(slope),
-        target=target,
-        rel_err=float(rel),
-        c7=c7,
-        n_window=(float(grid.min()), float(grid.max())),
-        passed=rel <= tol,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +143,6 @@ def chernoff_lambda_star(t: float, n_terms: float, arity: int, delta2: float) ->
     if t < 0 or n_terms < 1 or arity < 1 or delta2 <= 0:
         raise ConfigError("bad lambda-star arguments")
     return t / (2.0 * arity * n_terms * delta2 * delta2)
-
-
-def epsilon_rate_constant(arity: int, delta1: float, delta2: float) -> float:
-    """The linear-scale rate constant c = delta2 / (16 arity delta1^2),
-    from the tail bound at t = eps N / 2 in the exact-representation case
-    delta2 = delta1."""
-    if arity < 1 or delta1 <= 0 or delta2 <= 0:
-        raise ConfigError("bad rate-constant arguments")
-    return delta2 / (16.0 * arity * delta1 * delta1)
 
 
 def mgf_exponent_bound(
@@ -335,20 +206,6 @@ def mdp_gaussian_rate(x: float, a_n: float) -> float:
     if a_n <= 0:
         raise ConfigError("a_N must be positive")
     return -float(log_ndtr(-x * a_n)) / (a_n * a_n)
-
-
-def mdp_speed(a_n: float) -> float:
-    """Speed a_N^2 attached to the scaling sequence."""
-    if a_n <= 0:
-        raise ConfigError("a_N must be positive")
-    return a_n * a_n
-
-
-def mdp_normalization(d_const: float, n_terms: float, a_n: float) -> float:
-    """The factor 1 / (D sqrt(N) a_N) applied to S_N."""
-    if d_const <= 0 or n_terms < 1 or a_n <= 0:
-        raise ConfigError("bad normalization arguments")
-    return 1.0 / (d_const * math.sqrt(n_terms) * a_n)
 
 
 @dataclass(frozen=True)

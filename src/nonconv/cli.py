@@ -18,6 +18,7 @@ import nonconv
 from nonconv.bounds import (
     berry_esseen_bound,
     chernoff_tail_bound,
+    chernoff_threshold,
     concentration_bound,
     mdp_rate,
     moddev_envelope,
@@ -155,7 +156,6 @@ def _decomp_for(exp, n):
         exp.family,
         n,
         smoothing_radius=sec.get("smoothing_radius", 0),
-        b_factor=sec.get("b", 1.0),
     )
 
 
@@ -170,7 +170,7 @@ def _check_chernoff(exp, sums, manifest):
             bound = chernoff_tail_bound(
                 float(t), n, d.arity, d.delta1_plain, d.delta2_plain, b
             )
-            if tail_estimate(s, float(t) + b * d.delta2_plain).lower > bound:
+            if tail_estimate(s, chernoff_threshold(float(t), d.delta2_plain, b)).lower > bound:
                 refuted += 1
     manifest.record("chernoff", "fail" if refuted else "pass")
     manifest.notes["chernoff_refuted_points"] = refuted

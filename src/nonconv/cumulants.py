@@ -1,23 +1,22 @@
-"""Cumulant algebra, sample cumulants, and the dependency-graph cumulant bound.
+"""Cumulant algebra, sample cumulants, and the cumulant growth envelope.
 
-The bound machinery follows the cluster-expansion pattern: per-vertex norm
-weights, neighborhood sums under a separation distance, and a combinatorial
-factor lambda(eps, k) that prices the residual dependence of far-apart
-clusters.  All bound evaluators work in log space so large k and tiny mixing
-rates cannot overflow.
+Moments and cumulants convert both ways exactly; sample cumulants come with
+delete-one jackknife errors; and the per-order envelope
+N (k!)^(1+gamma) c0^(k-2) that the verification battery checks them against,
+like the cluster pricing factor lambda(eps, k) of the cumulant method, is
+evaluated in log space, so large k cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from nonconv.errors import ConfigError
-from nonconv.processes import FiniteLaw, MixingProfile
 
 EXACT_ORDER_CAP = 16
 SAMPLE_ORDER_CAP = 8
@@ -106,13 +105,12 @@ def cumulants_to_moments(cumulants: Sequence[float], centered: bool = False) -> 
 
 @dataclass(frozen=True, eq=False)
 class CumulantVector:
-    """Moments and cumulants of one scalar variable, exact or sample-estimated.
+    """Sample moments and cumulants of one scalar variable.
 
-    ``provenance`` is "exact" (moments and cumulants tied by the conversion
-    identities) or "sample" (cumulants are k-statistics / plug-ins, moments
-    are empirical raw moments, jackknife SEs attached).  Note the unbiased
-    k-statistics do not satisfy the exact identities: the order-2 statistic
-    is n/(n-1) times the plug-in variance.
+    ``provenance`` is "sample": cumulants are k-statistics / plug-ins,
+    moments are empirical raw moments, jackknife SEs attached.  Note the
+    unbiased k-statistics do not satisfy the exact conversion identities:
+    the order-2 statistic is n/(n-1) times the plug-in variance.
     """
 
     k_max: int
@@ -137,20 +135,6 @@ class CumulantVector:
     def upper(self, k: int, z: float = 3.0) -> float:
         """Conservative magnitude: |cumulant| + z jackknife SEs."""
         return abs(self.cumulant(k)) + z * self.std_error(k)
-
-
-def from_moments(moments: Sequence[float]) -> CumulantVector:
-    m = np.asarray(moments, dtype=float)
-    return CumulantVector(
-        k_max=m.size, moments=m.copy(), cumulants=moments_to_cumulants(m), provenance="exact"
-    )
-
-
-def from_cumulants(cumulants: Sequence[float]) -> CumulantVector:
-    g = np.asarray(cumulants, dtype=float)
-    return CumulantVector(
-        k_max=g.size, moments=cumulants_to_moments(g), cumulants=g.copy(), provenance="exact"
-    )
 
 
 def _kstats_from_power_sums(s: np.ndarray, n) -> np.ndarray:
@@ -263,8 +247,26 @@ def sample_cumulants(samples: np.ndarray, k_max: int = 4, jackknife: bool = True
 
 
 # ---------------------------------------------------------------------------
-# combinatorial pricing factor and mixing increments
+# cumulant growth envelope
 # ---------------------------------------------------------------------------
+
+
+def noncum_bound(
+    n_terms: int, k: int, c0: float, gamma: float, normalized: bool = False
+) -> float:
+    """Log of the per-order cumulant envelope for the centered sum:
+
+        N (k!)^(1+gamma) c0^(k-2),          k >= 3,
+
+    or, for the sqrt(N)-normalized sum, (k!)^(1+gamma) (c0/sqrt(N))^(k-2)."""
+    if k < 3:
+        raise ConfigError("the envelope starts at order 3")
+    if n_terms < 1 or c0 <= 0 or gamma < 0:
+        raise ConfigError("need N >= 1, c0 > 0, gamma >= 0")
+    fact = (1.0 + gamma) * float(gammaln(k + 1))
+    if normalized:
+        return fact + (k - 2) * (math.log(c0) - 0.5 * math.log(n_terms))
+    return math.log(n_terms) + fact + (k - 2) * math.log(c0)
 
 
 def gorc_lambda_log(eps: float, k: int) -> float:
@@ -293,252 +295,3 @@ def gorc_lambda_log(eps: float, k: int) -> float:
 def gorc_lambda(eps: float, k: int) -> float:
     out = gorc_lambda_log(eps, k)
     return 0.0 if out == -math.inf else math.exp(out)
-
-
-def gamma_delta(
-    b: int,
-    r: int,
-    mixing: MixingProfile,
-    arity: int,
-    kappa: float = 1.0,
-    case: str = "bounded",
-) -> float:
-    """Mixing increment priced into far-apart cluster pairs.
-
-    With q = floor(b/3) (a third of the separation buys the conditioning gap)
-    the bounded case charges 128 * arity * r * (phi(q) + beta_kappa(q)^kappa)
-    and the unbounded case replaces phi by its square root and measures the
-    approximation rate in sup norm.  The gap-0 convention phi(0) = 1 makes
-    separations below 3 charge the trivial rate.
-    """
-    if b < 0 or r < 1 or arity < 1:
-        raise ConfigError("need b >= 0, r >= 1, arity >= 1")
-    if case not in ("bounded", "unbounded"):
-        raise ConfigError("case must be 'bounded' or 'unbounded'")
-    q = b // 3
-    phi = mixing.phi(q)
-    if case == "bounded":
-        mix = phi + mixing.beta(kappa, q) ** kappa
-    else:
-        mix = math.sqrt(phi) + mixing.beta(math.inf, q) ** kappa
-    return 128.0 * arity * r * mix
-
-
-def norm_proxy(
-    bound_const: float, arity: int, law: FiniteLaw | None, t: float, growth_exp: float
-) -> float:
-    """Uniform per-term norm weight: 2K(1 + arity) for bounded observables,
-    2K(1 + arity * tau_{lambda t}^lambda) under polynomial growth."""
-    if growth_exp == 0.0:
-        return 2.0 * bound_const * (1.0 + arity)
-    if law is None:
-        raise ConfigError("growth case needs the marginal law for its moments")
-    return 2.0 * bound_const * (1.0 + arity * law.tau(growth_exp * t) ** growth_exp)
-
-
-# ---------------------------------------------------------------------------
-# dependency-graph cumulant bound
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class GorcInstance:
-    """Inputs of the graph cumulant bound for one family of summands.
-
-    ``neighborhood_count(s)`` is the largest number of vertices within
-    separation s of any fixed vertex (including itself); ``rho_norm(t)`` the
-    uniform per-vertex L^t weight; ``gamma(b, r)`` the mixing increment;
-    ``delta`` the norm-inflation parameter (may be inf in the bounded case).
-    """
-
-    n_vertices: int
-    neighborhood_count: Callable[[int], float]
-    rho_norm: Callable[[float], float]
-    gamma: Callable[[int, int], float]
-    delta: float
-    growth_c0: float | None = None
-    growth_u0: float | None = None
-    decay: tuple[float, float, float] | None = None
-    tail_floor_log: float = math.log(1e-300)
-    tail_cap: int = 2_000_000
-
-    def __post_init__(self):
-        if self.n_vertices < 1 or self.delta <= 0:
-            raise ConfigError("need at least one vertex and delta > 0")
-
-
-def check_instance_growth(instance: GorcInstance, s_values: Sequence[int], k: int = 4) -> dict:
-    """Spot-check the declared polynomial neighborhood growth and the declared
-    stretched-exponential decay of the worst per-cluster mixing rate.
-
-    Returns the worst ratios; both must be <= 1 for the declarations to hold
-    on the scanned range.
-    """
-    if instance.growth_c0 is None or instance.growth_u0 is None:
-        raise ConfigError("instance declares no growth constants")
-    worst_growth = 0.0
-    for s in s_values:
-        cap = instance.growth_c0 * max(s, 1) ** instance.growth_u0
-        worst_growth = max(worst_growth, instance.neighborhood_count(s) / cap)
-    worst_decay = 0.0
-    if instance.decay is not None:
-        a, d, eta = instance.decay
-        for m in s_values:
-            tilde = max(instance.gamma(m, r) / r for r in range(1, k + 1))
-            worst_decay = max(worst_decay, tilde / (d * math.exp(-a * m**eta)))
-    return {"growth_ratio": worst_growth, "decay_ratio": worst_decay}
-
-
-@dataclass(frozen=True)
-class GorcBound:
-    log_value: float
-    log_local_part: float
-    log_tail_part: float
-    tail_terms: int
-    truncated_at: int | None
-    gamma_tilde_at_stop: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value) if self.log_value < 700 else math.inf
-
-
-def gorc_cumulant_bound(instance: GorcInstance, k: int, s: int) -> GorcBound:
-    """Log-space evaluation of the graph cumulant bound
-
-        k^k ( 2^k C(k) L_s(k)^(k-1) + R_s(delta, k) ),
-
-    where L_s(t) = rho_t * neighborhood_count(s), C(t) = rho_t * |V|, and the
-    tail R_s sums, over separations m > s, the local mass at inflated norm
-    index (1+delta)k times the pricing factor at the worst per-cluster rate
-    gamma~(m, k) = max_r gamma(m, r)/r.  The tail is truncated once terms
-    drop below the floor; the stopping point is reported.
-    """
-    if k < 2 or s < 0:
-        raise ConfigError("need k >= 2 and s >= 0")
-    t_hi = math.inf if math.isinf(instance.delta) else (1.0 + instance.delta) * k
-    log_rho_k = math.log(instance.rho_norm(k))
-    log_rho_hi = math.log(instance.rho_norm(t_hi))
-    log_V = math.log(instance.n_vertices)
-
-    def log_L(m: int, log_rho: float) -> float:
-        return log_rho + math.log(instance.neighborhood_count(m))
-
-    log_local = k * math.log(2.0) + (log_rho_k + log_V) + (k - 1) * log_L(s, log_rho_k)
-
-    tail_logs: list[float] = []
-    truncated_at = None
-    gamma_tilde_last = math.nan
-    m = s + 1
-    while m <= instance.tail_cap:
-        gamma_tilde = max(instance.gamma(m, r) / r for r in range(1, k + 1))
-        gamma_tilde_last = gamma_tilde
-        log_term = (
-            (k - 1) * log_L(m, log_rho_hi)
-            + (log_rho_hi + log_V)
-            + gorc_lambda_log(gamma_tilde, k)
-        )
-        if log_term < instance.tail_floor_log:
-            truncated_at = m
-            break
-        tail_logs.append(log_term)
-        m += 1
-    else:
-        raise ConfigError("tail did not drop below the floor before the cap; no certified decay")
-
-    log_tail = float(logsumexp(tail_logs)) if tail_logs else -math.inf
-    log_value = k * math.log(k) + float(np.logaddexp(log_local, log_tail))
-    return GorcBound(
-        log_value=log_value,
-        log_local_part=log_local,
-        log_tail_part=log_tail,
-        tail_terms=len(tail_logs),
-        truncated_at=truncated_at,
-        gamma_tilde_at_stop=gamma_tilde_last,
-    )
-
-
-# ---------------------------------------------------------------------------
-# closed-form corollaries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class CorollaryParams:
-    """Constants for the closed-form cumulant growth corollaries.
-
-    ``internal_c`` is the instance constant in front of the factorial growth
-    (supplied by the caller or by calibration); ``u0`` the neighborhood-growth
-    exponent entering through (k!)^(u0/eta); ``decay_d`` the mixing prefactor;
-    ``moments`` maps a norm index to M_t, or ``moment_growth`` = (M, theta)
-    declares M_t <= M t^theta-type factorial growth.  ``abs_const`` is the
-    absolute constant of the moment-growth variant.
-    """
-
-    u0: float
-    eta: float
-    decay_d: float
-    internal_c: float
-    delta: float
-    n_vertices: int
-    moments: Callable[[float], float] | None = None
-    moment_growth: tuple[float, float] | None = None
-    abs_const: float = 1.0
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.decay_d <= 0 or self.internal_c <= 0 or self.n_vertices < 1:
-            raise ConfigError("eta, d, c must be positive and |V| >= 1")
-        if self.moments is None and self.moment_growth is None:
-            raise ConfigError("need either a moment sequence or a growth declaration")
-
-
-def corollary_bound(params: CorollaryParams, k: int) -> float:
-    """Log of the closed-form cumulant bound at order k.
-
-    Three variants: factorial-moment growth (declared (M, theta)), the
-    bounded case (delta = inf, sup-norm moments), and the general two-norm
-    form d^k |V| c^k (k!)^(1 + u0/eta) (M_k^k + M_{(1+delta)k}^k).
-    """
-    if k < 2:
-        raise ConfigError("need k >= 2")
-    base = (
-        k * math.log(params.decay_d)
-        + math.log(params.n_vertices)
-        + k * math.log(params.internal_c)
-    )
-    fact_exp = 1.0 + params.u0 / params.eta
-    if params.moment_growth is not None:
-        M, theta = params.moment_growth
-        return (
-            math.log(3.0)
-            + (theta / (1.0 + params.delta)) * math.log(params.abs_const)
-            + base
-            + k * math.log1p(params.delta)
-            + k * math.log(M)
-            + (fact_exp + theta) * float(gammaln(k + 1))
-        )
-    if math.isinf(params.delta):
-        m_inf = params.moments(math.inf)
-        return math.log(2.0) + base + k * math.log(m_inf) + fact_exp * float(gammaln(k + 1))
-    m_k = params.moments(k)
-    m_hi = params.moments((1.0 + params.delta) * k)
-    pair = np.logaddexp(k * math.log(m_k), k * math.log(m_hi))
-    return base + fact_exp * float(gammaln(k + 1)) + float(pair)
-
-
-def noncum_bound(
-    n_terms: int, k: int, c0: float, gamma: float, normalized: bool = False
-) -> float:
-    """Log of the per-order cumulant envelope for the centered sum:
-
-        N (k!)^(1+gamma) c0^(k-2),          k >= 3,
-
-    or, for the sqrt(N)-normalized sum, (k!)^(1+gamma) (c0/sqrt(N))^(k-2)."""
-    if k < 3:
-        raise ConfigError("the envelope starts at order 3")
-    if n_terms < 1 or c0 <= 0 or gamma < 0:
-        raise ConfigError("need N >= 1, c0 > 0, gamma >= 0")
-    fact = (1.0 + gamma) * float(gammaln(k + 1))
-    if normalized:
-        return fact + (k - 2) * (math.log(c0) - 0.5 * math.log(n_terms))
-    return math.log(n_terms) + fact + (k - 2) * math.log(c0)

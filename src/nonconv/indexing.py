@@ -1,15 +1,17 @@
-"""Index families q_1 < q_2 < ... < q_l and their separation geometry.
+"""Index families q_1 < q_2 < ... < q_l, their separation distances, and the
+neighborhood counting bound.
 
 The dilation distance between times n, m is the smallest |i*n - j*m| over
-coefficient pairs; for general families the analogue uses the family maps
-themselves.  Neighborhood counts under these distances feed the cumulant
-bound evaluators.
+coefficient pairs 1 <= i, j <= l; for a general family the analogue uses the
+family maps themselves, and for index sets the minimum over pairs.  The
+neighborhood of n is every m within distance s of it; its size is at most
+3 l^2 s, the counting bound the verification battery checks exhaustively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +33,9 @@ class IndexFamily:
     """Ordered family of strictly increasing integer index maps.
 
     kind is one of "linear" (q_i(n) = i*n), "polynomial" (integer-coefficient
-    polynomials), "power-sparse" (polynomials evaluated at n**power), or
-    "custom" (monotone callables).  ``ray_start`` is the first argument from
-    which ordering and growth are certified; families are only evaluated from
-    there on.
+    polynomials), or "power-sparse" (polynomials evaluated at n**power).
+    ``ray_start`` is the first argument from which ordering and growth are
+    certified; families are only evaluated from there on.
     """
 
     arity: int
@@ -42,12 +43,11 @@ class IndexFamily:
     ray_start: int = 1
     poly_coeffs: tuple[tuple[int, ...], ...] | None = None
     power: int | None = None
-    maps: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
             raise ConfigError("arity must be >= 1")
-        if self.kind not in ("linear", "polynomial", "power-sparse", "custom"):
+        if self.kind not in ("linear", "polynomial", "power-sparse"):
             raise ConfigError(f"unknown family kind {self.kind!r}")
         if self.kind in ("polynomial", "power-sparse"):
             if self.poly_coeffs is None or len(self.poly_coeffs) != self.arity:
@@ -57,8 +57,6 @@ class IndexFamily:
                     raise ConfigError("polynomials need a positive leading coefficient")
         if self.kind == "power-sparse" and (self.power is None or self.power < 1):
             raise ConfigError("power-sparse families need a positive integer power")
-        if self.kind == "custom" and (self.maps is None or len(self.maps) != self.arity):
-            raise ConfigError("custom families need one callable per map")
 
     def evaluate(self, i: int, n) -> np.ndarray:
         """q_i at one or many arguments; i is 1-based."""
@@ -71,10 +69,8 @@ class IndexFamily:
             out = i * arr
         elif self.kind == "polynomial":
             out = _poly_eval(self.poly_coeffs[i - 1], arr)
-        elif self.kind == "power-sparse":
-            out = _poly_eval(self.poly_coeffs[i - 1], arr**self.power)
         else:
-            out = np.asarray(self.maps[i - 1](arr), dtype=np.int64)
+            out = _poly_eval(self.poly_coeffs[i - 1], arr**self.power)
         if np.any(out < 1) or np.any(np.abs(out) >= _VALUE_CAP):
             raise ConfigError("family values must stay in [1, 2^53)")
         return out
@@ -108,36 +104,6 @@ def power_sparse_family(
         poly_coeffs=tuple(tuple(int(c) for c in cs) for cs in coeff_lists),
         power=power,
     )
-
-
-def custom_family(maps: Sequence[Callable], ray_start: int = 1) -> IndexFamily:
-    return IndexFamily(arity=len(maps), kind="custom", ray_start=ray_start, maps=tuple(maps))
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    ordered: bool
-    strictly_increasing: bool
-    gaps_grow: bool
-    checked_range: tuple[int, int]
-
-
-def validate_family(family: IndexFamily, n_lo: int, n_hi: int) -> FamilyReport:
-    """Spot-check ordering q_1 < ... < q_l, monotone growth of each map, and
-    divergence of the cross-map gaps over [n_lo, n_hi].  A certificate over
-    the scanned range only, not a proof."""
-    n_lo = max(n_lo, family.ray_start)
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    cols = family.columns(ns)
-    ordered = bool(np.all(np.diff(cols, axis=1) > 0)) if family.arity > 1 else True
-    increasing = bool(np.all(np.diff(cols, axis=0) > 0))
-    if family.arity > 1:
-        min_gap = np.min(np.diff(cols, axis=1), axis=1)
-        half = len(ns) // 2
-        gaps_grow = bool(half == 0 or np.max(min_gap[half:]) >= np.max(min_gap[:half]))
-    else:
-        gaps_grow = True
-    return FamilyReport(ordered, increasing, gaps_grow, (int(n_lo), int(n_hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,33 +140,15 @@ def rho_set(arity: int, set1: Sequence[int], set2: Sequence[int]) -> int:
     return int(np.min(np.abs(ta[:, None] - tb[None, :])))
 
 
-def neighborhood(arity_or_family, n: int, n_max: int, s: int) -> np.ndarray:
-    """All m in [1, n_max] within separation s of n, as a sorted int64 array.
+def neighborhood(arity: int, n: int, n_max: int, s: int) -> np.ndarray:
+    """All m in [1, n_max] within dilation distance s of n, as a sorted int64 array.
 
-    Pass an integer arity for the dilation distance, or an IndexFamily for
-    the general-family distance (filtering starts at the family ray).  For
-    an integer arity, |i m - j n| <= s holds exactly for the integers m in
+    |i m - j n| <= s holds exactly for the integers m in
     [ceil((j n - s) / i), floor((j n + s) / i)], so the neighborhood is the
-    union of these arity^2 intervals, clipped to [1, n_max]; a family is
-    filtered directly.
+    union of these arity^2 intervals, clipped to [1, n_max].
     """
     if s < 0 or n_max < 1:
         raise ConfigError("need s >= 0 and n_max >= 1")
-    if isinstance(arity_or_family, IndexFamily):
-        family = arity_or_family
-        lo = family.ray_start
-        if n < lo:
-            raise ConfigError("n below the family ray start")
-        ms = np.arange(lo, n_max + 1, dtype=np.int64)
-        if ms.size == 0:
-            return ms
-        cols = family.columns(ms)  # (M, arity)
-        qn = family.columns([n])[0]
-        dist = np.min(
-            np.abs(cols[:, :, None] - qn[None, None, :]), axis=(1, 2)
-        )
-        return ms[dist <= s]
-    arity = int(arity_or_family)
     if arity < 1 or n < 1:
         raise ConfigError("need arity and n >= 1")
     spans = sorted(
@@ -221,46 +169,6 @@ def neighborhood(arity_or_family, n: int, n_max: int, s: int) -> np.ndarray:
     )
 
 
-def neighborhood_cap(arity: int, s: int, lipschitz_q: float = 1.0) -> float:
-    """Closed-form ceiling 3 * Q * arity^2 * s on neighborhood sizes (s >= 1)."""
-    return 3.0 * lipschitz_q * arity * arity * max(s, 1)
-
-
-@dataclass(frozen=True)
-class InverseLipschitzReport:
-    q_min: float
-    stable: bool
-    scanned: tuple[int, int]
-    worst_pair: tuple[int, int]
-
-
-def inverse_lipschitz_Q(
-    family: IndexFamily, j: int, n_lo: int, n_hi: int
-) -> InverseLipschitzReport:
-    """Smallest Q with |n - n'| <= Q (1 + |q_j(n) - q_j(n')|) over a scan range.
-
-    Exhaustive over pairs in [n_lo, n_hi] (clipped to the ray).  ``stable``
-    compares the constant on the first half of the range with the full range;
-    growth flags a family whose inverse modulus blows up.
-    """
-    n_lo = max(n_lo, family.ray_start)
-    if n_hi - n_lo < 1:
-        raise ConfigError("scan range must contain at least two points")
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    q = family.evaluate(j, ns).astype(float)
-    dn = np.abs(ns[:, None] - ns[None, :]).astype(float)
-    dq = np.abs(q[:, None] - q[None, :])
-    ratio = dn / (1.0 + dq)
-    np.fill_diagonal(ratio, 0.0)
-    flat = int(np.argmax(ratio))
-    a, b = np.unravel_index(flat, ratio.shape)
-    q_full = float(ratio[a, b])
-    half = len(ns) // 2
-    q_half = float(np.max(ratio[:half, :half])) if half >= 2 else q_full
-    stable = q_full <= 1.5 * q_half + 1e-12
-    return InverseLipschitzReport(
-        q_min=q_full,
-        stable=stable,
-        scanned=(int(n_lo), int(n_hi)),
-        worst_pair=(int(ns[a]), int(ns[b])),
-    )
+def neighborhood_cap(arity: int, s: int) -> float:
+    """Closed-form ceiling 3 * arity^2 * s on neighborhood sizes (s >= 1)."""
+    return 3.0 * arity * arity * max(s, 1)

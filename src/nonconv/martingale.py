@@ -33,7 +33,7 @@ import numpy as np
 
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
-from nonconv.observables import CenteredObservable, batch_sums, lookup_sums
+from nonconv.observables import CenteredObservable, lookup_sums
 from nonconv.processes import (
     DoublingMapModel,
     MarkovChainModel,
@@ -45,9 +45,6 @@ from nonconv.processes import (
     mixing_profile,
     sample_state_paths,
 )
-from nonconv.rng import substream_rng
-
-_BOOT_PURPOSE = 7  # substream id for bootstrap resampling
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +96,10 @@ def _phi_tail(mixing: MixingProfile, cutoff: int) -> float:
 class MartingaleDecomposition:
     """Precomputed tables for the increment construction on one instance.
 
-    delta1_prime / delta2_prime are the configured-constant difference and
-    gap bounds b*K*(phi_sum + r + 1) and b*K*N*beta + delta1_prime; the
-    unscaled delta1_plain / delta2_plain drop the b factor for use in the
-    exponential-moment display.
+    delta1_plain / delta2_plain are the difference and gap bounds
+    K*(phi_sum + r + 1) and K*N*beta + delta1_plain; the calibrated constant
+    B that scales them in the exponential-moment and Chernoff displays is
+    supplied separately (see ``montecarlo.calibrate_B``).
     """
 
     chain: MarkovChainModel
@@ -116,8 +113,6 @@ class MartingaleDecomposition:
     phi_sum_tail: float
     beta_term: float
     component_sups: tuple[float, ...]
-    b_factor: float
-    mixing: MixingProfile = field(repr=False)
     _f_tables: dict = field(default_factory=dict, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
     _powers: dict = field(default_factory=dict, repr=False)
@@ -137,14 +132,6 @@ class MartingaleDecomposition:
     @property
     def delta2_plain(self) -> float:
         return self.bound_const * self.n_terms * self.beta_term + self.delta1_plain
-
-    @property
-    def delta1_prime(self) -> float:
-        return self.b_factor * self.delta1_plain
-
-    @property
-    def delta2_prime(self) -> float:
-        return self.b_factor * self.delta2_plain
 
     def w_sup_bound(self, b1: float) -> float:
         """Configured-constant bound on a whole-step increment |W_m|."""
@@ -235,7 +222,6 @@ def build_decomposition(
     n_terms: int,
     smoothing_radius: int = 0,
     horizon: int | None = None,
-    b_factor: float = 1.0,
     tail_target: float = 1e-8,
     horizon_cap: int = 4096,
 ) -> MartingaleDecomposition:
@@ -300,8 +286,6 @@ def build_decomposition(
         phi_sum_tail=tail_sum,
         beta_term=float(beta_term),
         component_sups=tuple(sups),
-        b_factor=float(b_factor),
-        mixing=mixing,
     )
 
 
@@ -513,32 +497,6 @@ def check_martingale(
 
 
 @dataclass(frozen=True)
-class SupGapReport:
-    gap_max: float
-    delta2_prime: float
-    n_replicates: int
-    passed: bool
-
-
-def sup_gap(
-    decomp: MartingaleDecomposition,
-    master_seed: int = 0,
-    n_replicates: int = 256,
-    evaluation: PathEvaluation | None = None,
-) -> SupGapReport:
-    """Empirical max |S_N - M| over a replicate batch against the gap bound."""
-    if evaluation is None:
-        evaluation = evaluate_paths(decomp, master_seed, n_replicates)
-    gap_max = float(np.max(evaluation.gaps))
-    return SupGapReport(
-        gap_max=gap_max,
-        delta2_prime=decomp.delta2_prime,
-        n_replicates=evaluation.n_replicates,
-        passed=gap_max <= decomp.delta2_prime,
-    )
-
-
-@dataclass(frozen=True)
 class TelescopingReport:
     max_error: float
     tol: float
@@ -558,131 +516,3 @@ def telescoping_check(evaluation: PathEvaluation, tol: float = 1e-9) -> Telescop
     scale = max(1.0, float(np.max(np.abs(evaluation.sums))))
     err = float(np.max(np.abs(lhs - rhs))) / scale
     return TelescopingReport(max_error=err, tol=tol, passed=err <= tol)
-
-
-# ---------------------------------------------------------------------------
-# exponential-moment checks
-# ---------------------------------------------------------------------------
-
-
-def _bootstrap_upper(terms: np.ndarray, rng: np.random.Generator, n_boot: int, q: float) -> float:
-    """Upper quantile of bootstrap means, chunked to keep index blocks small."""
-    n = terms.size
-    means = np.empty(n_boot)
-    done = 0
-    while done < n_boot:
-        chunk = min(64, n_boot - done)
-        idx = rng.integers(0, n, size=(chunk, n))
-        means[done : done + chunk] = terms[idx].mean(axis=1)
-        done += chunk
-    return float(np.quantile(means, q))
-
-
-@dataclass(frozen=True)
-class AzumaRow:
-    lam: float
-    mgf_m: float
-    mgf_m_upper: float
-    rhs_m: float
-    mgf_s: float
-    mgf_s_upper: float
-    rhs_s: float
-    verdict: str  # pass | fail | inconclusive
-
-
-@dataclass(frozen=True)
-class AzumaReport:
-    rows: tuple[AzumaRow, ...]
-    sum_w_sq: float
-    b_constant: float
-    passed: bool
-
-    def row(self, lam: float) -> AzumaRow:
-        for r in self.rows:
-            if abs(r.lam - lam) < 1e-15:
-                return r
-        raise KeyError(lam)
-
-
-def azuma_mgf_check(
-    decomp: MartingaleDecomposition,
-    lambdas,
-    master_seed: int = 0,
-    n_replicates_m: int = 2000,
-    n_replicates_s: int | None = None,
-    b_constant: float | None = None,
-    delta1: float | None = None,
-    delta2: float | None = None,
-    n_boot: int = 999,
-    source_model: ProcessModel | None = None,
-    family: IndexFamily | None = None,
-) -> AzumaReport:
-    """Exponential-moment checks for the martingale and for the raw sum.
-
-    The martingale side compares the empirical moment generating function of
-    the terminal M against exp(lam^2 * sum_m sup|W_m|^2) with empirical
-    per-step sups.  The sum side compares the MGF of S_N against
-    exp(b lam^2 N arity delta1 + b lam delta2).  Upper confidence ends come
-    from a seeded bootstrap; a row whose largest term carries over 20% of the
-    MGF sum is reported inconclusive rather than failed.
-    """
-    if b_constant is None:
-        b_constant = decomp.b_factor
-    if delta1 is None:
-        delta1 = decomp.delta1_plain
-    if delta2 is None:
-        delta2 = decomp.delta2_plain
-    evaluation = evaluate_paths(decomp, master_seed, n_replicates_m)
-    sum_w_sq = float(np.sum(evaluation.step_sups**2))
-
-    if n_replicates_s is None or n_replicates_s == n_replicates_m:
-        s_samples = evaluation.sums
-    elif source_model is not None and family is not None:
-        s_samples = batch_sums(
-            source_model, decomp.centered, family, decomp.n_terms, master_seed, n_replicates_s
-        )
-    else:
-        ev2 = evaluate_paths(decomp, master_seed, n_replicates_s)
-        s_samples = ev2.sums
-
-    rng = substream_rng(master_seed, _BOOT_PURPOSE)
-    rows = []
-    all_pass = True
-    N, L = decomp.n_terms, decomp.arity
-    for lam in lambdas:
-        terms_m = np.exp(lam * evaluation.martingale)
-        terms_s = np.exp(lam * s_samples)
-        mgf_m = float(terms_m.mean())
-        mgf_s = float(terms_s.mean())
-        dominated = (
-            float(terms_m.max()) > 0.2 * float(terms_m.sum())
-            or float(terms_s.max()) > 0.2 * float(terms_s.sum())
-        ) and lam != 0.0
-        upper_m = _bootstrap_upper(terms_m, rng, n_boot, 0.99)
-        upper_s = _bootstrap_upper(terms_s, rng, n_boot, 0.99)
-        rhs_m = math.exp(lam * lam * sum_w_sq)
-        rhs_s = math.exp(
-            b_constant * lam * lam * N * L * delta1 + b_constant * abs(lam) * delta2
-        )
-        if dominated:
-            verdict = "inconclusive"
-        elif upper_m <= rhs_m and upper_s <= rhs_s:
-            verdict = "pass"
-        else:
-            verdict = "fail"
-            all_pass = False
-        rows.append(
-            AzumaRow(
-                lam=float(lam),
-                mgf_m=mgf_m,
-                mgf_m_upper=upper_m,
-                rhs_m=rhs_m,
-                mgf_s=mgf_s,
-                mgf_s_upper=upper_s,
-                rhs_s=rhs_s,
-                verdict=verdict,
-            )
-        )
-    return AzumaReport(
-        rows=tuple(rows), sum_w_sq=sum_w_sq, b_constant=float(b_constant), passed=all_pass
-    )

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import beta as _beta_dist
 
-from nonconv.bounds import mdp_gaussian_rate, mdp_rate
+from nonconv.bounds import chernoff_threshold, mdp_gaussian_rate, mdp_rate
 from nonconv.cumulants import CumulantVector, sample_cumulants
 from nonconv.errors import CheckFailure, ConfigError
 from nonconv.indexing import IndexFamily
@@ -488,11 +488,14 @@ def cumulant_scan(
 # calibration
 # ---------------------------------------------------------------------------
 
+# Every calibrated constant carries the safety factor SAFETY.
 SAFETY = 1.5
 _FLOOR = 1e-3
+_GAP_REPLICATES = 256  # replicates of the boundary-gap evaluation in calibrate_B
+_B_CAP = 1e6  # calibrate_B's Chernoff scan gives up above this B
 
 
-def _calibrate_c0(scan: CumulantScanReport, gamma: float) -> dict[str, float]:
+def calibrate_c0(scan: CumulantScanReport, gamma: float) -> float:
     """Minimal c0 with |cumulant| upper edges below N (k!)^(1+gamma) c0^(k-2)."""
     req = _FLOOR
     for r in scan.rows:
@@ -501,55 +504,34 @@ def _calibrate_c0(scan: CumulantScanReport, gamma: float) -> dict[str, float]:
         envelope_unit = r.n_terms * math.factorial(r.order) ** (1.0 + gamma)
         if r.upper_abs > 0:
             req = max(req, (r.upper_abs / envelope_unit) ** (1.0 / (r.order - 2)))
-    return {"c0": req * SAFETY}
+    return req * SAFETY
 
 
-def _calibrate_c12(
-    tails: Sequence[tuple[float, float, float]], gamma: float
-) -> dict[str, float]:
-    """Minimal tied c1 = c2 keeping the concentration bound above the upper CI.
-
-    Each entry is (x, N, p_upper) with x on the sqrt(N) scale.  Inverting the
-    bound for the denominator base and splitting it across the tied constants
-    gives the per-point requirement; feasibility is monotone because the
-    bound increases in both constants.
-    """
-    expo = (1.0 + 2.0 * gamma) / (1.0 + gamma)
-    req = _FLOOR
-    for x, n, p_upper in tails:
-        if p_upper >= 1.0 or x <= 0:
-            continue
-        target = (x * x / (2.0 * -math.log(p_upper))) ** (1.0 / expo)
-        damp = float(n) ** (-1.0 / (2.0 + 4.0 * gamma))
-        req = max(req, target / (1.0 + x * damp))
-    c = req * SAFETY
-    return {"c1": c, "c2": c}
+def calibrate_C1(fit: VarianceFit) -> float:
+    """Variance envelope constant: the fit's conservative sqrt(N) constant."""
+    return max(_FLOOR, fit.c1_conservative) * SAFETY
 
 
-def _calibrate_C1(fit: VarianceFit) -> dict[str, float]:
-    return {"C1": max(_FLOOR, fit.c1_conservative) * SAFETY}
-
-
-def _calibrate_B(
+def calibrate_B(
     decomp: MartingaleDecomposition,
     sample: SumSample,
     lambdas: Sequence[float],
     t_grid: Sequence[float],
-    gap_replicates: int = 256,
-    b_cap: float = 1e6,
-) -> dict[str, float]:
+) -> float:
     """Minimal B making gap, MGF, and Chernoff displays hold at the CI edge.
 
     All three checks get weaker as B grows (larger gap allowance, larger MGF
     exponent, larger tail bound with a higher threshold), so the minimal
     feasible B is found by direct inversion for gap and MGF and a geometric
-    scan for the threshold-coupled Chernoff part.
+    scan for the threshold-coupled Chernoff part.  No feasible B below the
+    scan cap raises CheckFailure: the bound is genuinely refuted, which is a
+    scientific failure upstream.
     """
     if sample.n_terms != decomp.n_terms:
         raise ConfigError("sample and decomposition disagree on N")
     d1, d2 = decomp.delta1_plain, decomp.delta2_plain
     N, L = decomp.n_terms, decomp.arity
-    ev = evaluate_paths(decomp, sample.master_seed, gap_replicates)
+    ev = evaluate_paths(decomp, sample.master_seed, _GAP_REPLICATES)
     req = max(_FLOOR, float(np.max(ev.gaps)) / d2 if d2 > 0 else _FLOOR)
 
     s = sample.centered
@@ -562,42 +544,17 @@ def _calibrate_B(
             req = max(req, log_upper / denom)
 
     b = req
-    while b <= b_cap:
+    while b <= _B_CAP:
         ok = True
         for t in t_grid:
             if t <= 0:
                 continue
-            te = tail_estimate(s, t + b * d2)
+            te = tail_estimate(s, chernoff_threshold(t, d2, b))
             bound = math.exp(-(t * t) / (4.0 * b * b * N * L * d1 * d1))
             if te.lower > bound:
                 ok = False
                 break
         if ok:
-            return {"B": b * SAFETY}
+            return b * SAFETY
         b *= 1.25
     raise CheckFailure("no feasible martingale constant B below the scan cap")
-
-
-def calibrate_constants(target: str, **data) -> dict[str, float]:
-    """Dispatch to the per-target calibration; returns constant-name -> value.
-
-    Every result carries the 1.5x safety factor and is meant to be written
-    into BoundConstants with provenance "calibrated".  Infeasibility (only
-    possible for the martingale constant) raises CheckFailure: the bound is
-    genuinely refuted, which is a scientific failure upstream.
-    """
-    if target == "c0_cumulant":
-        return _calibrate_c0(data["scan"], data["gamma"])
-    if target == "c12_concentration":
-        return _calibrate_c12(data["tails"], data["gamma"])
-    if target == "C1_variance":
-        return _calibrate_C1(data["fit"])
-    if target == "B_martingale":
-        return _calibrate_B(
-            data["decomp"],
-            data["sample"],
-            data["lambdas"],
-            data["t_grid"],
-            gap_replicates=data.get("gap_replicates", 256),
-        )
-    raise ConfigError(f"unknown calibration target {target!r}")

@@ -39,7 +39,7 @@ class Observable:
     values.  ``bound_const`` (K), ``holder_exp`` (kappa) and ``growth_exp``
     (lambda) declare the regularity class: growth_exp = 0 means bounded by K.
     ``product_factors``, when present, give F as a product of one-argument
-    factors (used by exact variance formulas and product decoupling bounds).
+    factors (used by the exact variance formula).
     """
 
     arity: int
@@ -213,19 +213,6 @@ def _tuple_grid(law: FiniteLaw, length: int) -> tuple[np.ndarray, np.ndarray]:
     return law.atoms[tuples], weights  # (T, length, dim), (T,)
 
 
-def _grid_values(obs: Observable, law: FiniteLaw) -> tuple[np.ndarray, np.ndarray]:
-    """F on every atom tuple of the observable's arity, with the product weights."""
-    pts, w = _tuple_grid(law, obs.arity)
-    ensure_within_budget(pts.nbytes, "centering grid")
-    return obs(pts), w
-
-
-def centering_constant(obs: Observable, law: FiniteLaw) -> float:
-    """Mean of F under the product of marginals, by exact atom enumeration."""
-    vals, w = _grid_values(obs, law)
-    return float(vals @ w)
-
-
 def _partial_average(obs: Observable, law: FiniteLaw, keep: int) -> Callable[[np.ndarray], np.ndarray]:
     """Average of F over its last (arity - keep) arguments as a function of the first ``keep``."""
     tail = obs.arity - keep
@@ -258,7 +245,9 @@ def decompose(obs: Observable, law: FiniteLaw) -> CenteredObservable:
     Component sup norms are taken over the exact atom grid, where F - mean
     is also kept as the centered table.
     """
-    vals, w = _grid_values(obs, law)
+    pts, w = _tuple_grid(law, obs.arity)
+    ensure_within_budget(pts.nbytes, "centering grid")
+    vals = obs(pts)
     mean = float(vals @ w)
     partials = [_partial_average(obs, law, i) for i in range(1, obs.arity + 1)]
 
@@ -344,17 +333,6 @@ def batch_sums(
     )
     states = sample_state_paths(model, uniq, master_seed, n_replicates, first_replicate)
     return lookup_sums(table, states, positions)
-
-
-def nonconv_sum(
-    model: ProcessModel,
-    centered: CenteredObservable,
-    family: IndexFamily,
-    n_terms: int,
-    seed: int,
-) -> float:
-    """One realization of the centered sum S_N."""
-    return float(batch_sums(model, centered, family, n_terms, seed, 1)[0])
 
 
 def exact_mean_SN(

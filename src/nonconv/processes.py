@@ -59,20 +59,6 @@ class FiniteLaw:
     def mean(self) -> np.ndarray:
         return self.probs @ self.atoms
 
-    def abs_moment(self, k: float) -> float:
-        """E |X|^k with the Euclidean norm on vector atoms."""
-        norms = np.linalg.norm(self.atoms, axis=1)
-        return float(self.probs @ norms**k)
-
-    def tau(self, k: float) -> float:
-        """(E |X|^k)^(1/k), the k-th norm of the marginal (sup norm at k = inf)."""
-        if k <= 0:
-            raise ConfigError("norm index must be positive")
-        norms = np.linalg.norm(self.atoms, axis=1)
-        if math.isinf(k):
-            return float(np.max(norms[self.probs > 0]))
-        return self.abs_moment(k) ** (1.0 / k)
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovChainModel:
@@ -295,13 +281,17 @@ def sample_state_paths(
     ``model.marginal().atoms``: chain states, i.i.d. atoms, or dyadic cells.
     Replicate ``first_replicate + j`` consumes only its own counter-based
     stream, one uniform per index (one generator per call, re-keyed per
-    replicate), so any batching of replicates reproduces the same rows.  Work and memory scale with the number of requested
-    indices, not with the largest index: gaps in the index set are jumped
-    with precomputed multi-step transition kernels (chains) or by discarding
-    reservoir bits (doubling map).
+    replicate), so any batching of replicates reproduces the same rows.  Work
+    and memory scale with the number of requested indices, not with the
+    largest index: gaps in the index set are jumped with precomputed
+    multi-step transition kernels (chains) or by discarding reservoir bits
+    (doubling map).  The budget request, 32 bytes per entry, bounds the
+    peak of every kind with room for the per-step buffers: no call holds
+    more than three arrays of one word per entry at once (chains and i.i.d.
+    draws peak near 24 bytes per entry, dyadic cells near 16).
     """
     idx = _check_indices(indices)
-    ensure_within_budget(n_replicates * idx.size * 16, "state path block")
+    ensure_within_budget(n_replicates * idx.size * 32, "state path block")
     uniforms = np.empty((n_replicates, idx.size))
     gen = None
     for j in range(n_replicates):
@@ -362,6 +352,9 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
             row.take(prev, out=thr, mode="clip")
             np.less_equal(thr, u, out=hit)
             nxt += hit
+    # release the time-major uniforms before the int64 copy, so the copy
+    # does not raise the call's peak
+    u = u_cols = None
     return np.ascontiguousarray(walk.T, dtype=np.int64)
 
 
@@ -545,15 +538,11 @@ def beta_exact_doubling(model: DoublingMapModel, r: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MixingProfile:
-    """Bundled mixing data for a model: phi and alpha per gap, the certified
-    approximation rate per (norm index, radius), and declared exponential
+    """Mixing data for a model: phi per gap and the declared exponential
     decay parameters (rate a, factor d, exponent eta) when certified."""
 
     phi: Callable[[int], float]
-    alpha: Callable[[int], float]
-    beta: Callable[[float, int], float]
     decay: tuple[float, float, float] | None  # (a, d, eta) with phi(n)+... <= d exp(-a n^eta)
-    doeblin: bool
 
 
 def _dobrushin(P: np.ndarray) -> float:
@@ -574,13 +563,10 @@ def mixing_profile(model: ProcessModel) -> MixingProfile:
     approximation rate; i.i.d. models mix instantly.
     """
     if isinstance(model, MarkovChainModel):
-        phi_fn = lambda n: phi_coefficient(model, n)
         decay = None
-        doeblin = False
         for k in range(1, model.n_states * model.n_states + 1):
             beta_k = _dobrushin(_matrix_power(model.transition, k))
             if beta_k < 1.0 - 1e-12:
-                doeblin = True
                 if beta_k <= 0:
                     # exact independence after k steps; cover the first k gaps too
                     decay = (1.0, math.exp(k), 1.0)
@@ -588,37 +574,19 @@ def mixing_profile(model: ProcessModel) -> MixingProfile:
                     # phi(n) <= beta_k**floor(n/k) <= (1/beta_k) exp(-(ln(1/beta_k)/k) n)
                     decay = (math.log(1.0 / beta_k) / k, 1.0 / beta_k, 1.0)
                 break
-        return MixingProfile(
-            phi=phi_fn,
-            alpha=lambda n: min(0.25, 0.5 * phi_fn(n)),
-            beta=lambda q, r: 0.0,
-            decay=decay,
-            doeblin=doeblin,
-        )
+        return MixingProfile(phi=lambda n: phi_coefficient(model, n), decay=decay)
     if isinstance(model, IIDModel):
-        phi_fn = lambda n: 1.0 if n == 0 else 0.0
-        return MixingProfile(
-            phi=phi_fn,
-            alpha=lambda n: 0.25 if n == 0 else 0.0,
-            beta=lambda q, r: 0.0,
-            decay=(1.0, 1.0, 1.0),
-            doeblin=True,
-        )
+        return MixingProfile(phi=lambda n: 1.0 if n == 0 else 0.0, decay=(1.0, 1.0, 1.0))
     if isinstance(model, DoublingMapModel):
-        phi_fn = lambda n: 1.0 if n == 0 else 0.0
-        kappa = model.holder_exp
         return MixingProfile(
-            phi=phi_fn,
-            alpha=lambda n: 0.25 if n == 0 else 0.0,
-            beta=lambda q, r: beta_approx(model, q, r),
-            decay=(kappa * math.log(2.0), max(1.0, model.holder_const), 1.0),
-            doeblin=True,
+            phi=lambda n: 1.0 if n == 0 else 0.0,
+            decay=(model.holder_exp * math.log(2.0), max(1.0, model.holder_const), 1.0),
         )
     raise ConfigError(f"unknown model kind: {model!r}")
 
 
 # ---------------------------------------------------------------------------
-# conditional laws and decoupling
+# conditional laws
 # ---------------------------------------------------------------------------
 
 
@@ -666,100 +634,3 @@ def conditional_law(
     if total <= 0:
         raise ConfigError("conditioning event has probability zero")
     return weight / total
-
-
-@dataclass(frozen=True)
-class DecouplingReport:
-    discrepancy: float
-    phi_bound: float
-    alpha_bound: float | None
-    sup_h: float
-    gaps: tuple[int, ...]
-    passed: bool
-
-
-def decoupling_check(
-    model: MarkovChainModel,
-    blocks: Sequence[tuple[int, int]],
-    grouping: Sequence[int],
-    h: Callable[[np.ndarray], np.ndarray],
-    product_factors: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
-) -> DecouplingReport:
-    """Exact decoupling discrepancy for grouped blocks versus its mixing bound.
-
-    ``blocks`` are disjoint time windows [m_i, n_i] in increasing order;
-    ``grouping`` assigns each block to a group.  The check compares E h under
-    the true joint law with E h under the law where groups are replaced by
-    independent copies (each group keeps its internal dependence), both
-    computed by exact enumeration.  The bound is 4 sup|h| times the sum of
-    phi at the consecutive-block gaps; when ``product_factors`` gives h as a
-    product of per-block functions, a strong-mixing product bound is reported
-    as well (factor 8 for singleton groups, 16 otherwise).
-    """
-    if not isinstance(model, MarkovChainModel):
-        raise ConfigError("decoupling enumeration needs a finite-state chain")
-    blocks = [(int(a), int(b)) for a, b in blocks]
-    if len(blocks) < 2 or len(grouping) != len(blocks):
-        raise ConfigError("need >= 2 blocks and one group label per block")
-    for (a, b), (a2, _) in zip(blocks, blocks[1:]):
-        if a > b or b >= a2:
-            raise ConfigError("blocks must be increasing and disjoint")
-    if blocks[0][0] < 1:
-        raise ConfigError("indices must be positive")
-
-    indices = []
-    owner = []
-    for bi, (a, b) in enumerate(blocks):
-        indices.extend(range(a, b + 1))
-        owner.extend([bi] * (b - a + 1))
-    T = len(indices)
-    S = model.n_states
-    states = _tuples(S, T)
-    p_true = model.stationary[states[:, 0]].copy()
-    for t in range(1, T):
-        kernel = _matrix_power(model.transition, indices[t] - indices[t - 1])
-        p_true *= kernel[states[:, t - 1], states[:, t]]
-
-    shape = (S,) * T
-    tensor = p_true.reshape(shape)
-    p_prod = np.ones_like(p_true)
-    for g in sorted(set(grouping)):
-        axes_in = [t for t in range(T) if grouping[owner[t]] == g]
-        axes_out = tuple(t for t in range(T) if grouping[owner[t]] != g)
-        marg = tensor.sum(axis=axes_out) if axes_out else tensor
-        flat = np.ravel_multi_index([states[:, t] for t in axes_in], (S,) * len(axes_in))
-        p_prod = p_prod * marg.reshape(-1)[flat]
-
-    values = model.values[states]  # (n_tuples, T, dim)
-    hv = np.asarray(h(values), dtype=float)
-    if hv.shape != (states.shape[0],):
-        raise ConfigError("h must map (n, T, dim) values to (n,) reals")
-    sup_h = float(np.max(np.abs(hv)))
-    disc = float(abs((p_true - p_prod) @ hv))
-    gaps = tuple(a2 - b for (_, b), (a2, _) in zip(blocks, blocks[1:]))
-    phi_bound = 4.0 * sup_h * sum(phi_coefficient(model, g) for g in gaps)
-
-    alpha_bound = None
-    if product_factors is not None:
-        if len(product_factors) != len(blocks):
-            raise ConfigError("need one product factor per block")
-        sup_prod = 1.0
-        for bi, (a, b) in enumerate(blocks):
-            block_states = _tuples(S, b - a + 1)
-            vals = model.values[block_states]
-            fv = np.asarray(product_factors[bi](vals), dtype=float)
-            sup_prod *= float(np.max(np.abs(fv)))
-        singleton = len(set(grouping)) == len(blocks)
-        const = 8.0 if singleton else 16.0
-        alpha_bound = const * sup_prod * sum(
-            alpha_coefficient(model, g, unions=(S <= 12)) for g in gaps
-        )
-
-    return DecouplingReport(
-        discrepancy=disc,
-        phi_bound=phi_bound,
-        alpha_bound=alpha_bound,
-        sup_h=sup_h,
-        gaps=gaps,
-        passed=disc <= phi_bound + 1e-12,
-    )

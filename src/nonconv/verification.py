@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import product as iter_product
 
 import numpy as np
 
 from nonconv.bounds import (
     chernoff_tail_bound,
+    chernoff_threshold,
     mgf_exponent_bound,
     mdp_gaussian_rate,
     mdp_validity,
@@ -30,7 +31,7 @@ from nonconv.cumulants import (
     noncum_bound,
 )
 from nonconv.errors import ConfigError
-from nonconv.indexing import linear_family, neighborhood
+from nonconv.indexing import linear_family, neighborhood, neighborhood_cap
 from nonconv.martingale import (
     build_decomposition,
     check_martingale,
@@ -40,7 +41,9 @@ from nonconv.martingale import (
 from nonconv.montecarlo import (
     ExperimentConfig,
     bootstrap_se,
-    calibrate_constants,
+    calibrate_B,
+    calibrate_C1,
+    calibrate_c0,
     cumulant_scan,
     kolmogorov_distance,
     mdp_diagnostic,
@@ -148,10 +151,34 @@ def iid_bernoulli_experiment(n_grid, n_replicates, seed=31, workers=1) -> Experi
     )
 
 
-def cached_sums(cache: dict | None, tag: str, config: ExperimentConfig, n_terms: int):
-    key = (tag, n_terms, config.n_replicates, config.master_seed)
+def _fingerprint(value):
+    """Hashable stand-in for a model, table or family, compared by content."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _fingerprint(getattr(value, f.name)) for f in fields(value)
+        )
+    return value
+
+
+def cached_sums(cache: dict | None, config: ExperimentConfig, n_terms: int):
+    """replicate_sums(config, n_terms), shared through ``cache``.
+
+    The key holds everything replicate_sums reads: the model's arrays, the
+    centered table, the index family, N, the replicate count and the seed;
+    the worker count is left out because it never changes the sums.
+    """
     if cache is None:
         return replicate_sums(config, n_terms)
+    key = (
+        _fingerprint(config.model),
+        _fingerprint(config.centered.table),
+        _fingerprint(config.family),
+        n_terms,
+        config.n_replicates,
+        config.master_seed,
+    )
     if key not in cache:
         cache[key] = replicate_sums(config, n_terms)
     return cache[key]
@@ -208,7 +235,7 @@ def check_neighborhood_bound(n_max: int = 500, s_max: int = 50) -> CheckResult:
     worst_ratio = 0.0
     for arity in range(1, 5):
         for s in range(1, s_max + 1):
-            cap = 3 * arity * arity * s
+            cap = neighborhood_cap(arity, s)
             for n in range(1, n_max + 1):
                 size = neighborhood(arity, n, n_max, s).size
                 worst_ratio = max(worst_ratio, size / cap)
@@ -347,19 +374,12 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
     b_values = {}
     for tag, config in presets:
         n = config.n_grid[0]
-        sample = cached_sums(cache, tag, config, n)
+        sample = cached_sums(cache, config, n)
         decomp = build_decomposition(config.model, config.centered, config.family, n)
         s = sample.centered
         sigma = float(np.std(s, ddof=1))
         t_grid = tuple(np.linspace(0.5, 5.0, 10) * sigma)
-        cal = calibrate_constants(
-            "B_martingale",
-            decomp=decomp,
-            sample=sample,
-            lambdas=lambdas,
-            t_grid=t_grid,
-        )
-        b = cal["B"]
+        b = calibrate_B(decomp, sample, lambdas, t_grid)
         b_values[tag] = b
         d1, d2 = decomp.delta1_plain, decomp.delta2_plain
 
@@ -372,7 +392,7 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
                 details.append(f"{tag}: MGF at lam={lam} refutes bound")
         n_tail_fail = 0
         for t in t_grid:
-            te = tail_estimate(s, t + b * d2)
+            te = tail_estimate(s, chernoff_threshold(t, d2, b))
             bound = chernoff_tail_bound(t, n, decomp.arity, d1, d2, b)
             if te.lower > bound:
                 n_tail_fail += 1
@@ -398,14 +418,14 @@ def check_variance_envelope(cache: dict | None = None, workers: int = 1) -> Chec
     """Limit variance matches the product oracle; sqrt-N envelope with holdout."""
     t0 = time.perf_counter()
     config = iid_product_experiment(_VAR_GRID, 100_000, workers=workers)
-    sums = {n: cached_sums(cache, "iid-product", config, n) for n in _VAR_GRID}
+    sums = {n: cached_sums(cache, config, n) for n in _VAR_GRID}
     fit = variance_scan(config, sums)
     target = exact_d_squared(config.model, config.centered, config.family)
     d2_ok = abs(fit.d_squared - target) <= 4.0 * fit.d_squared_se
 
     sub = replace(config, n_grid=_VAR_GRID[:-1])
     sub_fit = variance_scan(sub, sums)
-    c1 = calibrate_constants("C1_variance", fit=sub_fit)["C1"]
+    c1 = calibrate_C1(sub_fit)
     n_last = _VAR_GRID[-1]
     v_last = fit.variances[-1]
     se_last = fit.std_errors[-1]
@@ -445,11 +465,11 @@ def check_cumulant_growth(cache: dict | None = None, workers: int = 1) -> CheckR
     c0_by = {}
     slope = None
     for tag, config in presets:
-        sums = {n: cached_sums(cache, tag, config, n) for n in grid}
+        sums = {n: cached_sums(cache, config, n) for n in grid}
         scan = cumulant_scan(config, k_max=4, sums_by_n=sums)
         sub_rows = [r for r in scan.rows if r.n_terms < grid[-1]]
         sub_scan = replace(scan, rows=tuple(sub_rows))
-        c0 = calibrate_constants("c0_cumulant", scan=sub_scan, gamma=GAMMA)["c0"]
+        c0 = calibrate_c0(sub_scan, GAMMA)
         c0_by[tag] = c0
         # the envelope is checked against the point estimates: calibration
         # already covers the CI edge on the sub-grid, and the jackknife SE of
@@ -490,7 +510,7 @@ def check_berry_esseen(cache: dict | None = None, workers: int = 1) -> CheckResu
     config = iid_product_experiment(grid, 50_000, workers=workers)
     dists = []
     for n in grid:
-        s = cached_sums(cache, "iid-product-be", config, n).centered
+        s = cached_sums(cache, config, n).centered
         dists.append(kolmogorov_distance(s, 0.0, float(np.std(s, ddof=1))))
     slope = float(np.polyfit(np.log(grid), np.log(dists), 1)[0])
     passed = slope <= -0.15

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from nonconv.bounds import (
     AssumptionParams,
-    BoundConstants,
     berry_esseen_bound,
     berry_esseen_constant,
     chernoff_lambda_star,
@@ -15,15 +14,8 @@ from nonconv.bounds import (
     chernoff_threshold,
     concentration_bound,
     concentration_log,
-    dominance_window_constant,
-    epsilon_rate_constant,
-    epsilon_shape_log,
-    epsilon_slope_check,
-    epsilon_window_start,
     mdp_gaussian_rate,
-    mdp_normalization,
     mdp_rate,
-    mdp_speed,
     mdp_validity,
     mgf_exponent_bound,
     moddev_envelope,
@@ -69,26 +61,6 @@ class TestAssumptionParams:
             AssumptionParams("unbounded", a=1, d=1, eta=1, M=1, zeta=0, growth_exp=0.5, tau=0)
 
 
-class TestBoundConstants:
-    def test_defaults_are_configured(self):
-        c = BoundConstants()
-        assert c.sources["c1"] == "configured"
-
-    def test_calibration_marks_source(self):
-        c = BoundConstants().set_calibrated(B=2.5, c1=0.3)
-        assert c.B == 2.5
-        assert c.sources["B"] == "calibrated"
-        assert c.sources["c2"] == "configured"
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ConfigError):
-            BoundConstants(c4=0.0)
-        with pytest.raises(ConfigError):
-            BoundConstants().set_calibrated(c1=-1.0)
-        with pytest.raises(ConfigError):
-            BoundConstants().set_calibrated(nope=1.0)
-
-
 class TestConcentration:
     def test_literal_form(self):
         # -x^2 / (2 (c1 + c2 x N^(-1/(2+4g)))^((1+2g)/(1+g))) spelled out
@@ -121,44 +93,6 @@ class TestConcentration:
             concentration_log(1.0, 10, 1, 1, 0.0)
 
 
-class TestEpsilonScale:
-    def test_shape_log_literal(self):
-        assert epsilon_shape_log(0.25, 1e4, 2.0, 1.0) == pytest.approx(
-            -2.0 * math.sqrt(0.25 * 1e4)
-        )
-
-    def test_window_start_literal(self):
-        # N >= c6 eps^(-2 - 1/gamma)
-        assert epsilon_window_start(0.5, 64.0, 1.0) == pytest.approx(64.0 * 0.5**-3)
-
-    def test_dominance_window_constant_frozen(self):
-        assert dominance_window_constant(2.0, 1.0, 1.0, margin=4.0) == pytest.approx(512.0)
-        with pytest.raises(ConfigError):
-            dominance_window_constant(1.0, 1.0, 1.0, margin=0.5)
-
-    def test_rate_constant_frozen(self):
-        assert epsilon_rate_constant(2, 2.0, 2.0) == pytest.approx(1 / 64)
-
-    def test_slope_check_recovers_exponent(self):
-        # deep inside the dominance window the negated log-bound behaves like
-        # (eps N)^(1/(1+gamma)); the fit should land within tolerance of 1/2
-        sc = epsilon_slope_check(0.5, np.geomspace(1e4, 1e8, 9), 1.0, 1.0, 1.0)
-        assert sc.passed
-        assert sc.target == pytest.approx(0.5)
-        assert sc.slope == pytest.approx(0.5127, abs=5e-3)
-        assert sc.c7 > 0
-        # displayed shape with the reported c7 stays above the bound on the grid
-        for n in np.geomspace(1e4, 1e8, 9):
-            shape = epsilon_shape_log(0.5, n, sc.c7, 1.0)
-            assert shape >= concentration_log(0.5 * math.sqrt(n), n, 1.0, 1.0, 1.0) - 1e-9
-
-    def test_slope_check_fails_off_window(self):
-        # tiny N: the constant denominator term dominates and the local slope
-        # sits near the quadratic regime instead
-        sc = epsilon_slope_check(0.05, np.array([4.0, 8.0, 16.0]), 1.0, 1.0, 1.0)
-        assert not sc.passed
-
-
 class TestChernoff:
     def test_doubling_t_quarters_the_log(self):
         one = chernoff_tail_log(1.0, 256, 2, 3.5, 3.5, 1.8)
@@ -187,17 +121,11 @@ class TestChernoff:
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
             chernoff_tail_log(1.0, 10, 2, 0.0, 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            chernoff_lambda_star(1.0, 10, 0, 1.0)
 
 
 class TestModerateDeviationPieces:
     def test_rate_speed_normalization(self):
         assert mdp_rate(3.0) == pytest.approx(4.5)
-        assert mdp_speed(7.0) == pytest.approx(49.0)
-        assert mdp_normalization(0.5, 10000.0, 2.0) == pytest.approx(
-            1.0 / (0.5 * 100.0 * 2.0)
-        )
 
     def test_gaussian_rate_frozen_and_falls_to_limit(self):
         # -ln Phi_bar(a) / a^2 at a = 1e4^0.1, the N of the desk-scale check

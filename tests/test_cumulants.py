@@ -7,23 +7,13 @@ from hypothesis import strategies as st
 from scipy.stats import kstat
 
 from nonconv.cumulants import (
-    CorollaryParams,
-    GorcInstance,
-    check_instance_growth,
-    corollary_bound,
     cumulants_to_moments,
-    from_cumulants,
-    from_moments,
-    gamma_delta,
-    gorc_cumulant_bound,
     gorc_lambda,
     moments_to_cumulants,
     noncum_bound,
-    norm_proxy,
     sample_cumulants,
 )
 from nonconv.errors import ConfigError
-from nonconv.processes import markov_model, mixing_profile
 from nonconv.rng import substream_rng
 
 
@@ -76,13 +66,6 @@ class TestMomentCumulantMaps:
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigError):
             cumulants_to_moments([])
-
-    def test_vector_constructors_are_inverse(self):
-        vec = from_cumulants([0.5, 2.0, -0.3])
-        back = from_moments(vec.moments)
-        np.testing.assert_allclose(back.cumulants, vec.cumulants, atol=1e-12)
-        assert vec.provenance == "exact"
-        assert vec.cumulant(2) == 2.0 and vec.moment(1) == 0.5
 
 
 class TestSampleCumulants:
@@ -144,68 +127,6 @@ class TestEnvelopes:
     def test_monotone_in_c0_and_n(self):
         assert noncum_bound(100, 3, 2.0, 1.0) > noncum_bound(100, 3, 1.0, 1.0)
         assert noncum_bound(200, 3, 1.0, 1.0) > noncum_bound(100, 3, 1.0, 1.0)
-
-
-class TestMixingGrowth:
-    @pytest.fixture()
-    def profile(self):
-        return mixing_profile(markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]]))
-
-    @pytest.fixture()
-    def instance(self, profile):
-        n = 400
-        return GorcInstance(
-            n_vertices=n,
-            neighborhood_count=lambda s: min(float(n), 12.0 * max(s, 1)),
-            rho_norm=lambda t: norm_proxy(1.0, 2, None, t, 0.0),
-            gamma=lambda b, r: gamma_delta(b, r, profile, arity=2),
-            delta=math.inf,
-            growth_c0=12.0,
-            growth_u0=1.0,
-        )
-
-    def test_gamma_delta_chain_closed_form(self, profile):
-        # chains have no approximation error, so the charge is
-        # 128 * arity * r * phi(b // 3) exactly
-        phi2 = (7 / 15) * 0.7
-        assert gamma_delta(6, 1, profile, arity=2) == pytest.approx(256 * phi2, rel=1e-12)
-        assert gamma_delta(6, 3, profile, arity=2) == pytest.approx(3 * 256 * phi2, rel=1e-12)
-
-    def test_gamma_delta_trivial_below_separation_three(self, profile):
-        # b < 3 conditions on a zero gap, where phi(0) = 1
-        assert gamma_delta(2, 1, profile, arity=2) == pytest.approx(256.0)
-
-    def test_norm_proxy_bounded_case(self):
-        assert norm_proxy(1.0, 2, None, 4.0, 0.0) == pytest.approx(6.0)
-        assert norm_proxy(2.0, 1, None, 4.0, 0.0) == pytest.approx(8.0)
-
-    def test_instance_growth_certificate(self, instance):
-        report = check_instance_growth(instance, s_values=[1, 5, 20, 100])
-        assert report["growth_ratio"] <= 1.0
-
-    def test_gorc_bound_is_log_space_safe(self, instance):
-        b = gorc_cumulant_bound(instance, 4, 8)
-        assert np.isfinite(b.log_value)
-        assert b.truncated_at is not None  # the tail certifiably dies out
-
-    def test_gorc_bound_grows_with_order(self, instance):
-        b3 = gorc_cumulant_bound(instance, 3, 8)
-        b5 = gorc_cumulant_bound(instance, 5, 8)
-        assert b5.log_value > b3.log_value
-
-    def test_corollary_bound_variants(self):
-        bounded = CorollaryParams(
-            u0=1.0, eta=1.0, decay_d=1.0, internal_c=1.0, delta=math.inf,
-            n_vertices=500, moments=lambda t: 1.0,
-        )
-        # delta = inf: log 2 + log |V| + (1 + u0/eta) lgamma(k+1)
-        expect = math.log(2.0) + math.log(500.0) + 2.0 * math.lgamma(5.0)
-        assert corollary_bound(bounded, 4) == pytest.approx(expect, rel=1e-12)
-        growth = CorollaryParams(
-            u0=1.0, eta=1.0, decay_d=1.0, internal_c=1.0, delta=1.0,
-            n_vertices=500, moment_growth=(1.0, 0.5),
-        )
-        assert np.isfinite(corollary_bound(growth, 4))
 
 
 class TestStirlingComparison:

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from nonconv.errors import ConfigError
 from nonconv.indexing import (
-    custom_family,
-    inverse_lipschitz_Q,
     linear_family,
     neighborhood,
     neighborhood_cap,
@@ -15,7 +13,6 @@ from nonconv.indexing import (
     rho,
     rho_set,
     rho_tilde,
-    validate_family,
 )
 
 
@@ -59,20 +56,10 @@ class TestFamilies:
         assert fam.evaluate(1, 2) == 8
         assert fam.evaluate(2, 2) == 16
 
-    def test_custom_family_roundtrip(self):
-        fam = custom_family([lambda n: 3 * n + 1])
-        assert fam.evaluate(1, 4) == 13
-
     def test_family_rejects_values_below_one(self):
-        fam = custom_family([lambda n: n - 5], ray_start=1)
+        fam = polynomial_family([[1, -5]])  # n - 5
         with pytest.raises(ConfigError):
             fam.evaluate(1, 3)
-
-    def test_validate_family_flags_collisions(self):
-        good = validate_family(linear_family(2), 1, 50)
-        assert good.ordered and good.strictly_increasing and good.gaps_grow
-        bad = validate_family(custom_family([lambda n: n, lambda n: n]), 1, 20)
-        assert not bad.ordered
 
     def test_evaluation_below_ray_start_is_an_error(self):
         fam = polynomial_family([[1, -3]], ray_start=5)  # n - 3: positive from 4 on
@@ -140,16 +127,3 @@ class TestNeighborhood:
 
     def test_cap_value(self):
         assert neighborhood_cap(2, 10) == 120.0
-
-
-class TestInverseLipschitz:
-    def test_linear_map_constant_approaches_one_half(self):
-        # q(n) = 2n: the worst scanned pair has gap 59, ratio 59/119 < 1/2
-        rep = inverse_lipschitz_Q(linear_family(2), 2, 1, 60)
-        assert rep.q_min == pytest.approx(59 / 119, rel=1e-12)
-        assert rep.q_min < 0.5
-        assert rep.stable
-
-    def test_identity_map_constant(self):
-        rep = inverse_lipschitz_Q(linear_family(1), 1, 1, 60)
-        assert rep.q_min == pytest.approx(59 / 60, rel=1e-12)

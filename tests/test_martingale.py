@@ -6,11 +6,9 @@ import pytest
 from nonconv.errors import ConfigError
 from nonconv.indexing import linear_family
 from nonconv.martingale import (
-    azuma_mgf_check,
     build_decomposition,
     check_martingale,
     evaluate_paths,
-    sup_gap,
     telescoping_check,
     varphi_sum,
 )
@@ -60,12 +58,6 @@ class TestBuild:
         )
         assert d.delta2_plain == pytest.approx(d.delta1_plain)  # no approximation term
         assert d.beta_term == 0.0
-
-    def test_b_factor_scales_primed_deltas(self):
-        c = center(product_observable(2), PAIR)
-        d = build_decomposition(PAIR, c, linear_family(2), 16, b_factor=2.5)
-        assert d.delta1_prime == pytest.approx(2.5 * d.delta1_plain)
-        assert d.delta2_prime == pytest.approx(2.5 * d.delta2_plain)
 
     def test_horizon_certificate(self, pair_decomp):
         # doubling the horizon once more would be pointless: the recorded
@@ -145,14 +137,12 @@ class TestIncrementLaw:
 
     def test_sup_gap_needs_calibrated_b(self, pair_decomp):
         # plain constants undershoot the observed boundary gap for this
-        # chain; doubling the slack factor clears it
-        rep = sup_gap(pair_decomp, master_seed=3, n_replicates=128)
-        assert rep.gap_max == pytest.approx(4.378820984154804, rel=1e-9)
-        assert rep.gap_max > rep.delta2_prime
-        assert not rep.passed
-        c = center(product_observable(2), PAIR)
-        wide = build_decomposition(PAIR, c, linear_family(2), 16, b_factor=2.0)
-        assert sup_gap(wide, master_seed=3, n_replicates=128).passed
+        # chain, which is why the Chernoff and MGF displays take a calibrated
+        # B; doubling the slack factor clears it
+        gap_max = np.max(evaluate_paths(pair_decomp, 3, 128).gaps)
+        assert gap_max == pytest.approx(4.378820984154804, rel=1e-9)
+        assert gap_max > pair_decomp.delta2_plain
+        assert gap_max <= 2.0 * pair_decomp.delta2_plain
 
     def test_iid_increments_are_exactly_centered(self):
         c = center(product_observable(2), RADEMACHER)
@@ -162,11 +152,6 @@ class TestIncrementLaw:
 
 
 class TestAzuma:
-    def test_mgf_domination_at_small_lambda(self, pair_decomp):
-        rep = azuma_mgf_check(pair_decomp, lambdas=(0.02,), n_replicates_m=1500)
-        for row in rep.rows:
-            assert row.verdict in ("pass", "inconclusive")
-
     def test_increment_sups_bound_observed_steps(self, pair_decomp):
         ev = evaluate_paths(pair_decomp, 5, 256)
         observed = float(np.max(ev.step_sups))

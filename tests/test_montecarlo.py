@@ -16,7 +16,9 @@ from nonconv.montecarlo import (
     SumSample,
     VarianceFit,
     bootstrap_se,
-    calibrate_constants,
+    calibrate_B,
+    calibrate_C1,
+    calibrate_c0,
     cumulant_scan,
     kolmogorov_distance,
     mdp_diagnostic,
@@ -312,23 +314,13 @@ class TestCalibration:
             CumulantRow(10, 3, 3000.0, 300.0, 3600.0, 0.0, 0.0),
         )
         scan = CumulantScanReport(n_grid=(10,), k_max=3, rows=rows)
-        out = calibrate_constants("c0_cumulant", scan=scan, gamma=1.0)
         # envelope unit at k = 3 is 10 * 36; 3600 over that is 10, times safety
-        assert out["c0"] == pytest.approx(15.0, rel=1e-12)
+        assert calibrate_c0(scan, 1.0) == pytest.approx(15.0, rel=1e-12)
 
     def test_cumulant_constant_floors(self):
         rows = (CumulantRow(10, 3, 0.0, 0.0, 1e-12, 0.0, 0.0),)
         scan = CumulantScanReport(n_grid=(10,), k_max=3, rows=rows)
-        out = calibrate_constants("c0_cumulant", scan=scan, gamma=1.0)
-        assert out["c0"] == pytest.approx(1.5e-3, rel=1e-12)
-
-    def test_concentration_constants_tied_inversion(self):
-        # p = exp(-2) at x = 2, N = 64 inverts to base 1 split over 1 + x/2
-        out = calibrate_constants(
-            "c12_concentration", tails=[(2.0, 64.0, math.exp(-2.0))], gamma=1.0
-        )
-        assert out["c1"] == pytest.approx(0.75, rel=1e-12)
-        assert out["c2"] == out["c1"]
+        assert calibrate_c0(scan, 1.0) == pytest.approx(1.5e-3, rel=1e-12)
 
     def test_variance_constant_from_fit(self):
         fit = VarianceFit(
@@ -341,7 +333,7 @@ class TestCalibration:
             c1_conservative=0.4,
             residuals=np.zeros(2),
         )
-        assert calibrate_constants("C1_variance", fit=fit)["C1"] == pytest.approx(0.6)
+        assert calibrate_C1(fit) == pytest.approx(0.6)
 
     def test_martingale_constant_covers_observed_gap(self):
         from nonconv.martingale import build_decomposition, evaluate_paths
@@ -349,16 +341,6 @@ class TestCalibration:
         c = center(product_observable(2), PAIR)
         decomp = build_decomposition(PAIR, c, linear_family(2), 16)
         sample = replicate_sums(_config(PAIR, 2, (16,), 256, seed=3), 16)
-        out = calibrate_constants(
-            "B_martingale",
-            decomp=decomp,
-            sample=sample,
-            lambdas=(0.02,),
-            t_grid=(1.0, 2.0),
-        )
+        b = calibrate_B(decomp, sample, lambdas=(0.02,), t_grid=(1.0, 2.0))
         ev = evaluate_paths(decomp, 3, 256)
-        assert out["B"] > float(np.max(ev.gaps)) / decomp.delta2_plain
-
-    def test_unknown_target(self):
-        with pytest.raises(ConfigError):
-            calibrate_constants("c9_nope")
+        assert b > float(np.max(ev.gaps)) / decomp.delta2_plain

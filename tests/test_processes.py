@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import nonconv.processes
 from nonconv.errors import ConfigError
 from nonconv.processes import (
     alpha_coefficient,
     beta_approx,
     beta_exact_doubling,
     conditional_law,
-    decoupling_check,
     doubling_model,
     doubling_to_markov,
     iid_model,
@@ -165,6 +167,31 @@ class TestSampling:
         assert got.dtype == np.int64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
 
+    def test_budget_request_covers_the_peak(self, pair, monkeypatch):
+        # a warm call's traced peak stays within the bytes it declares, for
+        # every model kind, at one engine block over chain_pair's 384 indices
+        declared = []
+        monkeypatch.setattr(
+            nonconv.processes, "ensure_within_budget", lambda nbytes, label: declared.append(nbytes)
+        )
+        idx = np.union1d(np.arange(1, 257), np.arange(2, 513, 2))
+        models = (
+            pair,
+            iid_model([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]),
+            doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3),
+        )
+        for model in models:
+            sample_state_paths(model, idx, 1, 512)
+            declared.clear()
+            tracemalloc.start()
+            try:
+                sample_state_paths(model, idx, 1, 512)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert declared == [512 * idx.size * 32]
+            assert peak <= declared[0], type(model).__name__
+
     def test_gap_jumps_match_dense_sampling(self, pair):
         # sampling {1, 4} must give the same joint law as marginalizing {1,..,4};
         # compare exceedance frequencies of the same event under both stencils
@@ -227,27 +254,3 @@ class TestConditionalLaw:
                              TRIPLE_VALUES)
         with pytest.raises(ConfigError):
             conditional_law(chain, [(1, 0), (2, 2)], [4])
-
-
-class TestDecoupling:
-    def test_iid_blocks_decouple_exactly(self):
-        # an independent-increments chain: both rows equal -> blocks independent
-        chain = markov_model([[0.3, 0.7], [0.3, 0.7]], PAIR_VALUES)
-        rep = decoupling_check(
-            chain,
-            blocks=[(1, 2), (5, 6)],
-            grouping=[0, 1],
-            h=lambda v: np.prod(v[:, :, 0], axis=1),
-        )
-        assert rep.discrepancy <= 1e-13
-        assert rep.passed
-
-    def test_dependent_blocks_stay_below_phi_bound(self, pair):
-        rep = decoupling_check(
-            pair,
-            blocks=[(1, 2), (4, 5)],
-            grouping=[0, 1],
-            h=lambda v: np.prod(np.tanh(v[:, :, 0]), axis=1),
-        )
-        assert rep.discrepancy <= rep.phi_bound + 1e-12
-        assert rep.passed

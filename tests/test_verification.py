@@ -1,0 +1,36 @@
+import numpy as np
+
+from nonconv import verification
+from nonconv.montecarlo import replicate_sums
+from nonconv.verification import cached_sums, chain_pair_experiment, iid_product_experiment
+
+
+def test_cache_keeps_models_apart():
+    # same N, replicate count and seed, different models: each gets its own sums
+    cache = {}
+    chain = chain_pair_experiment((16,), 200, seed=5)
+    iid = iid_product_experiment((16,), 200, seed=5)
+    got_chain = cached_sums(cache, chain, 16)
+    got_iid = cached_sums(cache, iid, 16)
+    assert len(cache) == 2
+    np.testing.assert_array_equal(got_chain.sums, replicate_sums(chain, 16).sums)
+    np.testing.assert_array_equal(got_iid.sums, replicate_sums(iid, 16).sums)
+    assert not np.array_equal(got_chain.sums, got_iid.sums)
+
+
+def test_equal_presets_built_separately_are_sampled_once(monkeypatch):
+    # the acceptance checks build their presets independently and still
+    # share draws; the worker count never changes the sums, so it is no key
+    calls = []
+    sample = verification.replicate_sums
+
+    def counted(config, n_terms):
+        calls.append(n_terms)
+        return sample(config, n_terms)
+
+    monkeypatch.setattr(verification, "replicate_sums", counted)
+    cache = {}
+    first = cached_sums(cache, chain_pair_experiment((16,), 200, workers=1), 16)
+    again = cached_sums(cache, chain_pair_experiment((16,), 200, workers=2), 16)
+    assert calls == [16]
+    assert again is first
