@@ -292,21 +292,27 @@ def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.nd
 def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Row sums of table lookups: sum over terms n of table[states[:, positions[n]]].
 
-    ``states`` is (R, n_positions) and ``positions`` (N, arity) maps each
-    term's slots to state columns.  The states are narrowed once to the
-    smallest unsigned type that holds a flat table index, and the flat index
-    of every (replicate, term) is built by Horner's rule over the slots
-    (every partial value is below table.size, so it never overflows).  The
-    flat index is C-contiguous before the gather, so the (R, N) block of
-    terms is too and np.sum reduces every row in the same fixed order
-    whatever the layout of the column gathers.
+    ``states`` is (R, n_positions), integer states as the sampler returns
+    them (uint8 for up to 256 atoms), and ``positions`` (N, arity) maps each
+    term's slots to state columns.  The flat index of every (replicate,
+    term) is built by Horner's rule over the slots in the smallest unsigned
+    type that holds a flat table index (or the states' type, if wider):
+    every partial value is below table.size, so it never overflows.  Each
+    slot's state columns are gathered by np.take into one preallocated
+    column buffer.  The flat index is C-contiguous, so the (R, N) block of
+    terms is too and np.sum reduces every row in the same fixed order.
     """
     n_atoms = table.shape[0]
-    narrow = states.astype(np.min_scalar_type(table.size - 1))
-    flat = np.ascontiguousarray(narrow[:, positions[:, 0]])
+    shape = (states.shape[0], positions.shape[0])
+    flat_type = np.promote_types(states.dtype, np.min_scalar_type(table.size - 1))
+    column = np.empty(shape, dtype=states.dtype)
+    # positions are always in range; "clip" writes into ``out`` unbuffered
+    np.take(states, positions[:, 0], axis=1, out=column, mode="clip")
+    flat = column.astype(flat_type)
     for j in range(1, positions.shape[1]):
+        np.take(states, positions[:, j], axis=1, out=column, mode="clip")
         flat *= n_atoms
-        flat += narrow[:, positions[:, j]]
+        flat += column
     return np.sum(table.ravel()[flat], axis=1)
 
 

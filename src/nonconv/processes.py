@@ -263,9 +263,19 @@ def _check_indices(indices) -> np.ndarray:
 
 
 def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Atoms drawn from one law by inverse CDF, elementwise in ``u``."""
-    cum = np.cumsum(probs)
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    """Atoms drawn from one law by inverse CDF, elementwise in ``u``.
+
+    The atom is the number of thresholds k < S - 1 with cumsum(probs)[k] <= u,
+    counted straight into the narrowest unsigned type that holds S - 1.  It
+    equals min(searchsorted(cumsum(probs), u, "right"), S - 1) because the
+    cumulative sums are nondecreasing.
+    """
+    states = np.zeros(u.shape, dtype=np.min_scalar_type(probs.size - 1))
+    hit = np.empty(u.shape, dtype=bool)
+    for c in np.cumsum(probs)[:-1]:
+        np.less_equal(c, u, out=hit)
+        states += hit
+    return states
 
 
 def sample_state_paths(
@@ -277,8 +287,10 @@ def sample_state_paths(
 ) -> np.ndarray:
     """Integer states of the process at the requested indices, one row per replicate.
 
-    Returns an int64 array of shape (n_replicates, n_indices) that indexes
-    ``model.marginal().atoms``: chain states, i.i.d. atoms, or dyadic cells.
+    Returns a C-contiguous array of shape (n_replicates, n_indices) whose
+    entries index ``model.marginal().atoms``: chain states, i.i.d. atoms, or
+    dyadic cells.  Its type is the narrowest unsigned one that holds
+    ``n_states - 1``: uint8 for up to 256 states.
     Replicate ``first_replicate + j`` consumes only its own counter-based
     stream, one uniform per index (one generator per call, re-keyed per
     replicate), so any batching of replicates reproduces the same rows.  Work
@@ -287,8 +299,8 @@ def sample_state_paths(
     multi-step transition kernels (chains) or by discarding reservoir bits
     (doubling map).  The budget request, 32 bytes per entry, bounds the
     peak of every kind with room for the per-step buffers: no call holds
-    more than three arrays of one word per entry at once (chains and i.i.d.
-    draws peak near 24 bytes per entry, dyadic cells near 16).
+    more than two float arrays per entry at once (chains peak near 18 bytes
+    per entry, i.i.d. draws near 10 and dyadic cells near 9).
     """
     idx = _check_indices(indices)
     ensure_within_budget(n_replicates * idx.size * 32, "state path block")
@@ -330,8 +342,9 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
     thresholds k < S - 1 with cumsum(P^g)[prev, k] <= u, which equals
     min(#{cum <= u}, S - 1) because every cumulative row is nondecreasing.
     Each step reads one contiguous column of uniforms and writes one
-    contiguous column of states into preallocated buffers; the result is the
-    C-contiguous int64 (replicates, indices) array.
+    contiguous column of states into preallocated buffers of the narrowest
+    unsigned type that holds S - 1; the result is the C-contiguous
+    (replicates, indices) array of that type.
     """
     gaps = np.diff(idx).tolist()
     # thresholds[g][k] holds cumsum(P^g)[:, k] for every source state
@@ -340,7 +353,7 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
         for g in set(gaps)
     }
     u_cols = np.ascontiguousarray(uniforms.T)
-    walk = np.empty(u_cols.shape, dtype=np.intp)
+    walk = np.empty(u_cols.shape, dtype=np.min_scalar_type(model.n_states - 1))
     walk[0] = _draw(model.stationary, u_cols[0])
     thr = np.empty(u_cols.shape[1])
     hit = np.empty(u_cols.shape[1], dtype=bool)
@@ -352,10 +365,7 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
             row.take(prev, out=thr, mode="clip")
             np.less_equal(thr, u, out=hit)
             nxt += hit
-    # release the time-major uniforms before the int64 copy, so the copy
-    # does not raise the call's peak
-    u = u_cols = None
-    return np.ascontiguousarray(walk.T, dtype=np.int64)
+    return np.ascontiguousarray(walk.T)
 
 
 def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -365,7 +375,7 @@ def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray
     # window at index k holds the L bits after position k; a gap of g
     # shifts g fresh bits in (all L refreshed once g >= L)
     window = (uniforms[:, 0] * (1 << L)).astype(np.int64)
-    cells = np.empty(uniforms.shape, dtype=np.int64)
+    cells = np.empty(uniforms.shape, dtype=np.min_scalar_type(mask))
     cells[:, 0] = window
     for t in range(1, idx.size):
         g = int(min(gaps[t - 1], L))

@@ -349,7 +349,7 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
         passed,
         f"exhaustive max offset {chk.max_abs:.2e} (allow {chk.tol:.0e}+{chk.allowance:.0e}) "
         f"over {chk.n_conditions} conditions; gaps {dict((n, round(g, 6)) for n, g in gaps.items())} "
-        f"vs B*delta2' = {b_cal * d2_plain:.4f} (B = {b_cal:.3f}); spread {spread:.3%}; "
+        f"vs B*delta2 = {b_cal * d2_plain:.4f} (B = {b_cal:.3f}); spread {spread:.3%}; "
         f"telescoping {'ok' if tel_ok else 'FAILED'}",
         t0,
         {"max_abs": chk.max_abs, "gaps": gaps, "b_calibrated": b_cal, "spread": spread},

@@ -147,8 +147,10 @@ class TestGoldenBytes:
             ("chain_pair", 256, "c040a0e48a26f541ff7bb0b095feb19f619bed0a48492437160996b2f82cd933"),
             ("iid_product", 1024, "dbed9fa31a14c154ff6d8e4a4c5ece1a3a2076eba6986258a3992b6cdb74439a"),
             ("doubling_pwc", 128, "13def2b3b0d2f512b4a807761b0de6bc76c26b52dda14a38f0aae5f38ec66f69"),
+            # the benchmark's largest index set: 6144 indices at N = 4096
+            ("iid_product", 4096, "133ae240b82332b8ca0b9c8e6c047f754ba58c5e478b142f085bff53b54b0c07"),
         ],
-        ids=["chain_pair", "iid_product", "doubling_pwc"],
+        ids=["chain_pair", "iid_product", "doubling_pwc", "iid_product_4096"],
     )
     def test_preset_sums_digest(self, name, n_terms, digest):
         text = (resources.files("nonconv") / "presets" / f"{name}.cfg").read_text(encoding="utf-8")

@@ -184,7 +184,10 @@ class TestBatchSums:
         positions = rs.integers(0, 120, size=(400, 3))
         terms = table[tuple(states[:, positions[:, j]] for j in range(3))]
         want = np.sum(np.ascontiguousarray(terms), axis=1)
-        assert lookup_sums(table, states, positions).tobytes() == want.tobytes()
+        # the sampler's narrow states, a wider unsigned type, and int64
+        for state_type in (np.uint8, np.uint16, np.int64):
+            got = lookup_sums(table, states.astype(state_type), positions)
+            assert got.tobytes() == want.tobytes(), state_type
 
     def test_alphabet_mismatch_raises(self):
         c = center(product_observable(2), PAIR)

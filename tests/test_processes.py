@@ -6,6 +6,7 @@ import pytest
 import nonconv.processes
 from nonconv.errors import ConfigError
 from nonconv.processes import (
+    _draw,
     alpha_coefficient,
     beta_approx,
     beta_exact_doubling,
@@ -140,7 +141,9 @@ class TestSampling:
         idx = [2, 3, 8, 9, 30]
         for model in models:
             states = sample_state_paths(model, idx, 3, 5, first_replicate=2)
-            assert states.dtype == np.int64 and states.shape == (5, len(idx))
+            n_states = model.marginal().atoms.shape[0]
+            assert states.dtype == np.min_scalar_type(n_states - 1)
+            assert states.flags.c_contiguous and states.shape == (5, len(idx))
             vals = sample_paths(model, idx, 3, 5, first_replicate=2)
             np.testing.assert_array_equal(model.marginal().atoms[states], vals)
 
@@ -164,7 +167,27 @@ class TestSampling:
                 row = cum[int(idx[t] - idx[t - 1])][want[j, t - 1]]
                 want[j, t] = min(int(np.sum(row <= u[t])), n_states - 1)
         got = sample_state_paths(model, idx, seed, R, first_replicate=first)
-        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.dtype == np.min_scalar_type(n_states - 1) and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+    def test_doubling_cells_match_bit_window_reference(self):
+        # level 9 needs uint16 cells; reference: the int64 bit window, per
+        # replicate a fresh stream, shifting min(gap, L) fresh bits in
+        L = 9
+        model = doubling_model(np.linspace(-1.0, 1.0, 1 << L), L)
+        idx = np.array([1, 2, 4, 9, 30, 31, 45])
+        seed, R, first = 17, 30, 3
+        want = np.empty((R, idx.size), dtype=np.int64)
+        for j in range(R):
+            u = replicate_rng(seed, first + j).random(idx.size)
+            window = int(u[0] * (1 << L))
+            want[j, 0] = window
+            for t in range(1, idx.size):
+                g = min(int(idx[t] - idx[t - 1]), L)
+                window = ((window << g) | int(u[t] * (1 << g))) & ((1 << L) - 1)
+                want[j, t] = window
+        got = sample_state_paths(model, idx, seed, R, first_replicate=first)
+        assert got.dtype == np.uint16 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
 
     def test_budget_request_covers_the_peak(self, pair, monkeypatch):
@@ -218,6 +241,48 @@ class TestSampling:
         m = doubling_model(table, 3)
         x = sample_paths(m, [1, 2, 7], 2, 200)
         assert set(np.unique(x)) <= {-1.0, 1.0}
+
+
+class TestThresholdDraw:
+    """The threshold count agrees elementwise with the searchsorted inverse CDF."""
+
+    def _check(self, probs, u):
+        got = _draw(probs, u)
+        assert got.dtype == np.min_scalar_type(probs.size - 1)
+        want = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
+        np.testing.assert_array_equal(got, want)
+        return got
+
+    def test_ties_at_every_cumulative_value(self):
+        probs = np.array([0.25, 0.125, 0.5, 0.125])
+        cum = np.cumsum(probs)
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0]])
+        got = self._check(probs, u)
+        # a uniform equal to a cumulative value belongs to the next atom
+        np.testing.assert_array_equal(got[:3], [1, 2, 3])
+
+    def test_zero_probability_atom_is_never_drawn(self):
+        probs = np.array([0.3, 0.0, 0.7])
+        u = np.concatenate([np.random.default_rng(0).random(10_000), [0.3, np.nextafter(0.3, 0.0)]])
+        got = self._check(probs, u)
+        assert not np.any(got == 1)
+
+    def test_cumsum_ending_below_one(self):
+        probs = np.full(10, 0.1)
+        assert np.cumsum(probs)[-1] < 1.0
+        u = np.array([np.cumsum(probs)[-1], np.nextafter(1.0, 0.0), 0.95])
+        np.testing.assert_array_equal(self._check(probs, u), [9, 9, 9])
+
+    @pytest.mark.parametrize("n_atoms, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_type_boundary(self, n_atoms, dtype):
+        rs = np.random.default_rng(n_atoms)
+        probs = rs.random(n_atoms)
+        probs /= probs.sum()
+        u = np.concatenate([rs.random(20_000), np.cumsum(probs), [np.nextafter(1.0, 0.0)]])
+        assert self._check(probs, u).dtype == dtype
+        model = iid_model(np.arange(n_atoms, dtype=float)[:, None], probs)
+        states = sample_state_paths(model, [1, 3, 4], 5, 64)
+        assert states.dtype == dtype and states.flags.c_contiguous
 
 
 class TestMixingProfile:
