@@ -1,10 +1,9 @@
 """Closed-form evaluators for the concentration, deviation, and moment bounds.
 
-Everything here is a deterministic formula: the exponent gamma of a
-regularity regime, exponential concentration for the normalized sum, the
-Chernoff tail and its threshold from the martingale constants, the
-moderate-deviation envelope and rate, the Berry-Esseen bound, the
-moment-versus-Gaussian bound, and the variance envelope.  No constant is
+Everything here is a deterministic formula: exponential concentration for
+the normalized sum, the Chernoff tail and its threshold from the martingale
+constants, the moderate-deviation envelope and rate, the Berry-Esseen bound,
+the moment-versus-Gaussian bound, and the variance envelope.  No constant is
 baked in: every constant is an argument, supplied by the caller from the
 calibration routines in the Monte Carlo layer, a config file's [bounds] and
 [martingale] sections, or the options of ``nonconv bounds``.
@@ -23,62 +22,6 @@ import numpy as np
 from scipy.special import gammaln, log_ndtr, logsumexp
 
 from nonconv.errors import ConfigError, OutOfWindowError
-
-_REGIME_ALIASES = {
-    "bounded": "bounded",
-    "a1": "bounded",
-    "unbounded": "unbounded",
-    "a2": "unbounded",
-}
-
-
-@dataclass(frozen=True)
-class AssumptionParams:
-    """Regularity regime and the exponent gamma it induces.
-
-    The bounded regime needs only the mixing decay (a, d, eta) and yields
-    gamma = 1/eta.  The unbounded regime adds the moment-growth constants
-    (M, zeta) for E|F|^k <= M^k (k!)^zeta, the polynomial growth exponent of
-    the observable, and the tail-moment constant tau; it yields
-    gamma = 1/eta + growth_exp * zeta.  Sparse index maps flatten the
-    exponent to 1/(eta * l^2) through ``sparse_gamma``.
-    """
-
-    regime: str
-    a: float
-    d: float
-    eta: float
-    M: float | None = None
-    zeta: float | None = None
-    growth_exp: float | None = None
-    tau: float | None = None
-
-    def __post_init__(self):
-        norm = _REGIME_ALIASES.get(self.regime.lower())
-        if norm is None:
-            raise ConfigError(f"unknown regime {self.regime!r}")
-        object.__setattr__(self, "regime", norm)
-        if self.a <= 0 or self.d <= 0 or self.eta <= 0:
-            raise ConfigError("decay parameters a, d, eta must be positive")
-        if norm == "unbounded":
-            for name in ("M", "zeta", "growth_exp", "tau"):
-                v = getattr(self, name)
-                if v is None or not math.isfinite(v) or v < 0:
-                    raise ConfigError(f"unbounded regime needs finite nonnegative {name}")
-            if self.growth_exp < 1:
-                raise ConfigError("unbounded regime needs growth_exp >= 1")
-
-    @property
-    def gamma(self) -> float:
-        if self.regime == "bounded":
-            return 1.0 / self.eta
-        return 1.0 / self.eta + self.growth_exp * self.zeta
-
-    def sparse_gamma(self, arity: int) -> float:
-        """Exponent under index maps growing fast enough to decouple levels."""
-        if arity < 1:
-            raise ConfigError("arity must be >= 1")
-        return 1.0 / (self.eta * arity**2)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +79,6 @@ def chernoff_tail_bound(
 def chernoff_threshold(t: float, delta2: float, b_const: float) -> float:
     """The event threshold t + B delta2 the tail bound refers to."""
     return t + b_const * delta2
-
-
-def chernoff_lambda_star(t: float, n_terms: float, arity: int, delta2: float) -> float:
-    """The tuning value lambda = t / (2 arity N delta2^2) used in the derivation."""
-    if t < 0 or n_terms < 1 or arity < 1 or delta2 <= 0:
-        raise ConfigError("bad lambda-star arguments")
-    return t / (2.0 * arity * n_terms * delta2 * delta2)
 
 
 def mgf_exponent_bound(

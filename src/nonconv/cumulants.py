@@ -2,9 +2,8 @@
 
 Moments and cumulants convert both ways exactly; sample cumulants come with
 delete-one jackknife errors; and the per-order envelope
-N (k!)^(1+gamma) c0^(k-2) that the verification battery checks them against,
-like the cluster pricing factor lambda(eps, k) of the cumulant method, is
-evaluated in log space, so large k cannot overflow.
+N (k!)^(1+gamma) c0^(k-2) that the verification battery checks them against
+is evaluated in log space, so large k cannot overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from nonconv.errors import ConfigError
 
@@ -105,36 +104,21 @@ def cumulants_to_moments(cumulants: Sequence[float], centered: bool = False) -> 
 
 @dataclass(frozen=True, eq=False)
 class CumulantVector:
-    """Sample moments and cumulants of one scalar variable.
+    """Sample cumulants of one scalar variable with their jackknife SEs.
 
-    ``provenance`` is "sample": cumulants are k-statistics / plug-ins,
-    moments are empirical raw moments, jackknife SEs attached.  Note the
-    unbiased k-statistics do not satisfy the exact conversion identities:
-    the order-2 statistic is n/(n-1) times the plug-in variance.
+    The cumulants are k-statistics up to order 4 and plug-ins above it.
+    Note the unbiased k-statistics do not satisfy the exact conversion
+    identities: the order-2 statistic is n/(n-1) times the plug-in variance.
     """
 
-    k_max: int
-    moments: np.ndarray
     cumulants: np.ndarray
-    provenance: str
-    std_errors: np.ndarray | None = None
-    methods: tuple[str, ...] = ()
-    n_samples: int = 0
-
-    def moment(self, k: int) -> float:
-        return float(self.moments[k - 1])
+    std_errors: np.ndarray  # NaN without the jackknife
 
     def cumulant(self, k: int) -> float:
         return float(self.cumulants[k - 1])
 
     def std_error(self, k: int) -> float:
-        if self.std_errors is None:
-            raise ConfigError("no standard errors on this vector")
         return float(self.std_errors[k - 1])
-
-    def upper(self, k: int, z: float = 3.0) -> float:
-        """Conservative magnitude: |cumulant| + z jackknife SEs."""
-        return abs(self.cumulant(k)) + z * self.std_error(k)
 
 
 def _kstats_from_power_sums(s: np.ndarray, n) -> np.ndarray:
@@ -188,16 +172,13 @@ def sample_cumulants(samples: np.ndarray, k_max: int = 4, jackknife: bool = True
     grand_mean = float(x.mean())
     xc = (x - grand_mean).astype(np.longdouble)  # orders >= 2 are shift-invariant
 
-    raw_moments = np.array([float(np.mean(x.astype(np.longdouble) ** r)) for r in range(1, k_max + 1)])
     powers = np.vstack([xc**r for r in range(1, max(k_max, 4) + 1)])
     S = powers.sum(axis=1)  # full-sample power sums of the centered data
 
     full4 = _kstats_from_power_sums(S[:4], np.longdouble(n))
     estimates = np.zeros(k_max)
-    methods: list[str] = []
     for k in range(1, min(k_max, 4) + 1):
         estimates[k - 1] = float(full4[k - 1]) + (grand_mean if k == 1 else 0.0)
-        methods.append("k-statistic")
     if k_max > 4:
         mean_c = S[0] / n
         central = np.stack([
@@ -211,7 +192,6 @@ def sample_cumulants(samples: np.ndarray, k_max: int = 4, jackknife: bool = True
         gam_hi = _plugin_high_orders(central, k_max)
         for k in range(5, k_max + 1):
             estimates[k - 1] = float(gam_hi[k - 1])
-            methods.append("plug-in")
 
     ses = np.full(k_max, np.nan)
     if jackknife:
@@ -235,15 +215,7 @@ def sample_cumulants(samples: np.ndarray, k_max: int = 4, jackknife: bool = True
         center_loo = loo_all.mean(axis=1, keepdims=True)
         ses = np.sqrt((n - 1) / n * np.sum((loo_all - center_loo) ** 2, axis=1)).astype(float)
 
-    return CumulantVector(
-        k_max=k_max,
-        moments=raw_moments,
-        cumulants=estimates,
-        provenance="sample",
-        std_errors=ses,
-        methods=tuple(methods),
-        n_samples=n,
-    )
+    return CumulantVector(cumulants=estimates, std_errors=ses)
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +239,3 @@ def noncum_bound(
     if normalized:
         return fact + (k - 2) * (math.log(c0) - 0.5 * math.log(n_terms))
     return math.log(n_terms) + fact + (k - 2) * math.log(c0)
-
-
-def gorc_lambda_log(eps: float, k: int) -> float:
-    """log of the cluster pricing factor
-
-        lambda(eps, k) = k! sum_{r=1}^{floor(k/2)} eps^r (3r+1)^(k-2r) / (r (k-2r)!),
-
-    evaluated with log-gamma and log-sum-exp; -inf at eps = 0."""
-    if k < 2:
-        raise ConfigError("pricing factor needs k >= 2")
-    if eps < 0:
-        raise ConfigError("eps must be nonnegative")
-    if eps == 0.0:
-        return -math.inf
-    r = np.arange(1, k // 2 + 1)
-    terms = (
-        gammaln(k + 1)
-        + r * math.log(eps)
-        + (k - 2 * r) * np.log(3 * r + 1)
-        - np.log(r)
-        - gammaln(k - 2 * r + 1)
-    )
-    return float(logsumexp(terms))
-
-
-def gorc_lambda(eps: float, k: int) -> float:
-    out = gorc_lambda_log(eps, k)
-    return 0.0 if out == -math.inf else math.exp(out)

@@ -1,11 +1,9 @@
-"""Index families q_1 < q_2 < ... < q_l, their separation distances, and the
-neighborhood counting bound.
+"""Index families q_1 < q_2 < ... < q_l and the neighborhood counting bound.
 
 The dilation distance between times n, m is the smallest |i*n - j*m| over
-coefficient pairs 1 <= i, j <= l; for a general family the analogue uses the
-family maps themselves, and for index sets the minimum over pairs.  The
-neighborhood of n is every m within distance s of it; its size is at most
-3 l^2 s, the counting bound the verification battery checks exhaustively.
+coefficient pairs 1 <= i, j <= l.  The neighborhood of n is every m within
+distance s of it; its size is at most 3 l^2 s, the counting bound the
+verification battery checks exhaustively.
 """
 
 from __future__ import annotations
@@ -76,9 +74,21 @@ class IndexFamily:
         return out
 
     def columns(self, n) -> np.ndarray:
-        """All maps at once: shape (len(n), arity)."""
+        """All maps at once: shape (len(n), arity).
+
+        Raises at the first argument where the maps are not strictly ordered,
+        q_1(n) < q_2(n) < ... < q_l(n), naming that n and the offending pair.
+        """
         arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
-        return np.stack([self.evaluate(i, arr) for i in range(1, self.arity + 1)], axis=1)
+        cols = np.stack([self.evaluate(i, arr) for i in range(1, self.arity + 1)], axis=1)
+        unordered = cols[:, 1:] <= cols[:, :-1]
+        if unordered.any():
+            row, i = np.argwhere(unordered)[0]
+            raise ConfigError(
+                f"index maps must be strictly ordered, but at n = {arr[row]}: "
+                f"q_{i + 1}(n) = {cols[row, i]} >= q_{i + 2}(n) = {cols[row, i + 1]}"
+            )
+        return cols
 
 
 def linear_family(arity: int) -> IndexFamily:
@@ -107,37 +117,8 @@ def power_sparse_family(
 
 
 # ---------------------------------------------------------------------------
-# separation distances
+# neighborhoods
 # ---------------------------------------------------------------------------
-
-
-def rho(arity: int, n: int, m: int) -> int:
-    """Dilation distance min over 1 <= i, j <= arity of |i*n - j*m|."""
-    if arity < 1 or n < 1 or m < 1:
-        raise ConfigError("need arity, n, m >= 1")
-    i = np.arange(1, arity + 1, dtype=np.int64)
-    return int(np.min(np.abs(i[:, None] * n - i[None, :] * m)))
-
-
-def rho_tilde(family: IndexFamily, n: int, m: int) -> int:
-    """General-family separation min over i, j of |q_i(n) - q_j(m)|."""
-    if n < family.ray_start or m < family.ray_start:
-        raise ConfigError("arguments below the family ray start")
-    qn = family.columns([n])[0]
-    qm = family.columns([m])[0]
-    return int(np.min(np.abs(qn[:, None] - qm[None, :])))
-
-
-def rho_set(arity: int, set1: Sequence[int], set2: Sequence[int]) -> int:
-    """Dilation distance between index sets: min over pairs of rho."""
-    a = np.asarray(sorted(set(set1)), dtype=np.int64)
-    b = np.asarray(sorted(set(set2)), dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        raise ConfigError("sets must be nonempty")
-    i = np.arange(1, arity + 1, dtype=np.int64)
-    ta = (i[:, None] * a[None, :]).ravel()  # dilated copies of set1
-    tb = (i[:, None] * b[None, :]).ravel()
-    return int(np.min(np.abs(ta[:, None] - tb[None, :])))
 
 
 def neighborhood(arity: int, n: int, n_max: int, s: int) -> np.ndarray:

@@ -39,7 +39,6 @@ from nonconv.processes import (
     MarkovChainModel,
     MixingProfile,
     ProcessModel,
-    _tuples,
     as_chain,
     beta_approx,
     mixing_profile,
@@ -112,8 +111,6 @@ class MartingaleDecomposition:
     phi_sum_value: float
     phi_sum_tail: float
     beta_term: float
-    component_sups: tuple[float, ...]
-    _f_tables: dict = field(default_factory=dict, repr=False)
     _u_cache: dict = field(default_factory=dict, repr=False)
     _powers: dict = field(default_factory=dict, repr=False)
 
@@ -133,10 +130,6 @@ class MartingaleDecomposition:
     def delta2_plain(self) -> float:
         return self.bound_const * self.n_terms * self.beta_term + self.delta1_plain
 
-    def w_sup_bound(self, b1: float) -> float:
-        """Configured-constant bound on a whole-step increment |W_m|."""
-        return self.arity * b1 * self.bound_const * (self.phi_sum + self.smoothing_radius + 1.0)
-
     # -- internal tables ---------------------------------------------------
 
     def _pow(self, g: int) -> np.ndarray:
@@ -144,15 +137,6 @@ class MartingaleDecomposition:
         if got is None:
             got = np.linalg.matrix_power(self.chain.transition, g)
             self._powers[g] = got
-        return got
-
-    def _f_table(self, i: int) -> np.ndarray:
-        got = self._f_tables.get(i)
-        if got is None:
-            S = self.chain.n_states
-            pts = self.chain.values[_tuples(S, i)]
-            got = self.centered.components[i - 1](pts).reshape((S,) * i)
-            self._f_tables[i] = got
         return got
 
     def _u_for(self, i: int, nprime: int) -> list[np.ndarray]:
@@ -163,7 +147,7 @@ class MartingaleDecomposition:
         if got is None:
             Pn = self._pow(nprime)
             tensors: list[np.ndarray | None] = [None] * (i + 1)
-            T = self._f_table(i)
+            T = self.centered.components[i - 1]
             tensors[i] = T
             for j0 in range(i - 1, 0, -1):
                 T = np.einsum("...ab,ab->...a", T, Pn)
@@ -194,7 +178,7 @@ class MartingaleDecomposition:
         j0 = m // nprime + 1
         if j0 > i:
             cols = tuple(getcol(j * nprime) for j in range(1, i + 1))
-            return self._f_table(i)[cols]
+            return self.centered.components[i - 1][cols]
         u = self._u_for(i, nprime)[j0]
         if m == 0:
             # j0 = 1 here; the first argument's law is the stationary marginal
@@ -245,8 +229,7 @@ def build_decomposition(
             "use radius >= level so the smoothed summands are exact"
         )
     chain = as_chain(model)
-    if chain.n_states ** centered.arity > 1_000_000:
-        raise ConfigError("state space too large for the conditional tables")
+    centered.table_for(chain)  # the component tables index the chain's states
     mixing = mixing_profile(chain)
     sups = centered.component_sups
 
@@ -285,7 +268,6 @@ def build_decomposition(
         phi_sum_value=value,
         phi_sum_tail=tail_sum,
         beta_term=float(beta_term),
-        component_sups=tuple(sups),
     )
 
 
@@ -296,25 +278,18 @@ def build_decomposition(
 
 @dataclass(frozen=True, eq=False)
 class PathEvaluation:
-    """Per-replicate sums, increments, and boundary predictions."""
+    """Per-replicate sums, terminal martingale values, and boundary predictions."""
 
     master_seed: int
     n_replicates: int
     sums: np.ndarray  # (B,) S_N
     martingale: np.ndarray  # (B,) terminal M
-    increments: np.ndarray  # (B, arity*N) whole-step W values
     r_start: np.ndarray  # (arity,) deterministic R_{i,0}
     r_end: np.ndarray  # (B, arity) R_{i, i*N}
-    max_abs_r: float
 
     @property
     def gaps(self) -> np.ndarray:
         return np.abs(self.sums - self.martingale)
-
-    @property
-    def step_sups(self) -> np.ndarray:
-        """Empirical per-step sup |W_m| over the replicate batch."""
-        return np.max(np.abs(self.increments), axis=0)
 
 
 def evaluate_paths(
@@ -338,13 +313,12 @@ def evaluate_paths(
 
     # term n reads positions n, 2n, ..., Ln, i.e. state columns i*n - 1
     positions = np.arange(1, N + 1)[:, None] * np.arange(1, L + 1)[None, :] - 1
-    sums = lookup_sums(decomp.centered.table_for(decomp.chain), states, positions)
+    sums = lookup_sums(decomp.centered.table, states, positions)
 
     increments = np.zeros((B, LN))
     r_start = np.array([decomp.r_start(i) for i in range(1, L + 1)])
     r_prev = [np.full(B, r_start[i - 1]) for i in range(1, L + 1)]
     r_end = np.zeros((B, L))
-    max_abs_r = float(np.max(np.abs(r_start))) if L else 0.0
     for m in range(1, LN + 1):
         for i in range(1, L + 1):
             if m > i * N:
@@ -357,7 +331,6 @@ def evaluate_paths(
                 w = w + decomp.term_values(i, m, m, getcol)
             increments[:, m - 1] += w
             r_prev[i - 1] = r_m
-            max_abs_r = max(max_abs_r, float(np.max(np.abs(r_m))))
             if m == i * N:
                 r_end[:, i - 1] = r_m
     martingale = increments.sum(axis=1)
@@ -366,10 +339,8 @@ def evaluate_paths(
         n_replicates=B,
         sums=sums,
         martingale=martingale,
-        increments=increments,
         r_start=r_start,
         r_end=r_end,
-        max_abs_r=max_abs_r,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from scipy.special import ndtr
 from scipy.stats import beta as _beta_dist
 
 from nonconv.bounds import chernoff_threshold, mdp_gaussian_rate, mdp_rate
-from nonconv.cumulants import CumulantVector, sample_cumulants
+from nonconv.cumulants import sample_cumulants
 from nonconv.errors import CheckFailure, ConfigError
 from nonconv.indexing import IndexFamily
 from nonconv.martingale import MartingaleDecomposition, evaluate_paths
@@ -423,15 +423,7 @@ class CumulantRow:
 @dataclass(frozen=True)
 class CumulantScanReport:
     n_grid: tuple[int, ...]
-    k_max: int
     rows: tuple[CumulantRow, ...]
-    vectors: dict[int, CumulantVector] = field(repr=False, default_factory=dict)
-
-    def row(self, n_terms: int, order: int) -> CumulantRow:
-        for r in self.rows:
-            if r.n_terms == n_terms and r.order == order:
-                return r
-        raise KeyError((n_terms, order))
 
     def normalized_slope(self, order: int) -> float:
         """Log-log slope of |normalized cumulant| against N (NaN-safe subset)."""
@@ -460,10 +452,8 @@ def cumulant_scan(
     if sums_by_n is None:
         sums_by_n = sums_over_grid(config)
     rows = []
-    vectors: dict[int, CumulantVector] = {}
     for n in config.n_grid:
         vec = sample_cumulants(sums_by_n[n].centered, k_max=k_max, jackknife=True)
-        vectors[n] = vec
         for k in range(2, k_max + 1):
             est = vec.cumulant(k)
             se = vec.std_error(k)
@@ -479,9 +469,7 @@ def cumulant_scan(
                     normalized_se=se * scale,
                 )
             )
-    return CumulantScanReport(
-        n_grid=tuple(config.n_grid), k_max=k_max, rows=tuple(rows), vectors=vectors
-    )
+    return CumulantScanReport(n_grid=tuple(config.n_grid), rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from nonconv.processes import (
     sample_state_paths,
 )
 
-_CHUNK_ROWS = 1 << 21  # evaluation chunk for tuple grids
-
 
 @dataclass(frozen=True, eq=False)
 class Observable:
@@ -78,16 +76,17 @@ class CenteredObservable:
 
     ``table`` holds F - mean on every tuple of atoms of ``law``, shape
     (n_atoms,) * arity, so a tuple of integer states (atom indices) looks up
-    its centered term.  components[i-1] takes (n, i, dim) arrays; the
-    components sum to F - mean, and each integrates to zero in its final
-    argument under the marginal law used for the decomposition.
+    its centered term.  components[i-1] is the table of F_i on (n_atoms,) * i
+    atom tuples; broadcast over the trailing axes, the components sum to
+    ``table``, and each integrates to zero over its last axis under the
+    marginal law used for the decomposition.
     """
 
     base: Observable
     law: FiniteLaw
     mean: float
     table: np.ndarray = field(repr=False)
-    components: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(repr=False)
+    components: tuple[np.ndarray, ...] = field(repr=False)
     component_sups: tuple[float, ...] = ()
 
     @property
@@ -206,68 +205,42 @@ CATALOG = {
 # ---------------------------------------------------------------------------
 
 
-def _tuple_grid(law: FiniteLaw, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """All atom tuples of a given length with their product weights."""
-    tuples = _tuples(law.atoms.shape[0], length)
-    weights = np.prod(law.probs[tuples], axis=1)
-    return law.atoms[tuples], weights  # (T, length, dim), (T,)
-
-
-def _partial_average(obs: Observable, law: FiniteLaw, keep: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Average of F over its last (arity - keep) arguments as a function of the first ``keep``."""
-    tail = obs.arity - keep
-    if tail == 0:
-        return lambda x: obs(x)
-    z, w = _tuple_grid(law, tail)  # (T, tail, dim)
-    n_tail = z.shape[0]
-
-    def g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        out = np.empty(n)
-        step = max(1, _CHUNK_ROWS // max(n_tail, 1))
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            xx = np.repeat(x[lo:hi, None, :, :], n_tail, axis=1)  # (m, T, keep, dim)
-            zz = np.broadcast_to(z[None], (hi - lo, n_tail, tail, obs.dim))
-            pts = np.concatenate([xx, zz], axis=2).reshape(-1, obs.arity, obs.dim)
-            out[lo:hi] = obs(pts).reshape(hi - lo, n_tail) @ w
-        return out
-
-    return g
+def _product_weights(law: FiniteLaw, length: int) -> np.ndarray:
+    """Product-law weight of every atom tuple of a given length, in table order."""
+    return np.prod(law.probs[_tuples(law.atoms.shape[0], length)], axis=1)
 
 
 def decompose(obs: Observable, law: FiniteLaw) -> CenteredObservable:
-    """Telescoping decomposition of F - mean into per-coordinate components.
+    """Telescoping decomposition of F - mean into per-coordinate component tables.
 
-    With G_i the average of F over all but the first i arguments, the i-th
-    component is G_i - G_{i-1}; the first one absorbs the centering constant.
-    Component sup norms are taken over the exact atom grid, where F - mean
-    is also kept as the centered table.
+    F is evaluated once on every atom tuple.  G_i, the average of F over its
+    last arity - i arguments, is that table reshaped to
+    (n_atoms**i, n_atoms**(arity - i)) times the product weights of the
+    trailing tuples, so G_arity = F and G_0 = mean.  The i-th component is
+    G_i - G_{i-1}; the first one absorbs the centering constant.  Component
+    sup norms are taken over these exact tables, and F - mean is kept as the
+    centered table.
     """
-    pts, w = _tuple_grid(law, obs.arity)
+    n_atoms = law.atoms.shape[0]
+    pts = law.atoms[_tuples(n_atoms, obs.arity)]
     ensure_within_budget(pts.nbytes, "centering grid")
     vals = obs(pts)
-    mean = float(vals @ w)
-    partials = [_partial_average(obs, law, i) for i in range(1, obs.arity + 1)]
-
-    def make_component(i: int) -> Callable[[np.ndarray], np.ndarray]:
-        if i == 1:
-            return lambda x: partials[0](x) - mean
-        return lambda x: partials[i - 1](x) - partials[i - 2](x[:, : i - 1, :])
-
-    components = tuple(make_component(i) for i in range(1, obs.arity + 1))
-    sups = []
-    for i in range(1, obs.arity + 1):
-        pts, _ = _tuple_grid(law, i)
-        sups.append(float(np.max(np.abs(components[i - 1](pts)))))
+    mean = float(vals @ _product_weights(law, obs.arity))
+    averages = [np.array(mean)]
+    for keep in range(1, obs.arity):
+        averages.append(vals.reshape(n_atoms**keep, -1) @ _product_weights(law, obs.arity - keep))
+    averages.append(vals)
+    components = tuple(
+        (averages[i].reshape(-1, n_atoms) - averages[i - 1].reshape(-1, 1)).reshape((n_atoms,) * i)
+        for i in range(1, obs.arity + 1)
+    )
     return CenteredObservable(
         base=obs,
         law=law,
         mean=mean,
-        table=(vals - mean).reshape((law.atoms.shape[0],) * obs.arity),
+        table=(vals - mean).reshape((n_atoms,) * obs.arity),
         components=components,
-        component_sups=tuple(sups),
+        component_sups=tuple(float(np.max(np.abs(c))) for c in components),
     )
 
 

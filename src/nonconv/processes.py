@@ -479,33 +479,17 @@ def phi_bruteforce(model: MarkovChainModel, n: int, past_window: int, future_win
 
 
 def alpha_coefficient(
-    model: MarkovChainModel,
-    n: int,
-    past_window: int = 1,
-    future_window: int = 1,
-    unions: bool = False,
+    model: MarkovChainModel, n: int, past_window: int = 1, future_window: int = 1
 ) -> float:
     """Strong-mixing coefficient over windowed cylinder events, by enumeration.
 
-    The default supremum of |P(A and B) - P(A)P(B)| runs over single cylinder
-    pairs.  With ``unions`` the past side additionally ranges over unions of
-    atoms (feasible up to 2^16 subsets; the future side reduces to a
-    positive-part sum).  Either variant is a lower bound for the unrestricted
-    coefficient and obeys alpha(n) <= phi(n)/2.
+    The supremum of |P(A and B) - P(A)P(B)| runs over single cylinder pairs.
+    It is a lower bound for the unrestricted coefficient and obeys
+    alpha(n) <= phi(n)/2.
     """
     p_past, p_future, cond = _cylinder_conditional(model, n, past_window, future_window)
     m = p_past[:, None] * cond - p_past[:, None] * p_future[None, :]
-    if not unions:
-        val = float(np.max(np.abs(m)))
-        return 0.0 if val < _TV_NOISE else val
-    n_past = p_past.size
-    if 2**n_past > 65536:
-        raise ConfigError(f"union enumeration over 2^{n_past} past subsets exceeds the cap")
-    subsets = np.arange(1, 2**n_past, dtype=np.uint32)
-    members = (subsets[:, None] >> np.arange(n_past, dtype=np.uint32)[None, :]) & 1
-    w = members.astype(float) @ m  # (n_subsets, n_future)
-    # row sums vanish, so the best union of future atoms is the positive part
-    val = float(np.max(np.sum(np.where(w > 0, w, 0.0), axis=1)))
+    val = float(np.max(np.abs(m)))
     return 0.0 if val < _TV_NOISE else val
 
 
@@ -593,54 +577,3 @@ def mixing_profile(model: ProcessModel) -> MixingProfile:
             decay=(model.holder_exp * math.log(2.0), max(1.0, model.holder_const), 1.0),
         )
     raise ConfigError(f"unknown model kind: {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# conditional laws
-# ---------------------------------------------------------------------------
-
-
-def conditional_law(
-    model: MarkovChainModel,
-    known: Sequence[tuple[int, int]],
-    targets: Sequence[int],
-) -> np.ndarray:
-    """Joint law of the chain states at ``targets`` given observed states.
-
-    ``known`` is a list of (index, state) pairs; ``targets`` must be sorted,
-    positive, and disjoint from the known indices.  Returns a tensor of shape
-    (S,)*len(targets) in target order.  Conditioning on a probability-zero
-    observation is an error, not a silent NaN.
-    """
-    if not isinstance(model, MarkovChainModel):
-        raise ConfigError("conditional laws are implemented for finite-state chains")
-    tgt = list(targets)
-    if not tgt or any(t < 1 for t in tgt) or sorted(set(tgt)) != tgt:
-        raise ConfigError("targets must be sorted distinct positive indices")
-    kn = sorted(known)
-    kn_idx = [k for k, _ in kn]
-    if len(set(kn_idx)) != len(kn_idx) or set(kn_idx) & set(tgt):
-        raise ConfigError("known indices must be distinct and disjoint from targets")
-    if any(k < 1 for k in kn_idx):
-        raise ConfigError("indices must be positive")
-    S = model.n_states
-    if S ** len(tgt) > _ENUM_BUDGET:
-        raise ConfigError("target tuple enumeration exceeds the budget")
-
-    timeline = sorted([(k, ("known", s)) for k, s in kn] + [(t, ("target", i)) for i, t in enumerate(tgt)])
-    grids = np.indices((S,) * len(tgt))  # (n_targets, S, S, ..., S)
-    weight = np.ones((S,) * len(tgt))
-    prev_index = None
-    prev_state = None  # int or grid array
-    for index, (tag, payload) in timeline:
-        state = payload if tag == "known" else grids[payload]
-        if prev_index is None:
-            weight = weight * model.stationary[state]
-        else:
-            kernel = _matrix_power(model.transition, index - prev_index)
-            weight = weight * kernel[prev_state, state]
-        prev_index, prev_state = index, state
-    total = weight.sum()
-    if total <= 0:
-        raise ConfigError("conditioning event has probability zero")
-    return weight / total

@@ -15,6 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 
@@ -25,13 +26,14 @@ from nonconv.bounds import (
     mdp_gaussian_rate,
     mdp_validity,
 )
+from nonconv.config import build_experiment, load_config
 from nonconv.cumulants import (
     cumulants_to_moments,
     moments_to_cumulants,
     noncum_bound,
 )
 from nonconv.errors import ConfigError
-from nonconv.indexing import linear_family, neighborhood, neighborhood_cap
+from nonconv.indexing import neighborhood, neighborhood_cap
 from nonconv.martingale import (
     build_decomposition,
     check_martingale,
@@ -51,10 +53,9 @@ from nonconv.montecarlo import (
     tail_estimate,
     variance_scan,
 )
-from nonconv.observables import center, exact_d_squared, product_observable
+from nonconv.observables import exact_d_squared
 from nonconv.processes import (
     alpha_coefficient,
-    iid_model,
     markov_model,
     phi_bruteforce,
     phi_coefficient,
@@ -87,68 +88,21 @@ def _result(name, passed, detail, t0, values=None, inconclusive=False) -> CheckR
 
 
 # ---------------------------------------------------------------------------
-# presets (programmatic form; the shipped .cfg files mirror these)
+# presets
 # ---------------------------------------------------------------------------
 
-
-def chain_pair_experiment(n_grid, n_replicates, seed=11, workers=1) -> ExperimentConfig:
-    """Two-state chain, values +-1, pair-product observable."""
-    model = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
-    obs = product_observable(2)
-    return ExperimentConfig(
-        model=model,
-        centered=center(obs, model),
-        family=linear_family(2),
-        n_grid=tuple(n_grid),
-        n_replicates=n_replicates,
-        master_seed=seed,
-        workers=workers,
-    )
+_PRESET_DIR = Path(__file__).resolve().parent / "presets"
 
 
-def iid_product_experiment(n_grid, n_replicates, seed=23, workers=1) -> ExperimentConfig:
-    """Symmetric +-1 i.i.d. draws, pair-product observable; limit variance 1."""
-    model = iid_model([[1.0], [-1.0]], [0.5, 0.5])
-    obs = product_observable(2)
-    return ExperimentConfig(
-        model=model,
-        centered=center(obs, model),
-        family=linear_family(2),
-        n_grid=tuple(n_grid),
-        n_replicates=n_replicates,
-        master_seed=seed,
-        workers=workers,
-    )
+def preset_experiment(name, n_grid, n_replicates, seed=None, workers=1) -> ExperimentConfig:
+    """The shipped preset ``presets/<name>.cfg`` at the given N grid and replicate count.
 
-
-def iid_skew_experiment(n_grid, n_replicates, seed=29, workers=1) -> ExperimentConfig:
-    """Bernoulli(1/4) single-argument observable; third cumulant 3/32 per term."""
-    model = iid_model([[0.0], [1.0]], [0.75, 0.25])
-    obs = product_observable(1)
-    return ExperimentConfig(
-        model=model,
-        centered=center(obs, model),
-        family=linear_family(1),
-        n_grid=tuple(n_grid),
-        n_replicates=n_replicates,
-        master_seed=seed,
-        workers=workers,
-    )
-
-
-def iid_bernoulli_experiment(n_grid, n_replicates, seed=31, workers=1) -> ExperimentConfig:
-    """Fair-coin single-argument observable; term variance 1/4."""
-    model = iid_model([[0.0], [1.0]], [0.5, 0.5])
-    obs = product_observable(1)
-    return ExperimentConfig(
-        model=model,
-        centered=center(obs, model),
-        family=linear_family(1),
-        n_grid=tuple(n_grid),
-        n_replicates=n_replicates,
-        master_seed=seed,
-        workers=workers,
-    )
+    The seed defaults to the preset's own.
+    """
+    raw = load_config(str(_PRESET_DIR / f"{name}.cfg"))
+    return build_experiment(
+        raw, seed=seed, replicates=n_replicates, n_grid=list(n_grid), workers=workers
+    ).config
 
 
 def _fingerprint(value):
@@ -319,7 +273,7 @@ def check_cumulant_algebra(n_trials: int = 200) -> CheckResult:
 def check_martingale_construction(quick: bool = False) -> CheckResult:
     """Exhaustive increment check at N = 8; gap bounded and N-independent."""
     t0 = time.perf_counter()
-    base = chain_pair_experiment((8,), 256, seed=17)
+    base = preset_experiment("chain_pair", (8,), 256, seed=17)
     model, centered, fam = base.model, base.centered, base.family
 
     decomp8 = build_decomposition(model, centered, fam, 8)
@@ -368,8 +322,8 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
     details = []
     all_ok = True
     presets = (
-        ("chain-pair", chain_pair_experiment((256,), 100_000, workers=workers)),
-        ("iid-product", iid_product_experiment((256,), 100_000, workers=workers)),
+        ("chain-pair", preset_experiment("chain_pair", (256,), 100_000, workers=workers)),
+        ("iid-product", preset_experiment("iid_product", (256,), 100_000, workers=workers)),
     )
     b_values = {}
     for tag, config in presets:
@@ -417,7 +371,7 @@ _VAR_GRID = (64, 256, 1024, 2048, 4096)
 def check_variance_envelope(cache: dict | None = None, workers: int = 1) -> CheckResult:
     """Limit variance matches the product oracle; sqrt-N envelope with holdout."""
     t0 = time.perf_counter()
-    config = iid_product_experiment(_VAR_GRID, 100_000, workers=workers)
+    config = preset_experiment("iid_product", _VAR_GRID, 100_000, workers=workers)
     sums = {n: cached_sums(cache, config, n) for n in _VAR_GRID}
     fit = variance_scan(config, sums)
     target = exact_d_squared(config.model, config.centered, config.family)
@@ -456,9 +410,9 @@ def check_cumulant_growth(cache: dict | None = None, workers: int = 1) -> CheckR
     t0 = time.perf_counter()
     grid = _VAR_GRID
     presets = (
-        ("chain-pair", chain_pair_experiment(grid, 100_000, workers=workers)),
-        ("iid-product", iid_product_experiment(grid, 100_000, workers=workers)),
-        ("iid-skew", iid_skew_experiment(grid, 400_000, workers=workers)),
+        ("chain-pair", preset_experiment("chain_pair", grid, 100_000, workers=workers)),
+        ("iid-product", preset_experiment("iid_product", grid, 100_000, workers=workers)),
+        ("iid-skew", preset_experiment("iid_skew", grid, 400_000, workers=workers)),
     )
     details = []
     all_ok = True
@@ -507,7 +461,7 @@ def check_berry_esseen(cache: dict | None = None, workers: int = 1) -> CheckResu
     """Kolmogorov distance of standardized sums decays with slope <= -0.15."""
     t0 = time.perf_counter()
     grid = tuple(2**k for k in range(8, 15))
-    config = iid_product_experiment(grid, 50_000, workers=workers)
+    config = preset_experiment("iid_product", grid, 50_000, workers=workers)
     dists = []
     for n in grid:
         s = cached_sums(cache, config, n).centered
@@ -541,7 +495,7 @@ def check_mdp_diagnostic(workers: int = 1) -> CheckResult:
     scaling sequence N^0.1 must also pass the validity scan.
     """
     t0 = time.perf_counter()
-    config = iid_bernoulli_experiment((10_000,), 1_000_000, workers=workers)
+    config = preset_experiment("iid_bernoulli_mdp", (10_000,), 1_000_000, workers=workers)
     a_fn = lambda n: float(n) ** 0.1
     scan_grid = np.geomspace(1e2, 1e12, 11)
     validity = mdp_validity(lambda ns: np.asarray(ns, dtype=float) ** 0.1, GAMMA, scan_grid)
@@ -584,12 +538,9 @@ def check_determinism() -> CheckResult:
     t0 = time.perf_counter()
     ok = True
     details = []
-    for tag, make in (
-        ("chain-pair", chain_pair_experiment),
-        ("iid-bernoulli", iid_bernoulli_experiment),
-    ):
-        cfg1 = make((16, 256), 2000, workers=1)
-        cfg8 = make((16, 256), 2000, workers=8)
+    for tag, preset in (("chain-pair", "chain_pair"), ("iid-bernoulli", "iid_bernoulli_mdp")):
+        cfg1 = preset_experiment(preset, (16, 256), 2000, workers=1)
+        cfg8 = preset_experiment(preset, (16, 256), 2000, workers=8)
         for n in cfg1.n_grid:
             s1 = replicate_sums(cfg1, n)
             s8 = replicate_sums(cfg8, n)

@@ -27,7 +27,7 @@ from nonconv.verification import (
     check_mixing_oracle,
     check_neighborhood_bound,
     check_variance_envelope,
-    iid_bernoulli_experiment,
+    preset_experiment,
 )
 
 WORKERS = 4  # sampling is worker-count invariant (see test_10); 4 keeps budgets loose
@@ -149,7 +149,7 @@ def test_09b_moderate_deviation_estimator_matches_exact_tail():
     # value: counts ~ Bin(N, 1/2), threshold ceil(N/2 + x a_N sqrt(N) d)
     n, x, d = 2500, 1.0, 0.5
     a = n**0.1
-    config = iid_bernoulli_experiment((n,), 100_000, seed=7, workers=WORKERS)
+    config = preset_experiment("iid_bernoulli_mdp", (n,), 100_000, seed=7, workers=WORKERS)
     table = mdp_diagnostic(config, lambda m: float(m) ** 0.1, (x,), d_const=d)
     cell = table.cell(n, x)
     kmin = math.ceil(n / 2 + x * a * math.sqrt(n) * d)

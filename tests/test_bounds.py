@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nonconv.bounds import (
-    AssumptionParams,
     berry_esseen_bound,
     berry_esseen_constant,
-    chernoff_lambda_star,
     chernoff_tail_bound,
     chernoff_tail_log,
     chernoff_threshold,
@@ -25,40 +23,6 @@ from nonconv.bounds import (
     variance_envelope,
 )
 from nonconv.errors import ConfigError, OutOfWindowError
-
-
-class TestAssumptionParams:
-    def test_bounded_gamma_is_inverse_decay_exponent(self):
-        p = AssumptionParams("bounded", a=1.0, d=2.0, eta=0.5)
-        assert p.gamma == pytest.approx(2.0)
-
-    def test_unbounded_gamma_adds_growth_term(self):
-        p = AssumptionParams(
-            "unbounded", a=1.0, d=2.0, eta=0.5, M=3.0, zeta=0.25, growth_exp=2.0, tau=1.0
-        )
-        assert p.gamma == pytest.approx(2.0 + 2.0 * 0.25)
-
-    def test_aliases_normalize(self):
-        assert AssumptionParams("A1", a=1, d=1, eta=1).regime == "bounded"
-        assert (
-            AssumptionParams("a2", a=1, d=1, eta=1, M=1, zeta=0, growth_exp=1, tau=0).regime
-            == "unbounded"
-        )
-
-    def test_sparse_gamma_flattens_with_arity(self):
-        p = AssumptionParams("bounded", a=1.0, d=1.0, eta=0.5)
-        assert p.sparse_gamma(1) == pytest.approx(2.0)
-        assert p.sparse_gamma(3) == pytest.approx(2.0 / 9.0)
-
-    def test_rejections(self):
-        with pytest.raises(ConfigError):
-            AssumptionParams("weird", a=1, d=1, eta=1)
-        with pytest.raises(ConfigError):
-            AssumptionParams("bounded", a=0, d=1, eta=1)
-        with pytest.raises(ConfigError):
-            AssumptionParams("unbounded", a=1, d=1, eta=1)  # missing moment data
-        with pytest.raises(ConfigError):
-            AssumptionParams("unbounded", a=1, d=1, eta=1, M=1, zeta=0, growth_exp=0.5, tau=0)
 
 
 class TestConcentration:
@@ -107,9 +71,6 @@ class TestChernoff:
 
     def test_threshold_and_tuning_point(self):
         assert chernoff_threshold(2.0, 3.5, 1.8) == pytest.approx(2.0 + 1.8 * 3.5)
-        assert chernoff_lambda_star(2.0, 100, 2, 3.5) == pytest.approx(
-            2.0 / (2 * 2 * 100 * 3.5**2)
-        )
 
     def test_mgf_exponent_literal(self):
         lam, n, l, d1, d2, b = 0.03, 256.0, 2, 3.5, 3.6, 1.8

@@ -182,6 +182,18 @@ class TestSimulateCommand:
         assert rc == 2
         assert "unknown statistic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "coeffs", ["[[1, 0, 0], [2, 0]]", "[[2, 0], [1, 0]]"], ids=["square-meets-double", "descending"]
+    )
+    def test_unordered_family_exits_two(self, tmp_path, capsys, coeffs):
+        # no Chernoff check, which needs a linear family: the map order alone
+        # must stop the run
+        text = TINY_CHAIN.replace('bound_checks = ["chernoff"]\n', "")
+        cfg = _write(tmp_path, text + f"\n[family]\nkind = polynomial\ncoeffs = {coeffs}\n")
+        rc = main(["simulate", cfg, "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "strictly ordered" in capsys.readouterr().err
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2
 

@@ -8,7 +8,6 @@ from scipy.stats import kstat
 
 from nonconv.cumulants import (
     cumulants_to_moments,
-    gorc_lambda,
     moments_to_cumulants,
     noncum_bound,
     sample_cumulants,
@@ -82,33 +81,10 @@ class TestSampleCumulants:
         big = sample_cumulants(rng.standard_normal(20_000), k_max=3)
         assert big.std_error(3) < small.std_error(3)
 
-    def test_provenance_and_upper_edge(self):
-        rng = substream_rng(7, 21)
-        vec = sample_cumulants(rng.standard_normal(500), k_max=4)
-        assert vec.provenance == "sample"
-        k3 = vec.cumulant(3)
-        assert vec.upper(3, z=2.0) == pytest.approx(abs(k3) + 2 * vec.std_error(3))
-
     def test_higher_orders_use_plugin_estimates(self):
         rng = substream_rng(8, 21)
         vec = sample_cumulants(rng.standard_normal(3000), k_max=6)
         assert np.isfinite(vec.cumulant(6))
-
-
-class TestRateFunctions:
-    def test_quadratic_case_frozen(self):
-        # order-2 rate: 2 eps exactly
-        for eps in (0.01, 0.3, 2.0):
-            assert gorc_lambda(eps, 2) == pytest.approx(2 * eps, rel=1e-12)
-
-    def test_quartic_case_frozen(self):
-        # order-4 rate: 192 eps + 12 eps^2
-        for eps in (0.1, 1.0, 3.0):
-            assert gorc_lambda(eps, 4) == pytest.approx(192 * eps + 12 * eps**2, rel=1e-9)
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ConfigError):
-            gorc_lambda(-0.1, 2)
 
 
 class TestEnvelopes:

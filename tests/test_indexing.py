@@ -10,9 +10,6 @@ from nonconv.indexing import (
     neighborhood_cap,
     polynomial_family,
     power_sparse_family,
-    rho,
-    rho_set,
-    rho_tilde,
 )
 
 
@@ -61,33 +58,24 @@ class TestFamilies:
         with pytest.raises(ConfigError):
             fam.evaluate(1, 3)
 
+    @pytest.mark.parametrize(
+        "coeffs, where",
+        [
+            ([[1, 0, 0], [2, 0]], "at n = 2: q_1(n) = 4 >= q_2(n) = 4"),  # n^2 meets 2n
+            ([[2, 0], [1, 0]], "at n = 1: q_1(n) = 2 >= q_2(n) = 1"),
+        ],
+        ids=["square-meets-double", "descending"],
+    )
+    def test_unordered_maps_rejected_at_first_n(self, coeffs, where):
+        fam = polynomial_family(coeffs)
+        with pytest.raises(ConfigError) as exc:
+            fam.columns(np.arange(1, 10))
+        assert where in str(exc.value)
+
     def test_evaluation_below_ray_start_is_an_error(self):
         fam = polynomial_family([[1, -3]], ray_start=5)  # n - 3: positive from 4 on
         with pytest.raises(ConfigError):
             fam.evaluate(1, 4)
-
-
-class TestSeparation:
-    def test_rho_oracle_small(self):
-        # min |i n - j m|: n=3, m=5, arity 2 -> |2*3 - 1*5| = 1
-        assert rho(2, 3, 5) == 1
-        assert rho(1, 3, 5) == 2
-        assert rho(2, 4, 2) == 0  # 1*4 == 2*2
-
-    def test_rho_symmetry(self):
-        for n, m in [(3, 7), (10, 4), (6, 6)]:
-            assert rho(3, n, m) == rho(3, m, n)
-
-    def test_rho_tilde_matches_rho_for_linear(self):
-        fam = linear_family(3)
-        for n, m in [(2, 9), (5, 5), (7, 3)]:
-            assert rho_tilde(fam, n, m) == rho(3, n, m)
-
-    def test_rho_set_reduces_to_rho_on_singletons(self):
-        assert rho_set(2, [3], [5]) == rho(2, 3, 5)
-
-    def test_rho_set_takes_minimum_over_pairs(self):
-        assert rho_set(2, [3, 100], [5]) == rho(2, 3, 5)
 
 
 class TestNeighborhood:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.stats import binom
 
 from nonconv.config import build_experiment, parse_config_text
 from nonconv.errors import ConfigError
-from nonconv.indexing import linear_family
+from nonconv.indexing import linear_family, polynomial_family
 from nonconv.montecarlo import (
     CumulantRow,
     CumulantScanReport,
@@ -125,6 +126,20 @@ class TestReplicateSums:
         assert s.centering == "grand-mean"
         assert s.mean_correction == pytest.approx(float(np.mean(s.sums)), abs=1e-12)
         assert abs(float(np.mean(s.centered))) < 1e-10
+
+    @pytest.mark.parametrize(
+        "coeffs", [[[1, 0, 0], [2, 0]], [[2, 0], [1, 0]]], ids=["square-meets-double", "descending"]
+    )
+    def test_unordered_family_is_rejected(self, coeffs):
+        # exact centering needs q_1(n) < q_2(n); such a family is refused
+        # instead of falling back to grand-mean centering
+        cfg = replace(_config(PAIR, 2, (8,), 256), family=polynomial_family(coeffs))
+        with pytest.raises(ConfigError, match="strictly ordered"):
+            replicate_sums(cfg, 8)
+
+    def test_ordered_polynomial_family_centers_exactly(self):
+        cfg = replace(_config(PAIR, 2, (8,), 256), family=polynomial_family([[1, 0], [1, 1, 0]]))
+        assert replicate_sums(cfg, 8).centering == "exact"
 
     def test_grid_helper_covers_all_n(self):
         cfg = _config(RADEMACHER, 1, (16, 64), 256)
@@ -255,10 +270,9 @@ class TestCumulantScan:
         grid = (16, 64, 256)
         by_n = {n: _synthetic_sample(n, n**0.75 * z) for n in grid}
         rep = cumulant_scan(_config(RADEMACHER, 1, grid, 2000), k_max=2, sums_by_n=by_n)
-        assert rep.row(16, 2).estimate == pytest.approx(16.0**1.5, rel=1e-10)
+        assert [(r.n_terms, r.order) for r in rep.rows] == [(16, 2), (64, 2), (256, 2)]
+        assert rep.rows[0].estimate == pytest.approx(16.0**1.5, rel=1e-10)
         assert rep.normalized_slope(2) == pytest.approx(0.5, abs=1e-9)
-        with pytest.raises(KeyError):
-            rep.row(16, 3)
 
     def test_replicate_gate_for_high_orders(self):
         with pytest.raises(ConfigError):
@@ -315,13 +329,13 @@ class TestCalibration:
             CumulantRow(10, 2, 1.0, 0.1, 1.2, 0.1, 0.01),
             CumulantRow(10, 3, 3000.0, 300.0, 3600.0, 0.0, 0.0),
         )
-        scan = CumulantScanReport(n_grid=(10,), k_max=3, rows=rows)
+        scan = CumulantScanReport(n_grid=(10,), rows=rows)
         # envelope unit at k = 3 is 10 * 36; 3600 over that is 10, times safety
         assert calibrate_c0(scan, 1.0) == pytest.approx(15.0, rel=1e-12)
 
     def test_cumulant_constant_floors(self):
         rows = (CumulantRow(10, 3, 0.0, 0.0, 1e-12, 0.0, 0.0),)
-        scan = CumulantScanReport(n_grid=(10,), k_max=3, rows=rows)
+        scan = CumulantScanReport(n_grid=(10,), rows=rows)
         assert calibrate_c0(scan, 1.0) == pytest.approx(1.5e-3, rel=1e-12)
 
     def test_variance_constant_from_fit(self):

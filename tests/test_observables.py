@@ -10,6 +10,7 @@ from nonconv.observables import (
     batch_sums,
     center,
     clipped_poly_observable,
+    decompose,
     exact_d_squared,
     exact_mean_SN,
     family_indices,
@@ -22,6 +23,11 @@ from nonconv.processes import doubling_model, iid_model, markov_model, sample_pa
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
+
+
+def _component_total(c):
+    # sum of the component tables, each broadcast over the axes it lacks
+    return sum(comp.reshape(comp.shape + (1,) * (c.arity - comp.ndim)) for comp in c.components)
 
 
 class TestCatalog:
@@ -67,14 +73,29 @@ class TestCentering:
         pts = np.array(
             [[[1.0], [1.0]], [[1.0], [-1.0]], [[-1.0], [1.0]], [[-1.0], [-1.0]]]
         )
-        total = sum(comp(pts[:, :i]) for i, comp in enumerate(c.components, start=1))
-        np.testing.assert_allclose(total, c.centered(pts), atol=1e-13)
+        np.testing.assert_allclose(_component_total(c), c.centered(pts).reshape(2, 2), atol=1e-13)
+        np.testing.assert_allclose(_component_total(c), c.table, atol=1e-13)
 
     def test_first_component_is_mean_zero(self):
         c = center(product_observable(2), PAIR)
         law = PAIR.marginal()
-        vals = c.components[0](law.atoms[:, None, :])
-        assert float(vals @ law.probs) == pytest.approx(0.0, abs=1e-14)
+        assert c.components[0].shape == (2,)
+        assert float(c.components[0] @ law.probs) == pytest.approx(0.0, abs=1e-14)
+
+    def test_arity_three_components(self):
+        # three atoms, arity 3: component i is an (3,) * i table, the
+        # components broadcast over trailing axes sum to F - mean, and each
+        # integrates to zero over its last axis under the marginal law
+        law = iid_model([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]).marginal()
+        obs = clipped_poly_observable(
+            3, coeffs=[1.0, -0.5, 0.25], degrees=[1, 2, 3], clip=1.5, value_bound=2.0
+        )
+        c = decompose(obs, law)
+        assert [comp.shape for comp in c.components] == [(3,), (3, 3), (3, 3, 3)]
+        np.testing.assert_allclose(_component_total(c), c.table, atol=1e-13)
+        for comp in c.components:
+            np.testing.assert_allclose(comp @ law.probs, 0.0, atol=1e-14)
+        assert c.component_sups == tuple(float(np.max(np.abs(comp))) for comp in c.components)
 
     def test_centering_constant_matches_manual_sum(self):
         obs = product_observable(2)

@@ -10,7 +10,6 @@ from nonconv.processes import (
     alpha_coefficient,
     beta_approx,
     beta_exact_doubling,
-    conditional_law,
     doubling_model,
     doubling_to_markov,
     iid_model,
@@ -89,12 +88,6 @@ class TestAlpha:
                 phi = phi_coefficient(model, n)
                 for pw, fw in [(1, 1), (2, 1), (1, 2), (2, 2)]:
                     assert alpha_coefficient(model, n, pw, fw) <= phi / 2 + 1e-12
-
-    def test_union_events_only_increase_the_supremum(self, pair):
-        plain = alpha_coefficient(pair, 1, 2, 2, unions=False)
-        rich = alpha_coefficient(pair, 1, 2, 2, unions=True)
-        assert rich >= plain - 1e-15
-        assert rich <= phi_coefficient(pair, 1) / 2 + 1e-12
 
 
 class TestBetaApprox:
@@ -297,25 +290,3 @@ class TestMixingProfile:
 
     def test_phi_at_zero_is_one(self, pair):
         assert mixing_profile(pair).phi(0) == 1.0
-
-
-class TestConditionalLaw:
-    def test_reduces_to_stationary_without_conditioning(self, pair):
-        law = conditional_law(pair, [], [3])
-        np.testing.assert_allclose(law, pair.stationary, atol=1e-13)
-
-    def test_one_step_conditioning(self, pair):
-        law = conditional_law(pair, [(2, 0)], [3])
-        np.testing.assert_allclose(law, PAIR[0], atol=1e-13)
-
-    def test_backward_conditioning_uses_bayes(self, pair):
-        # P(X_1 = a | X_2 = b) proportional to pi_a P(a, b)
-        law = conditional_law(pair, [(2, 1)], [1])
-        joint = pair.stationary * np.asarray(PAIR)[:, 1]
-        np.testing.assert_allclose(law, joint / joint.sum(), atol=1e-13)
-
-    def test_zero_probability_conditioning_is_an_error(self):
-        chain = markov_model([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
-                             TRIPLE_VALUES)
-        with pytest.raises(ConfigError):
-            conditional_law(chain, [(1, 0), (2, 2)], [4])

@@ -1,8 +1,10 @@
-"""Every public module-level name of the package has a caller inside it.
+"""Every public name and class member of the package has a reader inside it.
 
-A function, class or constant that only tests reach ships no behaviour, so
-each public name defined at the top of a module under src/nonconv must be
-read somewhere in src/nonconv, as a name or an attribute.
+A function, class, constant, method, property or dataclass field that only
+tests reach ships no behaviour.  So each public name defined at the top of a
+module under src/nonconv must be read somewhere in src/nonconv, as a name or
+an attribute, and each public member of a class defined there must be read
+somewhere in src/nonconv as an attribute.
 """
 
 import ast
@@ -14,15 +16,29 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nonconv"
 ALLOWED = {
     "sample_paths": "perfbench/tracer.py binds it by name to count path draws",
     "beta_exact_doubling": "exact oracle the tests hold beta_approx against",
-    # kept with their tests until a later change removes them (ROADMAP item 4)
-    "AssumptionParams": "regime-to-gamma rule; the config reads gamma directly",
-    "chernoff_lambda_star": "tuning point of the Chernoff derivation",
-    "gorc_lambda": "cluster pricing factor of the cumulant method",
-    "rho": "dilation distance the neighborhood is defined by",
-    "rho_tilde": "general-family separation distance",
-    "rho_set": "dilation distance between index sets",
-    "conditional_law": "exact conditional law of chain states",
 }
+
+# class members kept without a reader in the package, each with its reason:
+# diagnostic fields of result records, which `nonconv verify --json`
+# (ROADMAP item 6) is to emit
+ALLOWED_MEMBERS = {
+    "MdpValidity.grows": "which half of the a_N validity verdict failed",
+    "MdpValidity.damped_vanishes": "which half of the a_N validity verdict failed",
+    "MdpValidity.first_a": "the scanned a_N range behind the verdict",
+    "MdpValidity.last_a": "the scanned a_N range behind the verdict",
+    "MdpValidity.first_damped": "the damped sequence's range behind the verdict",
+    "MdpValidity.last_damped": "the damped sequence's range behind the verdict",
+    "MartingaleCheck.mode": "whether the increments were checked exhaustively or sampled",
+    "MartingaleCheck.worst_time": "the step of the worst conditional-mean offset",
+    "MartingaleCheck.worst_level": "the level of the worst conditional-mean offset",
+    "TelescopingReport.max_error": "the rounding error behind the telescoping verdict",
+    "VarianceFit.c1_hat": "the envelope constant before its 2-SE padding",
+    "MdpTable.d_const": "the normalizer the tail cells were computed with",
+}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
 def _defined(tree):
@@ -35,16 +51,28 @@ def _defined(tree):
             yield node.target.id
 
 
-def _read(tree):
+def _members(tree):
+    """(class, member) for the methods, properties and annotated fields of top-level classes."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield cls.name, node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id
+
+
+def _read(tree, attributes_only=False):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
+        elif not attributes_only and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
 
 
 def test_every_public_name_has_a_caller():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     read = {name for tree in trees.values() for name in _read(tree)}
     defined = {(module, name) for module, tree in trees.items() for name in _defined(tree)}
     unread = sorted(
@@ -54,3 +82,27 @@ def test_every_public_name_has_a_caller():
     )
     assert unread == []
     assert set(ALLOWED) <= {name for _, name in defined}
+
+
+def test_every_public_member_has_a_reader():
+    trees = _trees()
+    read = {name for tree in trees.values() for name in _read(tree, attributes_only=True)}
+    members = {f"{cls}.{name}" for tree in trees.values() for cls, name in _members(tree)}
+    unread = sorted(
+        member
+        for member in members
+        if not member.split(".")[1].startswith("_")
+        and member.split(".")[1] not in read
+        and member not in ALLOWED_MEMBERS
+    )
+    assert unread == []
+    assert set(ALLOWED_MEMBERS) <= members
+
+
+def test_allow_lists_hold_only_unread_names():
+    # a name that gains a reader leaves its allow-list
+    trees = _trees()
+    read = {name for tree in trees.values() for name in _read(tree)}
+    read_attributes = {name for tree in trees.values() for name in _read(tree, attributes_only=True)}
+    assert sorted(name for name in ALLOWED if name in read) == []
+    assert sorted(m for m in ALLOWED_MEMBERS if m.split(".")[1] in read_attributes) == []

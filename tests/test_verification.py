@@ -2,14 +2,14 @@ import numpy as np
 
 from nonconv import verification
 from nonconv.montecarlo import replicate_sums
-from nonconv.verification import cached_sums, chain_pair_experiment, iid_product_experiment
+from nonconv.verification import cached_sums, preset_experiment
 
 
 def test_cache_keeps_models_apart():
     # same N, replicate count and seed, different models: each gets its own sums
     cache = {}
-    chain = chain_pair_experiment((16,), 200, seed=5)
-    iid = iid_product_experiment((16,), 200, seed=5)
+    chain = preset_experiment("chain_pair", (16,), 200, seed=5)
+    iid = preset_experiment("iid_product", (16,), 200, seed=5)
     got_chain = cached_sums(cache, chain, 16)
     got_iid = cached_sums(cache, iid, 16)
     assert len(cache) == 2
@@ -30,7 +30,7 @@ def test_equal_presets_built_separately_are_sampled_once(monkeypatch):
 
     monkeypatch.setattr(verification, "replicate_sums", counted)
     cache = {}
-    first = cached_sums(cache, chain_pair_experiment((16,), 200, workers=1), 16)
-    again = cached_sums(cache, chain_pair_experiment((16,), 200, workers=2), 16)
+    first = cached_sums(cache, preset_experiment("chain_pair", (16,), 200, workers=1), 16)
+    again = cached_sums(cache, preset_experiment("chain_pair", (16,), 200, workers=2), 16)
     assert calls == [16]
     assert again is first
