@@ -18,7 +18,6 @@ import nonconv
 from nonconv.bounds import (
     berry_esseen_bound,
     chernoff_tail_bound,
-    chernoff_threshold,
     concentration_bound,
     mdp_rate,
     moddev_envelope,
@@ -29,9 +28,13 @@ from nonconv.config import build_experiment, effective_sections, load_config
 from nonconv.errors import BudgetError, CheckFailure, ConfigError, OutOfWindowError
 from nonconv.martingale import build_decomposition
 from nonconv.montecarlo import (
+    chernoff_refutations,
     cumulant_scan,
+    default_thresholds,
     kolmogorov_distance,
     mdp_diagnostic,
+    require_cumulant_replicates,
+    require_variance_grid,
     sums_over_grid,
     tail_estimate,
     variance_scan,
@@ -61,8 +64,7 @@ def _threshold_grid(extras: dict, centered: np.ndarray) -> np.ndarray:
     sec = extras.get("tails", {})
     if "thresholds" in sec:
         return np.asarray(sec["thresholds"])
-    sigma = float(np.std(centered, ddof=1))
-    return np.linspace(0.5, 5.0, 10) * sigma
+    return default_thresholds(centered)
 
 
 def _stat_tails(exp, sums, out, manifest):
@@ -88,7 +90,7 @@ def _stat_variance(exp, sums, out, manifest):
 
 
 def _stat_cumulants(exp, sums, out, manifest):
-    scan = cumulant_scan(exp.config, k_max=4, sums_by_n=sums)
+    scan = cumulant_scan(exp.config, sums_by_n=sums)
     rows = [
         (r.n_terms, r.order, r.estimate, r.std_error, r.normalized, r.normalized_se)
         for r in scan.rows
@@ -148,30 +150,24 @@ _STATS = {
 }
 
 
-def _decomp_for(exp, n):
-    sec = exp.extras.get("martingale", {})
-    return build_decomposition(
-        exp.model,
-        exp.centered,
-        exp.family,
-        n,
-        smoothing_radius=sec.get("smoothing_radius", 0),
-    )
+def _decompositions(exp):
+    """The martingale decomposition at every N of the grid, for the Chernoff check."""
+    config = exp.config
+    radius = exp.extras.get("martingale", {}).get("smoothing_radius", 0)
+    return {
+        n: build_decomposition(
+            config.model, config.centered, config.family, n, smoothing_radius=radius
+        )
+        for n in config.n_grid
+    }
 
 
-def _check_chernoff(exp, sums, manifest):
+def _check_chernoff(exp, sums, decomps, manifest):
+    b = exp.extras.get("martingale", {}).get("b", 1.0)
     refuted = 0
-    sec = exp.extras.get("martingale", {})
-    b = sec.get("b", 1.0)
     for n in exp.config.n_grid:
-        d = _decomp_for(exp, n)
         s = sums[n].centered
-        for t in _threshold_grid(exp.extras, s):
-            bound = chernoff_tail_bound(
-                float(t), n, d.arity, d.delta1_plain, d.delta2_plain, b
-            )
-            if tail_estimate(s, chernoff_threshold(float(t), d.delta2_plain, b)).lower > bound:
-                refuted += 1
+        refuted += chernoff_refutations(s, _threshold_grid(exp.extras, s), decomps[n], b)
     manifest.record("chernoff", "fail" if refuted else "pass")
     manifest.notes["chernoff_refuted_points"] = refuted
 
@@ -191,7 +187,7 @@ def _check_concentration(exp, sums, manifest):
     manifest.notes["concentration_refuted_points"] = refuted
 
 
-_BOUND_CHECKS = {"chernoff": _check_chernoff, "concentration": _check_concentration}
+_BOUND_CHECKS = ("chernoff", "concentration")
 
 
 def _emit(out_dir, name, header, rows, manifest):
@@ -216,6 +212,12 @@ def _cmd_simulate(args) -> int:
     for name in exp.config.bound_checks:
         if name not in _BOUND_CHECKS:
             raise ConfigError(f"unknown bound check {name!r}; choose from {sorted(_BOUND_CHECKS)}")
+    # preconditions that the config alone settles fail here, before any draw or file
+    if "variance" in exp.config.statistics:
+        require_variance_grid(exp.config.n_grid)
+    if "cumulants" in exp.config.statistics:
+        require_cumulant_replicates(exp.config.n_replicates)
+    decomps = _decompositions(exp) if "chernoff" in exp.config.bound_checks else {}
 
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest(
@@ -244,7 +246,10 @@ def _cmd_simulate(args) -> int:
     for name in exp.config.statistics:
         _STATS[name](exp, sums, args.out_dir, manifest)
     for name in exp.config.bound_checks:
-        _BOUND_CHECKS[name](exp, sums, manifest)
+        if name == "chernoff":
+            _check_chernoff(exp, sums, decomps, manifest)
+        else:
+            _check_concentration(exp, sums, manifest)
 
     manifest.wall_clock_s = time.perf_counter() - t0
     write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)
@@ -295,10 +300,9 @@ def _cmd_verify(args) -> int:
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
-        tag = {"pass": "PASS", "fail": "FAIL"}.get(r.status, "INCONCLUSIVE")
         if r.status == "fail":
             failed += 1
-        print(f"{tag:4s} {r.name:<{width}s} ({r.seconds:7.2f}s)  {r.detail}")
+        print(f"{r.status.upper():4s} {r.name:<{width}s} ({r.seconds:7.2f}s)  {r.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily, linear_family, polynomial_family, power_sparse_family
 from nonconv.montecarlo import ExperimentConfig
-from nonconv.observables import CATALOG, CenteredObservable, Observable, center
+from nonconv.observables import CATALOG, Observable, center
 from nonconv.processes import ProcessModel, doubling_model, iid_model, markov_model
 
 _BARE_WORD_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
@@ -226,9 +226,6 @@ class Experiment:
     """Everything a run needs: the experiment config plus loose parameters."""
 
     config: ExperimentConfig
-    model: ProcessModel
-    centered: CenteredObservable
-    family: IndexFamily
     gamma: float
     extras: dict  # remaining optional sections, known keys converted (_EXTRA_KEYS)
 
@@ -281,14 +278,7 @@ def build_experiment(
     if not gamma > 0:
         line = raw.header_lines.get("bounds", raw.header_lines["run"])
         raise ConfigError(f"{raw.path}:{line}: gamma must be positive")
-    return Experiment(
-        config=config,
-        model=model,
-        centered=centered,
-        family=family,
-        gamma=gamma,
-        extras=extras,
-    )
+    return Experiment(config=config, gamma=gamma, extras=extras)
 
 
 def effective_sections(raw: RawConfig, config: ExperimentConfig) -> dict:

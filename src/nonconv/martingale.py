@@ -45,6 +45,12 @@ from nonconv.processes import (
     sample_state_paths,
 )
 
+_TAIL_TARGET = 1e-8  # certified truncation tail the horizon doubling must reach
+_HORIZON_CAP = 4096  # largest horizon tried before the construction gives up
+_TOL = 1e-8  # conditional-mean offset allowed on top of the truncation tail
+_CONDITION_BUDGET = 1_000_000  # cap on enumerated conditions per increment
+_TELESCOPING_TOL = 1e-9  # relative rounding allowed in the telescoping identity
+
 
 # ---------------------------------------------------------------------------
 # summed mixing coefficients
@@ -205,19 +211,17 @@ def build_decomposition(
     family: IndexFamily,
     n_terms: int,
     smoothing_radius: int = 0,
-    horizon: int | None = None,
-    tail_target: float = 1e-8,
-    horizon_cap: int = 4096,
 ) -> MartingaleDecomposition:
     """Assemble the increment machinery for one (model, observable, N) triple.
 
     Only linear index families are supported (the per-level streams need the
-    arithmetic-progression structure).  The doubling map is converted to its
-    exact bit-window chain; its smoothing radius must reach the table level,
-    beyond which the smoothed summands coincide with the exact ones and the
-    approximation-rate term vanishes.  The horizon is doubled until the
-    certified truncation tail drops below ``tail_target`` unless fixed
-    explicitly.
+    arithmetic-progression structure).  Every model goes through its exact
+    chain (``as_chain``): an i.i.d. law as the chain whose rows are that law,
+    the doubling map as its bit-window chain, whose smoothing radius must
+    reach the table level, beyond which the smoothed summands coincide with
+    the exact ones and the approximation-rate term vanishes.  The horizon
+    starts at 8 and doubles until the certified truncation tail is at most
+    1e-8; a tail still above that at horizon 4096 raises ConfigError.
     """
     if family.kind != "linear" or family.arity != centered.arity:
         raise ConfigError("martingale construction needs the linear family of matching arity")
@@ -241,22 +245,17 @@ def build_decomposition(
             for i in range(1, centered.arity + 1)
         )
 
-    if horizon is None:
-        H = 8
-        while (tail := tail_at(H)) > tail_target and H < horizon_cap:
-            H *= 2
-        if tail > tail_target:
-            raise ConfigError(
-                f"truncation tail {tail:.3e} above target {tail_target:.1e} at horizon cap {horizon_cap}"
-            )
-    else:
-        H = int(horizon)
-        if H < 1:
-            raise ConfigError("horizon must be positive")
-        tail = tail_at(H)
+    H = 8
+    while (tail := tail_at(H)) > _TAIL_TARGET and H < _HORIZON_CAP:
+        H *= 2
+    if tail > _TAIL_TARGET:
+        raise ConfigError(
+            f"truncation tail {tail:.3e} above target {_TAIL_TARGET:.1e} "
+            f"at horizon cap {_HORIZON_CAP}"
+        )
 
     value, tail_sum = varphi_sum(mixing, cutoff=64)
-    beta_term = beta_approx(model, math.inf, smoothing_radius) ** centered.base.holder_exp
+    beta_term = beta_approx(model, smoothing_radius) ** centered.base.holder_exp
     return MartingaleDecomposition(
         chain=chain,
         centered=centered,
@@ -280,8 +279,6 @@ def build_decomposition(
 class PathEvaluation:
     """Per-replicate sums, terminal martingale values, and boundary predictions."""
 
-    master_seed: int
-    n_replicates: int
     sums: np.ndarray  # (B,) S_N
     martingale: np.ndarray  # (B,) terminal M
     r_start: np.ndarray  # (arity,) deterministic R_{i,0}
@@ -293,21 +290,16 @@ class PathEvaluation:
 
 
 def evaluate_paths(
-    decomp: MartingaleDecomposition,
-    master_seed: int,
-    n_replicates: int,
-    first_replicate: int = 0,
+    decomp: MartingaleDecomposition, master_seed: int, n_replicates: int
 ) -> PathEvaluation:
-    """Evaluate S_N, all increments, and the terminal martingale on a batch.
+    """Evaluate S_N, all increments, and the terminal martingale on replicates 0..n-1.
 
     Replicates use the same counter-based streams as plain path sampling, so
     the sums agree with the sampling engine's for identical seeds.
     """
     L, N = decomp.arity, decomp.n_terms
     LN = L * N
-    states = sample_state_paths(
-        decomp.chain, np.arange(1, LN + 1), master_seed, n_replicates, first_replicate
-    )
+    states = sample_state_paths(decomp.chain, np.arange(1, LN + 1), master_seed, n_replicates)
     getcol = lambda p: states[:, p - 1]
     B = n_replicates
 
@@ -335,8 +327,6 @@ def evaluate_paths(
                 r_end[:, i - 1] = r_m
     martingale = increments.sum(axis=1)
     return PathEvaluation(
-        master_seed=master_seed,
-        n_replicates=B,
         sums=sums,
         martingale=martingale,
         r_start=r_start,
@@ -351,7 +341,6 @@ def evaluate_paths(
 
 @dataclass(frozen=True)
 class MartingaleCheck:
-    mode: str
     max_abs: float
     allowance: float
     tol: float
@@ -361,32 +350,19 @@ class MartingaleCheck:
     passed: bool
 
 
-def check_martingale(
-    decomp: MartingaleDecomposition,
-    mode: str = "exhaustive",
-    tol: float = 1e-8,
-    master_seed: int = 0,
-    n_replicates: int = 256,
-    condition_budget: int = 1_000_000,
-) -> MartingaleCheck:
-    """Verify E[W_{i,m} | path to m-1] = 0 up to the certified truncation.
+def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
+    """Verify E[W_{i,m} | path to m-1] = 0 up to the certified truncation, exhaustively.
 
-    Exhaustive mode enumerates every assignment of states to the positions an
-    increment actually reads (the kernel identity is pointwise, so this is
-    the full conditional-mean check); sampled mode evaluates the same
-    conditional means along simulated pasts.  The report carries the worst
-    offender and the allowance tol + tail_error it is compared against.
+    Every assignment of states to the positions an increment actually reads
+    is enumerated (the kernel identity is pointwise, so this is the full
+    conditional-mean check); more than 10^6 conditions for one increment
+    raise ConfigError.  The report carries the worst offender and the
+    allowance it is compared against: tol = 1e-8 plus the certified
+    truncation tail.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ConfigError("mode must be 'exhaustive' or 'sampled'")
     L, N, S = decomp.arity, decomp.n_terms, decomp.chain.n_states
     LN = L * N
     P = decomp.chain.transition
-    sampled_states = None
-    if mode == "sampled":
-        sampled_states = sample_state_paths(
-            decomp.chain, np.arange(1, LN + 1), master_seed, n_replicates
-        )
 
     worst = 0.0
     worst_at = (0, 0)
@@ -409,22 +385,18 @@ def check_martingale(
                 past.add(m - 1)
             pos = sorted(past)
 
-            if mode == "exhaustive":
-                n_prof = S ** len(pos)
-                if n_prof * S > condition_budget:
-                    raise ConfigError(
-                        f"exhaustive check needs {n_prof * S} conditions at step {m}, over budget"
-                    )
-                if n_prof == 1:
-                    grid = np.zeros((1, 0), dtype=np.int64)
-                else:
-                    mesh = np.meshgrid(*([np.arange(S)] * len(pos)), indexing="ij")
-                    grid = np.stack([g.ravel() for g in mesh], axis=1)
-                B0 = grid.shape[0]
-                col_of = {p: grid[:, t] for t, p in enumerate(pos)}
+            n_prof = S ** len(pos)
+            if n_prof * S > _CONDITION_BUDGET:
+                raise ConfigError(
+                    f"exhaustive check needs {n_prof * S} conditions at step {m}, over budget"
+                )
+            if n_prof == 1:
+                grid = np.zeros((1, 0), dtype=np.int64)
             else:
-                B0 = n_replicates
-                col_of = {p: sampled_states[:, p - 1] for p in pos}
+                mesh = np.meshgrid(*([np.arange(S)] * len(pos)), indexing="ij")
+                grid = np.stack([g.ravel() for g in mesh], axis=1)
+            B0 = grid.shape[0]
+            col_of = {p: grid[:, t] for t, p in enumerate(pos)}
             n_conditions += B0
 
             # batch = (profile, step-state) pairs; the step state integrates out
@@ -456,14 +428,13 @@ def check_martingale(
 
     allowance = decomp.tail_error
     return MartingaleCheck(
-        mode=mode,
         max_abs=worst,
         allowance=allowance,
-        tol=tol,
+        tol=_TOL,
         worst_time=worst_at[0],
         worst_level=worst_at[1],
         n_conditions=n_conditions,
-        passed=worst <= tol + allowance,
+        passed=worst <= _TOL + allowance,
     )
 
 
@@ -474,16 +445,17 @@ class TelescopingReport:
     passed: bool
 
 
-def telescoping_check(evaluation: PathEvaluation, tol: float = 1e-9) -> TelescopingReport:
+def telescoping_check(evaluation: PathEvaluation) -> TelescopingReport:
     """The summed increments must reproduce S_N minus the boundary predictions.
 
     Collapsing the increment sum stream by stream leaves the per-stream Y
     total plus R at the final stream time minus R at time zero, so
     S_N - M = sum_i (R_{i,0} - R_{i,i*N}) exactly; this checks the
-    implementation only for accumulated rounding, scaled by the batch max.
+    implementation only for accumulated rounding, scaled by the batch max,
+    against tol = 1e-9.
     """
     lhs = evaluation.sums - evaluation.martingale
     rhs = (evaluation.r_start[None, :] - evaluation.r_end).sum(axis=1)
     scale = max(1.0, float(np.max(np.abs(evaluation.sums))))
     err = float(np.max(np.abs(lhs - rhs))) / scale
-    return TelescopingReport(max_error=err, tol=tol, passed=err <= tol)
+    return TelescopingReport(max_error=err, tol=_TELESCOPING_TOL, passed=err <= _TELESCOPING_TOL)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import beta as _beta_dist
 
-from nonconv.bounds import chernoff_threshold, mdp_gaussian_rate, mdp_rate
+from nonconv.bounds import chernoff_tail_bound, chernoff_threshold, mdp_gaussian_rate, mdp_rate
 from nonconv.cumulants import sample_cumulants
 from nonconv.errors import CheckFailure, ConfigError
 from nonconv.indexing import IndexFamily
@@ -40,7 +40,9 @@ from nonconv.processes import IIDModel, ProcessModel
 from nonconv.rng import replicate_rng, substream_rng
 
 BLOCK = 512  # replicate block size; fixed so worker count cannot affect blocking
-_BOOT_PURPOSE = 3
+_ALPHA = 0.05  # tail intervals are two-sided 95% Clopper-Pearson
+_N_BOOT = 999  # bootstrap resamples
+_BOOT_PURPOSE = 3  # substream of the bootstrap resampling
 
 
 @dataclass(frozen=True)
@@ -205,8 +207,8 @@ class TailEstimate:
     n_replicates: int
 
 
-def tail_estimate(samples: np.ndarray, x: float, alpha: float = 0.05) -> TailEstimate:
-    """Exact-count estimate of P(sample >= x) with a Clopper-Pearson interval."""
+def tail_estimate(samples: np.ndarray, x: float) -> TailEstimate:
+    """Exact-count estimate of P(sample >= x) with a 95% Clopper-Pearson interval."""
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ConfigError("no samples")
@@ -214,8 +216,8 @@ def tail_estimate(samples: np.ndarray, x: float, alpha: float = 0.05) -> TailEst
         raise ConfigError("tail estimation needs at least 100 replicates")
     R = s.size
     c = int(np.count_nonzero(s >= x))
-    lower = 0.0 if c == 0 else float(_beta_dist.ppf(alpha / 2.0, c, R - c + 1))
-    upper = 1.0 if c == R else float(_beta_dist.ppf(1.0 - alpha / 2.0, c + 1, R - c))
+    lower = 0.0 if c == 0 else float(_beta_dist.ppf(_ALPHA / 2.0, c, R - c + 1))
+    upper = 1.0 if c == R else float(_beta_dist.ppf(1.0 - _ALPHA / 2.0, c + 1, R - c))
     return TailEstimate(
         threshold=float(x), p_hat=c / R, lower=lower, upper=upper, count=c, n_replicates=R
     )
@@ -241,19 +243,15 @@ def kolmogorov_distance(samples: np.ndarray, center: float, scale: float) -> flo
 
 
 def bootstrap_se(
-    values: np.ndarray,
-    statistic: Callable[[np.ndarray], float],
-    master_seed: int,
-    n_boot: int = 999,
-    purpose: int = _BOOT_PURPOSE,
+    values: np.ndarray, statistic: Callable[[np.ndarray], float], master_seed: int
 ) -> tuple[float, float]:
-    """(point value, bootstrap standard error) with a seeded resampling stream."""
+    """(point value, bootstrap standard error over 999 resamples) from a seeded stream."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise ConfigError("bootstrap needs at least two values")
-    rng = substream_rng(master_seed, purpose)
-    stats = np.empty(n_boot)
-    for t in range(n_boot):
+    rng = substream_rng(master_seed, _BOOT_PURPOSE)
+    stats = np.empty(_N_BOOT)
+    for t in range(_N_BOOT):
         stats[t] = statistic(v[rng.integers(0, v.size, size=v.size)])
     return float(statistic(v)), float(np.std(stats, ddof=1))
 
@@ -261,6 +259,12 @@ def bootstrap_se(
 # ---------------------------------------------------------------------------
 # variance scan
 # ---------------------------------------------------------------------------
+
+
+def require_variance_grid(n_grid: Sequence[int]) -> None:
+    """Raise ConfigError unless the N grid spans the factor of 16 a variance scan needs."""
+    if max(n_grid) < 16 * min(n_grid):
+        raise ConfigError("variance scan needs an N grid spanning a factor of 16")
 
 
 @dataclass(frozen=True)
@@ -287,8 +291,7 @@ def variance_scan(
     variant for calibration.
     """
     grid = config.n_grid
-    if max(grid) < 16 * min(grid):
-        raise ConfigError("variance scan needs an N grid spanning a factor of 16")
+    require_variance_grid(grid)
     if sums_by_n is None:
         sums_by_n = sums_over_grid(config)
     variances = np.empty(len(grid))
@@ -422,7 +425,6 @@ class CumulantRow:
 
 @dataclass(frozen=True)
 class CumulantScanReport:
-    n_grid: tuple[int, ...]
     rows: tuple[CumulantRow, ...]
 
     def normalized_slope(self, order: int) -> float:
@@ -439,22 +441,23 @@ class CumulantScanReport:
         return float(np.polyfit(ns, vs, 1)[0])
 
 
-def cumulant_scan(
-    config: ExperimentConfig,
-    k_max: int = 4,
-    sums_by_n: dict[int, SumSample] | None = None,
-) -> CumulantScanReport:
-    """Jackknifed cumulant estimates of the centered sums over the N grid."""
-    if not (2 <= k_max <= 4):
-        raise ConfigError("k_max must be 2..4 for jackknifed scanning")
-    if config.n_replicates < 10_000 and k_max >= 3:
+def require_cumulant_replicates(n_replicates: int) -> None:
+    """Raise ConfigError below the 10^4 replicates a cumulant scan needs."""
+    if n_replicates < 10_000:
         raise ConfigError("cumulant scan needs >= 10^4 replicates for k up to 4")
+
+
+def cumulant_scan(
+    config: ExperimentConfig, sums_by_n: dict[int, SumSample] | None = None
+) -> CumulantScanReport:
+    """Jackknifed cumulant estimates of orders 2..4 of the centered sums over the N grid."""
+    require_cumulant_replicates(config.n_replicates)
     if sums_by_n is None:
         sums_by_n = sums_over_grid(config)
     rows = []
     for n in config.n_grid:
-        vec = sample_cumulants(sums_by_n[n].centered, k_max=k_max, jackknife=True)
-        for k in range(2, k_max + 1):
+        vec = sample_cumulants(sums_by_n[n].centered)
+        for k in range(2, 5):
             est = vec.cumulant(k)
             se = vec.std_error(k)
             scale = n ** (-k / 2.0)
@@ -469,7 +472,7 @@ def cumulant_scan(
                     normalized_se=se * scale,
                 )
             )
-    return CumulantScanReport(n_grid=tuple(config.n_grid), rows=tuple(rows))
+    return CumulantScanReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +501,30 @@ def calibrate_c0(scan: CumulantScanReport, gamma: float) -> float:
 def calibrate_C1(fit: VarianceFit) -> float:
     """Variance envelope constant: the fit's conservative sqrt(N) constant."""
     return max(_FLOOR, fit.c1_conservative) * SAFETY
+
+
+def default_thresholds(samples: np.ndarray) -> np.ndarray:
+    """The ten tail thresholds 0.5, 1.0, ..., 5.0 times the sample standard deviation."""
+    return np.linspace(0.5, 5.0, 10) * float(np.std(samples, ddof=1))
+
+
+def chernoff_refutations(
+    samples: np.ndarray,
+    t_grid: Sequence[float],
+    decomp: MartingaleDecomposition,
+    b_const: float,
+) -> int:
+    """How many t of the grid refute the Chernoff display at the CI edge.
+
+    A point refutes it when the lower Clopper-Pearson edge of
+    P(S_N >= t + B delta2) lies above exp(-t^2 / (4 B^2 N arity delta1^2)).
+    """
+    d1, d2 = decomp.delta1_plain, decomp.delta2_plain
+    return sum(
+        tail_estimate(samples, chernoff_threshold(t, d2, b_const)).lower
+        > chernoff_tail_bound(t, decomp.n_terms, decomp.arity, d1, d2, b_const)
+        for t in t_grid
+    )
 
 
 def calibrate_B(
@@ -533,16 +560,7 @@ def calibrate_B(
 
     b = req
     while b <= _B_CAP:
-        ok = True
-        for t in t_grid:
-            if t <= 0:
-                continue
-            te = tail_estimate(s, chernoff_threshold(t, d2, b))
-            bound = math.exp(-(t * t) / (4.0 * b * b * N * L * d1 * d1))
-            if te.lower > bound:
-                ok = False
-                break
-        if ok:
+        if chernoff_refutations(s, t_grid, decomp, b) == 0:
             return b * SAFETY
         b *= 1.25
     raise CheckFailure("no feasible martingale constant B below the scan cap")

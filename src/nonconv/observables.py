@@ -36,8 +36,6 @@ class Observable:
     ``fn`` maps an array of argument tuples, shape (n, arity, dim), to (n,)
     values.  ``bound_const`` (K), ``holder_exp`` (kappa) and ``growth_exp``
     (lambda) declare the regularity class: growth_exp = 0 means bounded by K.
-    ``product_factors``, when present, give F as a product of one-argument
-    factors (used by the exact variance formula).
     """
 
     arity: int
@@ -47,9 +45,6 @@ class Observable:
     holder_exp: float = 1.0
     growth_exp: float = 0.0
     name: str = "custom"
-    product_factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self):
         if self.arity < 1 or self.dim < 1:
@@ -93,9 +88,6 @@ class CenteredObservable:
     def arity(self) -> int:
         return self.base.arity
 
-    def centered(self, points: np.ndarray) -> np.ndarray:
-        return self.base(points) - self.mean
-
     def table_for(self, model: ProcessModel) -> np.ndarray:
         """``table``, after checking that ``model``'s states index the same atoms."""
         atoms = model.marginal().atoms
@@ -116,7 +108,6 @@ def product_observable(arity: int, dim: int = 1, coord: int = 0, value_bound: fl
     def fn(pts):
         return np.prod(pts[:, :, coord], axis=1)
 
-    factors = tuple((lambda p: p[:, coord]) for _ in range(arity))
     return Observable(
         arity=arity,
         dim=dim,
@@ -125,7 +116,6 @@ def product_observable(arity: int, dim: int = 1, coord: int = 0, value_bound: fl
         holder_exp=1.0,
         growth_exp=0.0,
         name="product",
-        product_factors=factors,
     )
 
 
@@ -361,25 +351,21 @@ def exact_mean_SN(
 def exact_d_squared(
     model: ProcessModel, centered: CenteredObservable, family: IndexFamily
 ) -> float | None:
-    """Exact limiting variance per term when a closed form applies, else None.
+    """Exact limiting variance D^2 of S_N / sqrt(N) when a closed form applies, else None.
 
-    i.i.d. with arity 1: the marginal variance of F.  i.i.d. with a product
-    observable whose factors are all centered: cross terms vanish because any
-    two distinct terms of an ordered family differ in at least one index, so
-    the limit is the product of the factor second moments.
+    The closed form holds for an i.i.d. model whose telescoping components
+    F_1, ..., F_{arity-1} all vanish (sup at most 1e-12), on a family of
+    strictly increasing maps as IndexFamily documents.  Then two distinct
+    terms are uncorrelated: the later term's last index exceeds every other
+    index of both terms, and integrating that independent value out leaves
+    G_{arity-1} - mean = F_1 + ... + F_{arity-1} = 0.  So Var S_N is N times
+    the product-law mean of the centered table squared, which is D^2 (at
+    arity 1, the marginal variance of F).  Chains, and i.i.d. models with a
+    live lower component, get None.
     """
     if not isinstance(model, IIDModel):
         return None
-    law = centered.law
-    if centered.arity == 1:
-        return float(law.probs @ centered.table**2)
-    factors = centered.base.product_factors
-    if factors is None:
+    if max(centered.component_sups[:-1], default=0.0) > 1e-12:
         return None
-    out = 1.0
-    for f in factors:
-        fv = np.asarray(f(law.atoms), dtype=float)
-        if abs(float(law.probs @ fv)) > 1e-12:
-            return None  # a non-centered factor leaves live cross terms
-        out *= float(law.probs @ fv**2)
-    return out
+    table = centered.table_for(model).ravel()
+    return float(table**2 @ _product_weights(model.law, centered.arity))

@@ -68,8 +68,6 @@ class MarkovChainModel:
     values: np.ndarray  # (S, dim)
     stationary: np.ndarray  # (S,)
 
-    kind = "finite-markov"
-
     @property
     def n_states(self) -> int:
         return self.transition.shape[0]
@@ -98,8 +96,6 @@ class DoublingMapModel:
     holder_const: float
     holder_exp: float
 
-    kind = "doubling-map"
-
     @property
     def dim(self) -> int:
         return self.table.shape[1]
@@ -114,8 +110,6 @@ class IIDModel:
     """Independent draws from a finite discrete law."""
 
     law: FiniteLaw
-
-    kind = "iid"
 
     @property
     def dim(self) -> int:
@@ -396,30 +390,26 @@ def _matrix_power(P: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def phi_coefficient(model: ProcessModel, n: int) -> float:
-    """Uniform-mixing coefficient at gap ``n``; by convention the value at 0 is 1.
+def phi_coefficient(model: MarkovChainModel, n: int) -> float:
+    """Uniform-mixing coefficient of a chain at gap ``n``; by convention the value at 0 is 1.
 
-    For a chain this is the worst total-variation distance between an n-step
-    row and the stationary law: conditioning on any positive-probability past
-    event reduces to conditioning on the current state, and the supremum over
+    This is the worst total-variation distance between an n-step row and the
+    stationary law: conditioning on any positive-probability past event
+    reduces to conditioning on the current state, and the supremum over
     future events of the conditional-minus-marginal gap is the TV distance,
-    which is invariant under extending the future window.
+    which is invariant under extending the future window.  Other models go
+    through ``as_chain`` first; an i.i.d. law's chain has identical rows, so
+    its phi vanishes at every positive gap.
     """
     if n < 0:
         raise ConfigError("gap must be nonnegative")
     if n == 0:
         return 1.0
-    if isinstance(model, MarkovChainModel):
-        Pn = _matrix_power(model.transition, n)
-        tv = float(0.5 * np.max(np.abs(Pn - model.stationary[None, :]).sum(axis=1)))
-        # below _TV_NOISE the residual is rounding debris that stops shrinking
-        # with n; snap to 0 so decay certificates downstream can terminate
-        return 0.0 if tv < _TV_NOISE else tv
-    if isinstance(model, (IIDModel, DoublingMapModel)):
-        # doubling map: past and future bit algebras are independent; all
-        # dependence is carried by the approximation rate instead
-        return 0.0
-    raise ConfigError(f"unknown model kind: {model!r}")
+    Pn = _matrix_power(model.transition, n)
+    tv = float(0.5 * np.max(np.abs(Pn - model.stationary[None, :]).sum(axis=1)))
+    # below _TV_NOISE the residual is rounding debris that stops shrinking
+    # with n; snap to 0 so decay certificates downstream can terminate
+    return 0.0 if tv < _TV_NOISE else tv
 
 
 def _tuples(n_states: int, length: int) -> np.ndarray:
@@ -493,17 +483,15 @@ def alpha_coefficient(
     return 0.0 if val < _TV_NOISE else val
 
 
-def beta_approx(model: ProcessModel, q: float, r: int) -> float:
-    """Certified bound on the L^q distance between the process value and its
-    conditional expectation given a radius-``r`` window of the driving noise.
+def beta_approx(model: ProcessModel, r: int) -> float:
+    """Certified bound on the sup-norm distance between the process value and
+    its conditional expectation given a radius-``r`` window of the driving noise.
 
     Chains and i.i.d. models are measurable at radius 0, so the rate is 0.
     For the doubling map, a radius-r window pins the first r bits of the
     shifted point, so the gap is at most the declared Holder oscillation over
     a cell of width 2^-r, and exactly 0 once r reaches the table level.
     """
-    if q <= 0:
-        raise ConfigError("norm index must be positive")
     if r < 0:
         raise ConfigError("radius must be nonnegative")
     if isinstance(model, (MarkovChainModel, IIDModel)):
@@ -548,32 +536,24 @@ def _dobrushin(P: np.ndarray) -> float:
     return worst
 
 
-def mixing_profile(model: ProcessModel) -> MixingProfile:
-    """Certified mixing profile for a model.
+def mixing_profile(model: MarkovChainModel) -> MixingProfile:
+    """Certified mixing profile of a chain.
 
-    Chains get exact phi per gap plus a geometric tail certificate from the
-    Dobrushin contraction coefficient of P (or of a small power when P itself
-    does not contract).  The doubling map carries all dependence in the
-    approximation rate; i.i.d. models mix instantly.
+    Exact phi per gap plus a geometric tail certificate from the Dobrushin
+    contraction coefficient of P (or of a small power when P itself does not
+    contract).  Other models go through ``as_chain`` first: an i.i.d. law's
+    chain contracts to independence in one step, so its phi vanishes beyond
+    gap 0 and its phi tail is 0.
     """
-    if isinstance(model, MarkovChainModel):
-        decay = None
-        for k in range(1, model.n_states * model.n_states + 1):
-            beta_k = _dobrushin(_matrix_power(model.transition, k))
-            if beta_k < 1.0 - 1e-12:
-                if beta_k <= 0:
-                    # exact independence after k steps; cover the first k gaps too
-                    decay = (1.0, math.exp(k), 1.0)
-                else:
-                    # phi(n) <= beta_k**floor(n/k) <= (1/beta_k) exp(-(ln(1/beta_k)/k) n)
-                    decay = (math.log(1.0 / beta_k) / k, 1.0 / beta_k, 1.0)
-                break
-        return MixingProfile(phi=lambda n: phi_coefficient(model, n), decay=decay)
-    if isinstance(model, IIDModel):
-        return MixingProfile(phi=lambda n: 1.0 if n == 0 else 0.0, decay=(1.0, 1.0, 1.0))
-    if isinstance(model, DoublingMapModel):
-        return MixingProfile(
-            phi=lambda n: 1.0 if n == 0 else 0.0,
-            decay=(model.holder_exp * math.log(2.0), max(1.0, model.holder_const), 1.0),
-        )
-    raise ConfigError(f"unknown model kind: {model!r}")
+    decay = None
+    for k in range(1, model.n_states * model.n_states + 1):
+        beta_k = _dobrushin(_matrix_power(model.transition, k))
+        if beta_k < 1.0 - 1e-12:
+            if beta_k <= 0:
+                # exact independence after k steps; cover the first k gaps too
+                decay = (1.0, math.exp(k), 1.0)
+            else:
+                # phi(n) <= beta_k**floor(n/k) <= (1/beta_k) exp(-(ln(1/beta_k)/k) n)
+                decay = (math.log(1.0 / beta_k) / k, 1.0 / beta_k, 1.0)
+            break
+    return MixingProfile(phi=lambda n: phi_coefficient(model, n), decay=decay)

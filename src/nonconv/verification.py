@@ -19,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nonconv.bounds import (
-    chernoff_tail_bound,
-    chernoff_threshold,
-    mgf_exponent_bound,
-    mdp_gaussian_rate,
-    mdp_validity,
-)
+from nonconv.bounds import mgf_exponent_bound, mdp_gaussian_rate, mdp_validity
 from nonconv.config import build_experiment, load_config
 from nonconv.cumulants import (
     cumulants_to_moments,
@@ -46,11 +40,12 @@ from nonconv.montecarlo import (
     calibrate_B,
     calibrate_C1,
     calibrate_c0,
+    chernoff_refutations,
     cumulant_scan,
+    default_thresholds,
     kolmogorov_distance,
     mdp_diagnostic,
     replicate_sums,
-    tail_estimate,
     variance_scan,
 )
 from nonconv.observables import exact_d_squared
@@ -63,24 +58,26 @@ from nonconv.processes import (
 from nonconv.rng import substream_rng
 
 GAMMA = 1.0  # bounded presets with exponential mixing: gamma = 1/eta = 1
+_NEIGHBORHOOD_N_MAX = 500  # the neighborhood scan's N; it covers every n <= N
+_NEIGHBORHOOD_S_MAX = 50  # and every radius s <= 50
+_ALGEBRA_TRIALS = 200  # random cumulant vectors in the round-trip check
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
-    status: str  # pass | fail | inconclusive
+    status: str  # pass | fail
     detail: str
     seconds: float
     values: dict = field(default_factory=dict)
 
 
-def _result(name, passed, detail, t0, values=None, inconclusive=False) -> CheckResult:
-    status = "inconclusive" if inconclusive else ("pass" if passed else "fail")
+def _result(name, passed, detail, t0, values=None) -> CheckResult:
     return CheckResult(
         name=name,
         passed=bool(passed),
-        status=status,
+        status="pass" if passed else "fail",
         detail=detail,
         seconds=time.perf_counter() - t0,
         values=values or {},
@@ -182,16 +179,16 @@ def check_mixing_oracle() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_neighborhood_bound(n_max: int = 500, s_max: int = 50) -> CheckResult:
-    """Exhaustive |A_s(n, N)| <= 3 l^2 s for l <= 4."""
+def check_neighborhood_bound() -> CheckResult:
+    """Exhaustive |A_s(n, N)| <= 3 l^2 s for l <= 4, N = 500, n <= N and s <= 50."""
     t0 = time.perf_counter()
     violations = 0
     worst_ratio = 0.0
     for arity in range(1, 5):
-        for s in range(1, s_max + 1):
+        for s in range(1, _NEIGHBORHOOD_S_MAX + 1):
             cap = neighborhood_cap(arity, s)
-            for n in range(1, n_max + 1):
-                size = neighborhood(arity, n, n_max, s).size
+            for n in range(1, _NEIGHBORHOOD_N_MAX + 1):
+                size = neighborhood(arity, n, _NEIGHBORHOOD_N_MAX, s).size
                 worst_ratio = max(worst_ratio, size / cap)
                 if size > cap:
                     violations += 1
@@ -199,8 +196,8 @@ def check_neighborhood_bound(n_max: int = 500, s_max: int = 50) -> CheckResult:
     return _result(
         "neighborhood-bound",
         passed,
-        f"{violations} violations over l <= 4, N <= {n_max}, s <= {s_max}; "
-        f"max |A_s|/(3 l^2 s) = {worst_ratio:.3f}",
+        f"{violations} violations over l <= 4, N <= {_NEIGHBORHOOD_N_MAX}, "
+        f"s <= {_NEIGHBORHOOD_S_MAX}; max |A_s|/(3 l^2 s) = {worst_ratio:.3f}",
         t0,
         {"violations": violations, "worst_ratio": worst_ratio},
     )
@@ -231,12 +228,12 @@ def _gaussian_raw_moments(mu: float, var: float, p_max: int) -> list[float]:
     return out
 
 
-def check_cumulant_algebra(n_trials: int = 200) -> CheckResult:
-    """Round trips up to order 12 plus Gaussian/Poisson closed forms (p <= 8)."""
+def check_cumulant_algebra() -> CheckResult:
+    """Round trips of 200 vectors up to order 12 plus Gaussian/Poisson closed forms (p <= 8)."""
     t0 = time.perf_counter()
     rng = substream_rng(2024, 13)
     max_rel = 0.0
-    for _ in range(n_trials):
+    for _ in range(_ALGEBRA_TRIALS):
         k = int(rng.integers(2, 13))
         # unit scale: order-12 moments stay ~1e6, keeping float conditioning
         # an order of magnitude below the tolerance
@@ -258,7 +255,7 @@ def check_cumulant_algebra(n_trials: int = 200) -> CheckResult:
     return _result(
         "cumulant-algebra",
         passed,
-        f"round-trip rel err {max_rel:.2e} over {n_trials} vectors; "
+        f"round-trip rel err {max_rel:.2e} over {_ALGEBRA_TRIALS} vectors; "
         f"Gaussian moment err {gauss_err:.2e}; Poisson cumulant err {pois_err:.2e}",
         t0,
         {"max_rel": max_rel, "gauss_err": float(gauss_err), "pois_err": pois_err},
@@ -277,7 +274,7 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
     model, centered, fam = base.model, base.centered, base.family
 
     decomp8 = build_decomposition(model, centered, fam, 8)
-    chk = check_martingale(decomp8, mode="exhaustive", tol=1e-8)
+    chk = check_martingale(decomp8)
 
     n_list = (8, 64) if quick else (8, 64, 512)
     n_rep = 256 if quick else 1024
@@ -331,8 +328,7 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
         sample = cached_sums(cache, config, n)
         decomp = build_decomposition(config.model, config.centered, config.family, n)
         s = sample.centered
-        sigma = float(np.std(s, ddof=1))
-        t_grid = tuple(np.linspace(0.5, 5.0, 10) * sigma)
+        t_grid = default_thresholds(s)
         b = calibrate_B(decomp, sample, lambdas, t_grid)
         b_values[tag] = b
         d1, d2 = decomp.delta1_plain, decomp.delta2_plain
@@ -344,12 +340,7 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
             if point - 2.0 * se > bound:
                 all_ok = False
                 details.append(f"{tag}: MGF at lam={lam} refutes bound")
-        n_tail_fail = 0
-        for t in t_grid:
-            te = tail_estimate(s, chernoff_threshold(t, d2, b))
-            bound = chernoff_tail_bound(t, n, decomp.arity, d1, d2, b)
-            if te.lower > bound:
-                n_tail_fail += 1
+        n_tail_fail = chernoff_refutations(s, t_grid, decomp, b)
         if n_tail_fail:
             all_ok = False
             details.append(f"{tag}: {n_tail_fail} tail grid points refute the bound")
@@ -420,7 +411,7 @@ def check_cumulant_growth(cache: dict | None = None, workers: int = 1) -> CheckR
     slope = None
     for tag, config in presets:
         sums = {n: cached_sums(cache, config, n) for n in grid}
-        scan = cumulant_scan(config, k_max=4, sums_by_n=sums)
+        scan = cumulant_scan(config, sums_by_n=sums)
         sub_rows = [r for r in scan.rows if r.n_terms < grid[-1]]
         sub_scan = replace(scan, rows=tuple(sub_rows))
         c0 = calibrate_c0(sub_scan, GAMMA)
@@ -530,11 +521,11 @@ def check_mdp_diagnostic(workers: int = 1) -> CheckResult:
 
 
 def check_determinism() -> CheckResult:
-    """Identical replicate vectors and CSV bytes for 1 vs 8 workers."""
-    import io
+    """Identical replicate vectors and CSV bytes for 1 vs 8 workers.
 
-    from nonconv.reports import fmt
-
+    The sums are compared bit for bit, which is stricter than np.array_equal
+    (that treats -0.0 and 0.0 as equal) and implies identical CSV text.
+    """
     t0 = time.perf_counter()
     ok = True
     details = []
@@ -544,18 +535,9 @@ def check_determinism() -> CheckResult:
         for n in cfg1.n_grid:
             s1 = replicate_sums(cfg1, n)
             s8 = replicate_sums(cfg8, n)
-            if not np.array_equal(s1.sums, s8.sums):
+            if s1.sums.tobytes() != s8.sums.tobytes():
                 ok = False
                 details.append(f"{tag}: sums differ at N = {n}")
-                continue
-            buf1 = io.StringIO()
-            buf8 = io.StringIO()
-            for buf, s in ((buf1, s1), (buf8, s8)):
-                for j, v in enumerate(s.sums):
-                    buf.write(f"{n},{j},{fmt(float(v))}\n")
-            if buf1.getvalue() != buf8.getvalue():
-                ok = False
-                details.append(f"{tag}: CSV bytes differ at N = {n}")
     msg = "; ".join(details) if details else "replicate vectors and CSV bytes identical for 1 vs 8 workers"
     return _result("worker-determinism", ok, msg, t0)
 

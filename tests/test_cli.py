@@ -194,6 +194,35 @@ class TestSimulateCommand:
         assert rc == 2
         assert "strictly ordered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                TINY_CHAIN + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [2, 0]]\n",
+                "martingale construction needs the linear family",
+            ),
+            (
+                TINY_IID.replace("n_grid = [50]", "n_grid = [16, 64]").replace(
+                    '["tails"]', '["variance"]'
+                ),
+                "variance scan needs an N grid spanning a factor of 16",
+            ),
+            (
+                TINY_IID.replace('["tails"]', '["tails", "cumulants"]'),
+                "cumulant scan needs >= 10^4 replicates",
+            ),
+        ],
+        ids=["chernoff-on-polynomial-family", "narrow-variance-grid", "few-cumulant-replicates"],
+    )
+    def test_config_only_failure_precedes_every_draw_and_file(
+        self, tmp_path, capsys, text, message
+    ):
+        out = tmp_path / "out"
+        rc = main(["simulate", _write(tmp_path, text), "--out-dir", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2
 

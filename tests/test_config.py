@@ -179,4 +179,4 @@ def test_shipped_presets_build(name):
     exp = build_experiment(parse_config_text(text, path=name), replicates=200)
     assert exp.config.n_replicates == 200
     assert exp.config.n_grid[0] >= 1
-    assert exp.centered.arity == exp.family.arity
+    assert exp.config.centered.arity == exp.config.family.arity

@@ -71,30 +71,21 @@ class TestSampleCumulants:
     def test_matches_scipy_kstats(self):
         rng = substream_rng(5, 21)
         x = rng.standard_normal(400) * 1.7 + 0.3
-        vec = sample_cumulants(x, k_max=4)
+        vec = sample_cumulants(x)
         for k in range(1, 5):
             assert vec.cumulant(k) == pytest.approx(float(kstat(x, k)), rel=1e-10)
 
     def test_jackknife_errors_shrink_with_sample_size(self):
         rng = substream_rng(6, 21)
-        small = sample_cumulants(rng.standard_normal(200), k_max=3)
-        big = sample_cumulants(rng.standard_normal(20_000), k_max=3)
+        small = sample_cumulants(rng.standard_normal(200))
+        big = sample_cumulants(rng.standard_normal(20_000))
         assert big.std_error(3) < small.std_error(3)
-
-    def test_higher_orders_use_plugin_estimates(self):
-        rng = substream_rng(8, 21)
-        vec = sample_cumulants(rng.standard_normal(3000), k_max=6)
-        assert np.isfinite(vec.cumulant(6))
 
 
 class TestEnvelopes:
     def test_noncum_bound_frozen_value(self):
-        # N = 100, k = 4, c0 = 2, gamma = 1: N (4!)^2 c0^2 = 230400;
-        # normalized divides by N^(k/2)
+        # N = 100, k = 4, c0 = 2, gamma = 1: N (4!)^2 c0^2 = 230400
         assert math.exp(noncum_bound(100, 4, 2.0, 1.0)) == pytest.approx(230400.0)
-        assert math.exp(noncum_bound(100, 4, 2.0, 1.0, normalized=True)) == pytest.approx(
-            23.04
-        )
 
     def test_below_order_three_rejected(self):
         with pytest.raises(ConfigError):

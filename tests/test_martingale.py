@@ -13,7 +13,7 @@ from nonconv.martingale import (
     varphi_sum,
 )
 from nonconv.observables import center, product_observable
-from nonconv.processes import iid_model, markov_model, mixing_profile, doubling_model
+from nonconv.processes import as_chain, iid_model, markov_model, mixing_profile, doubling_model
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
@@ -35,7 +35,7 @@ class TestVarphiSum:
         assert 0 < tail < 1e-9
 
     def test_iid_has_zero_tail(self):
-        prof = mixing_profile(RADEMACHER)
+        prof = mixing_profile(as_chain(RADEMACHER))
         value, tail = varphi_sum(prof)
         assert value == 1.0  # only the phi(0) = 1 convention term
         assert tail == 0.0
@@ -107,11 +107,6 @@ class TestPathIdentities:
         oracle = math.fsum((8 / 9) * 0.7**n for n in range(1, half + 1))
         assert math.fsum(r0) == pytest.approx(oracle, abs=1e-12)
 
-    def test_batching_invariance(self, pair_decomp):
-        full = evaluate_paths(pair_decomp, 3, 8)
-        part = evaluate_paths(pair_decomp, 3, 5, first_replicate=3)
-        np.testing.assert_allclose(full.sums[3:], part.sums, atol=0)
-
     def test_sums_match_plain_batch_on_dense_union(self):
         # streams are consumed positionally, so pathwise agreement with the
         # sampling engine holds exactly when the family's index union is the
@@ -127,13 +122,9 @@ class TestPathIdentities:
 
 class TestIncrementLaw:
     def test_exhaustive_conditional_expectations(self, pair_decomp):
-        chk = check_martingale(pair_decomp, mode="exhaustive", tol=1e-8)
+        chk = check_martingale(pair_decomp)
         assert chk.passed
         assert chk.max_abs <= chk.tol + chk.allowance
-
-    def test_sampled_mode_agrees(self, pair_decomp):
-        chk = check_martingale(pair_decomp, mode="sampled", tol=1e-8, n_replicates=64)
-        assert chk.passed
 
     def test_sup_gap_needs_calibrated_b(self, pair_decomp):
         # plain constants undershoot the observed boundary gap for this
@@ -147,5 +138,6 @@ class TestIncrementLaw:
     def test_iid_increments_are_exactly_centered(self):
         c = center(product_observable(2), RADEMACHER)
         d = build_decomposition(RADEMACHER, c, linear_family(2), 8)
-        chk = check_martingale(d, mode="exhaustive", tol=1e-10)
+        chk = check_martingale(d)
         assert chk.passed
+        assert chk.max_abs <= 1e-10

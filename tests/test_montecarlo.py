@@ -228,8 +228,8 @@ class TestBootstrap:
     def test_deterministic_and_point_exact(self):
         v = np.random.default_rng(1).normal(size=500)
         stat = lambda x: float(np.mean(x))
-        p1, se1 = bootstrap_se(v, stat, master_seed=9, n_boot=199)
-        p2, se2 = bootstrap_se(v, stat, master_seed=9, n_boot=199)
+        p1, se1 = bootstrap_se(v, stat, master_seed=9)
+        p2, se2 = bootstrap_se(v, stat, master_seed=9)
         assert p1 == stat(v)
         assert (p1, se1) == (p2, se2)
 
@@ -266,19 +266,17 @@ class TestCumulantScan:
     def test_normalized_slope_on_planted_power_law(self):
         # sums scaled as n^(3/4) z give second cumulant n^(3/2) exactly, so
         # the normalized cumulant is n^(1/2) and the log-log slope is 1/2
-        z = _standardized(4, 2000)
+        z = _standardized(4, 10_000)
         grid = (16, 64, 256)
         by_n = {n: _synthetic_sample(n, n**0.75 * z) for n in grid}
-        rep = cumulant_scan(_config(RADEMACHER, 1, grid, 2000), k_max=2, sums_by_n=by_n)
-        assert [(r.n_terms, r.order) for r in rep.rows] == [(16, 2), (64, 2), (256, 2)]
+        rep = cumulant_scan(_config(RADEMACHER, 1, grid, 10_000), sums_by_n=by_n)
+        assert [(r.n_terms, r.order) for r in rep.rows] == [(n, k) for n in grid for k in (2, 3, 4)]
         assert rep.rows[0].estimate == pytest.approx(16.0**1.5, rel=1e-10)
         assert rep.normalized_slope(2) == pytest.approx(0.5, abs=1e-9)
 
     def test_replicate_gate_for_high_orders(self):
         with pytest.raises(ConfigError):
-            cumulant_scan(_config(RADEMACHER, 1, (16, 256), 2000), k_max=3, sums_by_n={})
-        with pytest.raises(ConfigError):
-            cumulant_scan(_config(RADEMACHER, 1, (16, 256), 20_000), k_max=5, sums_by_n={})
+            cumulant_scan(_config(RADEMACHER, 1, (16, 256), 2000), sums_by_n={})
 
 
 class TestMdpDiagnostic:
@@ -329,13 +327,13 @@ class TestCalibration:
             CumulantRow(10, 2, 1.0, 0.1, 1.2, 0.1, 0.01),
             CumulantRow(10, 3, 3000.0, 300.0, 3600.0, 0.0, 0.0),
         )
-        scan = CumulantScanReport(n_grid=(10,), rows=rows)
+        scan = CumulantScanReport(rows=rows)
         # envelope unit at k = 3 is 10 * 36; 3600 over that is 10, times safety
         assert calibrate_c0(scan, 1.0) == pytest.approx(15.0, rel=1e-12)
 
     def test_cumulant_constant_floors(self):
         rows = (CumulantRow(10, 3, 0.0, 0.0, 1e-12, 0.0, 0.0),)
-        scan = CumulantScanReport(n_grid=(10,), rows=rows)
+        scan = CumulantScanReport(rows=rows)
         assert calibrate_c0(scan, 1.0) == pytest.approx(1.5e-3, rel=1e-12)
 
     def test_variance_constant_from_fit(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -73,7 +74,8 @@ class TestCentering:
         pts = np.array(
             [[[1.0], [1.0]], [[1.0], [-1.0]], [[-1.0], [1.0]], [[-1.0], [-1.0]]]
         )
-        np.testing.assert_allclose(_component_total(c), c.centered(pts).reshape(2, 2), atol=1e-13)
+        centered = (c.base(pts) - c.mean).reshape(2, 2)
+        np.testing.assert_allclose(_component_total(c), centered, atol=1e-13)
         np.testing.assert_allclose(_component_total(c), c.table, atol=1e-13)
 
     def test_first_component_is_mean_zero(self):
@@ -140,6 +142,31 @@ class TestExactVariance:
         c = center(sum_observable(2), PAIR)
         assert exact_d_squared(PAIR, c, linear_family(2)) is None
 
+    def test_degenerate_kernel_matches_enumerated_variance(self):
+        # F(x, y) = (x + x^2) y + 0.3 x^2 y^3 is no product, but under the
+        # symmetric three-atom law its first component E_y F - mean vanishes,
+        # so Var S_N / N equals D^2 exactly at every N
+        model = iid_model([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
+        kernel = lambda x, y: (x + x**2) * y + 0.3 * x**2 * y**3
+        obs = Observable(
+            arity=2, dim=1, fn=lambda p: kernel(p[:, 0, 0], p[:, 1, 0]), bound_const=2.3
+        )
+        fam = linear_family(2)
+        d2 = exact_d_squared(model, center(obs, model), fam)
+        atoms, probs = model.law.atoms[:, 0], model.law.probs
+        for n_terms in range(1, 5):
+            uniq, positions = family_indices(fam, n_terms)
+            # every assignment of atoms to the family's index set, with its weight
+            paths = np.array(list(itertools.product(range(3), repeat=uniq.size)))
+            weights = np.prod(probs[paths], axis=1)
+            x = atoms[paths]
+            sums = kernel(x[:, positions[:, 0]], x[:, positions[:, 1]]).sum(axis=1)
+            var = weights @ (sums - weights @ sums) ** 2
+            assert d2 == pytest.approx(var / n_terms, abs=1e-12)
+        assert d2 == pytest.approx(0.6725, abs=1e-12)
+        # F(x, y) = x + y keeps a live first component: no closed form
+        assert exact_d_squared(model, center(sum_observable(2), model), fam) is None
+
 
 class TestBatchSums:
     def test_single_replicate_consistency(self):
@@ -193,7 +220,7 @@ class TestBatchSums:
         uniq, positions = family_indices(family, n_terms)
         paths = sample_paths(model, uniq, seed, R, first_replicate=first)
         args = np.ascontiguousarray(paths[:, positions, :])  # (R, N, arity, dim)
-        terms = c.centered(args.reshape(-1, c.arity, model.dim)).reshape(R, n_terms)
+        terms = (c.base(args.reshape(-1, c.arity, model.dim)) - c.mean).reshape(R, n_terms)
         got = batch_sums(model, c, family, n_terms, seed, R, first_replicate=first)
         assert got.tobytes() == np.sum(terms, axis=1).tobytes()
 

@@ -8,6 +8,7 @@ from nonconv.errors import ConfigError
 from nonconv.processes import (
     _draw,
     alpha_coefficient,
+    as_chain,
     beta_approx,
     beta_exact_doubling,
     doubling_model,
@@ -92,15 +93,15 @@ class TestAlpha:
 
 class TestBetaApprox:
     def test_chain_and_iid_need_no_smoothing(self, pair):
-        assert beta_approx(pair, 2.0, 0) == 0.0
+        assert beta_approx(pair, 0) == 0.0
         m = iid_model([[0.0], [1.0]], [0.5, 0.5])
-        assert beta_approx(m, 2.0, 3) == 0.0
+        assert beta_approx(m, 3) == 0.0
 
     def test_doubling_rate_and_exactness(self):
         m = doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3)
-        assert beta_approx(m, 2.0, 3) == 0.0  # radius reaches the table level
+        assert beta_approx(m, 3) == 0.0  # radius reaches the table level
         assert beta_exact_doubling(m, 3) == 0.0
-        b1 = beta_approx(m, 2.0, 1)
+        b1 = beta_approx(m, 1)
         assert 0 < b1 <= m.holder_const * 2.0 ** (-1)
 
 
@@ -285,7 +286,7 @@ class TestMixingProfile:
             assert prof.phi(n) >= phi_coefficient(pair, n) - 1e-12
 
     def test_iid_profile_vanishes(self):
-        prof = mixing_profile(iid_model([[0.0], [1.0]], [0.5, 0.5]))
+        prof = mixing_profile(as_chain(iid_model([[0.0], [1.0]], [0.5, 0.5])))
         assert prof.phi(1) == 0.0
 
     def test_phi_at_zero_is_one(self, pair):

@@ -1,10 +1,12 @@
-"""Every public name and class member of the package has a reader inside it.
+"""Every public name, class member and parameter default of the package is used inside it.
 
 A function, class, constant, method, property or dataclass field that only
 tests reach ships no behaviour.  So each public name defined at the top of a
 module under src/nonconv must be read somewhere in src/nonconv, as a name or
 an attribute, and each public member of a class defined there must be read
-somewhere in src/nonconv as an attribute.
+somewhere in src/nonconv as an attribute.  Likewise a defaulted parameter
+that no call in the package passes is a knob only tests turn: each must be
+passed by some call in src/nonconv.
 """
 
 import ast
@@ -28,13 +30,27 @@ ALLOWED_MEMBERS = {
     "MdpValidity.last_a": "the scanned a_N range behind the verdict",
     "MdpValidity.first_damped": "the damped sequence's range behind the verdict",
     "MdpValidity.last_damped": "the damped sequence's range behind the verdict",
-    "MartingaleCheck.mode": "whether the increments were checked exhaustively or sampled",
     "MartingaleCheck.worst_time": "the step of the worst conditional-mean offset",
     "MartingaleCheck.worst_level": "the level of the worst conditional-mean offset",
     "TelescopingReport.max_error": "the rounding error behind the telescoping verdict",
     "VarianceFit.c1_hat": "the envelope constant before its 2-SE padding",
     "MdpTable.d_const": "the normalizer the tail cells were computed with",
 }
+
+
+# defaulted parameters, as function.parameter, kept although no call in the
+# package passes them, each with its reason
+ALLOWED_UNPASSED = {
+    "main.argv": "the entry point: the console script passes nothing, tests and perfbench argv",
+    "sample_paths.first_replicate": (
+        "sample_paths stays for perfbench/tracer.py and mirrors sample_state_paths"
+    ),
+}
+# also kept: the parameters of the CATALOG makers, which arrive as
+# [observable] keys through maker(arity, dim=dim, **sec), and the cache and
+# workers parameters of the SUITES checks, which run_suite fills by
+# introspection
+SUITE_FILLED = ("cache", "workers")
 
 
 def _trees():
@@ -106,3 +122,74 @@ def test_allow_lists_hold_only_unread_names():
     read_attributes = {name for tree in trees.values() for name in _read(tree, attributes_only=True)}
     assert sorted(name for name in ALLOWED if name in read) == []
     assert sorted(m for m in ALLOWED_MEMBERS if m.split(".")[1] in read_attributes) == []
+
+
+def _defaulted(tree):
+    """(function, parameter, position or None) of every defaulted parameter of every function."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(node.args.defaults)
+        for index in range(first, len(positional)):
+            yield node.name, positional[index].arg, index - offset
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _passed(trees):
+    """(callee simple name, parameter name or position) of every argument any call passes."""
+    out = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                out.add((name, index))
+            out.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return out
+
+
+def _names_in(tree, target):
+    """Every name read inside the value of the top-level assignment to ``target``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+    raise AssertionError(f"no top-level {target}")
+
+
+def _exempt(trees):
+    """function.parameter for the CATALOG makers and the SUITES checks' filled parameters."""
+    makers = _names_in(trees["observables"], "CATALOG")
+    checks = _names_in(trees["verification"], "SUITES")
+    return {
+        f"{fn}.{param}"
+        for tree in trees.values()
+        for fn, param, _ in _defaulted(tree)
+        if fn in makers or (fn in checks and param in SUITE_FILLED)
+    }
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = _trees()
+    passed = _passed(trees)
+    defaulted = {
+        (f"{fn}.{param}", (fn, param) in passed or (fn, index) in passed)
+        for tree in trees.values()
+        for fn, param, index in _defaulted(tree)
+        if not param.startswith("_")
+    }
+    allowed = set(ALLOWED_UNPASSED) | _exempt(trees)
+    unpassed = sorted(name for name, used in defaulted if not used and name not in allowed)
+    assert unpassed == []
+    # an allowed parameter that some call starts to pass leaves the allow-list
+    assert sorted(name for name, used in defaulted if used and name in allowed) == []
+    assert set(ALLOWED_UNPASSED) <= {name for name, _ in defaulted}
