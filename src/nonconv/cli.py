@@ -113,13 +113,16 @@ def _stat_kolmogorov(exp, sums, out, manifest):
     _emit(out, "kolmogorov.csv", ("n_terms", "distance", "scale"), rows, manifest)
 
 
+def _mdp_d_const(exp) -> float:
+    return exp.extras.get("mdp", {}).get("d_const", 1.0)
+
+
 def _stat_mdp(exp, sums, out, manifest):
     sec = exp.extras.get("mdp", {})
     expo = sec.get("exponent", 0.1)
     x_grid = sec.get("x_grid", [1.0])
-    d_const = sec.get("d_const", 1.0)
     table = mdp_diagnostic(
-        exp.config, lambda n: float(n) ** expo, x_grid, d_const, sums_by_n=sums,
+        exp.config, lambda n: float(n) ** expo, x_grid, _mdp_d_const(exp), sums_by_n=sums,
         min_count=sec.get("min_count", 20),
     )
     rows = [
@@ -162,8 +165,12 @@ def _decompositions(exp):
     }
 
 
+def _chernoff_b(exp) -> float:
+    return exp.extras.get("martingale", {}).get("b", 1.0)
+
+
 def _check_chernoff(exp, sums, decomps, manifest):
-    b = exp.extras.get("martingale", {}).get("b", 1.0)
+    b = _chernoff_b(exp)
     refuted = 0
     for n in exp.config.n_grid:
         s = sums[n].centered
@@ -172,10 +179,13 @@ def _check_chernoff(exp, sums, decomps, manifest):
     manifest.notes["chernoff_refuted_points"] = refuted
 
 
-def _check_concentration(exp, sums, manifest):
+def _concentration_constants(exp) -> tuple[float, float]:
     sec = exp.extras.get("bounds", {})
-    c1 = sec.get("c1", 1.0)
-    c2 = sec.get("c2", 1.0)
+    return sec.get("c1", 1.0), sec.get("c2", 1.0)
+
+
+def _check_concentration(exp, sums, manifest):
+    c1, c2 = _concentration_constants(exp)
     refuted = 0
     for n in exp.config.n_grid:
         s = sums[n].centered
@@ -188,6 +198,25 @@ def _check_concentration(exp, sums, manifest):
 
 
 _BOUND_CHECKS = ("chernoff", "concentration")
+
+
+def _require_run_parameters(exp) -> None:
+    """Raise ConfigError for a parameter the run's statistics or bound checks would refuse.
+
+    Those refuse it only once the sums are drawn, so this runs first.
+    """
+    config = exp.config
+    if "mdp" in config.statistics and not _mdp_d_const(exp) > 0:
+        raise ConfigError("[mdp] d_const must be positive")
+    if "chernoff" in config.bound_checks:
+        if not _chernoff_b(exp) > 0:
+            raise ConfigError("[martingale] b must be positive for the chernoff check")
+        if any(t < 0 for t in exp.extras.get("tails", {}).get("thresholds", [])):
+            raise ConfigError("[tails] thresholds must be nonnegative for the chernoff check")
+    if "concentration" in config.bound_checks:
+        c1, c2 = _concentration_constants(exp)
+        if not (c1 > 0 and c2 > 0):
+            raise ConfigError("[bounds] c1 and c2 must be positive for the concentration check")
 
 
 def _emit(out_dir, name, header, rows, manifest):
@@ -217,6 +246,7 @@ def _cmd_simulate(args) -> int:
         require_variance_grid(exp.config.n_grid)
     if "cumulants" in exp.config.statistics:
         require_cumulant_replicates(exp.config.n_replicates)
+    _require_run_parameters(exp)
     decomps = _decompositions(exp) if "chernoff" in exp.config.bound_checks else {}
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -237,9 +267,9 @@ def _cmd_simulate(args) -> int:
         "sums.csv",
         ("n_terms", "replicate", "sum"),
         (
-            (n, j, float(v))
+            (n, j, v)
             for n in exp.config.n_grid
-            for j, v in enumerate(sums[n].sums)
+            for j, v in enumerate(sums[n].sums.tolist())
         ),
         manifest,
     )

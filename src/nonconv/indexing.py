@@ -33,7 +33,9 @@ class IndexFamily:
     kind is one of "linear" (q_i(n) = i*n), "polynomial" (integer-coefficient
     polynomials), or "power-sparse" (polynomials evaluated at n**power).
     ``ray_start`` is the first argument from which ordering and growth are
-    certified; families are only evaluated from there on.
+    certified; families are only evaluated from there on, and ``columns``
+    rejects maps that are not strictly ordered or not strictly increasing
+    there.
     """
 
     arity: int
@@ -73,13 +75,15 @@ class IndexFamily:
             raise ConfigError("family values must stay in [1, 2^53)")
         return out
 
-    def columns(self, n) -> np.ndarray:
-        """All maps at once: shape (len(n), arity).
+    def columns(self, n_terms: int) -> np.ndarray:
+        """All maps at the arguments ray_start, ..., ray_start + n_terms - 1: shape (n_terms, arity).
 
-        Raises at the first argument where the maps are not strictly ordered,
-        q_1(n) < q_2(n) < ... < q_l(n), naming that n and the offending pair.
+        Raises at the first argument n where the maps are not strictly
+        ordered, q_1(n) < q_2(n) < ... < q_l(n), naming that n and the
+        offending pair, then at the first n where a map fails to increase,
+        q_i(n) <= q_i(n - 1), naming that n and i.
         """
-        arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
+        arr = np.arange(self.ray_start, self.ray_start + n_terms, dtype=np.int64)
         cols = np.stack([self.evaluate(i, arr) for i in range(1, self.arity + 1)], axis=1)
         unordered = cols[:, 1:] <= cols[:, :-1]
         if unordered.any():
@@ -87,6 +91,13 @@ class IndexFamily:
             raise ConfigError(
                 f"index maps must be strictly ordered, but at n = {arr[row]}: "
                 f"q_{i + 1}(n) = {cols[row, i]} >= q_{i + 2}(n) = {cols[row, i + 1]}"
+            )
+        stalled = cols[1:] <= cols[:-1]
+        if stalled.any():
+            row, i = np.argwhere(stalled)[0]
+            raise ConfigError(
+                f"index maps must be strictly increasing, but at n = {arr[row + 1]}: "
+                f"q_{i + 1}(n) = {cols[row + 1, i]} <= q_{i + 1}(n - 1) = {cols[row, i]}"
             )
         return cols
 

@@ -246,8 +246,7 @@ def center(obs: Observable, model: ProcessModel) -> CenteredObservable:
 
 def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique index set for terms 1..n_terms and the (term, slot) -> position map."""
-    ns = np.arange(family.ray_start, family.ray_start + n_terms, dtype=np.int64)
-    cols = family.columns(ns)  # (N, arity)
+    cols = family.columns(n_terms)  # (N, arity)
     uniq, inverse = np.unique(cols, return_inverse=True)
     return uniq, inverse.reshape(cols.shape)
 
@@ -324,8 +323,7 @@ def exact_mean_SN(
     f_vals = centered.table_for(model).reshape(-1)  # (S**arity,)
     arity = centered.arity
     grid = _tuples(model.n_states, arity)
-    ns = np.arange(family.ray_start, family.ray_start + n_terms, dtype=np.int64)
-    cols = family.columns(ns)
+    cols = family.columns(n_terms)
     power_cache: dict[int, np.ndarray] = {}
 
     def kernel(g: int) -> np.ndarray:
@@ -348,14 +346,12 @@ def exact_mean_SN(
     return total
 
 
-def exact_d_squared(
-    model: ProcessModel, centered: CenteredObservable, family: IndexFamily
-) -> float | None:
+def exact_d_squared(model: ProcessModel, centered: CenteredObservable) -> float | None:
     """Exact limiting variance D^2 of S_N / sqrt(N) when a closed form applies, else None.
 
     The closed form holds for an i.i.d. model whose telescoping components
-    F_1, ..., F_{arity-1} all vanish (sup at most 1e-12), on a family of
-    strictly increasing maps as IndexFamily documents.  Then two distinct
+    F_1, ..., F_{arity-1} all vanish (sup at most 1e-12), on any family:
+    IndexFamily.columns admits only strictly increasing maps.  Then two distinct
     terms are uncorrelated: the later term's last index exceeds every other
     index of both terms, and integrating that independent value out leaves
     G_{arity-1} - mean = F_1 + ... + F_{arity-1} = 0.  So Var S_N is N times

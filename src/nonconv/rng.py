@@ -9,7 +9,9 @@ Philox is counter-based: a stream is fixed by its key alone, so one
 generator can be re-keyed from replicate to replicate and draws exactly what
 a freshly built one would.  Loops over the replicates of a block build one
 generator for the block and re-key it per replicate (``reuse``); a block
-starts with no generator, so a generator never crosses worker threads.
+starts with no generator, so a generator never crosses worker threads.  The
+re-key passes the state setter plain Python ints: it reads every word by
+index, and numpy arrays there cost more than twice as much per replicate.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _BUFFER = 4  # Philox4x64 words per counter block; buffer_pos == 4 means empty
-_ZEROS = np.zeros(_BUFFER, dtype=np.uint64)  # copied by the state setter, never written
-_ZEROS.setflags(write=False)
+_ZERO_WORDS = (0,) * _BUFFER  # counter 0 and an empty buffer
 
 
 def replicate_key(master_seed: int, replicate: int) -> np.ndarray:
@@ -39,15 +40,17 @@ def replicate_rng(
     (counter 0, buffer emptied, no cached half word) and returned; its draws
     are bit-identical to those of a newly built one, at a fraction of the
     construction cost.  The re-keyed generator is the caller's alone: share
-    it with no other thread.
+    it with no other thread.  A negative seed or replicate index raises
+    ValueError on both paths.
     """
-    key = replicate_key(master_seed, replicate)
     if reuse is None:
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=replicate_key(master_seed, replicate)))
+    if master_seed < 0 or replicate < 0:
+        raise ValueError("seed and replicate index must be nonnegative")
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS,
+        "state": {"counter": _ZERO_WORDS, "key": (master_seed & _MASK64, replicate & _MASK64)},
+        "buffer": _ZERO_WORDS,
         "buffer_pos": _BUFFER,
         "has_uint32": 0,
         "uinteger": 0,

@@ -365,7 +365,7 @@ def check_variance_envelope(cache: dict | None = None, workers: int = 1) -> Chec
     config = preset_experiment("iid_product", _VAR_GRID, 100_000, workers=workers)
     sums = {n: cached_sums(cache, config, n) for n in _VAR_GRID}
     fit = variance_scan(config, sums)
-    target = exact_d_squared(config.model, config.centered, config.family)
+    target = exact_d_squared(config.model, config.centered)
     d2_ok = abs(fit.d_squared - target) <= 4.0 * fit.d_squared_se
 
     sub = replace(config, n_grid=_VAR_GRID[:-1])

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -211,8 +213,40 @@ class TestSimulateCommand:
                 TINY_IID.replace('["tails"]', '["tails", "cumulants"]'),
                 "cumulant scan needs >= 10^4 replicates",
             ),
+            (
+                TINY_CHAIN.replace("b = 2.0", "b = 0.0"),
+                "[martingale] b must be positive for the chernoff check",
+            ),
+            (
+                TINY_CHAIN + "\n[tails]\nthresholds = [1.0, -0.5]\n",
+                "[tails] thresholds must be nonnegative for the chernoff check",
+            ),
+            (
+                TINY_IID.replace("statistics", 'bound_checks = ["concentration"]\nstatistics')
+                + "\n[bounds]\nc1 = 1.0\nc2 = 0.0\n",
+                "[bounds] c1 and c2 must be positive for the concentration check",
+            ),
+            (
+                TINY_IID.replace('["tails"]', '["mdp"]') + "\n[mdp]\nd_const = -0.5\n",
+                "[mdp] d_const must be positive",
+            ),
+            (
+                # n^2 - 3n + 3 maps n = 1, 2 to index 1; the count path must not
+                # sample it as N distinct draws
+                TINY_IID + "\n[family]\nkind = polynomial\ncoeffs = [[1, -3, 3]]\n",
+                "index maps must be strictly increasing, but at n = 2",
+            ),
         ],
-        ids=["chernoff-on-polynomial-family", "narrow-variance-grid", "few-cumulant-replicates"],
+        ids=[
+            "chernoff-on-polynomial-family",
+            "narrow-variance-grid",
+            "few-cumulant-replicates",
+            "chernoff-b-zero",
+            "chernoff-negative-threshold",
+            "concentration-c2-zero",
+            "mdp-d-const-negative",
+            "stalling-family-on-count-path",
+        ],
     )
     def test_config_only_failure_precedes_every_draw_and_file(
         self, tmp_path, capsys, text, message
@@ -225,6 +259,17 @@ class TestSimulateCommand:
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2
+
+
+def test_start_up_leaves_scipy_stats_unimported():
+    # scipy.stats costs most of a run's start-up; nothing the CLI or the
+    # verification suite loads may import it
+    code = "import sys, nonconv.cli, nonconv.verification; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestVerifyCommand:

@@ -41,7 +41,7 @@ class TestFamilies:
     def test_linear_values(self):
         fam = linear_family(3)
         assert fam.evaluate(2, 5) == 10
-        np.testing.assert_array_equal(fam.columns([4])[0], [4, 8, 12])
+        np.testing.assert_array_equal(fam.columns(4)[3], [4, 8, 12])
 
     def test_polynomial_values(self):
         fam = polynomial_family([[1, 0], [1, 0, 1]])  # n and n^2 + 1
@@ -69,8 +69,24 @@ class TestFamilies:
     def test_unordered_maps_rejected_at_first_n(self, coeffs, where):
         fam = polynomial_family(coeffs)
         with pytest.raises(ConfigError) as exc:
-            fam.columns(np.arange(1, 10))
+            fam.columns(9)
         assert where in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "coeffs, where",
+        [
+            ([[1, -3, 3]], "at n = 2: q_1(n) = 1 <= q_1(n - 1) = 1"),  # n^2 - 3n + 3
+            ([[1, 0], [1, -3, 5]], "at n = 2: q_2(n) = 3 <= q_2(n - 1) = 3"),
+        ],
+        ids=["single-map", "second-map"],
+    )
+    def test_stalling_maps_rejected_at_first_n(self, coeffs, where):
+        with pytest.raises(ConfigError) as exc:
+            polynomial_family(coeffs).columns(9)
+        assert where in str(exc.value)
+        # from ray start 2 on the same maps increase strictly
+        cols = polynomial_family(coeffs, ray_start=2).columns(8)
+        assert np.all(np.diff(cols, axis=0) > 0)
 
     def test_evaluation_below_ray_start_is_an_error(self):
         fam = polynomial_family([[1, -3]], ray_start=5)  # n - 3: positive from 4 on

@@ -5,7 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from nonconv.config import build_experiment, parse_config_text
 from nonconv.errors import ConfigError
@@ -137,6 +137,19 @@ class TestReplicateSums:
         with pytest.raises(ConfigError, match="strictly ordered"):
             replicate_sums(cfg, 8)
 
+    def test_count_path_refuses_a_stalling_family_before_drawing(self, monkeypatch):
+        # n^2 - 3n + 3 maps n = 1 and 2 to index 1, so S_2 = 2 F(xi_1) is no
+        # count of N distinct draws
+        import nonconv.montecarlo as mc
+
+        def no_draws(*a, **k):
+            raise AssertionError("drew before checking the family")
+
+        monkeypatch.setattr(mc, "replicate_rng", no_draws)
+        cfg = replace(_config(RADEMACHER, 1, (8,), 256), family=polynomial_family([[1, -3, 3]]))
+        with pytest.raises(ConfigError, match="at n = 2: q_1"):
+            replicate_sums(cfg, 8)
+
     def test_ordered_polynomial_family_centers_exactly(self):
         cfg = replace(_config(PAIR, 2, (8,), 256), family=polynomial_family([[1, 0], [1, 1, 0]]))
         assert replicate_sums(cfg, 8).centering == "exact"
@@ -149,11 +162,13 @@ class TestReplicateSums:
 
 
 class TestGoldenBytes:
-    """Replicate sums pinned to the byte for three shipped presets.
+    """Replicate sums pinned to the byte for every shipped preset.
 
-    R = 1024 spans two 512-replicate blocks and each preset keeps its own
-    seed.  A digest moves only when the drawn sums themselves change, which
-    the determinism contract forbids without saying which draws changed.
+    R = 1024 spans two 512-replicate blocks on the path-evaluation presets,
+    R = 2048 four blocks of re-keyed streams on the binomial-count ones, and
+    each preset keeps its own seed.  A digest moves only when the drawn sums
+    themselves change, which the determinism contract forbids without saying
+    which draws changed.
     """
 
     @pytest.mark.parametrize(
@@ -172,6 +187,22 @@ class TestGoldenBytes:
         cfg = build_experiment(parse_config_text(text, path=name), replicates=1024).config
         sample = replicate_sums(cfg, n_terms)
         assert sample.method == "path-evaluation"
+        assert hashlib.sha256(sample.sums.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, n_terms, digest",
+        [
+            ("iid_bernoulli_mdp", 10_000, "f21540421aae34dba76c1a2d9c228bfc5f3f3053e6c08c9b5482541ba23b6684"),
+            ("iid_skew", 64, "efcb51ff0e239ac61ce003f3b66215c53ad5cad0a2c480546afa49f85b52bd22"),
+            ("iid_skew", 4096, "5cf747f3444ec574e4dc519dc5cefdbcf0d04ce1d5a3f3eaeb87eb80012f0117"),
+        ],
+        ids=["iid_bernoulli_mdp", "iid_skew_64", "iid_skew_4096"],
+    )
+    def test_count_preset_sums_digest(self, name, n_terms, digest):
+        text = (resources.files("nonconv") / "presets" / f"{name}.cfg").read_text(encoding="utf-8")
+        cfg = build_experiment(parse_config_text(text, path=name), replicates=2048).config
+        sample = replicate_sums(cfg, n_terms)
+        assert sample.method == "binomial-count"
         assert hashlib.sha256(sample.sums.tobytes()).hexdigest() == digest
 
 
@@ -200,6 +231,18 @@ class TestTailEstimate:
     def test_needs_replicates(self):
         with pytest.raises(ConfigError):
             tail_estimate(np.ones(50), 0.5)
+
+    @pytest.mark.parametrize("R", [100, 100_000, 1_000_000])
+    def test_edges_equal_beta_ppf_bitwise(self, R):
+        # the Clopper-Pearson edges are beta quantiles; tail_estimate must give
+        # scipy.stats.beta.ppf's values to the last bit
+        cs = {0, 1, R - 1, R} | set(np.random.default_rng(R).integers(0, R + 1, 12).tolist())
+        for c in sorted(cs):
+            te = tail_estimate(np.arange(R) >= R - c, 0.5)
+            assert te.count == c
+            lower = 0.0 if c == 0 else float(beta.ppf(0.025, c, R - c + 1))
+            upper = 1.0 if c == R else float(beta.ppf(0.975, c + 1, R - c))
+            assert (te.lower, te.upper) == (lower, upper), c
 
 
 class TestKolmogorovDistance:

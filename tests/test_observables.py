@@ -131,16 +131,16 @@ class TestExactMean:
 class TestExactVariance:
     def test_rademacher_product_limit_is_one(self):
         c = center(product_observable(2), RADEMACHER)
-        assert exact_d_squared(RADEMACHER, c, linear_family(2)) == pytest.approx(1.0)
+        assert exact_d_squared(RADEMACHER, c) == pytest.approx(1.0)
 
     def test_scalar_marginal_variance(self):
         m = iid_model([[0.0], [1.0]], [0.5, 0.5])
         c = center(product_observable(1), m)
-        assert exact_d_squared(m, c, linear_family(1)) == pytest.approx(0.25)
+        assert exact_d_squared(m, c) == pytest.approx(0.25)
 
     def test_unknown_case_returns_none(self):
         c = center(sum_observable(2), PAIR)
-        assert exact_d_squared(PAIR, c, linear_family(2)) is None
+        assert exact_d_squared(PAIR, c) is None
 
     def test_degenerate_kernel_matches_enumerated_variance(self):
         # F(x, y) = (x + x^2) y + 0.3 x^2 y^3 is no product, but under the
@@ -152,7 +152,7 @@ class TestExactVariance:
             arity=2, dim=1, fn=lambda p: kernel(p[:, 0, 0], p[:, 1, 0]), bound_const=2.3
         )
         fam = linear_family(2)
-        d2 = exact_d_squared(model, center(obs, model), fam)
+        d2 = exact_d_squared(model, center(obs, model))
         atoms, probs = model.law.atoms[:, 0], model.law.probs
         for n_terms in range(1, 5):
             uniq, positions = family_indices(fam, n_terms)
@@ -165,7 +165,7 @@ class TestExactVariance:
             assert d2 == pytest.approx(var / n_terms, abs=1e-12)
         assert d2 == pytest.approx(0.6725, abs=1e-12)
         # F(x, y) = x + y keeps a live first component: no closed form
-        assert exact_d_squared(model, center(sum_observable(2), model), fam) is None
+        assert exact_d_squared(model, center(sum_observable(2), model)) is None
 
 
 class TestBatchSums:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nonconv.reports import RunManifest, config_hash, fmt, write_csv, write_manifest
@@ -25,6 +26,28 @@ class TestCsv:
         assert data == (
             b"n,value,ok\n16,0.5,1\n64,0.33333333333333331,0\n"
         )
+
+    def test_bytes_equal_the_per_cell_oracle(self, tmp_path):
+        # rows of plain ints and floats take one % format per row shape; every
+        # other cell type goes through fmt: the bytes are fmt's either way
+        big = (1 << 53) + 1
+        rows = [
+            (16, 3, 0.1 + 0.2),
+            [64, 4, -0.0],
+            (1 << 70, -big, float("nan")),
+            [big, 0, float("inf")],
+            (7, 8, -math.inf),
+            (1, np.float64(1 / 3), True),
+            [2, np.float64(-0.0), False],
+            ("path-evaluation", 5, 2.5),
+            (9, 1e-300),
+            [1.5],
+            (np.int64(3), big, 1e300),
+        ]
+        p = tmp_path / "t.csv"
+        write_csv(p, ["a", "b", "c"], rows)
+        oracle = "\n".join(["a,b,c"] + [",".join(fmt(v) for v in row) for row in rows]) + "\n"
+        assert p.read_bytes() == oracle.encode("utf-8")
 
     def test_lf_only_and_trailing_newline(self, tmp_path):
         p = tmp_path / "t.csv"

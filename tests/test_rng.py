@@ -69,3 +69,12 @@ def test_rekeyed_generator_draws_the_fresh_stream(seed):
             for g in (rekeyed, fresh)
         ]
         assert draws[0] == draws[1]
+
+
+@pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1)])
+def test_negative_seed_or_replicate_raises_on_both_paths(seed, replicate):
+    gen = replicate_rng(0, 0)
+    with pytest.raises(ValueError):
+        replicate_rng(seed, replicate)
+    with pytest.raises(ValueError):
+        replicate_rng(seed, replicate, reuse=gen)
