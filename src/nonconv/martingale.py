@@ -12,22 +12,25 @@ increments with m <= i*N is a martingale approximating S_N.
 Every conditional expectation is an exact chain computation.  A term Y_{i,s}
 has arguments at positions j*(s/i); the positions at or before the
 conditioning time are read off the path, the rest are integrated out with
-transition powers.  Terms reduce to lookups in small precomputed tensors, so
-path batches evaluate vectorized.
+the chain's path weights (``processes.path_weights``).  Each term is one
+lookup in a small table over the positions it reads, so path batches
+evaluate vectorized, and the exhaustive check enumerates exactly those
+positions.
 
 The truncation certificate: |E[Y_{i,s} | path to m]| <= 2 sup|F_i| phi(g)
 with g = s - max(m, (i-1)s/i), because the conditional expectation given
 everything before the last argument is a plain mixing bound against the
 vanishing marginal mean.  Summing the dropped terms s > m + horizon and
 splitting the min over the two gap shapes bounds the tail by
-2 sup|F_i| (phi_tail(floor(horizon/i)) + phi_tail(horizon)), uniformly in m.
+2 sup|F_i| (phi_tail(floor(horizon/i)) + phi_tail(horizon)), uniformly in m,
+where phi_tail is the Dobrushin geometric certificate of
+``processes.phi_tail``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -37,11 +40,12 @@ from nonconv.observables import CenteredObservable, lookup_sums
 from nonconv.processes import (
     DoublingMapModel,
     MarkovChainModel,
-    MixingProfile,
     ProcessModel,
     as_chain,
     beta_approx,
-    mixing_profile,
+    path_weights,
+    phi_coefficient,
+    phi_tail,
     sample_state_paths,
 )
 
@@ -50,46 +54,6 @@ _HORIZON_CAP = 4096  # largest horizon tried before the construction gives up
 _TOL = 1e-8  # conditional-mean offset allowed on top of the truncation tail
 _CONDITION_BUDGET = 1_000_000  # cap on enumerated conditions per increment
 _TELESCOPING_TOL = 1e-9  # relative rounding allowed in the telescoping identity
-
-
-# ---------------------------------------------------------------------------
-# summed mixing coefficients
-# ---------------------------------------------------------------------------
-
-
-def varphi_sum(mixing: MixingProfile, cutoff: int = 64) -> tuple[float, float]:
-    """Partial sum of phi over gaps 0..cutoff plus a certified tail bound.
-
-    The gap-0 convention phi(0) = 1 makes the series start at 1.  The tail
-    uses the declared decay phi(n) <= d exp(-a n^eta): exact geometric series
-    at eta = 1, otherwise d exp(-(a/2)(c+1)^eta) (1 + Gamma(1+1/eta)(2/a)^(1/eta))
-    (split the exponent in half, compare the remaining sum to the full
-    integral).  When phi(cutoff+1) is exactly zero the tail is zero by
-    monotonicity.  Raises when no certificate is declared and the tail has
-    not vanished.
-    """
-    if cutoff < 0:
-        raise ConfigError("cutoff must be nonnegative")
-    partial = math.fsum(mixing.phi(n) for n in range(cutoff + 1))
-    if mixing.phi(cutoff + 1) == 0.0:
-        return partial, 0.0
-    if mixing.decay is None:
-        raise ConfigError("no decay certificate to bound the phi tail")
-    a, d, eta = mixing.decay
-    if a <= 0 or d <= 0 or eta <= 0:
-        raise ConfigError("decay parameters must be positive")
-    c1 = cutoff + 1
-    if eta == 1.0:
-        tail = d * math.exp(-a * c1) / (-math.expm1(-a))
-    else:
-        tail = d * math.exp(-(a / 2.0) * c1**eta) * (
-            1.0 + math.gamma(1.0 + 1.0 / eta) * (2.0 / a) ** (1.0 / eta)
-        )
-    return partial, tail
-
-
-def _phi_tail(mixing: MixingProfile, cutoff: int) -> float:
-    return varphi_sum(mixing, cutoff)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +82,7 @@ class MartingaleDecomposition:
     phi_sum_tail: float
     beta_term: float
     _u_cache: dict = field(default_factory=dict, repr=False)
-    _powers: dict = field(default_factory=dict, repr=False)
+    _ahead_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def phi_sum(self) -> float:
@@ -138,62 +102,59 @@ class MartingaleDecomposition:
 
     # -- internal tables ---------------------------------------------------
 
-    def _pow(self, g: int) -> np.ndarray:
-        got = self._powers.get(g)
+    def _ahead(self, g: int) -> np.ndarray:
+        """P^g: the law of the state g steps ahead given the present one."""
+        got = self._ahead_cache.get(g)
         if got is None:
-            got = np.linalg.matrix_power(self.chain.transition, g)
-            self._powers[g] = got
+            got = path_weights(self.chain, (g,), np.ones(self.chain.n_states))
+            self._ahead_cache[g] = got
         return got
 
-    def _u_for(self, i: int, nprime: int) -> list[np.ndarray]:
-        """u[j0] integrates arguments j0+1..i of F_i forward from the value at
-        position j0*nprime; u[j0] has j0 axes (known args, then that value)."""
-        key = (i, nprime)
+    def _u(self, i: int, nprime: int, j0: int) -> np.ndarray:
+        """F_i with arguments j0+1..i integrated forward from the one at
+        position j0*nprime; j0 axes (the arguments up to that one)."""
+        key = (i, nprime, j0)
         got = self._u_cache.get(key)
         if got is None:
-            Pn = self._pow(nprime)
-            tensors: list[np.ndarray | None] = [None] * (i + 1)
-            T = self.centered.components[i - 1]
-            tensors[i] = T
-            for j0 in range(i - 1, 0, -1):
-                T = np.einsum("...ab,ab->...a", T, Pn)
-                tensors[j0] = T
-            got = tensors
+            ahead = path_weights(self.chain, [nprime] * (i - j0), np.ones(self.chain.n_states))
+            F = self.centered.components[i - 1]
+            got = np.einsum(F, range(i), ahead, range(j0 - 1, i), range(j0))
             self._u_cache[key] = got
         return got
 
-    def needed_positions(self, i: int, s: int, m: int) -> list[int]:
-        """Path positions a conditional term E[Y_{i,s} | path to m] reads."""
-        nprime = s // i
-        j0 = m // nprime + 1
-        if j0 > i:
-            return [j * nprime for j in range(1, i + 1)]
-        out = [j * nprime for j in range(1, j0)]
-        if m > 0:
-            out.append(m)
-        return out
+    def _term(self, i: int, s: int, m: int) -> tuple[list[int], np.ndarray]:
+        """E[Y_{i,s} | path to m] (= Y_{i,s} itself once s <= m) as positions and a table.
 
-    def term_values(self, i: int, s: int, m: int, getcol: Callable[[int], np.ndarray]):
-        """Batch values of E[Y_{i,s} | path to m] (= Y_{i,s} itself once s <= m).
-
-        ``getcol(p)`` returns the batch of states at path position p.  At
-        m = 0 the conditioning is trivial and a scalar (the unconditional
-        mean) is returned.
+        The term is the table's entry at the states the path holds at the
+        positions.  Arguments at or before m are read off the path; when one
+        lies ahead, the state at m is read too, the first argument ahead is
+        reached from it through P^gap and the later ones are integrated out
+        by ``_u``.  At m = 0 nothing is read and the table is the
+        unconditional mean.
         """
         nprime = s // i
         j0 = m // nprime + 1
+        known = [j * nprime for j in range(1, min(j0, i + 1))]
         if j0 > i:
-            cols = tuple(getcol(j * nprime) for j in range(1, i + 1))
-            return self.centered.components[i - 1][cols]
-        u = self._u_for(i, nprime)[j0]
+            return known, self.centered.components[i - 1]
+        u = self._u(i, nprime, j0)
         if m == 0:
-            # j0 = 1 here; the first argument's law is the stationary marginal
-            return float(self.chain.stationary @ u)
-        rows = self._pow(j0 * nprime - m)[getcol(m)]
-        if j0 == 1:
-            return rows @ u
-        known = tuple(getcol(j * nprime) for j in range(1, j0))
-        return np.einsum("bs,bs->b", rows, u[known])
+            return known, self.chain.stationary @ u
+        ahead = self._ahead(j0 * nprime - m)
+        # BLAS for one argument, einsum past it: each equals the batched
+        # contraction it replaced bit for bit
+        table = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
+        return known + [m], table
+
+    def step(self, i: int, m: int) -> tuple[list, list]:
+        """Terms of the increment at step m on level i, each as ``_term`` returns it.
+
+        The first list holds the retained predictions whose sum is R_{i,m};
+        the second holds Y_{i,m} when 0 < m and i divides m, else nothing.
+        """
+        predicted = [self._term(i, s, m) for s in self.r_times(i, m)]
+        due = [self._term(i, m, m)] if m and m % i == 0 else []
+        return predicted, due
 
     def r_times(self, i: int, m: int) -> range:
         """Times of the retained future terms of R_{i,m}."""
@@ -202,7 +163,12 @@ class MartingaleDecomposition:
 
     def r_start(self, i: int) -> float:
         """R_{i,0}: the trivially-conditioned sum of unconditional means."""
-        return math.fsum(self.term_values(i, s, 0, lambda p: None) for s in self.r_times(i, 0))
+        return math.fsum(table for _, table in self.step(i, 0)[0])
+
+
+def _lookup(terms: list, getcol) -> np.ndarray | float:
+    """Sum of the terms' table entries at the states ``getcol(p)`` returns for their positions."""
+    return sum(table[tuple(getcol(p) for p in positions)] for positions, table in terms)
 
 
 def build_decomposition(
@@ -234,14 +200,13 @@ def build_decomposition(
         )
     chain = as_chain(model)
     centered.table_for(chain)  # the component tables index the chain's states
-    mixing = mixing_profile(chain)
     sups = centered.component_sups
 
     def tail_at(H: int) -> float:
         if max(sups, default=0.0) <= 0:
             return 0.0
         return max(
-            2.0 * sups[i - 1] * (_phi_tail(mixing, H // i) + _phi_tail(mixing, H))
+            2.0 * sups[i - 1] * (phi_tail(chain, H // i) + phi_tail(chain, H))
             for i in range(1, centered.arity + 1)
         )
 
@@ -254,7 +219,9 @@ def build_decomposition(
             f"at horizon cap {_HORIZON_CAP}"
         )
 
-    value, tail_sum = varphi_sum(mixing, cutoff=64)
+    # phi over gaps 0..64 (phi(0) = 1 by convention) plus the certified rest
+    value = math.fsum(phi_coefficient(chain, n) for n in range(65))
+    tail_sum = phi_tail(chain, 64)
     beta_term = beta_approx(model, smoothing_radius) ** centered.base.holder_exp
     return MartingaleDecomposition(
         chain=chain,
@@ -294,8 +261,12 @@ def evaluate_paths(
 ) -> PathEvaluation:
     """Evaluate S_N, all increments, and the terminal martingale on replicates 0..n-1.
 
-    Replicates use the same counter-based streams as plain path sampling, so
-    the sums agree with the sampling engine's for identical seeds.
+    Replicate j samples every position 1..arity*N from the same
+    counter-based stream as plain path sampling.  The sampling engine draws
+    only the family's index union, so the sums agree with its sums for the
+    same seed only when that union is the dense range 1..arity*N, i.e. at
+    arity 1 (at seed 17 they agree at N = 1 and differ at N = 2 and 8 for
+    the pair chain and the i.i.d. product).
     """
     L, N = decomp.arity, decomp.n_terms
     LN = L * N
@@ -315,13 +286,9 @@ def evaluate_paths(
         for i in range(1, L + 1):
             if m > i * N:
                 continue
-            r_m = np.zeros(B)
-            for s in decomp.r_times(i, m):
-                r_m += decomp.term_values(i, s, m, getcol)
-            w = r_m - r_prev[i - 1]
-            if m % i == 0:
-                w = w + decomp.term_values(i, m, m, getcol)
-            increments[:, m - 1] += w
+            predicted, due = decomp.step(i, m)
+            r_m = _lookup(predicted, getcol)
+            increments[:, m - 1] += r_m - r_prev[i - 1] + _lookup(due, getcol)
             r_prev[i - 1] = r_m
             if m == i * N:
                 r_end[:, i - 1] = r_m
@@ -371,16 +338,11 @@ def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
         for i in range(1, L + 1):
             if m > i * N:
                 continue
+            predicted, due = decomp.step(i, m)
+            before, _ = decomp.step(i, m - 1)
             # positions the increment reads strictly before the step time
-            past: set[int] = set()
-            terms_m = list(decomp.r_times(i, m))
-            terms_prev = list(decomp.r_times(i, m - 1))
-            if m % i == 0:
-                past.update(p for p in decomp.needed_positions(i, m, m) if p < m)
-            for s in terms_m:
-                past.update(p for p in decomp.needed_positions(i, s, m) if p < m)
-            for s in terms_prev:
-                past.update(decomp.needed_positions(i, s, m - 1))
+            past = {p for positions, _ in predicted + due for p in positions if p < m}
+            past.update(p for positions, _ in before for p in positions)
             if m > 1:
                 past.add(m - 1)
             pos = sorted(past)
@@ -405,22 +367,13 @@ def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
                     return np.tile(np.arange(S), B0)
                 return np.repeat(_col_of[p], S)
 
-            val = np.zeros(B0 * S)
-            if m % i == 0:
-                val += decomp.term_values(i, m, m, getcol)
-            for s in terms_m:
-                val += decomp.term_values(i, s, m, getcol)
-            val = val.reshape(B0, S)
+            val = np.zeros(B0 * S) + _lookup(due + predicted, getcol)
             if m == 1:
                 weights = np.tile(decomp.chain.stationary, (B0, 1))
             else:
                 weights = P[col_of[m - 1]]
-            cond = np.einsum("bs,bs->b", weights, val)
-
-            prev = np.zeros(B0)
-            for s in terms_prev:
-                got = decomp.term_values(i, s, m - 1, lambda p: col_of[p])
-                prev += got
+            cond = np.einsum("bs,bs->b", weights, val.reshape(B0, S))
+            prev = _lookup(before, lambda p: col_of[p])
             offend = float(np.max(np.abs(cond - prev))) if B0 else 0.0
             if offend > worst:
                 worst = offend

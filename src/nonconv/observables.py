@@ -22,9 +22,9 @@ from nonconv.processes import (
     FiniteLaw,
     IIDModel,
     ProcessModel,
-    _matrix_power,
     _tuples,
     as_chain,
+    path_weights,
     sample_state_paths,
 )
 
@@ -311,33 +311,20 @@ def exact_mean_SN(
 ) -> float:
     """E S_N by exact enumeration of the per-term joint laws.
 
-    For a chain the joint law of the states at one term's indices is the
-    stationary start chained through gap kernels, which reweights the
-    centered table per term.  For i.i.d. models every term has mean equal to
-    the centering constant, so E S_N = 0.  The tabulated doubling map goes
-    through its exact chain representation.
+    For a chain the joint law of the states at one term's indices
+    (``path_weights`` over the term's index gaps) reweights the centered
+    table.  For i.i.d. models every term has mean equal to the centering
+    constant, so E S_N = 0.  The tabulated doubling map goes through its
+    exact chain representation.
     """
     if isinstance(model, IIDModel):
         return 0.0
-    model = as_chain(model)
-    f_vals = centered.table_for(model).reshape(-1)  # (S**arity,)
-    arity = centered.arity
-    grid = _tuples(model.n_states, arity)
-    cols = family.columns(n_terms)
-    power_cache: dict[int, np.ndarray] = {}
-
-    def kernel(g: int) -> np.ndarray:
-        if g not in power_cache:
-            power_cache[g] = _matrix_power(model.transition, g)
-        return power_cache[g]
-
+    chain = as_chain(model)
+    f_vals = centered.table_for(chain).reshape(-1)  # (S**arity,)
     total = 0.0
     comp = 0.0
-    for row in cols:
-        w = model.stationary[grid[:, 0]].copy()
-        for t in range(1, arity):
-            w *= kernel(int(row[t] - row[t - 1]))[grid[:, t - 1], grid[:, t]]
-        term = float(w @ f_vals)
+    for row in family.columns(n_terms):
+        term = float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals)
         # compensated accumulation over terms
         y = term - comp
         s = total + y

@@ -10,7 +10,10 @@ the model's finite marginal alphabet:
 
 Uniform-mixing and strong-mixing coefficients come with exact brute-force
 enumeration oracles over cylinder events, so the closed forms used by the
-bound evaluators are checkable on small instances.
+bound evaluators are checkable on small instances.  ``path_weights`` is the
+one kernel that chains transition powers along sorted times (exact
+centering, the oracles' window laws and the martingale tables read it), and
+``phi_tail`` certifies the summed phi tail.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -173,22 +176,18 @@ def markov_model(transition, values) -> MarkovChainModel:
 
 
 def doubling_model(
-    f: Callable[[np.ndarray], np.ndarray] | Sequence[float] | np.ndarray,
+    table: Sequence[float] | np.ndarray,
     level: int,
     holder_const: float = 1.0,
     holder_exp: float = 1.0,
 ) -> DoublingMapModel:
-    """Tabulate ``f`` at level-``level`` dyadic cell midpoints (or accept a table)."""
+    """Dyadic shift observed through a value table with one row per level-``level`` cell."""
     if not (1 <= level <= 30):
         raise ConfigError("dyadic level must be in [1, 30]")
     if not (0 < holder_exp <= 1) or holder_const < 0:
         raise ConfigError("need holder_exp in (0,1] and holder_const >= 0")
     n = 1 << level
-    if callable(f):
-        mids = (np.arange(n) + 0.5) / n
-        table = np.asarray(f(mids), dtype=float)
-    else:
-        table = np.asarray(f, dtype=float)
+    table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
     if table.shape[0] != n:
@@ -343,7 +342,9 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
     gaps = np.diff(idx).tolist()
     # thresholds[g][k] holds cumsum(P^g)[:, k] for every source state
     thresholds = {
-        g: np.ascontiguousarray(np.cumsum(_matrix_power(model.transition, g), axis=1)[:, :-1].T)
+        g: np.ascontiguousarray(
+            np.cumsum(np.linalg.matrix_power(model.transition, g), axis=1)[:, :-1].T
+        )
         for g in set(gaps)
     }
     u_cols = np.ascontiguousarray(uniforms.T)
@@ -379,10 +380,25 @@ def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray
     return cells
 
 
-def _matrix_power(P: np.ndarray, n: int) -> np.ndarray:
-    if n < 0:
-        raise ConfigError("nonnegative power required")
-    return np.linalg.matrix_power(P, n)
+# ---------------------------------------------------------------------------
+# joint laws along times
+# ---------------------------------------------------------------------------
+
+
+def path_weights(
+    chain: MarkovChainModel, gaps: Sequence[int], start: np.ndarray | None = None
+) -> np.ndarray:
+    """start[x0] P^g1[x0, x1] ... P^gk[x_{k-1}, x_k] for every state tuple, shape (S,) * (k + 1).
+
+    The factors multiply left to right.  The default start is the stationary
+    law, which makes the result the joint law of the chain at times
+    t, t + g1, ..., t + g1 + ... + gk; a start of ones gives the law of the
+    later states conditional on x0.
+    """
+    weights = chain.stationary if start is None else start
+    for g in gaps:
+        weights = weights[..., None] * np.linalg.matrix_power(chain.transition, int(g))
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +421,7 @@ def phi_coefficient(model: MarkovChainModel, n: int) -> float:
         raise ConfigError("gap must be nonnegative")
     if n == 0:
         return 1.0
-    Pn = _matrix_power(model.transition, n)
+    Pn = np.linalg.matrix_power(model.transition, n)
     tv = float(0.5 * np.max(np.abs(Pn - model.stationary[None, :]).sum(axis=1)))
     # below _TV_NOISE the residual is rounding debris that stops shrinking
     # with n; snap to 0 so decay certificates downstream can terminate
@@ -419,14 +435,6 @@ def _tuples(n_states: int, length: int) -> np.ndarray:
         )
     grids = np.indices((n_states,) * length)
     return grids.reshape(length, -1).T  # (n_states**length, length)
-
-
-def _window_probs(model: MarkovChainModel, tuples: np.ndarray) -> np.ndarray:
-    """Stationary probability of each consecutive-window state tuple."""
-    p = model.stationary[tuples[:, 0]].copy()
-    for t in range(1, tuples.shape[1]):
-        p *= model.transition[tuples[:, t - 1], tuples[:, t]]
-    return p
 
 
 def _cylinder_conditional(
@@ -447,10 +455,12 @@ def _cylinder_conditional(
     # the oracle
     gap_kernel = reduce(np.matmul, [model.transition] * n)
     cond_start = gap_kernel[past[:, -1]][:, future[:, 0]]  # (n_past, n_future)
-    internal = np.ones(future.shape[0])
-    for t in range(1, future.shape[1]):
-        internal *= model.transition[future[:, t - 1], future[:, t]]
-    return _window_probs(model, past), _window_probs(model, future), cond_start * internal[None, :]
+    internal = path_weights(model, [1] * (future_window - 1), np.ones(model.n_states)).ravel()
+    return (
+        path_weights(model, [1] * (past_window - 1)).ravel(),
+        path_weights(model, [1] * (future_window - 1)).ravel(),
+        cond_start * internal[None, :],
+    )
 
 
 def phi_bruteforce(model: MarkovChainModel, n: int, past_window: int, future_window: int) -> float:
@@ -513,47 +523,29 @@ def beta_exact_doubling(model: DoublingMapModel, r: int) -> float:
     return float(np.max(np.linalg.norm(blocks - means, axis=2)))
 
 
-# ---------------------------------------------------------------------------
-# mixing profile
-# ---------------------------------------------------------------------------
+def phi_tail(chain: MarkovChainModel, cutoff: int) -> float:
+    """Certified bound on sum of phi(n) over gaps n > cutoff.
 
-
-@dataclass(frozen=True, eq=False)
-class MixingProfile:
-    """Mixing data for a model: phi per gap and the declared exponential
-    decay parameters (rate a, factor d, exponent eta) when certified."""
-
-    phi: Callable[[int], float]
-    decay: tuple[float, float, float] | None  # (a, d, eta) with phi(n)+... <= d exp(-a n^eta)
-
-
-def _dobrushin(P: np.ndarray) -> float:
-    S = P.shape[0]
-    worst = 0.0
-    for i in range(S):
-        for j in range(i + 1, S):
-            worst = max(worst, 0.5 * float(np.abs(P[i] - P[j]).sum()))
-    return worst
-
-
-def mixing_profile(model: MarkovChainModel) -> MixingProfile:
-    """Certified mixing profile of a chain.
-
-    Exact phi per gap plus a geometric tail certificate from the Dobrushin
-    contraction coefficient of P (or of a small power when P itself does not
-    contract).  Other models go through ``as_chain`` first: an i.i.d. law's
-    chain contracts to independence in one step, so its phi vanishes beyond
-    gap 0 and its phi tail is 0.
+    Zero when phi(cutoff + 1) is exactly zero (phi is nonincreasing in the
+    gap).  Otherwise the certificate is the Dobrushin contraction coefficient
+    beta_k < 1 of the first power P^k, k <= S^2, that contracts:
+    phi(n) <= beta_k^floor(n/k) <= d exp(-a n) with a = ln(1/beta_k)/k and
+    d = 1/beta_k (a = 1 and d = e^k when P^k has identical rows), summed as
+    a geometric series.  Raises ConfigError when no such power contracts,
+    as for a periodic chain.
     """
-    decay = None
-    for k in range(1, model.n_states * model.n_states + 1):
-        beta_k = _dobrushin(_matrix_power(model.transition, k))
-        if beta_k < 1.0 - 1e-12:
-            if beta_k <= 0:
+    if cutoff < 0:
+        raise ConfigError("cutoff must be nonnegative")
+    if phi_coefficient(chain, cutoff + 1) == 0.0:
+        return 0.0
+    for k in range(1, chain.n_states**2 + 1):
+        Pk = np.linalg.matrix_power(chain.transition, k)
+        beta = float(np.max(0.5 * np.abs(Pk[:, None, :] - Pk[None, :, :]).sum(axis=2)))
+        if beta < 1.0 - 1e-12:
+            if beta <= 0:
                 # exact independence after k steps; cover the first k gaps too
-                decay = (1.0, math.exp(k), 1.0)
+                a, d = 1.0, math.exp(k)
             else:
-                # phi(n) <= beta_k**floor(n/k) <= (1/beta_k) exp(-(ln(1/beta_k)/k) n)
-                decay = (math.log(1.0 / beta_k) / k, 1.0 / beta_k, 1.0)
-            break
-    return MixingProfile(phi=lambda n: phi_coefficient(model, n), decay=decay)
+                a, d = math.log(1.0 / beta) / k, 1.0 / beta
+            return d * math.exp(-a * (cutoff + 1)) / (-math.expm1(-a))
+    raise ConfigError("no decay certificate to bound the phi tail")

@@ -11,6 +11,7 @@ simulation cannot prove an inequality, only fail to falsify it.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -584,11 +585,8 @@ def run_suite(name: str, workers: int = 1) -> list[CheckResult]:
     cache: dict = {}
     out = []
     for fn in fns:
-        kwargs = {}
-        code = fn.__code__
-        if "cache" in code.co_varnames[: code.co_argcount]:
-            kwargs["cache"] = cache
-        if "workers" in code.co_varnames[: code.co_argcount]:
-            kwargs["workers"] = workers
+        # the signature, unlike fn.__code__, sees through functools.wraps
+        params = inspect.signature(fn).parameters
+        kwargs = {k: v for k, v in (("cache", cache), ("workers", workers)) if k in params}
         out.append(fn(**kwargs))
     return out

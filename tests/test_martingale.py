@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,10 +11,9 @@ from nonconv.martingale import (
     check_martingale,
     evaluate_paths,
     telescoping_check,
-    varphi_sum,
 )
 from nonconv.observables import center, product_observable
-from nonconv.processes import as_chain, iid_model, markov_model, mixing_profile, doubling_model
+from nonconv.processes import as_chain, iid_model, markov_model, phi_tail, doubling_model
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
@@ -26,24 +26,26 @@ def pair_decomp():
 
 
 class TestVarphiSum:
-    def test_chain_matches_truncated_geometric(self):
-        prof = mixing_profile(PAIR)
-        value, tail = varphi_sum(prof, cutoff=64)
+    """The phi sum a decomposition records: phi over gaps 0..64 plus phi_tail beyond."""
+
+    def test_chain_matches_truncated_geometric(self, pair_decomp):
+        value, tail = pair_decomp.phi_sum_value, pair_decomp.phi_sum_tail
         # phi(0) = 1 plus the geometric series (7/15) 0.7^(n-1)
         direct = 1.0 + math.fsum((7 / 15) * 0.7 ** (n - 1) for n in range(1, 65))
         assert value == pytest.approx(direct, rel=1e-12)
         assert 0 < tail < 1e-9
+        assert tail == phi_tail(PAIR, 64)
 
     def test_iid_has_zero_tail(self):
-        prof = mixing_profile(as_chain(RADEMACHER))
-        value, tail = varphi_sum(prof)
+        c = center(product_observable(2), RADEMACHER)
+        d = build_decomposition(RADEMACHER, c, linear_family(2), 8)
+        value, tail = d.phi_sum_value, d.phi_sum_tail
         assert value == 1.0  # only the phi(0) = 1 convention term
         assert tail == 0.0
 
     def test_tail_shrinks_with_cutoff(self):
-        prof = mixing_profile(PAIR)
-        _, t32 = varphi_sum(prof, cutoff=32)
-        _, t96 = varphi_sum(prof, cutoff=96)
+        t32 = phi_tail(PAIR, 32)
+        t96 = phi_tail(PAIR, 96)
         assert t96 < t32
 
 
@@ -58,6 +60,17 @@ class TestBuild:
         )
         assert d.delta2_plain == pytest.approx(d.delta1_plain)  # no approximation term
         assert d.beta_term == 0.0
+
+    def test_constants_pinned_bitwise_at_n8(self):
+        # recorded before the phi tail and the path weights were merged
+        c = center(product_observable(2), PAIR)
+        d = build_decomposition(PAIR, c, linear_family(2), 8)
+        assert d.horizon == 128
+        assert d.tail_error == 1.084231544565188e-09
+        assert d.phi_sum_value == 2.5555555553658444
+        assert d.phi_sum_tail == 4.065868292119452e-10
+        got = hashlib.sha256(evaluate_paths(d, 17, 64).martingale.tobytes()).hexdigest()
+        assert got == "2e47a25dda689a0dea556c41febc7fb2d364fcdd3e9e6f28cb0561cd787934a5"
 
     def test_horizon_certificate(self, pair_decomp):
         # doubling the horizon once more would be pointless: the recorded

@@ -115,6 +115,16 @@ class TestExactMean:
                 expect, abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "n_terms, pinned",
+        [(16, 2.067181318104077), (256, 2.0740740740739794), (1024, 2.074074074073681)],
+    )
+    def test_chain_pair_bits_pinned(self, n_terms, pinned):
+        # recorded before the joint-law kernel replaced the per-term loop;
+        # weights multiply left to right (a backward fold moves the last digits)
+        c = center(product_observable(2), PAIR)
+        assert exact_mean_SN(PAIR, c, linear_family(2), n_terms) == pinned
+
     def test_iid_mean_is_exactly_zero(self):
         c = center(product_observable(2), RADEMACHER)
         assert exact_mean_SN(RADEMACHER, c, linear_family(2), 50) == 0.0

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,9 +17,10 @@ from nonconv.processes import (
     doubling_to_markov,
     iid_model,
     markov_model,
-    mixing_profile,
+    path_weights,
     phi_bruteforce,
     phi_coefficient,
+    phi_tail,
     sample_paths,
     sample_state_paths,
     stationary_distribution,
@@ -280,14 +283,71 @@ class TestThresholdDraw:
 
 
 class TestMixingProfile:
+    """phi per gap (phi_coefficient) and its certified tail (phi_tail)."""
+
     def test_chain_profile_is_exact_at_small_gaps(self, pair):
-        prof = mixing_profile(pair)
+        # the tail beyond n - 1 holds phi(n) itself
         for n in (1, 2, 5):
-            assert prof.phi(n) >= phi_coefficient(pair, n) - 1e-12
+            assert phi_tail(pair, n - 1) >= phi_coefficient(pair, n) - 1e-12
 
     def test_iid_profile_vanishes(self):
-        prof = mixing_profile(as_chain(iid_model([[0.0], [1.0]], [0.5, 0.5])))
-        assert prof.phi(1) == 0.0
+        chain = as_chain(iid_model([[0.0], [1.0]], [0.5, 0.5]))
+        assert phi_coefficient(chain, 1) == 0.0
+        assert [phi_tail(chain, c) for c in (0, 1, 64)] == [0.0, 0.0, 0.0]
 
     def test_phi_at_zero_is_one(self, pair):
-        assert mixing_profile(pair).phi(0) == 1.0
+        assert phi_coefficient(pair, 0) == 1.0
+
+
+class TestPhiTail:
+    @pytest.mark.parametrize("cutoff", [0, 3, 10, 40])
+    def test_dominates_the_summed_exact_phi(self, pair, triple, cutoff):
+        for model in (pair, triple):
+            # phi decays geometrically; 400 further gaps leave nothing visible
+            brute = math.fsum(phi_coefficient(model, n) for n in range(cutoff + 1, cutoff + 400))
+            assert phi_tail(model, cutoff) >= brute
+
+    def test_periodic_chain_has_no_certificate(self):
+        flip = markov_model([[0.0, 1.0], [1.0, 0.0]], PAIR_VALUES)
+        assert phi_coefficient(flip, 7) == 0.5
+        with pytest.raises(ConfigError):
+            phi_tail(flip, 64)
+
+
+def _enumerated_weights(P, gaps, start):
+    """start[x0] P^g1[x0, x1] ... for every state tuple, one tuple at a time."""
+    S = P.shape[0]
+    powers = [np.linalg.matrix_power(P, g) for g in gaps]
+    out = np.empty((S,) * (len(gaps) + 1))
+    for states in itertools.product(range(S), repeat=len(gaps) + 1):
+        w = start[states[0]]
+        for t, Pg in enumerate(powers):
+            w = w * Pg[states[t], states[t + 1]]
+        out[states] = w
+    return out
+
+
+class TestPathWeights:
+    GAPS = (1, 3, 2)
+
+    def test_matches_enumeration(self, triple):
+        pi = triple.stationary
+        for start in (None, np.ones(3)):
+            got = path_weights(triple, self.GAPS, start)
+            want = _enumerated_weights(triple.transition, self.GAPS, pi if start is None else start)
+            assert got.shape == (3, 3, 3, 3)
+            np.testing.assert_array_equal(got, want)
+
+    def test_joint_law_has_stationary_marginals(self, triple):
+        joint = path_weights(triple, self.GAPS)
+        assert joint.sum() == pytest.approx(1.0, abs=1e-14)
+        for t in range(joint.ndim):
+            others = tuple(a for a in range(joint.ndim) if a != t)
+            np.testing.assert_allclose(joint.sum(axis=others), triple.stationary, atol=1e-14)
+
+    def test_conditional_rows_sum_to_one(self, triple):
+        cond = path_weights(triple, self.GAPS, np.ones(3))
+        np.testing.assert_allclose(cond.reshape(3, -1).sum(axis=1), 1.0, atol=1e-14)
+
+    def test_no_gaps_is_the_start(self, triple):
+        np.testing.assert_array_equal(path_weights(triple, ()), triple.stationary)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 
 from nonconv import verification
@@ -34,3 +36,22 @@ def test_equal_presets_built_separately_are_sampled_once(monkeypatch):
     again = cached_sums(cache, preset_experiment("chain_pair", (16,), 200, workers=2), 16)
     assert calls == [16]
     assert again is first
+
+
+def test_run_suite_fills_cache_and_workers_through_a_wrapper(monkeypatch):
+    # a functools.wraps wrapper, such as a timing tracer installs, hides the
+    # parameters from fn.__code__; every check must still share one cache
+    seen = []
+
+    def check(cache=None, workers=1):
+        seen.append((cache, workers))
+        return workers
+
+    @functools.wraps(check)
+    def wrapped(*args, **kwargs):
+        return check(*args, **kwargs)
+
+    monkeypatch.setitem(verification.SUITES, "wrapped", (wrapped, wrapped))
+    assert verification.run_suite("wrapped", workers=3) == [3, 3]
+    (first, _), (second, _) = seen
+    assert isinstance(first, dict) and second is first
