@@ -123,18 +123,12 @@ def load_config(path: str) -> RawConfig:
 
 def build_model(raw: RawConfig) -> ProcessModel:
     kind = raw.require("model", "kind")
-    sec = raw.section("model")
     if kind == "markov":
         return markov_model(raw.require("model", "transition"), raw.require("model", "values"))
     if kind == "iid":
         return iid_model(raw.require("model", "atoms"), raw.require("model", "probs"))
     if kind == "doubling":
-        return doubling_model(
-            raw.require("model", "table"),
-            int(raw.require("model", "level")),
-            float(sec.get("holder_const", 1.0)),
-            float(sec.get("holder_exp", 1.0)),
-        )
+        return doubling_model(raw.require("model", "table"), int(raw.require("model", "level")))
     line = raw.header_lines["model"]
     raise ConfigError(f"{raw.path}:{line}: unknown model kind {kind!r}")
 

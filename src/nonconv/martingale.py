@@ -14,8 +14,9 @@ has arguments at positions j*(s/i); the positions at or before the
 conditioning time are read off the path, the rest are integrated out with
 the chain's path weights (``processes.path_weights``).  Each term is one
 lookup in a small table over the positions it reads, so path batches
-evaluate vectorized, and the exhaustive check enumerates exactly those
-positions.
+evaluate vectorized, and the martingale check certifies one term at a
+time: a term's one-step drift is its table contracted with one transition
+row, minus its table one step earlier.
 
 The truncation certificate: |E[Y_{i,s} | path to m]| <= 2 sup|F_i| phi(g)
 with g = s - max(m, (i-1)s/i), because the conditional expectation given
@@ -42,7 +43,6 @@ from nonconv.processes import (
     MarkovChainModel,
     ProcessModel,
     as_chain,
-    beta_approx,
     path_weights,
     phi_coefficient,
     phi_tail,
@@ -52,7 +52,6 @@ from nonconv.processes import (
 _TAIL_TARGET = 1e-8  # certified truncation tail the horizon doubling must reach
 _HORIZON_CAP = 4096  # largest horizon tried before the construction gives up
 _TOL = 1e-8  # conditional-mean offset allowed on top of the truncation tail
-_CONDITION_BUDGET = 1_000_000  # cap on enumerated conditions per increment
 _TELESCOPING_TOL = 1e-9  # relative rounding allowed in the telescoping identity
 
 
@@ -66,9 +65,11 @@ class MartingaleDecomposition:
     """Precomputed tables for the increment construction on one instance.
 
     delta1_plain / delta2_plain are the difference and gap bounds
-    K*(phi_sum + r + 1) and K*N*beta + delta1_plain; the calibrated constant
-    B that scales them in the exponential-moment and Chernoff displays is
-    supplied separately (see ``montecarlo.calibrate_B``).
+    K*(phi_sum + r + 1) and K*N*beta + delta1_plain.  The approximation rate
+    beta is 0 for every model ``build_decomposition`` accepts, so the two
+    coincide.  The calibrated constant B that scales them in the
+    exponential-moment and Chernoff displays is supplied separately (see
+    ``montecarlo.calibrate_B``).
     """
 
     chain: MarkovChainModel
@@ -80,7 +81,6 @@ class MartingaleDecomposition:
     tail_error: float
     phi_sum_value: float
     phi_sum_tail: float
-    beta_term: float
     _u_cache: dict = field(default_factory=dict, repr=False)
     _ahead_cache: dict = field(default_factory=dict, repr=False)
 
@@ -98,7 +98,7 @@ class MartingaleDecomposition:
 
     @property
     def delta2_plain(self) -> float:
-        return self.bound_const * self.n_terms * self.beta_term + self.delta1_plain
+        return self.delta1_plain
 
     # -- internal tables ---------------------------------------------------
 
@@ -146,14 +146,15 @@ class MartingaleDecomposition:
         table = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
         return known + [m], table
 
-    def step(self, i: int, m: int) -> tuple[list, list]:
+    def step(self, i: int, m: int) -> tuple[dict, dict]:
         """Terms of the increment at step m on level i, each as ``_term`` returns it.
 
-        The first list holds the retained predictions whose sum is R_{i,m};
-        the second holds Y_{i,m} when 0 < m and i divides m, else nothing.
+        Both dicts are keyed by the term's time s.  The first holds the
+        retained predictions whose sum is R_{i,m}; the second holds Y_{i,m}
+        when 0 < m and i divides m, else nothing.
         """
-        predicted = [self._term(i, s, m) for s in self.r_times(i, m)]
-        due = [self._term(i, m, m)] if m and m % i == 0 else []
+        predicted = {s: self._term(i, s, m) for s in self.r_times(i, m)}
+        due = {m: self._term(i, m, m)} if m and m % i == 0 else {}
         return predicted, due
 
     def r_times(self, i: int, m: int) -> range:
@@ -163,12 +164,12 @@ class MartingaleDecomposition:
 
     def r_start(self, i: int) -> float:
         """R_{i,0}: the trivially-conditioned sum of unconditional means."""
-        return math.fsum(table for _, table in self.step(i, 0)[0])
+        return math.fsum(table for _, table in self.step(i, 0)[0].values())
 
 
-def _lookup(terms: list, getcol) -> np.ndarray | float:
+def _lookup(terms: dict, getcol) -> np.ndarray | float:
     """Sum of the terms' table entries at the states ``getcol(p)`` returns for their positions."""
-    return sum(table[tuple(getcol(p) for p in positions)] for positions, table in terms)
+    return sum(table[tuple(getcol(p) for p in positions)] for positions, table in terms.values())
 
 
 def build_decomposition(
@@ -185,9 +186,9 @@ def build_decomposition(
     chain (``as_chain``): an i.i.d. law as the chain whose rows are that law,
     the doubling map as its bit-window chain, whose smoothing radius must
     reach the table level, beyond which the smoothed summands coincide with
-    the exact ones and the approximation-rate term vanishes.  The horizon
-    starts at 8 and doubles until the certified truncation tail is at most
-    1e-8; a tail still above that at horizon 4096 raises ConfigError.
+    the exact ones.  The horizon starts at 8 and doubles until the certified
+    truncation tail is at most 1e-8; a tail still above that at horizon 4096
+    raises ConfigError.
     """
     if family.kind != "linear" or family.arity != centered.arity:
         raise ConfigError("martingale construction needs the linear family of matching arity")
@@ -222,7 +223,6 @@ def build_decomposition(
     # phi over gaps 0..64 (phi(0) = 1 by convention) plus the certified rest
     value = math.fsum(phi_coefficient(chain, n) for n in range(65))
     tail_sum = phi_tail(chain, 64)
-    beta_term = beta_approx(model, smoothing_radius) ** centered.base.holder_exp
     return MartingaleDecomposition(
         chain=chain,
         centered=centered,
@@ -233,7 +233,6 @@ def build_decomposition(
         tail_error=float(tail),
         phi_sum_value=value,
         phi_sum_tail=tail_sum,
-        beta_term=float(beta_term),
     )
 
 
@@ -308,86 +307,82 @@ def evaluate_paths(
 
 @dataclass(frozen=True)
 class MartingaleCheck:
-    max_abs: float
+    bound: float
     allowance: float
     tol: float
     worst_time: int
     worst_level: int
-    n_conditions: int
+    terms_checked: int
     passed: bool
 
 
-def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
-    """Verify E[W_{i,m} | path to m-1] = 0 up to the certified truncation, exhaustively.
+def _drift_sup(chain: MarkovChainModel, m: int, term: tuple, prior: tuple | None) -> float:
+    """sup of |E[term | path to m-1] - prior| over the states at the positions they read.
 
-    Every assignment of states to the positions an increment actually reads
-    is enumerated (the kernel identity is pointwise, so this is the full
-    conditional-mean check); more than 10^6 conditions for one increment
-    raise ConfigError.  The report carries the worst offender and the
-    allowance it is compared against: tol = 1e-8 plus the certified
-    truncation tail.
+    ``term`` is a prediction at step m and ``prior`` the same time's
+    prediction at m - 1, both as ``_term`` returns them; the term entering
+    at the horizon has no prior and is bounded by its whole conditional
+    mean.  The state at m is integrated out against P[x_{m-1}, .] (the
+    stationary law at m = 1) in one einsum, where a position read twice
+    takes one label, and the prior is broadcast over the positions it
+    does not read.
     """
-    L, N, S = decomp.arity, decomp.n_terms, decomp.chain.n_states
-    LN = L * N
-    P = decomp.chain.transition
+    positions, table = term
+    past = sorted({p for p in positions if p != m} | ({m - 1} if m > 1 else set()))
+    label = {p: k for k, p in enumerate(past + [m])}
+    if m > 1:
+        law, law_axes = chain.transition, [label[m - 1], label[m]]
+    else:
+        law, law_axes = chain.stationary, [label[m]]
+    drift = np.einsum(table, [label[p] for p in positions], law, law_axes, list(range(len(past))))
+    if prior is not None:
+        prior_positions, prior_table = prior
+        read = set(prior_positions)
+        at_prior = np.einsum(
+            prior_table, [label[p] for p in prior_positions], [label[p] for p in sorted(read)]
+        )
+        drift = drift - at_prior.reshape([chain.n_states if p in read else 1 for p in past])
+    return float(np.max(np.abs(drift)))
 
+
+def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
+    """Certify E[W_{i,m} | path to m-1] = 0 up to the certified truncation, term by term.
+
+    R_{i,m-1} and the terms of W_{i,m} share their times s, except the one
+    entering at the horizon, so the conditional mean of W_{i,m} is the sum
+    over s of E[E[Y_{i,s} | path to m] | path to m-1] - E[Y_{i,s} | path to
+    m-1] plus the entering term's conditional mean.  The sups of these
+    drifts over every state assignment of the positions each reads (at
+    most arity + 2) sum to a bound on the offset at every conditioning
+    path.  The report carries the largest per-step bound, the step and
+    level it occurs at, and the allowance it is compared against: tol =
+    1e-8 plus the certified truncation tail.
+    """
     worst = 0.0
     worst_at = (0, 0)
-    n_conditions = 0
-    for m in range(1, LN + 1):
-        for i in range(1, L + 1):
-            if m > i * N:
-                continue
+    terms_checked = 0
+    for i in range(1, decomp.arity + 1):
+        before, _ = decomp.step(i, 0)
+        for m in range(1, i * decomp.n_terms + 1):
             predicted, due = decomp.step(i, m)
-            before, _ = decomp.step(i, m - 1)
-            # positions the increment reads strictly before the step time
-            past = {p for positions, _ in predicted + due for p in positions if p < m}
-            past.update(p for positions, _ in before for p in positions)
-            if m > 1:
-                past.add(m - 1)
-            pos = sorted(past)
-
-            n_prof = S ** len(pos)
-            if n_prof * S > _CONDITION_BUDGET:
-                raise ConfigError(
-                    f"exhaustive check needs {n_prof * S} conditions at step {m}, over budget"
-                )
-            if n_prof == 1:
-                grid = np.zeros((1, 0), dtype=np.int64)
-            else:
-                mesh = np.meshgrid(*([np.arange(S)] * len(pos)), indexing="ij")
-                grid = np.stack([g.ravel() for g in mesh], axis=1)
-            B0 = grid.shape[0]
-            col_of = {p: grid[:, t] for t, p in enumerate(pos)}
-            n_conditions += B0
-
-            # batch = (profile, step-state) pairs; the step state integrates out
-            def getcol(p, _col_of=col_of, _m=m):
-                if p == _m:
-                    return np.tile(np.arange(S), B0)
-                return np.repeat(_col_of[p], S)
-
-            val = np.zeros(B0 * S) + _lookup(due + predicted, getcol)
-            if m == 1:
-                weights = np.tile(decomp.chain.stationary, (B0, 1))
-            else:
-                weights = P[col_of[m - 1]]
-            cond = np.einsum("bs,bs->b", weights, val.reshape(B0, S))
-            prev = _lookup(before, lambda p: col_of[p])
-            offend = float(np.max(np.abs(cond - prev))) if B0 else 0.0
-            if offend > worst:
-                worst = offend
+            terms = {**due, **predicted}
+            bound = math.fsum(
+                _drift_sup(decomp.chain, m, term, before.get(s)) for s, term in terms.items()
+            )
+            terms_checked += len(terms)
+            if bound > worst:
+                worst = bound
                 worst_at = (m, i)
+            before = predicted
 
-    allowance = decomp.tail_error
     return MartingaleCheck(
-        max_abs=worst,
-        allowance=allowance,
+        bound=worst,
+        allowance=decomp.tail_error,
         tol=_TOL,
         worst_time=worst_at[0],
         worst_level=worst_at[1],
-        n_conditions=n_conditions,
-        passed=worst <= _TOL + allowance,
+        terms_checked=terms_checked,
+        passed=worst <= _TOL + decomp.tail_error,
     )
 
 

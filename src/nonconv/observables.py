@@ -31,26 +31,22 @@ from nonconv.processes import (
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Vectorized observable with declared regularity constants.
+    """Vectorized observable with a declared bound constant.
 
     ``fn`` maps an array of argument tuples, shape (n, arity, dim), to (n,)
-    values.  ``bound_const`` (K), ``holder_exp`` (kappa) and ``growth_exp``
-    (lambda) declare the regularity class: growth_exp = 0 means bounded by K.
+    values.  ``bound_const`` (K) is the constant the martingale bounds scale by.
     """
 
     arity: int
     dim: int
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     bound_const: float
-    holder_exp: float = 1.0
-    growth_exp: float = 0.0
-    name: str = "custom"
 
     def __post_init__(self):
         if self.arity < 1 or self.dim < 1:
             raise ConfigError("arity and dim must be >= 1")
-        if self.bound_const <= 0 or not (0 < self.holder_exp <= 1) or self.growth_exp < 0:
-            raise ConfigError("need K > 0, kappa in (0, 1], lambda >= 0")
+        if self.bound_const <= 0:
+            raise ConfigError("need K > 0")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -113,15 +109,13 @@ def product_observable(arity: int, dim: int = 1, coord: int = 0, value_bound: fl
         dim=dim,
         fn=fn,
         bound_const=max(b, 1.0) ** arity,
-        holder_exp=1.0,
-        growth_exp=0.0,
-        name="product",
     )
 
 
-def sum_observable(arity: int, dim: int = 1, coord: int = 0, growth_exp: float = 1.0,
-                   bound_const: float = 1.0) -> Observable:
-    """F = sum of one coordinate across arguments (growth exponent 1 by default)."""
+def sum_observable(
+    arity: int, dim: int = 1, coord: int = 0, bound_const: float = 1.0
+) -> Observable:
+    """F = sum of one coordinate across arguments."""
 
     def fn(pts):
         return np.sum(pts[:, :, coord], axis=1)
@@ -131,9 +125,6 @@ def sum_observable(arity: int, dim: int = 1, coord: int = 0, growth_exp: float =
         dim=dim,
         fn=fn,
         bound_const=bound_const,
-        holder_exp=1.0,
-        growth_exp=growth_exp,
-        name="sum",
     )
 
 
@@ -149,10 +140,7 @@ def indicator_product_observable(
     def fn(pts):
         return np.prod(pts[:, :, coord] >= t[None, :], axis=1).astype(float)
 
-    return Observable(
-        arity=arity, dim=dim, fn=fn, bound_const=1.0, holder_exp=1.0,
-        growth_exp=0.0, name="indicator-product",
-    )
+    return Observable(arity=arity, dim=dim, fn=fn, bound_const=1.0)
 
 
 def clipped_poly_observable(
@@ -176,10 +164,7 @@ def clipped_poly_observable(
         x = pts[:, :, coord]
         return np.clip(np.sum(c[None, :] * x ** d[None, :], axis=1), -clip, clip)
 
-    return Observable(
-        arity=arity, dim=dim, fn=fn, bound_const=max(clip, lip, 1e-12),
-        holder_exp=1.0, growth_exp=0.0, name="clipped-polynomial",
-    )
+    return Observable(arity=arity, dim=dim, fn=fn, bound_const=max(clip, lip, 1e-12))
 
 
 CATALOG = {

@@ -90,14 +90,11 @@ class DoublingMapModel:
     The random point is an infinite bit string held as a sliding integer
     window (the bit reservoir); one shift consumes one fresh bit.  Values are
     the table entries, i.e. the underlying function evaluated at dyadic cell
-    midpoints.  ``holder_const``/``holder_exp`` declare regularity of that
-    underlying function and certify the approximation rate.
+    midpoints.
     """
 
     table: np.ndarray  # (2**level, dim)
     level: int
-    holder_const: float
-    holder_exp: float
 
     @property
     def dim(self) -> int:
@@ -175,26 +172,17 @@ def markov_model(transition, values) -> MarkovChainModel:
     return MarkovChainModel(transition=P, values=vals, stationary=pi)
 
 
-def doubling_model(
-    table: Sequence[float] | np.ndarray,
-    level: int,
-    holder_const: float = 1.0,
-    holder_exp: float = 1.0,
-) -> DoublingMapModel:
+def doubling_model(table: Sequence[float] | np.ndarray, level: int) -> DoublingMapModel:
     """Dyadic shift observed through a value table with one row per level-``level`` cell."""
     if not (1 <= level <= 30):
         raise ConfigError("dyadic level must be in [1, 30]")
-    if not (0 < holder_exp <= 1) or holder_const < 0:
-        raise ConfigError("need holder_exp in (0,1] and holder_const >= 0")
     n = 1 << level
     table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
     if table.shape[0] != n:
         raise ConfigError(f"value table must have 2**level = {n} rows")
-    return DoublingMapModel(
-        table=table, level=level, holder_const=float(holder_const), holder_exp=float(holder_exp)
-    )
+    return DoublingMapModel(table=table, level=level)
 
 
 def iid_model(atoms, probs) -> IIDModel:
@@ -491,36 +479,6 @@ def alpha_coefficient(
     m = p_past[:, None] * cond - p_past[:, None] * p_future[None, :]
     val = float(np.max(np.abs(m)))
     return 0.0 if val < _TV_NOISE else val
-
-
-def beta_approx(model: ProcessModel, r: int) -> float:
-    """Certified bound on the sup-norm distance between the process value and
-    its conditional expectation given a radius-``r`` window of the driving noise.
-
-    Chains and i.i.d. models are measurable at radius 0, so the rate is 0.
-    For the doubling map, a radius-r window pins the first r bits of the
-    shifted point, so the gap is at most the declared Holder oscillation over
-    a cell of width 2^-r, and exactly 0 once r reaches the table level.
-    """
-    if r < 0:
-        raise ConfigError("radius must be nonnegative")
-    if isinstance(model, (MarkovChainModel, IIDModel)):
-        return 0.0
-    if isinstance(model, DoublingMapModel):
-        if r >= model.level:
-            return 0.0
-        return model.holder_const * 2.0 ** (-model.holder_exp * r)
-    raise ConfigError(f"unknown model kind: {model!r}")
-
-
-def beta_exact_doubling(model: DoublingMapModel, r: int) -> float:
-    """Exact sup-norm conditional gap for the tabulated map (test oracle)."""
-    if r >= model.level:
-        return 0.0
-    n_prefix = 1 << r
-    blocks = model.table.reshape(n_prefix, -1, model.dim)
-    means = blocks.mean(axis=1, keepdims=True)
-    return float(np.max(np.linalg.norm(blocks - means, axis=2)))
 
 
 def phi_tail(chain: MarkovChainModel, cutoff: int) -> float:

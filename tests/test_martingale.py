@@ -7,6 +7,7 @@ import pytest
 from nonconv.errors import ConfigError
 from nonconv.indexing import linear_family
 from nonconv.martingale import (
+    _lookup,
     build_decomposition,
     check_martingale,
     evaluate_paths,
@@ -17,6 +18,70 @@ from nonconv.processes import as_chain, iid_model, markov_model, phi_tail, doubl
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
+DOUBLING = doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3)  # doubling_pwc's
+_CONDITION_BUDGET = 1_000_000  # cap on enumerated conditions per increment
+
+
+def _decomp(model, n_terms, radius=0):
+    """The decomposition of the pair product over the model at N = n_terms."""
+    c = center(product_observable(2), model)
+    return build_decomposition(model, c, linear_family(2), n_terms, smoothing_radius=radius)
+
+
+def exhaustive_offset(decomp):
+    """Largest |E[W_{i,m} | path to m-1]| over every state assignment of the positions read.
+
+    The enumeration oracle for ``check_martingale``: every assignment of
+    states to the positions an increment reads is enumerated (the kernel
+    identity is pointwise, so this is the full conditional-mean check);
+    more than 10^6 conditions for one increment raise ConfigError.
+    """
+    L, N, S = decomp.arity, decomp.n_terms, decomp.chain.n_states
+    LN = L * N
+    P = decomp.chain.transition
+
+    worst = 0.0
+    for m in range(1, LN + 1):
+        for i in range(1, L + 1):
+            if m > i * N:
+                continue
+            predicted, due = decomp.step(i, m)
+            before, _ = decomp.step(i, m - 1)
+            # positions the increment reads strictly before the step time
+            past = {p for positions, _ in (predicted | due).values() for p in positions if p < m}
+            past.update(p for positions, _ in before.values() for p in positions)
+            if m > 1:
+                past.add(m - 1)
+            pos = sorted(past)
+
+            n_prof = S ** len(pos)
+            if n_prof * S > _CONDITION_BUDGET:
+                raise ConfigError(
+                    f"exhaustive check needs {n_prof * S} conditions at step {m}, over budget"
+                )
+            if n_prof == 1:
+                grid = np.zeros((1, 0), dtype=np.int64)
+            else:
+                mesh = np.meshgrid(*([np.arange(S)] * len(pos)), indexing="ij")
+                grid = np.stack([g.ravel() for g in mesh], axis=1)
+            B0 = grid.shape[0]
+            col_of = {p: grid[:, t] for t, p in enumerate(pos)}
+
+            # batch = (profile, step-state) pairs; the step state integrates out
+            def getcol(p, _col_of=col_of, _m=m):
+                if p == _m:
+                    return np.tile(np.arange(S), B0)
+                return np.repeat(_col_of[p], S)
+
+            val = np.zeros(B0 * S) + _lookup(due | predicted, getcol)
+            if m == 1:
+                weights = np.tile(decomp.chain.stationary, (B0, 1))
+            else:
+                weights = P[col_of[m - 1]]
+            cond = np.einsum("bs,bs->b", weights, val.reshape(B0, S))
+            prev = _lookup(before, lambda p: col_of[p])
+            worst = max(worst, float(np.max(np.abs(cond - prev))) if B0 else 0.0)
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +123,7 @@ class TestBuild:
         assert d.delta1_plain == pytest.approx(
             1.0 + d.phi_sum_value + d.phi_sum_tail, rel=1e-12
         )
-        assert d.delta2_plain == pytest.approx(d.delta1_plain)  # no approximation term
-        assert d.beta_term == 0.0
+        assert d.delta2_plain == d.delta1_plain  # no approximation term
 
     def test_constants_pinned_bitwise_at_n8(self):
         # recorded before the phi tail and the path weights were merged
@@ -91,7 +155,9 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_decomposition(m, c, linear_family(2), 8, smoothing_radius=1)
         d = build_decomposition(m, c, linear_family(2), 8, smoothing_radius=3)
-        assert d.beta_term == 0.0
+        assert d.delta2_plain == d.delta1_plain
+        # the enumeration would need over 10^6 conditions for this chain at N = 8
+        assert check_martingale(d).passed
 
 
 class TestPathIdentities:
@@ -133,11 +199,50 @@ class TestPathIdentities:
         np.testing.assert_allclose(ev.sums, direct, atol=1e-12)
 
 
+def _rounding(decomp):
+    # each check sums about `horizon` terms of size at most 2 in its own
+    # order, so the two may differ by rounding of that order
+    return 2.0 * decomp.horizon * np.finfo(float).eps
+
+
 class TestIncrementLaw:
     def test_exhaustive_conditional_expectations(self, pair_decomp):
         chk = check_martingale(pair_decomp)
         assert chk.passed
-        assert chk.max_abs <= chk.tol + chk.allowance
+        assert chk.bound <= chk.tol + chk.allowance
+        assert exhaustive_offset(pair_decomp) <= chk.bound + _rounding(pair_decomp)
+        # out of the enumeration's reach
+        assert check_martingale(_decomp(PAIR, 64)).passed
+
+    @pytest.mark.parametrize(
+        "model, n_terms, radius",
+        [(PAIR, 4, 0), (PAIR, 8, 0), (DOUBLING, 4, 3)],
+        ids=["pair-4", "pair-8", "doubling-4"],
+    )
+    def test_termwise_bound_covers_the_exhaustive_offset(self, model, n_terms, radius):
+        d = _decomp(model, n_terms, radius)
+        chk = check_martingale(d)
+        assert chk.passed
+        assert exhaustive_offset(d) <= chk.bound + _rounding(d)
+        assert chk.bound <= chk.tol + chk.allowance
+
+    def test_perturbed_prediction_fails_both_checks(self):
+        # 1e-6 on one entry of E[Y_{1,4} | path to 2] breaks the conditional
+        # mean at steps 2 and 3 far beyond tol = 1e-8
+        d = _decomp(PAIR, 4)
+        term = d._term
+
+        def perturbed(i, s, m):
+            positions, table = term(i, s, m)
+            if (i, s, m) == (1, 4, 2):
+                table = table.copy()
+                table.flat[0] += 1e-6
+            return positions, table
+
+        d._term = perturbed
+        chk = check_martingale(d)
+        assert not chk.passed
+        assert chk.bound >= exhaustive_offset(d) > chk.tol + chk.allowance
 
     def test_sup_gap_needs_calibrated_b(self, pair_decomp):
         # plain constants undershoot the observed boundary gap for this
@@ -149,8 +254,7 @@ class TestIncrementLaw:
         assert gap_max <= 2.0 * pair_decomp.delta2_plain
 
     def test_iid_increments_are_exactly_centered(self):
-        c = center(product_observable(2), RADEMACHER)
-        d = build_decomposition(RADEMACHER, c, linear_family(2), 8)
+        d = _decomp(RADEMACHER, 8)
         chk = check_martingale(d)
         assert chk.passed
-        assert chk.max_abs <= 1e-10
+        assert exhaustive_offset(d) <= chk.bound <= 1e-10

@@ -11,8 +11,6 @@ from nonconv.processes import (
     _draw,
     alpha_coefficient,
     as_chain,
-    beta_approx,
-    beta_exact_doubling,
     doubling_model,
     doubling_to_markov,
     iid_model,
@@ -92,20 +90,6 @@ class TestAlpha:
                 phi = phi_coefficient(model, n)
                 for pw, fw in [(1, 1), (2, 1), (1, 2), (2, 2)]:
                     assert alpha_coefficient(model, n, pw, fw) <= phi / 2 + 1e-12
-
-
-class TestBetaApprox:
-    def test_chain_and_iid_need_no_smoothing(self, pair):
-        assert beta_approx(pair, 0) == 0.0
-        m = iid_model([[0.0], [1.0]], [0.5, 0.5])
-        assert beta_approx(m, 3) == 0.0
-
-    def test_doubling_rate_and_exactness(self):
-        m = doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3)
-        assert beta_approx(m, 3) == 0.0  # radius reaches the table level
-        assert beta_exact_doubling(m, 3) == 0.0
-        b1 = beta_approx(m, 1)
-        assert 0 < b1 <= m.holder_const * 2.0 ** (-1)
 
 
 class TestDoublingEmbedding:
