@@ -5,7 +5,8 @@ Values are JSON (numbers, strings, booleans, bracketed lists; matrices as
 lists of row lists); a bare word falls back to a string so `kind = markov`
 works unquoted.  No nesting beyond the one section level.  Every parse or
 validation error carries a line number, using the section header's line for
-missing keys.
+missing keys and for keys the section does not know: a misspelled optional
+key is an error, never a silent default.
 """
 
 from __future__ import annotations
@@ -121,16 +122,42 @@ def load_config(path: str) -> RawConfig:
 # ---------------------------------------------------------------------------
 
 
+def _only_keys(raw: RawConfig, name: str, known) -> None:
+    """Raise ConfigError at section ``name``'s header line for its first key outside ``known``."""
+    for key in raw.sections.get(name, {}):
+        if key not in known:
+            line = raw.header_lines[name]
+            raise ConfigError(
+                f"{raw.path}:{line}: unknown key '{key}' in [{name}]; "
+                f"expected one of {', '.join(sorted(known))}"
+            )
+
+
+_MODEL_KEYS = {
+    "markov": ("kind", "transition", "values"),
+    "iid": ("kind", "atoms", "probs"),
+    "doubling": ("kind", "table", "level"),
+}
+_FAMILY_KEYS = {
+    "linear": ("kind", "arity"),
+    "polynomial": ("kind", "coeffs", "ray_start"),
+    "power-sparse": ("kind", "coeffs", "power", "ray_start"),
+}
+_RUN_KEYS = ("n_grid", "replicates", "seed", "statistics", "bound_checks", "workers")
+
+
 def build_model(raw: RawConfig) -> ProcessModel:
     kind = raw.require("model", "kind")
+    keys = _MODEL_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        line = raw.header_lines["model"]
+        raise ConfigError(f"{raw.path}:{line}: unknown model kind {kind!r}")
+    _only_keys(raw, "model", keys)
     if kind == "markov":
         return markov_model(raw.require("model", "transition"), raw.require("model", "values"))
     if kind == "iid":
         return iid_model(raw.require("model", "atoms"), raw.require("model", "probs"))
-    if kind == "doubling":
-        return doubling_model(raw.require("model", "table"), int(raw.require("model", "level")))
-    line = raw.header_lines["model"]
-    raise ConfigError(f"{raw.path}:{line}: unknown model kind {kind!r}")
+    return doubling_model(raw.require("model", "table"), int(raw.require("model", "level")))
 
 
 def build_observable(raw: RawConfig, dim: int) -> Observable:
@@ -154,23 +181,24 @@ def build_family(raw: RawConfig, arity: int) -> IndexFamily:
     if sec is None:
         return linear_family(arity)
     kind = sec.get("kind", "linear")
+    line = raw.header_lines["family"]
+    keys = _FAMILY_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"{raw.path}:{line}: unknown family kind {kind!r}")
+    _only_keys(raw, "family", keys)
     if kind == "linear":
         fam = linear_family(int(sec.get("arity", arity)))
     elif kind == "polynomial":
         fam = polynomial_family(
             raw.require("family", "coeffs"), ray_start=int(sec.get("ray_start", 1))
         )
-    elif kind == "power-sparse":
+    else:
         fam = power_sparse_family(
             raw.require("family", "coeffs"),
             int(raw.require("family", "power")),
             ray_start=int(sec.get("ray_start", 1)),
         )
-    else:
-        line = raw.header_lines["family"]
-        raise ConfigError(f"{raw.path}:{line}: unknown family kind {kind!r}")
     if fam.arity != arity:
-        line = raw.header_lines["family"]
         raise ConfigError(
             f"{raw.path}:{line}: family arity {fam.arity} != observable arity {arity}"
         )
@@ -233,7 +261,9 @@ def build_experiment(
 ) -> Experiment:
     """Assemble a validated experiment, applying CLI overrides when given.
 
-    Every malformed value ends in a ConfigError carrying the file and line.
+    Every malformed value, and every key that [model], [family], [run] or a
+    known optional section does not read, ends in a ConfigError carrying
+    the file and line.
     """
     with _reading(raw, "model"):
         model = build_model(raw)
@@ -244,6 +274,7 @@ def build_experiment(
         family = build_family(raw, obs.arity)
 
     run = raw.section("run")
+    _only_keys(raw, "run", _RUN_KEYS)
     with _reading(raw, "run"):
         grid = n_grid if n_grid is not None else raw.require("run", "n_grid")
         if isinstance(grid, (int, float)):
@@ -264,6 +295,8 @@ def build_experiment(
         if name in ("model", "observable", "family", "run"):
             continue
         extras[name] = dict(sec)
+        if name in _EXTRA_KEYS:
+            _only_keys(raw, name, _EXTRA_KEYS[name])
         with _reading(raw, name):
             for key, convert in _EXTRA_KEYS.get(name, {}).items():
                 if key in sec:

@@ -8,6 +8,7 @@ checks them against is evaluated in log space, so large k cannot overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -61,34 +62,54 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@functools.lru_cache(maxsize=EXACT_ORDER_CAP)
+def _partition_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of m_p's partition sum: integer weights p!/prod k_i!, u!, and index rows.
+
+    Row r holds the parts k_1..k_u of one composition of p, padded with 0
+    to width p; the rows run over u = 1..p, compositions in lexicographic
+    order.  A leading row of weight 0 and all padding starts the sum at
+    an exact zero.
+    """
+    comps = [c for u in range(1, p + 1) for c in _compositions(p, u)]
+    p_fact = math.factorial(p)
+    weights = [0] + [p_fact // math.prod(math.factorial(k) for k in c) for c in comps]
+    u_facts = [1] + [math.factorial(len(c)) for c in comps]
+    rows = np.zeros((len(comps) + 1, p), dtype=np.intp)
+    for r, c in enumerate(comps, start=1):
+        rows[r, : len(c)] = c
+    table = (np.array(weights, dtype=np.int64), np.array(u_facts, dtype=np.int64), rows)
+    for arr in table:  # shared by every caller through the cache
+        arr.setflags(write=False)
+    return table
+
+
 def cumulants_to_moments(cumulants: Sequence[float]) -> np.ndarray:
     """Raw moments from cumulants by the explicit partition sum
 
         m_p = sum_u (1/u!) sum_{k_1+...+k_u = p} p!/(k_1!...k_u!) prod Gamma_{k_i}.
 
-    Inverse of :func:`moments_to_cumulants`.
+    Inverse of :func:`moments_to_cumulants`, computed independently of its
+    recursion.  Each order's terms come from a table built once per order
+    (:func:`_partition_table`): every term is (weight / u!) Gamma_{k_1} ...
+    Gamma_{k_u}, multiplied left to right one column at a time (padding
+    reads an exact 1), and the terms are added in table order by a
+    sequential cumsum, so every moment is the same float as a term-by-term
+    loop gives.
     """
     g = np.asarray(cumulants, dtype=float)
     K = g.size
     if not (1 <= K <= EXACT_ORDER_CAP):
         raise ConfigError(f"order must be in 1..{EXACT_ORDER_CAP}")
     dt = _working_dtype(K)
-    gg = g.astype(dt)
+    padded = np.concatenate(([1.0], g)).astype(dt)  # index 0 is the padding
     out = np.zeros(K, dtype=dt)
     for p in range(1, K + 1):
-        total = dt(0.0)
-        p_fact = math.factorial(p)
-        for u in range(1, p + 1):
-            u_fact = math.factorial(u)
-            for comp in _compositions(p, u):
-                weight = p_fact
-                for ki in comp:
-                    weight //= math.factorial(ki)
-                prod = dt(weight) / u_fact
-                for ki in comp:
-                    prod = prod * gg[ki - 1]
-                total = total + prod
-        out[p - 1] = total
+        weights, u_facts, rows = _partition_table(p)
+        terms = weights.astype(dt) / u_facts.astype(dt)
+        for col in rows.T:
+            terms *= padded[col]
+        out[p - 1] = np.cumsum(terms)[-1]
     return out.astype(float)
 
 

@@ -2,8 +2,10 @@
 
 The dilation distance between times n, m is the smallest |i*n - j*m| over
 coefficient pairs 1 <= i, j <= l.  The neighborhood of n is every m within
-distance s of it; its size is at most 3 l^2 s, the counting bound the
-verification battery checks exhaustively.
+distance s of it, a union of l^2 integer intervals; its size is at most
+3 l^2 s, the counting bound the verification battery checks exhaustively.
+``neighborhood`` lists one neighborhood, and ``neighborhood_sizes`` counts
+all of n = 1..N at once from the same intervals.
 """
 
 from __future__ import annotations
@@ -132,33 +134,61 @@ def power_sparse_family(
 # ---------------------------------------------------------------------------
 
 
-def neighborhood(arity: int, n: int, n_max: int, s: int) -> np.ndarray:
-    """All m in [1, n_max] within dilation distance s of n, as a sorted int64 array.
+def _spans(arity: int, n, n_max: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (lo, hi) of the arity^2 intervals whose union is the neighborhood of n.
 
     |i m - j n| <= s holds exactly for the integers m in
-    [ceil((j n - s) / i), floor((j n + s) / i)], so the neighborhood is the
-    union of these arity^2 intervals, clipped to [1, n_max].
+    [ceil((j n - s) / i), floor((j n + s) / i)]; each is clipped to
+    [1, n_max] and may come out empty (lo > hi).  ``n`` is a scalar or an
+    array; the coefficient pairs (i, j) run along a new last axis.
     """
     if s < 0 or n_max < 1:
         raise ConfigError("need s >= 0 and n_max >= 1")
-    if arity < 1 or n < 1:
+    n = np.asarray(n, dtype=np.int64)
+    if arity < 1 or np.any(n < 1):
         raise ConfigError("need arity and n >= 1")
-    spans = sorted(
-        (max(-((s - j * n) // i), 1), min((j * n + s) // i, n_max))
-        for i in range(1, arity + 1)
-        for j in range(1, arity + 1)
-    )
+    coef = np.arange(1, arity + 1, dtype=np.int64)
+    i = np.repeat(coef, arity)
+    jn = n[..., None] * np.tile(coef, arity)
+    return np.maximum(-((s - jn) // i), 1), np.minimum((jn + s) // i, n_max)
+
+
+def neighborhood(arity: int, n: int, n_max: int, s: int) -> np.ndarray:
+    """All m in [1, n_max] within dilation distance s of n, as a sorted int64 array.
+
+    The union of the intervals of :func:`_spans`, merged one point at a
+    time; :func:`neighborhood_sizes` counts the same union for every n.
+    """
+    lo, hi = _spans(arity, n, n_max, s)
     merged: list[list[int]] = []
-    for lo, hi in spans:
-        if lo > hi:
+    for a, b in sorted(zip(lo.tolist(), hi.tolist())):
+        if a > b:
             continue
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1][1] = max(merged[-1][1], hi)
+        if merged and a <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], b)
         else:
-            merged.append([lo, hi])
+            merged.append([a, b])
     return np.concatenate(
-        [np.empty(0, dtype=np.int64)] + [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in merged]
+        [np.empty(0, dtype=np.int64)] + [np.arange(a, b + 1, dtype=np.int64) for a, b in merged]
     )
+
+
+def neighborhood_sizes(arity: int, n_max: int, s: int) -> np.ndarray:
+    """|A_s(n)| = neighborhood(arity, n, n_max, s).size for n = 1..n_max, as int64.
+
+    Sorted by lower end, interval k adds the points above both lo_k - 1 and
+    the highest upper end before it (a running maximum), so the union's
+    size is one pass over the (n_max, arity^2) interval table.  Empty
+    intervals add nothing and, lying below every later lower end, never
+    raise the running maximum past a point they do not cover.
+    """
+    lo, hi = _spans(arity, np.arange(1, n_max + 1), n_max, s)
+    order = np.argsort(lo, axis=1, kind="stable")
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    reach = np.zeros_like(hi)
+    np.maximum.accumulate(hi[:, :-1], axis=1, out=reach[:, 1:])
+    return np.maximum(hi - np.maximum(lo - 1, reach), 0).sum(axis=1)
 
 
 def neighborhood_cap(arity: int, s: int) -> float:

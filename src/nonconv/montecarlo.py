@@ -530,19 +530,33 @@ def chernoff_refutations(
     )
 
 
+def mgf_estimates(sample: SumSample, lambdas: Sequence[float]) -> dict[float, tuple[float, float]]:
+    """lambda -> (mean of exp(lambda S_N), its bootstrap SE) over the centered sums.
+
+    The bootstrap is seeded by the sample's master seed, so one call serves
+    both :func:`calibrate_B` and a check that compares the same means.
+    """
+    s = sample.centered
+    return {
+        lam: bootstrap_se(np.exp(lam * s), lambda v: float(np.mean(v)), sample.master_seed)
+        for lam in lambdas
+    }
+
+
 def calibrate_B(
     decomp: MartingaleDecomposition,
     sample: SumSample,
-    lambdas: Sequence[float],
+    mgf: dict[float, tuple[float, float]],
     t_grid: Sequence[float],
 ) -> float:
     """Minimal B making gap, MGF, and Chernoff displays hold at the CI edge.
 
-    All three checks get weaker as B grows (larger gap allowance, larger MGF
-    exponent, larger tail bound with a higher threshold), so the minimal
-    feasible B is found by direct inversion for gap and MGF and a geometric
-    scan for the threshold-coupled Chernoff part.  No feasible B below the
-    scan cap raises CheckFailure: the bound is genuinely refuted, which is a
+    ``mgf`` is :func:`mgf_estimates` of the same sample.  All three checks
+    get weaker as B grows (larger gap allowance, larger MGF exponent, larger
+    tail bound with a higher threshold), so the minimal feasible B is found
+    by direct inversion for gap and MGF and a geometric scan for the
+    threshold-coupled Chernoff part.  No feasible B below the scan cap
+    raises CheckFailure: the bound is genuinely refuted, which is a
     scientific failure upstream.
     """
     if sample.n_terms != decomp.n_terms:
@@ -553,9 +567,7 @@ def calibrate_B(
     req = max(_FLOOR, float(np.max(ev.gaps)) / d2 if d2 > 0 else _FLOOR)
 
     s = sample.centered
-    for lam in lambdas:
-        terms = np.exp(lam * s)
-        point, se = bootstrap_se(terms, lambda v: float(np.mean(v)), sample.master_seed)
+    for lam, (point, se) in mgf.items():
         log_upper = math.log(max(point + 2.0 * se, 1e-300))
         denom = lam * lam * N * L * d1 + abs(lam) * d2
         if denom > 0 and log_upper > 0:

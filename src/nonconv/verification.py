@@ -28,7 +28,7 @@ from nonconv.cumulants import (
     noncum_bound,
 )
 from nonconv.errors import ConfigError
-from nonconv.indexing import neighborhood, neighborhood_cap
+from nonconv.indexing import neighborhood_cap, neighborhood_sizes
 from nonconv.martingale import (
     build_decomposition,
     check_martingale,
@@ -37,7 +37,6 @@ from nonconv.martingale import (
 )
 from nonconv.montecarlo import (
     ExperimentConfig,
-    bootstrap_se,
     calibrate_B,
     calibrate_C1,
     calibrate_c0,
@@ -46,6 +45,7 @@ from nonconv.montecarlo import (
     default_thresholds,
     kolmogorov_distance,
     mdp_diagnostic,
+    mgf_estimates,
     replicate_sums,
     variance_scan,
 )
@@ -188,11 +188,9 @@ def check_neighborhood_bound() -> CheckResult:
     for arity in range(1, 5):
         for s in range(1, _NEIGHBORHOOD_S_MAX + 1):
             cap = neighborhood_cap(arity, s)
-            for n in range(1, _NEIGHBORHOOD_N_MAX + 1):
-                size = neighborhood(arity, n, _NEIGHBORHOOD_N_MAX, s).size
-                worst_ratio = max(worst_ratio, size / cap)
-                if size > cap:
-                    violations += 1
+            sizes = neighborhood_sizes(arity, _NEIGHBORHOOD_N_MAX, s)
+            worst_ratio = max(worst_ratio, int(sizes.max()) / cap)
+            violations += int(np.count_nonzero(sizes > cap))
     passed = violations == 0
     return _result(
         "neighborhood-bound",
@@ -330,13 +328,12 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
         decomp = build_decomposition(config.model, config.centered, config.family, n)
         s = sample.centered
         t_grid = default_thresholds(s)
-        b = calibrate_B(decomp, sample, lambdas, t_grid)
+        mgf = mgf_estimates(sample, lambdas)
+        b = calibrate_B(decomp, sample, mgf, t_grid)
         b_values[tag] = b
         d1, d2 = decomp.delta1_plain, decomp.delta2_plain
 
-        for lam in lambdas:
-            terms = np.exp(lam * s)
-            point, se = bootstrap_se(terms, lambda v: float(np.mean(v)), sample.master_seed)
+        for lam, (point, se) in mgf.items():
             bound = math.exp(mgf_exponent_bound(lam, n, decomp.arity, d1, d2, b))
             if point - 2.0 * se > bound:
                 all_ok = False

@@ -236,6 +236,14 @@ class TestSimulateCommand:
                 TINY_IID + "\n[family]\nkind = polynomial\ncoeffs = [[1, -3, 3]]\n",
                 "index maps must be strictly increasing, but at n = 2",
             ),
+            (
+                TINY_CHAIN.replace("kind = markov", "kind = markov\nholder_exp = 5"),
+                "exp.cfg:2: unknown key 'holder_exp' in [model]",
+            ),
+            (
+                TINY_CHAIN.replace("b = 2.0", "b = 2.0\nsmoothing_radus = 3"),
+                "exp.cfg:18: unknown key 'smoothing_radus' in [martingale]",
+            ),
         ],
         ids=[
             "chernoff-on-polynomial-family",
@@ -246,6 +254,8 @@ class TestSimulateCommand:
             "concentration-c2-zero",
             "mdp-d-const-negative",
             "stalling-family-on-count-path",
+            "unknown-model-key",
+            "misspelled-martingale-key",
         ],
     )
     def test_config_only_failure_precedes_every_draw_and_file(

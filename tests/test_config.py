@@ -27,14 +27,13 @@ arity = 2
 n_grid = [16, 64]
 replicates = 500
 seed = 7
-label = "with # inside"
-flag = true
 """
 
 
 class TestParser:
     def test_value_kinds(self):
-        raw = parse_config_text(BASIC)
+        # the parser keeps any key; build_experiment decides which ones it knows
+        raw = parse_config_text(BASIC + 'label = "with # inside"\nflag = true\n')
         run = raw.section("run")
         assert run["n_grid"] == [16, 64]
         assert run["replicates"] == 500
@@ -155,6 +154,26 @@ class TestExperimentAssembly:
         text = BASIC + "\n[bounds]\ngamma = -1\n"
         with pytest.raises(ConfigError, match="gamma must be positive"):
             build_experiment(parse_config_text(text))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("model", "holder_exp"),
+            ("run", "label"),
+            ("family", "power"),  # a power-sparse key on the default linear family
+            ("martingale", "smoothing_radus"),
+            ("tails", "threshold"),
+            ("mdp", "x"),
+            ("bounds", "c3"),
+        ],
+    )
+    def test_unknown_key_cites_section_line(self, section, key):
+        header = f"[{section}]"
+        text = BASIC if header in BASIC else BASIC + f"\n{header}\n"
+        text = text.replace(header, f"{header}\n{key} = 5")
+        line = text.splitlines().index(header) + 1
+        with pytest.raises(ConfigError, match=rf"^f\.cfg:{line}: unknown key '{key}' in \[{section}\]"):
+            build_experiment(parse_config_text(text, path="f.cfg"))
 
     def test_extras_carry_optional_sections(self):
         text = BASIC + "\n[martingale]\nb = 2.0\n\n[mdp]\nexponent = 0.1\n"

@@ -24,7 +24,51 @@ def touchard_poisson_moments(lam, p_max):
     return ms[1:]
 
 
+def enumerated_moments(cumulants):
+    # the term-by-term partition sum: compositions enumerated afresh for
+    # every order, each product formed left to right and added in order
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    g = np.asarray(cumulants, dtype=float)
+    dt = np.longdouble if g.size > 10 else np.float64
+    gg = g.astype(dt)
+    out = np.zeros(g.size, dtype=dt)
+    for p in range(1, g.size + 1):
+        total = dt(0.0)
+        for u in range(1, p + 1):
+            for comp in compositions(p, u):
+                weight = math.factorial(p)
+                for k in comp:
+                    weight //= math.factorial(k)
+                prod = dt(weight) / math.factorial(u)
+                for k in comp:
+                    prod = prod * gg[k - 1]
+                total = total + prod
+        out[p - 1] = total
+    return out.astype(float)
+
+
 class TestMomentCumulantMaps:
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_table_sum_matches_enumeration_bit_for_bit(self, order):
+        # orders above 10 run in longdouble; signed zeros must survive too
+        rng = substream_rng(8, order)
+        vectors = [
+            rng.uniform(-3.0, 3.0, order) * 10.0 ** rng.integers(-3, 4, order),
+            np.full(order, -0.0),
+            np.where(rng.random(order) < 0.5, 0.0, rng.standard_normal(order)),
+        ]
+        for cums in vectors:
+            got = cumulants_to_moments(cums)
+            assert got.tobytes() == enumerated_moments(cums).tobytes()
+
+
     def test_gaussian_cumulants_vanish_beyond_two(self):
         # N(1, 4): moments via the binomial/double-factorial closed form
         mu, var = 1.0, 4.0

@@ -8,6 +8,7 @@ from nonconv.indexing import (
     linear_family,
     neighborhood,
     neighborhood_cap,
+    neighborhood_sizes,
     polynomial_family,
     power_sparse_family,
 )
@@ -115,6 +116,23 @@ class TestNeighborhood:
                 got = neighborhood(arity, n, n_max, 5)
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, filter_neighborhood(arity, n, n_max, 5))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_sizes_match_point_sets_and_filter_oracle(self, arity):
+        # n_max = 1 and 37 clip most intervals and leave some empty
+        for s in (0, 1, 2, 7, 50):
+            for n_max in (1, 37, 500):
+                got = neighborhood_sizes(arity, n_max, s)
+                assert got.dtype == np.int64 and got.shape == (n_max,)
+                points = [neighborhood(arity, n, n_max, s).size for n in range(1, n_max + 1)]
+                oracle = [filter_neighborhood(arity, n, n_max, s).size for n in range(1, n_max + 1)]
+                np.testing.assert_array_equal(got, points)
+                np.testing.assert_array_equal(got, oracle)
+
+    def test_sizes_reject_bad_arguments(self):
+        for args in ((0, 10, 1), (2, 0, 1), (2, 10, -1)):
+            with pytest.raises(ConfigError):
+                neighborhood_sizes(*args)
 
     def test_contains_its_center(self):
         assert 13 in neighborhood(3, 13, 200, 1)

@@ -23,6 +23,7 @@ from nonconv.montecarlo import (
     cumulant_scan,
     kolmogorov_distance,
     mdp_diagnostic,
+    mgf_estimates,
     replicate_sums,
     sums_over_grid,
     tail_estimate,
@@ -392,12 +393,19 @@ class TestCalibration:
         )
         assert calibrate_C1(fit) == pytest.approx(0.6)
 
+    def test_mgf_estimates_are_the_seeded_bootstrap(self):
+        sample = replicate_sums(_config(PAIR, 2, (16,), 256, seed=3), 16)
+        got = mgf_estimates(sample, (0.02, 0.1))
+        for lam in (0.02, 0.1):
+            want = bootstrap_se(np.exp(lam * sample.centered), lambda v: float(np.mean(v)), 3)
+            assert got[lam] == want
+
     def test_martingale_constant_covers_observed_gap(self):
         from nonconv.martingale import build_decomposition, evaluate_paths
 
         c = center(product_observable(2), PAIR)
         decomp = build_decomposition(PAIR, c, linear_family(2), 16)
         sample = replicate_sums(_config(PAIR, 2, (16,), 256, seed=3), 16)
-        b = calibrate_B(decomp, sample, lambdas=(0.02,), t_grid=(1.0, 2.0))
+        b = calibrate_B(decomp, sample, mgf_estimates(sample, (0.02,)), t_grid=(1.0, 2.0))
         ev = evaluate_paths(decomp, 3, 256)
         assert b > float(np.max(ev.gaps)) / decomp.delta2_plain

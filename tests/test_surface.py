@@ -19,6 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nonconv"
 # public names kept without a caller in the package, each with its reason
 ALLOWED = {
     "sample_paths": "perfbench/tracer.py binds it by name to count path draws",
+    "neighborhood": (
+        "perfbench/tracer.py binds it by name; it is the per-point oracle of neighborhood_sizes"
+    ),
 }
 
 # class members kept without a reader in the package, each with its reason:

@@ -55,3 +55,52 @@ def test_run_suite_fills_cache_and_workers_through_a_wrapper(monkeypatch):
     assert verification.run_suite("wrapped", workers=3) == [3, 3]
     (first, _), (second, _) = seen
     assert isinstance(first, dict) and second is first
+
+
+QUICK_SUITE_TEXT = [
+    (
+        "mixing-oracle",
+        "pass",
+        "max |phi - bruteforce| = 1.18e-16, max (alpha - phi/2) = -2.98e-05 "
+        "over 162 window/gap pairs",
+    ),
+    (
+        "neighborhood-bound",
+        "pass",
+        "0 violations over l <= 4, N <= 500, s <= 50; max |A_s|/(3 l^2 s) = 1.000",
+    ),
+    (
+        "cumulant-algebra",
+        "pass",
+        "round-trip rel err 1.03e-10 over 200 vectors; Gaussian moment err 5.68e-13; "
+        "Poisson cumulant err 0.00e+00",
+    ),
+    (
+        "martingale-construction",
+        "pass",
+        "term-wise offset bound 7.59e-11 (allow 1e-08+1e-09) over 2064 terms; "
+        "gaps {8: 4.370726, 64: 4.392157} vs B*delta2 = 6.5561 (B = 1.844); "
+        "spread 0.488%; telescoping ok",
+    ),
+    (
+        "worker-determinism",
+        "pass",
+        "replicate vectors and CSV bytes identical for 1 vs 8 workers",
+    ),
+]
+
+
+def test_quick_suite_prints_pinned_text():
+    # what `nonconv verify quick` prints, apart from the seconds; any change
+    # to a check's kernels must leave every name, status and detail as is
+    got = [(r.name, r.status, r.detail) for r in verification.run_suite("quick")]
+    assert got == QUICK_SUITE_TEXT
+
+
+def test_neighborhood_check_fails_below_the_attained_cap(monkeypatch):
+    # the scan attains |A_s| = 3 l^2 s, so a cap of 2.9 l^2 s must be refuted
+    monkeypatch.setattr(verification, "neighborhood_cap", lambda arity, s: 2.9 * arity * arity * s)
+    result = verification.check_neighborhood_bound()
+    assert not result.passed and result.status == "fail"
+    assert result.values["violations"] > 0
+    assert result.values["worst_ratio"] > 1.0
