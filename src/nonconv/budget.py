@@ -26,6 +26,15 @@ def budget_mb() -> float:
     return value
 
 
+def block_bytes(n_replicates: int, row_bytes: int, n_columns: int) -> int:
+    """Peak bytes of a block phase whose arrays hold ``row_bytes`` per replicate.
+
+    On top come 64 bytes per replicate and per column for per-step buffers,
+    gap lists and index copies, and numpy's 64 KiB ufunc buffer.
+    """
+    return n_replicates * row_bytes + 64 * (n_replicates + n_columns) + 2**16
+
+
 def ensure_within_budget(nbytes: float, label: str) -> None:
     cap = budget_mb() * 2**20
     if nbytes > cap:

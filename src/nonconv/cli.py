@@ -60,18 +60,16 @@ def _parse_grid(text: str | None) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_grid(extras: dict, centered: np.ndarray) -> np.ndarray:
-    sec = extras.get("tails", {})
-    if "thresholds" in sec:
-        return np.asarray(sec["thresholds"])
-    return default_thresholds(centered)
+def _threshold_grid(exp, centered: np.ndarray) -> np.ndarray:
+    thresholds = exp.params["tails"]["thresholds"]
+    return default_thresholds(centered) if thresholds is None else np.asarray(thresholds)
 
 
 def _stat_tails(exp, sums, out, manifest):
     rows = []
     for n in exp.config.n_grid:
         s = sums[n].centered
-        for t in _threshold_grid(exp.extras, s):
+        for t in _threshold_grid(exp, s):
             te = tail_estimate(s, float(t))
             rows.append((n, te.threshold, te.p_hat, te.lower, te.upper, te.count))
     _emit(out, "tails.csv", ("n_terms", "threshold", "p_hat", "lower", "upper", "count"), rows, manifest)
@@ -113,17 +111,11 @@ def _stat_kolmogorov(exp, sums, out, manifest):
     _emit(out, "kolmogorov.csv", ("n_terms", "distance", "scale"), rows, manifest)
 
 
-def _mdp_d_const(exp) -> float:
-    return exp.extras.get("mdp", {}).get("d_const", 1.0)
-
-
 def _stat_mdp(exp, sums, out, manifest):
-    sec = exp.extras.get("mdp", {})
-    expo = sec.get("exponent", 0.1)
-    x_grid = sec.get("x_grid", [1.0])
+    mdp = exp.params["mdp"]
     table = mdp_diagnostic(
-        exp.config, lambda n: float(n) ** expo, x_grid, _mdp_d_const(exp), sums_by_n=sums,
-        min_count=sec.get("min_count", 20),
+        exp.config, lambda n: float(n) ** mdp["exponent"], mdp["x_grid"], mdp["d_const"],
+        sums_by_n=sums, min_count=mdp["min_count"],
     )
     rows = [
         (
@@ -153,70 +145,30 @@ _STATS = {
 }
 
 
-def _decompositions(exp):
-    """The martingale decomposition at every N of the grid, for the Chernoff check."""
-    config = exp.config
-    radius = exp.extras.get("martingale", {}).get("smoothing_radius", 0)
-    return {
-        n: build_decomposition(
-            config.model, config.centered, config.family, n, smoothing_radius=radius
-        )
-        for n in config.n_grid
-    }
-
-
-def _chernoff_b(exp) -> float:
-    return exp.extras.get("martingale", {}).get("b", 1.0)
-
-
 def _check_chernoff(exp, sums, decomps, manifest):
-    b = _chernoff_b(exp)
+    b = exp.params["martingale"]["b"]
     refuted = 0
     for n in exp.config.n_grid:
         s = sums[n].centered
-        refuted += chernoff_refutations(s, _threshold_grid(exp.extras, s), decomps[n], b)
+        refuted += chernoff_refutations(s, _threshold_grid(exp, s), decomps[n], b)
     manifest.record("chernoff", "fail" if refuted else "pass")
     manifest.notes["chernoff_refuted_points"] = refuted
 
 
-def _concentration_constants(exp) -> tuple[float, float]:
-    sec = exp.extras.get("bounds", {})
-    return sec.get("c1", 1.0), sec.get("c2", 1.0)
-
-
-def _check_concentration(exp, sums, manifest):
-    c1, c2 = _concentration_constants(exp)
+def _check_concentration(exp, sums, decomps, manifest):
+    bounds = exp.params["bounds"]
     refuted = 0
     for n in exp.config.n_grid:
         s = sums[n].centered
         for x in np.linspace(0.5, 5.0, 10):
-            bound = concentration_bound(float(x), n, c1, c2, exp.gamma)
+            bound = concentration_bound(float(x), n, bounds["c1"], bounds["c2"], bounds["gamma"])
             if tail_estimate(s, float(x) * math.sqrt(n)).lower > bound:
                 refuted += 1
     manifest.record("concentration", "fail" if refuted else "pass")
     manifest.notes["concentration_refuted_points"] = refuted
 
 
-_BOUND_CHECKS = ("chernoff", "concentration")
-
-
-def _require_run_parameters(exp) -> None:
-    """Raise ConfigError for a parameter the run's statistics or bound checks would refuse.
-
-    Those refuse it only once the sums are drawn, so this runs first.
-    """
-    config = exp.config
-    if "mdp" in config.statistics and not _mdp_d_const(exp) > 0:
-        raise ConfigError("[mdp] d_const must be positive")
-    if "chernoff" in config.bound_checks:
-        if not _chernoff_b(exp) > 0:
-            raise ConfigError("[martingale] b must be positive for the chernoff check")
-        if any(t < 0 for t in exp.extras.get("tails", {}).get("thresholds", [])):
-            raise ConfigError("[tails] thresholds must be nonnegative for the chernoff check")
-    if "concentration" in config.bound_checks:
-        c1, c2 = _concentration_constants(exp)
-        if not (c1 > 0 and c2 > 0):
-            raise ConfigError("[bounds] c1 and c2 must be positive for the concentration check")
+_BOUND_CHECKS = {"chernoff": _check_chernoff, "concentration": _check_concentration}
 
 
 def _emit(out_dir, name, header, rows, manifest):
@@ -235,19 +187,15 @@ def _cmd_simulate(args) -> int:
         n_grid=_parse_grid(args.n_grid),
         workers=args.workers,
     )
-    for name in exp.config.statistics:
-        if name not in _STATS:
-            raise ConfigError(f"unknown statistic {name!r}; choose from {sorted(_STATS)}")
-    for name in exp.config.bound_checks:
-        if name not in _BOUND_CHECKS:
-            raise ConfigError(f"unknown bound check {name!r}; choose from {sorted(_BOUND_CHECKS)}")
     # preconditions that the config alone settles fail here, before any draw or file
-    if "variance" in exp.config.statistics:
+    if "variance" in exp.statistics:
         require_variance_grid(exp.config.n_grid)
-    if "cumulants" in exp.config.statistics:
+    if "cumulants" in exp.statistics:
         require_cumulant_replicates(exp.config.n_replicates)
-    _require_run_parameters(exp)
-    decomps = _decompositions(exp) if "chernoff" in exp.config.bound_checks else {}
+    decomps = {}  # the martingale decomposition at every N, for the Chernoff check
+    if "chernoff" in exp.bound_checks:
+        model, centered, family = exp.config.model, exp.config.centered, exp.config.family
+        decomps = {n: build_decomposition(model, centered, family, n) for n in exp.config.n_grid}
 
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest(
@@ -273,13 +221,10 @@ def _cmd_simulate(args) -> int:
         ),
         manifest,
     )
-    for name in exp.config.statistics:
+    for name in exp.statistics:
         _STATS[name](exp, sums, args.out_dir, manifest)
-    for name in exp.config.bound_checks:
-        if name == "chernoff":
-            _check_chernoff(exp, sums, decomps, manifest)
-        else:
-            _check_concentration(exp, sums, manifest)
+    for name in exp.bound_checks:
+        _BOUND_CHECKS[name](exp, sums, decomps, manifest)
 
     manifest.wall_clock_s = time.perf_counter() - t0
     write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)

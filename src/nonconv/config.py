@@ -5,8 +5,10 @@ Values are JSON (numbers, strings, booleans, bracketed lists; matrices as
 lists of row lists); a bare word falls back to a string so `kind = markov`
 works unquoted.  No nesting beyond the one section level.  Every parse or
 validation error carries a line number, using the section header's line for
-missing keys and for keys the section does not know: a misspelled optional
-key is an error, never a silent default.
+missing keys, for keys the section does not know and for sections the schema
+does not know: a misspelled optional key or section is an error, never a
+silent default.  This module holds the whole run schema: the CLI reads only
+resolved, validated values.
 """
 
 from __future__ import annotations
@@ -223,33 +225,48 @@ def _reading(raw: RawConfig, name: str):
         raise ConfigError(f"{raw.path}:{line}: bad value in [{name}]: {exc}") from exc
 
 
-def _floats(value) -> list[float]:
-    return [float(v) for v in (value if isinstance(value, list) else [value])]
+def _floats(value) -> tuple[float, ...]:
+    return tuple(float(v) for v in (value if isinstance(value, list) else [value]))
 
 
-def _names(value) -> tuple[str, ...]:
+def _names(value, known: tuple[str, ...], kind: str) -> tuple[str, ...]:
     names = value if isinstance(value, list) else [value]
     if not all(isinstance(v, str) for v in names):
         raise TypeError(f"expected names, got {value!r}")
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown {kind} {name!r}; choose from {sorted(known)}")
     return tuple(names)
 
 
-# optional sections read at run time: key -> converter, applied when building
-_EXTRA_KEYS = {
-    "tails": {"thresholds": _floats},
-    "mdp": {"exponent": float, "x_grid": _floats, "d_const": float, "min_count": int},
-    "martingale": {"smoothing_radius": int, "b": float},
-    "bounds": {"gamma": float, "c1": float, "c2": float},
+STATISTICS = ("tails", "variance", "cumulants", "kolmogorov", "mdp")
+BOUND_CHECKS = ("chernoff", "concentration")
+
+# the optional sections, each key -> (converter, default); build_experiment
+# fills every key, so a run reads resolved values only.  A threshold grid of
+# None means the data-driven montecarlo.default_thresholds.
+OPTIONAL_SECTIONS = {
+    "tails": {"thresholds": (_floats, None)},
+    "mdp": {
+        "exponent": (float, 0.1),
+        "x_grid": (_floats, (1.0,)),
+        "d_const": (float, 1.0),
+        "min_count": (int, 20),
+    },
+    "martingale": {"b": (float, 1.0)},
+    "bounds": {"gamma": (float, 1.0), "c1": (float, 1.0), "c2": (float, 1.0)},
 }
+_SECTIONS = ("model", "observable", "family", "run", *OPTIONAL_SECTIONS)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """Everything a run needs: the experiment config plus loose parameters."""
+    """Everything a run needs, resolved and validated."""
 
     config: ExperimentConfig
-    gamma: float
-    extras: dict  # remaining optional sections, known keys converted (_EXTRA_KEYS)
+    statistics: tuple[str, ...]
+    bound_checks: tuple[str, ...]
+    params: dict  # optional section -> key -> value, every key of OPTIONAL_SECTIONS
 
 
 def build_experiment(
@@ -261,10 +278,17 @@ def build_experiment(
 ) -> Experiment:
     """Assemble a validated experiment, applying CLI overrides when given.
 
-    Every malformed value, and every key that [model], [family], [run] or a
-    known optional section does not read, ends in a ConfigError carrying
-    the file and line.
+    Every unknown section, unknown key, unknown statistic or bound-check
+    name, malformed value, and every parameter the requested statistics or
+    bound checks would refuse ends in a ConfigError carrying the file and
+    line.
     """
+    for name, line in raw.header_lines.items():
+        if name not in _SECTIONS:
+            raise ConfigError(
+                f"{raw.path}:{line}: unknown section [{name}]; "
+                f"expected one of {', '.join(sorted(_SECTIONS))}"
+            )
     with _reading(raw, "model"):
         model = build_model(raw)
     with _reading(raw, "observable"):
@@ -286,26 +310,37 @@ def build_experiment(
             n_grid=tuple(int(n) for n in grid),
             n_replicates=int(replicates if replicates is not None else run.get("replicates", 10_000)),
             master_seed=int(seed if seed is not None else run.get("seed", 0)),
-            statistics=_names(run.get("statistics", ["tails"])),
-            bound_checks=_names(run.get("bound_checks", [])),
             workers=int(workers if workers is not None else run.get("workers", 1)),
         )
-    extras = {}
-    for name, sec in raw.sections.items():
-        if name in ("model", "observable", "family", "run"):
-            continue
-        extras[name] = dict(sec)
-        if name in _EXTRA_KEYS:
-            _only_keys(raw, name, _EXTRA_KEYS[name])
+        statistics = _names(run.get("statistics", ["tails"]), STATISTICS, "statistic")
+        bound_checks = _names(run.get("bound_checks", []), BOUND_CHECKS, "bound check")
+
+    params = {}
+    for name, keys in OPTIONAL_SECTIONS.items():
+        _only_keys(raw, name, keys)
+        sec = raw.sections.get(name, {})
         with _reading(raw, name):
-            for key, convert in _EXTRA_KEYS.get(name, {}).items():
-                if key in sec:
-                    extras[name][key] = convert(sec[key])
-    gamma = extras.get("bounds", {}).get("gamma", 1.0)
-    if not gamma > 0:
-        line = raw.header_lines.get("bounds", raw.header_lines["run"])
-        raise ConfigError(f"{raw.path}:{line}: gamma must be positive")
-    return Experiment(config=config, gamma=gamma, extras=extras)
+            params[name] = {
+                key: convert(sec[key]) if key in sec else default
+                for key, (convert, default) in keys.items()
+            }
+    # values the statistics and bound checks would refuse only after the draws
+    bounds, chernoff = params["bounds"], "chernoff" in bound_checks
+    for name, refused, message in (
+        ("bounds", not bounds["gamma"] > 0, "gamma must be positive"),
+        ("mdp", "mdp" in statistics and not params["mdp"]["d_const"] > 0,
+         "[mdp] d_const must be positive"),
+        ("martingale", chernoff and not params["martingale"]["b"] > 0,
+         "[martingale] b must be positive for the chernoff check"),
+        ("tails", chernoff and any(t < 0 for t in params["tails"]["thresholds"] or ()),
+         "[tails] thresholds must be nonnegative for the chernoff check"),
+        ("bounds", "concentration" in bound_checks and not (bounds["c1"] > 0 and bounds["c2"] > 0),
+         "[bounds] c1 and c2 must be positive for the concentration check"),
+    ):
+        if refused:
+            line = raw.header_lines.get(name, raw.header_lines["run"])
+            raise ConfigError(f"{raw.path}:{line}: {message}")
+    return Experiment(config, statistics, bound_checks, params)
 
 
 def effective_sections(raw: RawConfig, config: ExperimentConfig) -> dict:

@@ -177,28 +177,22 @@ def build_decomposition(
     centered: CenteredObservable,
     family: IndexFamily,
     n_terms: int,
-    smoothing_radius: int = 0,
 ) -> MartingaleDecomposition:
     """Assemble the increment machinery for one (model, observable, N) triple.
 
     Only linear index families are supported (the per-level streams need the
     arithmetic-progression structure).  Every model goes through its exact
     chain (``as_chain``): an i.i.d. law as the chain whose rows are that law,
-    the doubling map as its bit-window chain, whose smoothing radius must
-    reach the table level, beyond which the smoothed summands coincide with
-    the exact ones.  The horizon starts at 8 and doubles until the certified
-    truncation tail is at most 1e-8; a tail still above that at horizon 4096
-    raises ConfigError.
+    the doubling map as its bit-window chain.  The smoothing radius is the
+    doubling table's level, the least radius at which the smoothed summands
+    coincide with the exact ones, and 0 for every other model.  The horizon
+    starts at 8 and doubles until the certified truncation tail is at most
+    1e-8; a tail still above that at horizon 4096 raises ConfigError.
     """
     if family.kind != "linear" or family.arity != centered.arity:
         raise ConfigError("martingale construction needs the linear family of matching arity")
-    if n_terms < 1 or smoothing_radius < 0:
-        raise ConfigError("need n_terms >= 1 and smoothing_radius >= 0")
-    if isinstance(model, DoublingMapModel) and smoothing_radius < model.level:
-        raise ConfigError(
-            "smoothing radius below the doubling table level is not representable; "
-            "use radius >= level so the smoothed summands are exact"
-        )
+    if n_terms < 1:
+        raise ConfigError("need n_terms >= 1")
     chain = as_chain(model)
     centered.table_for(chain)  # the component tables index the chain's states
     sups = centered.component_sups
@@ -228,7 +222,7 @@ def build_decomposition(
         centered=centered,
         n_terms=n_terms,
         arity=centered.arity,
-        smoothing_radius=smoothing_radius,
+        smoothing_radius=model.level if isinstance(model, DoublingMapModel) else 0,
         horizon=H,
         tail_error=float(tail),
         phi_sum_value=value,

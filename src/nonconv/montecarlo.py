@@ -54,8 +54,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     n_replicates: int
     master_seed: int
-    statistics: tuple[str, ...] = ()
-    bound_checks: tuple[str, ...] = ()
     workers: int = 1
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from nonconv.budget import ensure_within_budget
+from nonconv.budget import block_bytes, ensure_within_budget
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
 from nonconv.processes import (
@@ -276,14 +276,18 @@ def batch_sums(
 
     Each replicate draws the process states at the union of family indices
     from its own counter-based stream, looks up the centered table at the
-    per-term state tuples, and reduces in fixed index order.
+    per-term state tuples, and reduces in fixed index order.  The budget
+    request is the peak of the lookup, which holds per replicate the states
+    and, per term, a state column, the flat index and the float term;
+    sample_state_paths requests its own.
     """
     table = centered.table_for(model)
     uniq, positions = family_indices(family, n_terms)
-    ensure_within_budget(
-        n_replicates * (uniq.size + n_terms * centered.arity) * model.dim * 8 * 2,
-        "sum evaluation block",
-    )
+    state_type = np.min_scalar_type(table.shape[0] - 1)
+    flat_type = np.promote_types(state_type, np.min_scalar_type(table.size - 1))
+    s = state_type.itemsize
+    row_bytes = uniq.size * s + n_terms * (s + flat_type.itemsize + 8) + 8
+    ensure_within_budget(block_bytes(n_replicates, row_bytes, n_terms), "sum evaluation block")
     states = sample_state_paths(model, uniq, master_seed, n_replicates, first_replicate)
     return lookup_sums(table, states, positions)
 

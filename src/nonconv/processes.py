@@ -25,7 +25,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from nonconv.budget import ensure_within_budget
+from nonconv.budget import block_bytes, ensure_within_budget
 from nonconv.errors import ConfigError
 from nonconv.rng import replicate_rng
 
@@ -278,13 +278,19 @@ def sample_state_paths(
     and memory scale with the number of requested indices, not with the
     largest index: gaps in the index set are jumped with precomputed
     multi-step transition kernels (chains) or by discarding reservoir bits
-    (doubling map).  The budget request, 32 bytes per entry, bounds the
-    peak of every kind with room for the per-step buffers: no call holds
-    more than two float arrays per entry at once (chains peak near 18 bytes
-    per entry, i.i.d. draws near 10 and dyadic cells near 9).
+    (doubling map).  The budget request is the peak of the model's kind.
     """
     idx = _check_indices(indices)
-    ensure_within_budget(n_replicates * idx.size * 32, "state path block")
+    state_bytes = np.min_scalar_type(model.marginal().atoms.shape[0] - 1).itemsize
+    if isinstance(model, MarkovChainModel):
+        entry_bytes = 16 + 2 * state_bytes  # uniforms, their time-major copy, walk, result
+    elif isinstance(model, IIDModel):
+        entry_bytes = 9 + state_bytes  # uniforms, comparison mask, states
+    else:
+        entry_bytes = 8 + state_bytes  # uniforms, cells
+    ensure_within_budget(
+        block_bytes(n_replicates, idx.size * entry_bytes, idx.size), "state path block"
+    )
     uniforms = np.empty((n_replicates, idx.size))
     gen = None
     for j in range(n_replicates):

@@ -68,17 +68,19 @@ _ALGEBRA_TRIALS = 200  # random cumulant vectors in the round-trip check
 class CheckResult:
     name: str
     passed: bool
-    status: str  # pass | fail
     detail: str
     seconds: float
     values: dict = field(default_factory=dict)
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
 
 def _result(name, passed, detail, t0, values=None) -> CheckResult:
     return CheckResult(
         name=name,
         passed=bool(passed),
-        status="pass" if passed else "fail",
         detail=detail,
         seconds=time.perf_counter() - t0,
         values=values or {},

@@ -180,7 +180,7 @@ def test_09c_moderate_deviation_rate_trend_oracle():
     assert abs(values[2] - 0.5) <= 0.125  # in band from N = 1e8 on
 
 
-def test_10_worker_count_determinism(tmp_path):
+def test_10_worker_count_determinism(tmp_path, child_env):
     # replicate vectors and formatted CSV bytes identical for 1 vs 8 workers,
     # both at the engine level and through the command-line pipeline
     r = check_determinism()
@@ -195,7 +195,7 @@ def test_10_worker_count_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "nonconv.cli", "simulate", str(cfg),
              "--workers", str(w), "--out-dir", str(out_dir)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         outs[w] = out_dir

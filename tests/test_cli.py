@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import nonconv
+from nonconv import cli, config
 from nonconv.cli import main
 
 TINY_IID = """
@@ -171,6 +172,14 @@ class TestSimulateCommand:
         for name in ("sums.csv", "tails.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_empty_threshold_grid_writes_no_tail_rows(self, tmp_path, capsys):
+        cfg = _write(tmp_path, TINY_IID + "\n[tails]\nthresholds = []\n")
+        out = tmp_path / "out"
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        assert (out / "tails.csv").read_text().splitlines() == [
+            "n_terms,threshold,p_hat,lower,upper,count"
+        ]
+
     def test_grid_override(self, tmp_path, capsys):
         cfg = _write(tmp_path, TINY_IID)
         out = tmp_path / "out"
@@ -244,6 +253,15 @@ class TestSimulateCommand:
                 TINY_CHAIN.replace("b = 2.0", "b = 2.0\nsmoothing_radus = 3"),
                 "exp.cfg:18: unknown key 'smoothing_radus' in [martingale]",
             ),
+            (
+                # a misspelled header must not leave the check at the default b = 1
+                TINY_CHAIN.replace("[martingale]\nb = 2.0", "[martingle]\nb = 0.0"),
+                "exp.cfg:18: unknown section [martingle]",
+            ),
+            (
+                TINY_IID.replace('["tails"]', '["entropy"]'),
+                "exp.cfg:11: bad value in [run]: unknown statistic 'entropy'",
+            ),
         ],
         ids=[
             "chernoff-on-polynomial-family",
@@ -256,6 +274,8 @@ class TestSimulateCommand:
             "stalling-family-on-count-path",
             "unknown-model-key",
             "misspelled-martingale-key",
+            "misspelled-martingale-section",
+            "unknown-statistic",
         ],
     )
     def test_config_only_failure_precedes_every_draw_and_file(
@@ -270,13 +290,19 @@ class TestSimulateCommand:
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2
 
+    def test_dispatch_tables_match_the_schema(self):
+        # config validates the names; the CLI must run every name it lets through
+        assert tuple(cli._STATS) == config.STATISTICS
+        assert tuple(cli._BOUND_CHECKS) == config.BOUND_CHECKS
 
-def test_start_up_leaves_scipy_stats_unimported():
+
+def test_start_up_leaves_scipy_stats_unimported(child_env):
     # scipy.stats costs most of a run's start-up; nothing the CLI or the
     # verification suite loads may import it
     code = "import sys, nonconv.cli, nonconv.verification; print('scipy.stats' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

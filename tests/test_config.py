@@ -124,9 +124,15 @@ class TestExperimentAssembly:
         assert exp.config.n_grid == (16, 64)
         assert exp.config.n_replicates == 500
         assert exp.config.master_seed == 7
-        assert exp.config.statistics == ("tails",)
-        assert exp.gamma == 1.0
-        assert exp.extras == {}
+        assert exp.statistics == ("tails",)
+        assert exp.bound_checks == ()
+        # every key of every optional section is filled with its default
+        assert exp.params == {
+            "tails": {"thresholds": None},
+            "mdp": {"exponent": 0.1, "x_grid": (1.0,), "d_const": 1.0, "min_count": 20},
+            "martingale": {"b": 1.0},
+            "bounds": {"gamma": 1.0, "c1": 1.0, "c2": 1.0},
+        }
 
     def test_overrides_win(self):
         exp = build_experiment(
@@ -144,11 +150,11 @@ class TestExperimentAssembly:
     def test_string_statistics_promoted(self):
         text = BASIC + 'statistics = "variance"\n'
         exp = build_experiment(parse_config_text(text))
-        assert exp.config.statistics == ("variance",)
+        assert exp.statistics == ("variance",)
 
     def test_gamma_from_bounds_section(self):
         text = BASIC + "\n[bounds]\ngamma = 0.5\n"
-        assert build_experiment(parse_config_text(text)).gamma == 0.5
+        assert build_experiment(parse_config_text(text)).params["bounds"]["gamma"] == 0.5
 
     def test_nonpositive_gamma_rejected(self):
         text = BASIC + "\n[bounds]\ngamma = -1\n"
@@ -175,11 +181,30 @@ class TestExperimentAssembly:
         with pytest.raises(ConfigError, match=rf"^f\.cfg:{line}: unknown key '{key}' in \[{section}\]"):
             build_experiment(parse_config_text(text, path="f.cfg"))
 
+    def test_unknown_section_cites_its_line(self):
+        text = BASIC + "\n[martingle]\nb = 0.0\n"
+        line = text.splitlines().index("[martingle]") + 1
+        with pytest.raises(
+            ConfigError,
+            match=rf"^f\.cfg:{line}: unknown section \[martingle\]; expected one of bounds, ",
+        ):
+            build_experiment(parse_config_text(text, path="f.cfg"))
+
     def test_extras_carry_optional_sections(self):
-        text = BASIC + "\n[martingale]\nb = 2.0\n\n[mdp]\nexponent = 0.1\n"
+        text = (
+            BASIC
+            + "\n[martingale]\nb = 2\n\n[mdp]\nx_grid = 1.5\nmin_count = 5\n"
+            + "\n[tails]\nthresholds = []\n"
+        )
         exp = build_experiment(parse_config_text(text))
-        assert exp.extras["martingale"] == {"b": 2.0}
-        assert exp.extras["mdp"] == {"exponent": 0.1}
+        # given values converted, the rest of each section at its default
+        assert exp.params["martingale"] == {"b": 2.0}
+        assert exp.params["mdp"] == {
+            "exponent": 0.1, "x_grid": (1.5,), "d_const": 1.0, "min_count": 5
+        }
+        # an empty grid stays empty (no tails rows), unlike the None default
+        assert exp.params["tails"] == {"thresholds": ()}
+        assert exp.params["bounds"] == {"gamma": 1.0, "c1": 1.0, "c2": 1.0}
 
 
 PRESETS = [

@@ -22,10 +22,10 @@ DOUBLING = doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3)  # do
 _CONDITION_BUDGET = 1_000_000  # cap on enumerated conditions per increment
 
 
-def _decomp(model, n_terms, radius=0):
+def _decomp(model, n_terms):
     """The decomposition of the pair product over the model at N = n_terms."""
     c = center(product_observable(2), model)
-    return build_decomposition(model, c, linear_family(2), n_terms, smoothing_radius=radius)
+    return build_decomposition(model, c, linear_family(2), n_terms)
 
 
 def exhaustive_offset(decomp):
@@ -149,13 +149,13 @@ class TestBuild:
             build_decomposition(PAIR, c, polynomial_family([[1, 0], [1, 0, 1]]), 16)
 
     def test_doubling_needs_smoothing_radius(self):
-        table = [1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0]
-        m = doubling_model(table, 3)
-        c = center(product_observable(2), m)
-        with pytest.raises(ConfigError):
-            build_decomposition(m, c, linear_family(2), 8, smoothing_radius=1)
-        d = build_decomposition(m, c, linear_family(2), 8, smoothing_radius=3)
+        # the radius is the table level, where the smoothed summands are exact;
+        # other models need none
+        d = _decomp(DOUBLING, 8)
+        assert d.smoothing_radius == DOUBLING.level == 3
+        assert d.delta1_plain == d.bound_const * (d.phi_sum + 3 + 1.0)
         assert d.delta2_plain == d.delta1_plain
+        assert _decomp(PAIR, 8).smoothing_radius == 0
         # the enumeration would need over 10^6 conditions for this chain at N = 8
         assert check_martingale(d).passed
 
@@ -215,12 +215,12 @@ class TestIncrementLaw:
         assert check_martingale(_decomp(PAIR, 64)).passed
 
     @pytest.mark.parametrize(
-        "model, n_terms, radius",
-        [(PAIR, 4, 0), (PAIR, 8, 0), (DOUBLING, 4, 3)],
+        "model, n_terms",
+        [(PAIR, 4), (PAIR, 8), (DOUBLING, 4)],
         ids=["pair-4", "pair-8", "doubling-4"],
     )
-    def test_termwise_bound_covers_the_exhaustive_offset(self, model, n_terms, radius):
-        d = _decomp(model, n_terms, radius)
+    def test_termwise_bound_covers_the_exhaustive_offset(self, model, n_terms):
+        d = _decomp(model, n_terms)
         chk = check_martingale(d)
         assert chk.passed
         assert exhaustive_offset(d) <= chk.bound + _rounding(d)

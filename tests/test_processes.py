@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import nonconv.observables
 import nonconv.processes
 from nonconv.errors import ConfigError
+from nonconv.indexing import linear_family
+from nonconv.observables import batch_sums, center, family_indices, lookup_sums, product_observable
 from nonconv.processes import (
     _draw,
     alpha_coefficient,
@@ -171,30 +174,43 @@ class TestSampling:
         assert got.dtype == np.uint16 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
 
-    def test_budget_request_covers_the_peak(self, pair, monkeypatch):
-        # a warm call's traced peak stays within the bytes it declares, for
-        # every model kind, at one engine block over chain_pair's 384 indices
-        declared = []
-        monkeypatch.setattr(
-            nonconv.processes, "ensure_within_budget", lambda nbytes, label: declared.append(nbytes)
-        )
-        idx = np.union1d(np.arange(1, 257), np.arange(2, 513, 2))
-        models = (
-            pair,
-            iid_model([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]),
-            doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3),
-        )
-        for model in models:
-            sample_state_paths(model, idx, 1, 512)
-            declared.clear()
-            tracemalloc.start()
-            try:
-                sample_state_paths(model, idx, 1, 512)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert declared == [512 * idx.size * 32]
-            assert peak <= declared[0], type(model).__name__
+    @pytest.mark.parametrize("kind", ["chain", "iid", "doubling"])
+    def test_budget_requests_match_the_peaks(self, kind, monkeypatch):
+        # each request is the traced peak of its phase, within 25%, on a warm
+        # call at one engine block: sampling 4096 indices, and the lookup of
+        # the pair sum at N = 2048 (3072 indices) once the states are drawn
+        model = {
+            "chain": markov_model(PAIR, PAIR_VALUES),
+            "iid": iid_model([[-1.0], [0.5], [2.0]], [0.2, 0.5, 0.3]),
+            "doubling": doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3),
+        }[kind]
+        requests = {}
+
+        def record(nbytes, label):
+            requests[label] = nbytes
+
+        monkeypatch.setattr(nonconv.processes, "ensure_within_budget", record)
+        monkeypatch.setattr(nonconv.observables, "ensure_within_budget", record)
+        R, idx, family = 512, np.arange(1, 4097), linear_family(2)
+        centered = center(product_observable(2), model)
+        table = centered.table_for(model)
+        uniq, positions = family_indices(family, 2048)
+        batch_sums(model, centered, family, 2048, 1, R)
+        sample_state_paths(model, idx, 1, R)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_state_paths(model, idx, 1, R)
+            sampling = tracemalloc.get_traced_memory()[1] - base
+            sampling_request = requests["state path block"]
+            states = sample_state_paths(model, uniq, 1, R)
+            tracemalloc.reset_peak()
+            lookup_sums(table, states, positions)
+            lookup = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sampling <= sampling_request <= 1.25 * sampling
+        assert lookup <= requests["sum evaluation block"] <= 1.25 * lookup
 
     def test_gap_jumps_match_dense_sampling(self, pair):
         # sampling {1, 4} must give the same joint law as marginalizing {1,..,4};
