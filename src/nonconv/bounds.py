@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr, logsumexp
@@ -155,10 +154,8 @@ class MdpValidity:
     passed: bool
 
 
-def mdp_validity(
-    a_fn: Callable[[np.ndarray], np.ndarray], gamma: float, n_grid
-) -> MdpValidity:
-    """Numerical check of a_N -> infinity and a_N N^(-1/(2+4 gamma)) -> 0.
+def mdp_validity(exponent: float, gamma: float, n_grid) -> MdpValidity:
+    """Numerical check of a_N = N^exponent -> infinity and a_N N^(-1/(2+4 gamma)) -> 0.
 
     Both limits are verified monotonically on the scanned grid: a_N strictly
     increasing, the damped sequence strictly decreasing with its last value
@@ -168,11 +165,9 @@ def mdp_validity(
     if gamma <= 0:
         raise ConfigError("gamma must be positive")
     grid = np.asarray(n_grid, dtype=float)
-    if grid.size < 3 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("need an increasing grid with >= 3 points")
-    a = np.asarray(a_fn(grid), dtype=float)
-    if a.shape != grid.shape or np.any(a <= 0):
-        raise ConfigError("a_N must be positive on the grid")
+    if grid.size < 3 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
+        raise ConfigError("need an increasing positive grid with >= 3 points")
+    a = grid**exponent
     damped = a * grid ** (-1.0 / (2.0 + 4.0 * gamma))
     grows = bool(np.all(np.diff(a) > 0))
     vanishes = bool(np.all(np.diff(damped) < 0) and damped[-1] < 0.5 * damped[0])

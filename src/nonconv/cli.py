@@ -76,7 +76,7 @@ def _stat_tails(exp, sums, out, manifest):
 
 
 def _stat_variance(exp, sums, out, manifest):
-    fit = variance_scan(exp.config, sums)
+    fit = variance_scan(sums)
     rows = [
         (n, fit.variances[i], fit.std_errors[i], fit.residuals[i])
         for i, n in enumerate(fit.n_grid)
@@ -88,7 +88,7 @@ def _stat_variance(exp, sums, out, manifest):
 
 
 def _stat_cumulants(exp, sums, out, manifest):
-    scan = cumulant_scan(exp.config, sums_by_n=sums)
+    scan = cumulant_scan(sums)
     rows = [
         (r.n_terms, r.order, r.estimate, r.std_error, r.normalized, r.normalized_se)
         for r in scan.rows
@@ -114,8 +114,7 @@ def _stat_kolmogorov(exp, sums, out, manifest):
 def _stat_mdp(exp, sums, out, manifest):
     mdp = exp.params["mdp"]
     table = mdp_diagnostic(
-        exp.config, lambda n: float(n) ** mdp["exponent"], mdp["x_grid"], mdp["d_const"],
-        sums_by_n=sums, min_count=mdp["min_count"],
+        sums, mdp["exponent"], mdp["x_grid"], mdp["d_const"], min_count=mdp["min_count"]
     )
     rows = [
         (

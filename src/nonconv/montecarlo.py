@@ -10,9 +10,10 @@ are bit-identical across worker counts and blockings.  Only the
 mean corrections are compensated: the exact one (``exact_mean_SN``) sums its
 terms with Kahan summation, the grand-mean fallback with math.fsum.
 Confidence machinery: exact binomial intervals for tail probabilities,
-delete-one jackknife for cumulants, a seeded bootstrap for moment
-functionals.  A Monte Carlo run can only fail to refute a bound;
-the pass verdicts here all mean "not refuted at the conservative CI edge".
+delete-one jackknife for cumulants, a seeded bootstrap for means.  Every
+statistic is a function of drawn sums (``{N: SumSample}``) and plain
+numbers.  A Monte Carlo run can only fail to refute a bound; the pass
+verdicts here all mean "not refuted at the conservative CI edge".
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betaincinv, ndtr
@@ -89,10 +90,6 @@ class SumSample:
     @property
     def centered(self) -> np.ndarray:
         return self.sums - self.mean_correction
-
-    @property
-    def normalized(self) -> np.ndarray:
-        return self.centered / math.sqrt(self.n_terms)
 
 
 def _binomial_shortcut(
@@ -243,18 +240,23 @@ def kolmogorov_distance(samples: np.ndarray, center: float, scale: float) -> flo
     return float(max(np.max(hi - cdf), np.max(cdf - lo)))
 
 
-def bootstrap_se(
-    values: np.ndarray, statistic: Callable[[np.ndarray], float], master_seed: int
-) -> tuple[float, float]:
-    """(point value, bootstrap standard error over 999 resamples) from a seeded stream."""
+def bootstrap_se(values: np.ndarray, master_seed: int) -> tuple[float, float]:
+    """(mean, its bootstrap standard error over 999 resamples) from a seeded stream."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise ConfigError("bootstrap needs at least two values")
     rng = substream_rng(master_seed, _BOOT_PURPOSE)
-    stats = np.empty(_N_BOOT)
+    means = np.empty(_N_BOOT)
     for t in range(_N_BOOT):
-        stats[t] = statistic(v[rng.integers(0, v.size, size=v.size)])
-    return float(statistic(v)), float(np.std(stats, ddof=1))
+        means[t] = np.mean(v[rng.integers(0, v.size, size=v.size)])
+    return float(np.mean(v)), float(np.std(means, ddof=1))
+
+
+def _grid(sums: dict[int, SumSample]) -> tuple[int, ...]:
+    """The ascending N grid of a scan's sums."""
+    if not sums:
+        raise ConfigError("no sums to scan")
+    return tuple(sorted(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +282,7 @@ class VarianceFit:
     residuals: np.ndarray
 
 
-def variance_scan(
-    config: ExperimentConfig, sums_by_n: dict[int, SumSample] | None = None
-) -> VarianceFit:
+def variance_scan(sums: dict[int, SumSample]) -> VarianceFit:
     """Estimate the linear variance coefficient and the sqrt-N envelope.
 
     Per N the sample variance of the centered sums carries a moment-formula
@@ -291,14 +291,12 @@ def variance_scan(
     is the largest residual over sqrt(N), with a 2-sigma-padded conservative
     variant for calibration.
     """
-    grid = config.n_grid
+    grid = _grid(sums)
     require_variance_grid(grid)
-    if sums_by_n is None:
-        sums_by_n = sums_over_grid(config)
     variances = np.empty(len(grid))
     ses = np.empty(len(grid))
     for t, n in enumerate(grid):
-        s = sums_by_n[n].centered
+        s = sums[n].centered
         R = s.size
         v = float(np.var(s, ddof=1))
         m4 = float(np.mean((s - s.mean()) ** 4))
@@ -314,7 +312,7 @@ def variance_scan(
     c1 = float(np.max(np.abs(resid) / np.sqrt(ns)))
     c1_cons = float(np.max((np.abs(resid) + 2.0 * ses) / np.sqrt(ns)))
     return VarianceFit(
-        n_grid=tuple(grid),
+        n_grid=grid,
         variances=variances,
         std_errors=ses,
         d_squared=max(d2, 0.0),
@@ -358,14 +356,13 @@ class MdpTable:
 
 
 def mdp_diagnostic(
-    config: ExperimentConfig,
-    a_fn: Callable[[float], float],
+    sums: dict[int, SumSample],
+    exponent: float,
     x_grid: Sequence[float],
     d_const: float,
-    sums_by_n: dict[int, SumSample] | None = None,
     min_count: int = 20,
 ) -> MdpTable:
-    """Empirical normalized log-tails of S_N / (D sqrt(N) a_N).
+    """Empirical normalized log-tails of S_N / (D sqrt(N) a_N), a_N = N^exponent.
 
     Cell value is -ln(p_hat) / a_N^2 with the interval mapped through the
     same transform.  Each cell carries the limit rate x^2/2 and the finite-N
@@ -376,14 +373,10 @@ def mdp_diagnostic(
     """
     if d_const <= 0:
         raise ConfigError("d_const must be positive")
-    if sums_by_n is None:
-        sums_by_n = sums_over_grid(config)
     cells = []
-    for n in config.n_grid:
-        a = float(a_fn(n))
-        if a <= 0:
-            raise ConfigError("a_N must be positive")
-        z = sums_by_n[n].centered / (d_const * math.sqrt(n) * a)
+    for n in _grid(sums):
+        a = float(n) ** exponent
+        z = sums[n].centered / (d_const * math.sqrt(n) * a)
         a2 = a * a
         for x in x_grid:
             te = tail_estimate(z, float(x))
@@ -448,16 +441,13 @@ def require_cumulant_replicates(n_replicates: int) -> None:
         raise ConfigError("cumulant scan needs >= 10^4 replicates for k up to 4")
 
 
-def cumulant_scan(
-    config: ExperimentConfig, sums_by_n: dict[int, SumSample] | None = None
-) -> CumulantScanReport:
+def cumulant_scan(sums: dict[int, SumSample]) -> CumulantScanReport:
     """Jackknifed cumulant estimates of orders 2..4 of the centered sums over the N grid."""
-    require_cumulant_replicates(config.n_replicates)
-    if sums_by_n is None:
-        sums_by_n = sums_over_grid(config)
+    grid = _grid(sums)
+    require_cumulant_replicates(min(sums[n].n_replicates for n in grid))
     rows = []
-    for n in config.n_grid:
-        vec = sample_cumulants(sums_by_n[n].centered)
+    for n in grid:
+        vec = sample_cumulants(sums[n].centered)
         for k in range(2, 5):
             est = vec.cumulant(k)
             se = vec.std_error(k)
@@ -480,16 +470,16 @@ def cumulant_scan(
 # calibration
 # ---------------------------------------------------------------------------
 
-# Every calibrated constant carries the safety factor SAFETY.
+# Every calibrated constant is floored at FLOOR, then carries the safety factor SAFETY.
 SAFETY = 1.5
-_FLOOR = 1e-3
+FLOOR = 1e-3
 _GAP_REPLICATES = 256  # replicates of the boundary-gap evaluation in calibrate_B
 _B_CAP = 1e6  # calibrate_B's Chernoff scan gives up above this B
 
 
 def calibrate_c0(scan: CumulantScanReport, gamma: float) -> float:
     """Minimal c0 with |cumulant| upper edges below N (k!)^(1+gamma) c0^(k-2)."""
-    req = _FLOOR
+    req = FLOOR
     for r in scan.rows:
         if r.order < 3:
             continue
@@ -501,7 +491,7 @@ def calibrate_c0(scan: CumulantScanReport, gamma: float) -> float:
 
 def calibrate_C1(fit: VarianceFit) -> float:
     """Variance envelope constant: the fit's conservative sqrt(N) constant."""
-    return max(_FLOOR, fit.c1_conservative) * SAFETY
+    return max(FLOOR, fit.c1_conservative) * SAFETY
 
 
 def default_thresholds(samples: np.ndarray) -> np.ndarray:
@@ -531,14 +521,10 @@ def chernoff_refutations(
 def mgf_estimates(sample: SumSample, lambdas: Sequence[float]) -> dict[float, tuple[float, float]]:
     """lambda -> (mean of exp(lambda S_N), its bootstrap SE) over the centered sums.
 
-    The bootstrap is seeded by the sample's master seed, so one call serves
-    both :func:`calibrate_B` and a check that compares the same means.
+    The bootstrap is seeded by the sample's master seed.
     """
     s = sample.centered
-    return {
-        lam: bootstrap_se(np.exp(lam * s), lambda v: float(np.mean(v)), sample.master_seed)
-        for lam in lambdas
-    }
+    return {lam: bootstrap_se(np.exp(lam * s), sample.master_seed) for lam in lambdas}
 
 
 def calibrate_B(
@@ -562,7 +548,7 @@ def calibrate_B(
     d1, d2 = decomp.delta1_plain, decomp.delta2_plain
     N, L = decomp.n_terms, decomp.arity
     ev = evaluate_paths(decomp, sample.master_seed, _GAP_REPLICATES)
-    req = max(_FLOOR, float(np.max(ev.gaps)) / d2 if d2 > 0 else _FLOOR)
+    req = max(FLOOR, float(np.max(ev.gaps)) / d2 if d2 > 0 else FLOOR)
 
     s = sample.centered
     for lam, (point, se) in mgf.items():

@@ -69,13 +69,13 @@ class RunManifest:
     n_replicates: int = 0
     n_grid: list = field(default_factory=list)
     sampling: list = field(default_factory=list)  # per N: n_terms, method, centering
-    verdicts: dict = field(default_factory=dict)  # check name -> pass|fail|inconclusive
+    verdicts: dict = field(default_factory=dict)  # check name -> pass|fail
     outputs: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     notes: dict = field(default_factory=dict)
 
     def record(self, name: str, verdict: str) -> None:
-        if verdict not in ("pass", "fail", "inconclusive"):
+        if verdict not in ("pass", "fail"):
             raise ValueError(f"bad verdict {verdict!r}")
         self.verdicts[name] = verdict
 

@@ -2,8 +2,9 @@
 
 Each check returns a CheckResult and is shared verbatim between the CLI
 ``verify`` command and the acceptance test module, so a printed verdict and a
-test outcome can never disagree.  Checks that need replicated sums accept a
-shared cache so suites do not resample the same preset twice.
+test outcome can never disagree.  Checks that need replicated sums draw them
+through ``preset_sums``, whose shared cache keeps a suite from resampling the
+same preset twice.
 
 Monte Carlo verdicts mean "not refuted at the conservative CI edge"; a
 simulation cannot prove an inequality, only fail to falsify it.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -36,6 +37,8 @@ from nonconv.martingale import (
     telescoping_check,
 )
 from nonconv.montecarlo import (
+    FLOOR,
+    SAFETY,
     ExperimentConfig,
     calibrate_B,
     calibrate_C1,
@@ -105,37 +108,21 @@ def preset_experiment(name, n_grid, n_replicates, seed=None, workers=1) -> Exper
     ).config
 
 
-def _fingerprint(value):
-    """Hashable stand-in for a model, table or family, compared by content."""
-    if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
-    if is_dataclass(value):
-        return (type(value).__name__,) + tuple(
-            _fingerprint(getattr(value, f.name)) for f in fields(value)
-        )
-    return value
+def preset_sums(cache: dict | None, name, n_grid, n_replicates, workers=1):
+    """(the preset's experiment, {N: its replicate sums}) at its own seed.
 
-
-def cached_sums(cache: dict | None, config: ExperimentConfig, n_terms: int):
-    """replicate_sums(config, n_terms), shared through ``cache``.
-
-    The key holds everything replicate_sums reads: the model's arrays, the
-    centered table, the index family, N, the replicate count and the seed;
-    the worker count is left out because it never changes the sums.
+    The sums are memoized in ``cache`` on (name, N, R): those and the
+    preset's seed fix them, and the worker count never changes them.
     """
-    if cache is None:
-        return replicate_sums(config, n_terms)
-    key = (
-        _fingerprint(config.model),
-        _fingerprint(config.centered.table),
-        _fingerprint(config.family),
-        n_terms,
-        config.n_replicates,
-        config.master_seed,
-    )
-    if key not in cache:
-        cache[key] = replicate_sums(config, n_terms)
-    return cache[key]
+    config = preset_experiment(name, n_grid, n_replicates, workers=workers)
+    cache = {} if cache is None else cache
+    sums = {}
+    for n in config.n_grid:
+        key = (name, n, n_replicates)
+        if key not in cache:
+            cache[key] = replicate_sums(config, n)
+        sums[n] = cache[key]
+    return config, sums
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +276,7 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
         gaps[n] = float(np.max(ev.gaps))
 
     d2_plain = decomp8.delta2_plain  # no approximation term: N-independent
-    b_cal = 1.5 * max(gaps[8] / d2_plain, 1e-3)
+    b_cal = SAFETY * max(gaps[8] / d2_plain, FLOOR)
     sup_ok = all(g <= b_cal * d2_plain for g in gaps.values())
     g_lo, g_hi = min(gaps.values()), max(gaps.values())
     spread = (g_hi - g_lo) / g_hi if g_hi > 0 else 0.0
@@ -314,39 +301,42 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
 
 
 def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckResult:
-    """Calibrated (B, delta1, delta2) never refuted by MGF or tails, R = 1e5."""
+    """(B, delta1, delta2) calibrated on half of R = 1e5 sums, never refuted on the other half.
+
+    B is sized on the first half's MGF estimates and tail grid, so testing it
+    there again could not fail; the held-out half, with its own estimates and
+    grid, can refute it.
+    """
     t0 = time.perf_counter()
     lambdas = (0.01, 0.05)
     details = []
     all_ok = True
-    presets = (
-        ("chain-pair", preset_experiment("chain_pair", (256,), 100_000, workers=workers)),
-        ("iid-product", preset_experiment("iid_product", (256,), 100_000, workers=workers)),
-    )
     b_values = {}
-    for tag, config in presets:
+    for tag, preset in (("chain-pair", "chain_pair"), ("iid-product", "iid_product")):
+        config, sums = preset_sums(cache, preset, (256,), 100_000, workers=workers)
         n = config.n_grid[0]
-        sample = cached_sums(cache, config, n)
+        sample, half = sums[n], sums[n].n_replicates // 2
+        fit = replace(sample, sums=sample.sums[:half], n_replicates=half)
+        held = replace(sample, sums=sample.sums[half:], n_replicates=sample.n_replicates - half)
         decomp = build_decomposition(config.model, config.centered, config.family, n)
-        s = sample.centered
-        t_grid = default_thresholds(s)
-        mgf = mgf_estimates(sample, lambdas)
-        b = calibrate_B(decomp, sample, mgf, t_grid)
+        b = calibrate_B(decomp, fit, mgf_estimates(fit, lambdas), default_thresholds(fit.centered))
         b_values[tag] = b
         d1, d2 = decomp.delta1_plain, decomp.delta2_plain
 
-        for lam, (point, se) in mgf.items():
+        for lam, (point, se) in mgf_estimates(held, lambdas).items():
             bound = math.exp(mgf_exponent_bound(lam, n, decomp.arity, d1, d2, b))
             if point - 2.0 * se > bound:
                 all_ok = False
                 details.append(f"{tag}: MGF at lam={lam} refutes bound")
-        n_tail_fail = chernoff_refutations(s, t_grid, decomp, b)
+        s = held.centered
+        n_tail_fail = chernoff_refutations(s, default_thresholds(s), decomp, b)
         if n_tail_fail:
             all_ok = False
             details.append(f"{tag}: {n_tail_fail} tail grid points refute the bound")
 
     msg = "; ".join(details) if details else (
-        f"no refutation at lambda {lambdas}, 10-point tail grids; calibrated B "
+        f"no refutation on the held-out half at lambda {lambdas}, 10-point tail grids; "
+        "B calibrated on the other half "
         + ", ".join(f"{k}={v:.3f}" for k, v in b_values.items())
     )
     return _result("mgf-chernoff", all_ok, msg, t0, {"B": b_values})
@@ -362,14 +352,12 @@ _VAR_GRID = (64, 256, 1024, 2048, 4096)
 def check_variance_envelope(cache: dict | None = None, workers: int = 1) -> CheckResult:
     """Limit variance matches the product oracle; sqrt-N envelope with holdout."""
     t0 = time.perf_counter()
-    config = preset_experiment("iid_product", _VAR_GRID, 100_000, workers=workers)
-    sums = {n: cached_sums(cache, config, n) for n in _VAR_GRID}
-    fit = variance_scan(config, sums)
+    config, sums = preset_sums(cache, "iid_product", _VAR_GRID, 100_000, workers=workers)
+    fit = variance_scan(sums)
     target = exact_d_squared(config.model, config.centered)
     d2_ok = abs(fit.d_squared - target) <= 4.0 * fit.d_squared_se
 
-    sub = replace(config, n_grid=_VAR_GRID[:-1])
-    sub_fit = variance_scan(sub, sums)
+    sub_fit = variance_scan({n: sums[n] for n in _VAR_GRID[:-1]})
     c1 = calibrate_C1(sub_fit)
     n_last = _VAR_GRID[-1]
     v_last = fit.variances[-1]
@@ -401,17 +389,17 @@ def check_cumulant_growth(cache: dict | None = None, workers: int = 1) -> CheckR
     t0 = time.perf_counter()
     grid = _VAR_GRID
     presets = (
-        ("chain-pair", preset_experiment("chain_pair", grid, 100_000, workers=workers)),
-        ("iid-product", preset_experiment("iid_product", grid, 100_000, workers=workers)),
-        ("iid-skew", preset_experiment("iid_skew", grid, 400_000, workers=workers)),
+        ("chain-pair", "chain_pair", 100_000),
+        ("iid-product", "iid_product", 100_000),
+        ("iid-skew", "iid_skew", 400_000),
     )
     details = []
     all_ok = True
     c0_by = {}
     slope = None
-    for tag, config in presets:
-        sums = {n: cached_sums(cache, config, n) for n in grid}
-        scan = cumulant_scan(config, sums_by_n=sums)
+    for tag, preset, n_replicates in presets:
+        _, sums = preset_sums(cache, preset, grid, n_replicates, workers=workers)
+        scan = cumulant_scan(sums)
         sub_rows = [r for r in scan.rows if r.n_terms < grid[-1]]
         sub_scan = replace(scan, rows=tuple(sub_rows))
         c0 = calibrate_c0(sub_scan, GAMMA)
@@ -452,10 +440,10 @@ def check_berry_esseen(cache: dict | None = None, workers: int = 1) -> CheckResu
     """Kolmogorov distance of standardized sums decays with slope <= -0.15."""
     t0 = time.perf_counter()
     grid = tuple(2**k for k in range(8, 15))
-    config = preset_experiment("iid_product", grid, 50_000, workers=workers)
+    _, sums = preset_sums(cache, "iid_product", grid, 50_000, workers=workers)
     dists = []
     for n in grid:
-        s = cached_sums(cache, config, n).centered
+        s = sums[n].centered
         dists.append(kolmogorov_distance(s, 0.0, float(np.std(s, ddof=1))))
     slope = float(np.polyfit(np.log(grid), np.log(dists), 1)[0])
     passed = slope <= -0.15
@@ -474,7 +462,7 @@ def check_berry_esseen(cache: dict | None = None, workers: int = 1) -> CheckResu
 # ---------------------------------------------------------------------------
 
 
-def check_mdp_diagnostic(workers: int = 1) -> CheckResult:
+def check_mdp_diagnostic(cache: dict | None = None, workers: int = 1) -> CheckResult:
     """Normalized log-tail at x = 1, N = 1e4, R = 1e6 against its finite-N rate.
 
     The moderate-deviation limit x^2/2 = 1/2 is reached only like
@@ -486,14 +474,13 @@ def check_mdp_diagnostic(workers: int = 1) -> CheckResult:
     scaling sequence N^0.1 must also pass the validity scan.
     """
     t0 = time.perf_counter()
-    config = preset_experiment("iid_bernoulli_mdp", (10_000,), 1_000_000, workers=workers)
-    a_fn = lambda n: float(n) ** 0.1
+    _, sums = preset_sums(cache, "iid_bernoulli_mdp", (10_000,), 1_000_000, workers=workers)
     scan_grid = np.geomspace(1e2, 1e12, 11)
-    validity = mdp_validity(lambda ns: np.asarray(ns, dtype=float) ** 0.1, GAMMA, scan_grid)
-    table = mdp_diagnostic(config, a_fn, (1.0,), d_const=0.5)
+    validity = mdp_validity(0.1, GAMMA, scan_grid)
+    table = mdp_diagnostic(sums, 0.1, (1.0,), d_const=0.5)
     cell = table.cell(10_000, 1.0)
     within = abs(cell.value - cell.reference) <= 0.25 * cell.reference
-    trend = np.array([mdp_gaussian_rate(cell.x, a_fn(n)) for n in scan_grid])
+    trend = np.array([mdp_gaussian_rate(cell.x, float(n) ** 0.1) for n in scan_grid])
     toward_limit = bool(np.all(np.diff(trend) < 0) and cell.rate < trend[-1] <= 1.25 * cell.rate)
     passed = validity.passed and cell.status == "ok" and within and toward_limit
     return _result(

@@ -15,7 +15,8 @@ import sys
 import pytest
 from scipy.stats import binom
 
-from nonconv.montecarlo import mdp_diagnostic
+from nonconv import verification
+from nonconv.montecarlo import mdp_diagnostic, sums_over_grid
 from nonconv.verification import (
     check_berry_esseen,
     check_cumulant_algebra,
@@ -105,6 +106,16 @@ def test_05_mgf_and_tail_bounds(sums_cache):
     assert r.seconds < 300.0
 
 
+def test_05b_mgf_and_tail_bounds_refute_a_quartered_constant(sums_cache, monkeypatch):
+    # B is tested on the half of the draws it was not calibrated on, so a
+    # constant a quarter of the calibrated one must be refuted there
+    calibrate = verification.calibrate_B
+    monkeypatch.setattr(verification, "calibrate_B", lambda *a: calibrate(*a) / 4.0)
+    r = check_mgf_and_tails(cache=sums_cache, workers=WORKERS)
+    _report(r)
+    assert not r.passed and r.status == "fail"
+
+
 def test_06_variance_growth_envelope(sums_cache):
     # fitted limit rate within 4 SE of the exact product oracle; sqrt-N
     # envelope calibrated on the sub-grid holds at the held-out largest N
@@ -151,7 +162,7 @@ def test_09b_moderate_deviation_estimator_matches_exact_tail():
     n, x, d = 2500, 1.0, 0.5
     a = n**0.1
     config = preset_experiment("iid_bernoulli_mdp", (n,), 100_000, seed=7, workers=WORKERS)
-    table = mdp_diagnostic(config, lambda m: float(m) ** 0.1, (x,), d_const=d)
+    table = mdp_diagnostic(sums_over_grid(config), 0.1, (x,), d_const=d)
     cell = table.cell(n, x)
     kmin = math.ceil(n / 2 + x * a * math.sqrt(n) * d)
     p_exact = float(binom.sf(kmin - 1, n, 0.5))

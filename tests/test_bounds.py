@@ -113,19 +113,19 @@ class TestModerateDeviationPieces:
         assert moddev_envelope(4.0, 4096, 1.5, 1.0) > 0
 
     def test_validity_scan_accepts_slow_growth(self):
-        v = mdp_validity(lambda n: n**0.1, 1.0, np.geomspace(1e2, 1e12, 11))
+        v = mdp_validity(0.1, 1.0, np.geomspace(1e2, 1e12, 11))
         assert v.passed and v.grows and v.damped_vanishes
 
     def test_validity_scan_rejects_bad_sequences(self):
         grid = np.geomspace(1e2, 1e12, 11)
-        flat = mdp_validity(lambda n: np.ones_like(n), 1.0, grid)
+        flat = mdp_validity(0.0, 1.0, grid)
         assert not flat.passed and not flat.grows
-        fast = mdp_validity(lambda n: n**0.3, 1.0, grid)
+        fast = mdp_validity(0.3, 1.0, grid)
         assert not fast.passed and fast.grows and not fast.damped_vanishes
 
     def test_validity_grid_requirements(self):
         with pytest.raises(ConfigError):
-            mdp_validity(lambda n: n, 1.0, np.array([10.0, 5.0, 20.0]))
+            mdp_validity(1.0, 1.0, np.array([10.0, 5.0, 20.0]))
 
 
 class TestBerryEsseen:

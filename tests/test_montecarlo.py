@@ -5,9 +5,11 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import beta, binom
 
 from nonconv.config import build_experiment, parse_config_text
+from nonconv.cumulants import sample_cumulants
 from nonconv.errors import ConfigError
 from nonconv.indexing import linear_family, polynomial_family
 from nonconv.montecarlo import (
@@ -31,6 +33,7 @@ from nonconv.montecarlo import (
 )
 from nonconv.observables import center, product_observable
 from nonconv.processes import doubling_model, iid_model, markov_model
+from nonconv.verification import preset_experiment
 
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
@@ -268,24 +271,70 @@ class TestKolmogorovDistance:
             kolmogorov_distance(np.ones(10), 0.0, 0.0)
 
 
+ORACLE_N, ORACLE_R = 64, 20_000
+
+
+@pytest.fixture(scope="module")
+def iid_product_sums():
+    """iid_product's centered sums at N = 64, R = 2e4 and the preset's own seed."""
+    config = preset_experiment("iid_product", (ORACLE_N,), ORACLE_R)
+    return replicate_sums(config, ORACLE_N).centered
+
+
+class TestBinomialOracles:
+    """The statistics against iid_product's exact law.
+
+    The pair products along each dyadic chain m, 2m, 4m, ... are independent
+    fair signs, so S_N is exactly 2 Bin(N, 1/2) - N.  Every bound is a fixed
+    number of standard errors or a DKW radius, so it holds at any seed.
+    """
+
+    def test_jackknife_cumulants_cover_the_exact_values(self, iid_product_sums):
+        # a sum of N fair signs: kappa_2 = N, kappa_3 = 0, kappa_4 = -2N
+        vec = sample_cumulants(iid_product_sums)
+        for k, exact in ((2, ORACLE_N), (3, 0.0), (4, -2.0 * ORACLE_N)):
+            assert abs(vec.cumulant(k) - exact) <= 4.0 * vec.std_error(k), k
+
+    @pytest.mark.parametrize("t", [0, 8, 16])
+    def test_tail_estimate_covers_the_exact_tail(self, iid_product_sums, t):
+        # S_N >= t exactly when the count of +1 signs is at least (N + t) / 2
+        exact = float(binom.sf(math.ceil((ORACLE_N + t) / 2) - 1, ORACLE_N, 0.5))
+        te = tail_estimate(iid_product_sums, float(t))
+        assert abs(te.p_hat - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / ORACLE_R)
+
+    def test_kolmogorov_distance_tracks_the_exact_lattice_distance(self, iid_product_sums):
+        # the lattice CDF is flat between the points 2k - N, so its sup
+        # distance to the normal sits at a point, from one side or the other
+        k = np.arange(ORACLE_N + 1)
+        phi = ndtr((2.0 * k - ORACLE_N) / math.sqrt(ORACLE_N))
+        exact = max(
+            np.max(np.abs(binom.cdf(k, ORACLE_N, 0.5) - phi)),
+            np.max(np.abs(binom.cdf(k - 1, ORACLE_N, 0.5) - phi)),
+        )
+        got = kolmogorov_distance(iid_product_sums, 0.0, math.sqrt(ORACLE_N))
+        # DKW: the empirical CDF strays more than eps with probability <= 1e-6
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * ORACLE_R))
+        assert abs(got - exact) <= eps
+
+
 class TestBootstrap:
     def test_deterministic_and_point_exact(self):
         v = np.random.default_rng(1).normal(size=500)
         stat = lambda x: float(np.mean(x))
-        p1, se1 = bootstrap_se(v, stat, master_seed=9)
-        p2, se2 = bootstrap_se(v, stat, master_seed=9)
+        p1, se1 = bootstrap_se(v, master_seed=9)
+        p2, se2 = bootstrap_se(v, master_seed=9)
         assert p1 == stat(v)
         assert (p1, se1) == (p2, se2)
 
     def test_se_tracks_the_analytic_rate(self):
         v = np.random.default_rng(2).normal(size=2000)
-        _, se = bootstrap_se(v, lambda x: float(np.mean(x)), master_seed=9)
+        _, se = bootstrap_se(v, master_seed=9)
         analytic = v.std(ddof=1) / math.sqrt(v.size)
         assert se == pytest.approx(analytic, rel=0.15)
 
     def test_needs_two_values(self):
         with pytest.raises(ConfigError):
-            bootstrap_se(np.ones(1), lambda x: 0.0, master_seed=0)
+            bootstrap_se(np.ones(1), master_seed=0)
 
 
 class TestVarianceScan:
@@ -295,15 +344,18 @@ class TestVarianceScan:
         z = _standardized(3, 400)
         grid = (16, 64, 256)
         by_n = {n: _synthetic_sample(n, math.sqrt(2 * n + math.sqrt(n)) * z) for n in grid}
-        fit = variance_scan(_config(RADEMACHER, 1, grid, 400), by_n)
+        fit = variance_scan(by_n)
         assert fit.d_squared == pytest.approx(2.0, abs=0.15)
         assert fit.c1_hat > 0
         assert fit.c1_conservative > fit.c1_hat
         assert fit.residuals.shape == (3,)
 
     def test_rejects_narrow_grid(self):
+        z = _standardized(3, 400)
         with pytest.raises(ConfigError):
-            variance_scan(_config(RADEMACHER, 1, (100, 800), 400), {})
+            variance_scan({n: _synthetic_sample(n, z) for n in (100, 800)})
+        with pytest.raises(ConfigError):
+            variance_scan({})
 
 
 class TestCumulantScan:
@@ -313,22 +365,28 @@ class TestCumulantScan:
         z = _standardized(4, 10_000)
         grid = (16, 64, 256)
         by_n = {n: _synthetic_sample(n, n**0.75 * z) for n in grid}
-        rep = cumulant_scan(_config(RADEMACHER, 1, grid, 10_000), sums_by_n=by_n)
+        rep = cumulant_scan(by_n)
         assert [(r.n_terms, r.order) for r in rep.rows] == [(n, k) for n in grid for k in (2, 3, 4)]
         assert rep.rows[0].estimate == pytest.approx(16.0**1.5, rel=1e-10)
         assert rep.normalized_slope(2) == pytest.approx(0.5, abs=1e-9)
 
     def test_replicate_gate_for_high_orders(self):
+        z = _standardized(4, 2000)
         with pytest.raises(ConfigError):
-            cumulant_scan(_config(RADEMACHER, 1, (16, 256), 2000), sums_by_n={})
+            cumulant_scan({n: _synthetic_sample(n, z) for n in (16, 256)})
+        with pytest.raises(ConfigError):
+            cumulant_scan({})
+
+
+def _rademacher_2500():
+    return sums_over_grid(_config(RADEMACHER, 1, (2500,), 100_000, seed=7))
 
 
 class TestMdpDiagnostic:
     def test_matches_exact_binomial_tail(self):
         # the count path makes the exceedance law a pure binomial tail, so
         # the reported interval must cover the exactly computed value
-        cfg = _config(RADEMACHER, 1, (2500,), 100_000, seed=7)
-        tab = mdp_diagnostic(cfg, lambda n: n**0.1, [1.0, 3.0], 1.0)
+        tab = mdp_diagnostic(_rademacher_2500(), 0.1, [1.0, 3.0], 1.0)
         a = 2500**0.1
         kmin = math.ceil((2500 + math.sqrt(2500) * a) / 2)
         exact = -math.log(float(binom.sf(kmin - 1, 2500, 0.5))) / a**2
@@ -341,16 +399,15 @@ class TestMdpDiagnostic:
         # with the true D = 1 the cell tracks the finite-N Gaussian rate;
         # halving D (the variance passed for the standard deviation) lowers
         # the threshold and must leave the 25% band
-        cfg = _config(RADEMACHER, 1, (2500,), 100_000, seed=7)
+        sums = _rademacher_2500()
         for d_const, inside in ((1.0, True), (0.5, False)):
-            cell = mdp_diagnostic(cfg, lambda n: n**0.1, [1.0], d_const).cell(2500, 1.0)
+            cell = mdp_diagnostic(sums, 0.1, [1.0], d_const).cell(2500, 1.0)
             assert cell.status == "ok"
             assert cell.reference == pytest.approx(0.8870838263883658, rel=1e-12)
             assert (abs(cell.value - cell.reference) <= 0.25 * cell.reference) is inside
 
     def test_unreachable_tail_marked_inconclusive(self):
-        cfg = _config(RADEMACHER, 1, (2500,), 100_000, seed=7)
-        tab = mdp_diagnostic(cfg, lambda n: n**0.1, [3.0], 1.0)
+        tab = mdp_diagnostic(_rademacher_2500(), 0.1, [3.0], 1.0)
         cell = tab.cell(2500, 3.0)
         assert cell.status == "inconclusive"
         assert cell.count < 20
@@ -358,11 +415,8 @@ class TestMdpDiagnostic:
             tab.cell(2500, 2.0)
 
     def test_rejects_bad_normalization(self):
-        cfg = _config(RADEMACHER, 1, (400,), 200)
         with pytest.raises(ConfigError):
-            mdp_diagnostic(cfg, lambda n: n**0.1, [1.0], 0.0)
-        with pytest.raises(ConfigError):
-            mdp_diagnostic(cfg, lambda n: -1.0, [1.0], 1.0)
+            mdp_diagnostic({400: _synthetic_sample(400, np.zeros(200))}, 0.1, [1.0], 0.0)
 
 
 class TestCalibration:
@@ -397,7 +451,7 @@ class TestCalibration:
         sample = replicate_sums(_config(PAIR, 2, (16,), 256, seed=3), 16)
         got = mgf_estimates(sample, (0.02, 0.1))
         for lam in (0.02, 0.1):
-            want = bootstrap_se(np.exp(lam * sample.centered), lambda v: float(np.mean(v)), 3)
+            want = bootstrap_se(np.exp(lam * sample.centered), 3)
             assert got[lam] == want
 
     def test_martingale_constant_covers_observed_gap(self):

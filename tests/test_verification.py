@@ -4,24 +4,22 @@ import numpy as np
 
 from nonconv import verification
 from nonconv.montecarlo import replicate_sums
-from nonconv.verification import cached_sums, preset_experiment
+from nonconv.verification import preset_sums
 
 
 def test_cache_keeps_models_apart():
-    # same N, replicate count and seed, different models: each gets its own sums
+    # same N and replicate count, different presets: each gets its own sums
     cache = {}
-    chain = preset_experiment("chain_pair", (16,), 200, seed=5)
-    iid = preset_experiment("iid_product", (16,), 200, seed=5)
-    got_chain = cached_sums(cache, chain, 16)
-    got_iid = cached_sums(cache, iid, 16)
+    chain, got_chain = preset_sums(cache, "chain_pair", (16,), 200)
+    iid, got_iid = preset_sums(cache, "iid_product", (16,), 200)
     assert len(cache) == 2
-    np.testing.assert_array_equal(got_chain.sums, replicate_sums(chain, 16).sums)
-    np.testing.assert_array_equal(got_iid.sums, replicate_sums(iid, 16).sums)
-    assert not np.array_equal(got_chain.sums, got_iid.sums)
+    np.testing.assert_array_equal(got_chain[16].sums, replicate_sums(chain, 16).sums)
+    np.testing.assert_array_equal(got_iid[16].sums, replicate_sums(iid, 16).sums)
+    assert not np.array_equal(got_chain[16].sums, got_iid[16].sums)
 
 
 def test_equal_presets_built_separately_are_sampled_once(monkeypatch):
-    # the acceptance checks build their presets independently and still
+    # the acceptance checks ask for their presets independently and still
     # share draws; the worker count never changes the sums, so it is no key
     calls = []
     sample = verification.replicate_sums
@@ -32,10 +30,10 @@ def test_equal_presets_built_separately_are_sampled_once(monkeypatch):
 
     monkeypatch.setattr(verification, "replicate_sums", counted)
     cache = {}
-    first = cached_sums(cache, preset_experiment("chain_pair", (16,), 200, workers=1), 16)
-    again = cached_sums(cache, preset_experiment("chain_pair", (16,), 200, workers=2), 16)
+    _, first = preset_sums(cache, "chain_pair", (16,), 200, workers=1)
+    _, again = preset_sums(cache, "chain_pair", (16,), 200, workers=2)
     assert calls == [16]
-    assert again is first
+    assert again[16] is first[16]
 
 
 def test_run_suite_fills_cache_and_workers_through_a_wrapper(monkeypatch):
