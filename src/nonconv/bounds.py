@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, logsumexp
 
 from nonconv.errors import ConfigError, OutOfWindowError
 
@@ -138,6 +137,8 @@ def mdp_gaussian_rate(x: float, a_n: float) -> float:
     but only like ln(a_N) / a_N^2, because of the prefactor in
     -ln Phi_bar(t) = t^2/2 + ln t + ln sqrt(2 pi) + o(1).
     """
+    from scipy.special import log_ndtr
+
     if a_n <= 0:
         raise ConfigError("a_N must be positive")
     return -float(log_ndtr(-x * a_n)) / (a_n * a_n)
@@ -210,6 +211,8 @@ def momthm_log(p: int, n_terms: float, c0: float, gamma: float) -> float:
     with c01 = max(1, c0).  Empty sum (p <= 2) gives -inf: the first two
     moments match the Gaussian surrogate exactly.
     """
+    from scipy.special import gammaln, logsumexp
+
     if p < 1 or n_terms < 1 or c0 <= 0 or gamma <= 0:
         raise ConfigError("bad moment-bound arguments")
     u_max = (p - 1) // 2

@@ -7,6 +7,7 @@ problem, 3 memory budget exceeded.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -271,14 +272,27 @@ def _cmd_verify(args) -> int:
     from nonconv.verification import run_suite
 
     results = run_suite(args.suite, workers=args.workers)
-    width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        if r.status == "fail":
-            failed += 1
-        print(f"{r.status.upper():4s} {r.name:<{width}s} ({r.seconds:7.2f}s)  {r.detail}")
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    failed = sum(r.status == "fail" for r in results)
+    if args.json:
+        rows = [
+            {"name": r.name, "status": r.status, "detail": r.detail, "seconds": r.seconds,
+             "values": r.values}
+            for r in results
+        ]
+        print(json.dumps(rows, indent=2, default=_json_default))
+    else:
+        width = max(len(r.name) for r in results)
+        for r in results:
+            print(f"{r.status.upper():4s} {r.name:<{width}s} ({r.seconds:7.2f}s)  {r.detail}")
+        print(f"{len(results) - failed}/{len(results)} checks passed")
     return 1 if failed else 0
+
+
+def _json_default(value):
+    # numpy scalars and arrays among a check's values
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a self-check suite")
     v.add_argument("suite", help="quick, full, martingale, cumulants, or mdp")
     v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--json", action="store_true", help="print the results as one JSON list")
     v.set_defaults(func=_cmd_verify)
     return p
 

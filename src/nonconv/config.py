@@ -330,6 +330,9 @@ def build_experiment(
         ("bounds", not bounds["gamma"] > 0, "gamma must be positive"),
         ("mdp", "mdp" in statistics and not params["mdp"]["d_const"] > 0,
          "[mdp] d_const must be positive"),
+        # a_N = N^exponent must grow and a_N / sqrt(N) must vanish
+        ("mdp", not 0.0 < params["mdp"]["exponent"] < 0.5,
+         "[mdp] exponent must lie in the moderate-deviation window (0, 1/2)"),
         ("martingale", chernoff and not params["martingale"]["b"] > 0,
          "[martingale] b must be positive for the chernoff check"),
         ("tails", chernoff and any(t < 0 for t in params["tails"]["thresholds"] or ()),

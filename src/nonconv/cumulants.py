@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from nonconv.errors import ConfigError
 
@@ -194,6 +193,8 @@ def noncum_bound(n_terms: int, k: int, c0: float, gamma: float) -> float:
     """Log of the per-order cumulant envelope for the centered sum:
 
         N (k!)^(1+gamma) c0^(k-2),          k >= 3."""
+    from scipy.special import gammaln
+
     if k < 3:
         raise ConfigError("the envelope starts at order 3")
     if n_terms < 1 or c0 <= 0 or gamma < 0:

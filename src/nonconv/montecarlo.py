@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaincinv, ndtr
 
 from nonconv.bounds import chernoff_tail_bound, chernoff_threshold, mdp_gaussian_rate, mdp_rate
 from nonconv.cumulants import sample_cumulants
@@ -205,6 +204,8 @@ class TailEstimate:
 
 def tail_estimate(samples: np.ndarray, x: float) -> TailEstimate:
     """Exact-count estimate of P(sample >= x) with a 95% Clopper-Pearson interval."""
+    from scipy.special import betaincinv
+
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ConfigError("no samples")
@@ -213,7 +214,8 @@ def tail_estimate(samples: np.ndarray, x: float) -> TailEstimate:
     R = s.size
     c = int(np.count_nonzero(s >= x))
     # beta quantiles: betaincinv(a, b, q) equals scipy.stats.beta.ppf(q, a, b) bit for
-    # bit (a test pins it) and spares every run the import of scipy.stats
+    # bit (a test pins it); scipy.special loads here, at the first tail estimate, so
+    # runs and suites that take none never import scipy
     lower = 0.0 if c == 0 else float(betaincinv(c, R - c + 1, _ALPHA / 2.0))
     upper = 1.0 if c == R else float(betaincinv(c + 1, R - c, 1.0 - _ALPHA / 2.0))
     return TailEstimate(
@@ -228,6 +230,8 @@ def kolmogorov_distance(samples: np.ndarray, center: float, scale: float) -> flo
     sample point, approached from one side or the other, so both one-sided
     gaps are taken at every step point.
     """
+    from scipy.special import ndtr
+
     if scale <= 0:
         raise ConfigError("scale must be positive")
     z = np.sort((np.asarray(samples, dtype=float) - center) / scale)

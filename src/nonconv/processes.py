@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -322,6 +322,20 @@ def sample_paths(
     return model.marginal().atoms[states]
 
 
+@lru_cache(maxsize=4096)
+def _gap_thresholds(model: MarkovChainModel, gap: int) -> np.ndarray:
+    """Read-only table whose row k holds cumsum(P^gap)[:, k] for every source state.
+
+    Cached per (chain, gap), so the blocks of one run and the grid points
+    that share a gap build each table once.
+    """
+    table = np.ascontiguousarray(
+        np.cumsum(np.linalg.matrix_power(model.transition, gap), axis=1)[:, :-1].T
+    )
+    table.flags.writeable = False
+    return table
+
+
 def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Chain states by inverse CDF, walked time-major over all replicates at once.
 
@@ -334,13 +348,6 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
     (replicates, indices) array of that type.
     """
     gaps = np.diff(idx).tolist()
-    # thresholds[g][k] holds cumsum(P^g)[:, k] for every source state
-    thresholds = {
-        g: np.ascontiguousarray(
-            np.cumsum(np.linalg.matrix_power(model.transition, g), axis=1)[:, :-1].T
-        )
-        for g in set(gaps)
-    }
     u_cols = np.ascontiguousarray(uniforms.T)
     walk = np.empty(u_cols.shape, dtype=np.min_scalar_type(model.n_states - 1))
     walk[0] = _draw(model.stationary, u_cols[0])
@@ -349,7 +356,7 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
     for t, g in enumerate(gaps, start=1):
         prev, nxt, u = walk[t - 1], walk[t], u_cols[t]
         nxt[:] = 0
-        for row in thresholds[g]:
+        for row in _gap_thresholds(model, g):
             # states are always in range; "clip" writes into ``out`` unbuffered
             row.take(prev, out=thr, mode="clip")
             np.less_equal(thr, u, out=hit)

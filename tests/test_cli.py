@@ -1,13 +1,17 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import nonconv
 from nonconv import cli, config
 from nonconv.cli import main
+
+PRESETS = Path(nonconv.__file__).resolve().parent / "presets"
 
 TINY_IID = """
 [model]
@@ -239,6 +243,13 @@ class TestSimulateCommand:
                 TINY_IID.replace('["tails"]', '["mdp"]') + "\n[mdp]\nd_const = -0.5\n",
                 "[mdp] d_const must be positive",
             ),
+            *(
+                (
+                    TINY_IID.replace('["tails"]', '["mdp"]') + f"\n[mdp]\nexponent = {e}\n",
+                    "exp.cfg:17: [mdp] exponent must lie in the moderate-deviation window (0, 1/2)",
+                )
+                for e in ("-0.5", "0", "0.5", "0.7")
+            ),
             (
                 # n^2 - 3n + 3 maps n = 1, 2 to index 1; the count path must not
                 # sample it as N distinct draws
@@ -271,6 +282,10 @@ class TestSimulateCommand:
             "chernoff-negative-threshold",
             "concentration-c2-zero",
             "mdp-d-const-negative",
+            "mdp-exponent--0.5",
+            "mdp-exponent-0",
+            "mdp-exponent-0.5",
+            "mdp-exponent-0.7",
             "stalling-family-on-count-path",
             "unknown-model-key",
             "misspelled-martingale-key",
@@ -306,6 +321,62 @@ def test_start_up_leaves_scipy_stats_unimported(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# runs the CLI on its arguments, then reports whether scipy was ever imported
+_RUN_AND_REPORT_SCIPY = (
+    "import sys; from nonconv.cli import main; rc = main(sys.argv[1:]); "
+    "print('scipy loaded:', 'scipy' in sys.modules); sys.exit(rc)"
+)
+
+
+def _cli_child(child_env, *argv):
+    """(exit code, whether the run imported scipy) of one `nonconv` child process."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_REPORT_SCIPY, *argv],
+        capture_output=True, text=True, timeout=300, env=child_env,
+    )
+    *_, last = ["", *proc.stdout.splitlines()]
+    assert last.startswith("scipy loaded:"), proc.stderr
+    return proc.returncode, last.endswith("True")
+
+
+def test_start_up_leaves_scipy_unimported(child_env):
+    # scipy.special loads only inside the statistics that call it
+    code = "import sys, nonconv.cli, nonconv.verification; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (("verify", "quick"), 0),
+        # a cumulants-only preset at the fewest replicates its scan accepts
+        (("simulate", "iid_skew.cfg", "--replicates", "10000"), 0),
+        (("simulate", "iid_skew.cfg", "--replicates", "10"), 2),
+    ],
+    ids=["verify-quick", "iid-skew", "config-error"],
+)
+def test_runs_without_special_functions_never_import_scipy(child_env, tmp_path, argv, exit_code):
+    if argv[0] == "simulate":
+        argv = ("simulate", str(PRESETS / argv[1]), *argv[2:], "--out-dir", str(tmp_path))
+    assert _cli_child(child_env, *argv) == (exit_code, False)
+
+
+def test_tail_statistics_import_scipy_and_keep_their_bytes(child_env, tmp_path):
+    code, loaded = _cli_child(
+        child_env, "simulate", str(PRESETS / "chain_pair.cfg"), "--replicates", "10000",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0 and loaded
+    # recorded when scipy.special was still imported at module level
+    digest = hashlib.sha256((tmp_path / "tails.csv").read_bytes()).hexdigest()
+    assert digest == "d67e57d7464d6327ebace70f90e14fa3766393ad63cf1e326a111d816d1cf355"
 
 
 class TestVerifyCommand:

@@ -32,7 +32,7 @@ from nonconv.montecarlo import (
     variance_scan,
 )
 from nonconv.observables import center, product_observable
-from nonconv.processes import doubling_model, iid_model, markov_model
+from nonconv.processes import _gap_thresholds, doubling_model, iid_model, markov_model
 from nonconv.verification import preset_experiment
 
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
@@ -208,6 +208,34 @@ class TestGoldenBytes:
         sample = replicate_sums(cfg, n_terms)
         assert sample.method == "binomial-count"
         assert hashlib.sha256(sample.sums.tobytes()).hexdigest() == digest
+
+
+    def test_chain_gap_tables_are_cached_without_moving_a_byte(self):
+        # (n, n^2) walks about a thousand distinct gaps at N = 1024; a second
+        # run on the same chain reads every gap table from the cache, and a
+        # freshly built chain builds them all again
+        text = (resources.files("nonconv") / "presets" / "chain_pair.cfg").read_text(encoding="utf-8")
+        text = text.replace('bound_checks = ["chernoff"]\n', "") + (
+            "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [1, 0, 0]]\nray_start = 2\n"
+        )
+
+        def fresh_config():
+            return build_experiment(parse_config_text(text, path="chain_poly"), replicates=1024).config
+
+        def tables_built(run):
+            before = _gap_thresholds.cache_info().misses
+            sums = run()
+            return sums, _gap_thresholds.cache_info().misses - before
+
+        cfg = fresh_config()
+        first, built = tables_built(lambda: replicate_sums(cfg, 1024).sums)
+        cached, none = tables_built(lambda: replicate_sums(cfg, 1024).sums)
+        rebuilt, again = tables_built(lambda: replicate_sums(fresh_config(), 1024).sums)
+        assert (built, none, again) == (994, 0, 994)
+        assert first.tobytes() == cached.tobytes() == rebuilt.tobytes()
+        # recorded before the cache existed, when every block built its own tables
+        digest = "b59e2c373ad29c4200944720c7193792b2ca5a4292fab7c74793e92eb9c78d54"
+        assert hashlib.sha256(cached.tobytes()).hexdigest() == digest
 
 
 class TestTailEstimate:

@@ -1,8 +1,10 @@
 import functools
+import json
 
 import numpy as np
 
 from nonconv import verification
+from nonconv.cli import main
 from nonconv.montecarlo import replicate_sums
 from nonconv.verification import preset_sums
 
@@ -93,6 +95,25 @@ def test_quick_suite_prints_pinned_text():
     # to a check's kernels must leave every name, status and detail as is
     got = [(r.name, r.status, r.detail) for r in verification.run_suite("quick")]
     assert got == QUICK_SUITE_TEXT
+
+
+def test_quick_suite_json_lists_every_result(capsys):
+    # `verify --json` prints one JSON list of the results and keeps the exit code
+    assert main(["verify", "quick", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["name"], r["status"], r["detail"]) for r in rows] == QUICK_SUITE_TEXT
+    assert all(set(r) == {"name", "status", "detail", "seconds", "values"} for r in rows)
+    assert all(r["seconds"] >= 0 for r in rows)
+    assert rows[1]["values"] == {"violations": 0, "worst_ratio": 1.0}
+
+
+def test_json_keeps_the_failing_exit_code(monkeypatch, capsys):
+    failing = verification.CheckResult("x", False, "refuted", 0.5, {"n": np.int64(3)})
+    monkeypatch.setitem(verification.SUITES, "failing", (lambda: failing,))
+    assert main(["verify", "failing", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"name": "x", "status": "fail", "detail": "refuted", "seconds": 0.5, "values": {"n": 3}}
+    ]
 
 
 def test_neighborhood_check_fails_below_the_attained_cap(monkeypatch):
