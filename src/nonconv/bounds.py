@@ -148,10 +148,8 @@ def mdp_gaussian_rate(x: float, a_n: float) -> float:
 class MdpValidity:
     grows: bool
     damped_vanishes: bool
-    first_a: float
-    last_a: float
-    first_damped: float
-    last_damped: float
+    a_range: tuple[float, float]  # a_N at the first and the last grid point
+    damped_range: tuple[float, float]
     passed: bool
 
 
@@ -175,10 +173,8 @@ def mdp_validity(exponent: float, gamma: float, n_grid) -> MdpValidity:
     return MdpValidity(
         grows=grows,
         damped_vanishes=vanishes,
-        first_a=float(a[0]),
-        last_a=float(a[-1]),
-        first_damped=float(damped[0]),
-        last_damped=float(damped[-1]),
+        a_range=(float(a[0]), float(a[-1])),
+        damped_range=(float(damped[0]), float(damped[-1])),
         passed=grows and vanishes,
     )
 

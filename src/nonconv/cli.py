@@ -34,8 +34,6 @@ from nonconv.montecarlo import (
     default_thresholds,
     kolmogorov_distance,
     mdp_diagnostic,
-    require_cumulant_replicates,
-    require_variance_grid,
     sums_over_grid,
     tail_estimate,
     variance_scan,
@@ -187,11 +185,6 @@ def _cmd_simulate(args) -> int:
         n_grid=_parse_grid(args.n_grid),
         workers=args.workers,
     )
-    # preconditions that the config alone settles fail here, before any draw or file
-    if "variance" in exp.statistics:
-        require_variance_grid(exp.config.n_grid)
-    if "cumulants" in exp.statistics:
-        require_cumulant_replicates(exp.config.n_replicates)
     decomps = {}  # the martingale decomposition at every N, for the Chernoff check
     if "chernoff" in exp.bound_checks:
         model, centered, family = exp.config.model, exp.config.centered, exp.config.family

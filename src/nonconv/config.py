@@ -18,8 +18,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from nonconv.errors import ConfigError
-from nonconv.indexing import IndexFamily, linear_family, polynomial_family, power_sparse_family
-from nonconv.montecarlo import ExperimentConfig
+from nonconv.indexing import IndexFamily, linear_family, polynomial_family
+from nonconv.montecarlo import ExperimentConfig, require_cumulant_replicates, require_variance_grid
 from nonconv.observables import CATALOG, Observable, center
 from nonconv.processes import ProcessModel, doubling_model, iid_model, markov_model
 
@@ -143,7 +143,6 @@ _MODEL_KEYS = {
 _FAMILY_KEYS = {
     "linear": ("kind", "arity"),
     "polynomial": ("kind", "coeffs", "ray_start"),
-    "power-sparse": ("kind", "coeffs", "power", "ray_start"),
 }
 _RUN_KEYS = ("n_grid", "replicates", "seed", "statistics", "bound_checks", "workers")
 
@@ -189,21 +188,15 @@ def build_family(raw: RawConfig, arity: int) -> IndexFamily:
         raise ConfigError(f"{raw.path}:{line}: unknown family kind {kind!r}")
     _only_keys(raw, "family", keys)
     if kind == "linear":
-        fam = linear_family(int(sec.get("arity", arity)))
-    elif kind == "polynomial":
+        # built at the observable's arity: a linear family holds a map per unit of arity
+        fam, n_maps = linear_family(arity), int(sec.get("arity", arity))
+    else:
         fam = polynomial_family(
             raw.require("family", "coeffs"), ray_start=int(sec.get("ray_start", 1))
         )
-    else:
-        fam = power_sparse_family(
-            raw.require("family", "coeffs"),
-            int(raw.require("family", "power")),
-            ray_start=int(sec.get("ray_start", 1)),
-        )
-    if fam.arity != arity:
-        raise ConfigError(
-            f"{raw.path}:{line}: family arity {fam.arity} != observable arity {arity}"
-        )
+        n_maps = fam.arity
+    if n_maps != arity:
+        raise ConfigError(f"{raw.path}:{line}: family arity {n_maps} != observable arity {arity}")
     return fam
 
 
@@ -212,16 +205,19 @@ def _reading(raw: RawConfig, name: str):
     """Report a value of section ``name`` that its reader cannot use as a ConfigError.
 
     Readers convert and validate values (int(), float(), numpy arrays, model
-    constructors); a TypeError, ValueError, LookupError (a wrong shape) or
-    ArithmeticError they raise means a malformed value, and is reported at
-    the section's header line.
+    and family constructors); a TypeError, ValueError, LookupError (a wrong
+    shape) or ArithmeticError they raise means a malformed value, and is
+    reported at the section's header line, as is a ConfigError that names no
+    file yet.  A section the file leaves out is reported at [run]'s line.
     """
+    line = raw.header_lines.get(name, raw.header_lines.get("run", 0))
     try:
         yield
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        if str(exc).startswith(f"{raw.path}:"):
+            raise
+        raise ConfigError(f"{raw.path}:{line}: {exc}") from exc
     except (TypeError, ValueError, LookupError, ArithmeticError) as exc:
-        line = raw.header_lines.get(name, 0)
         raise ConfigError(f"{raw.path}:{line}: bad value in [{name}]: {exc}") from exc
 
 
@@ -279,9 +275,10 @@ def build_experiment(
     """Assemble a validated experiment, applying CLI overrides when given.
 
     Every unknown section, unknown key, unknown statistic or bound-check
-    name, malformed value, and every parameter the requested statistics or
-    bound checks would refuse ends in a ConfigError carrying the file and
-    line.
+    name, malformed value, index family that the run's N grid would take
+    out of order, past int64 or past 2^53, and every parameter the requested
+    statistics or bound checks would refuse ends in a ConfigError carrying
+    the file and line, before any draw.
     """
     for name, line in raw.header_lines.items():
         if name not in _SECTIONS:
@@ -314,6 +311,13 @@ def build_experiment(
         )
         statistics = _names(run.get("statistics", ["tails"]), STATISTICS, "statistic")
         bound_checks = _names(run.get("bound_checks", []), BOUND_CHECKS, "bound check")
+        if "variance" in statistics:
+            require_variance_grid(config.n_grid)
+        if "cumulants" in statistics:
+            require_cumulant_replicates(config.n_replicates)
+    with _reading(raw, "family"):
+        # every value the run will take: unordered, stalling or inexact maps stop here
+        family.columns(max(config.n_grid))
 
     params = {}
     for name, keys in OPTIONAL_SECTIONS.items():
@@ -327,6 +331,8 @@ def build_experiment(
     # values the statistics and bound checks would refuse only after the draws
     bounds, chernoff = params["bounds"], "chernoff" in bound_checks
     for name, refused, message in (
+        ("family", chernoff and not family.linear,
+         "martingale construction needs the linear family q_i(n) = i n for the chernoff check"),
         ("bounds", not bounds["gamma"] > 0, "gamma must be positive"),
         ("mdp", "mdp" in statistics and not params["mdp"]["d_const"] > 0,
          "[mdp] d_const must be positive"),

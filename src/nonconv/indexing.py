@@ -18,61 +18,69 @@ import numpy as np
 from nonconv.errors import ConfigError
 
 _VALUE_CAP = 1 << 53  # keep family values exactly representable as floats
-
-
-def _poly_eval(coeffs: Sequence[int], x: np.ndarray) -> np.ndarray:
-    # Horner in int64; coeffs ordered highest degree first
-    out = np.zeros_like(x)
-    for c in coeffs:
-        out = out * x + int(c)
-    return out
+_PARTIAL_CAP = 1 << 62  # ceiling on every Horner partial: int64 arithmetic stays exact
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 @dataclass(frozen=True, eq=False)
 class IndexFamily:
-    """Ordered family of strictly increasing integer index maps.
+    """Ordered family of strictly increasing integer polynomial index maps.
 
-    kind is one of "linear" (q_i(n) = i*n), "polynomial" (integer-coefficient
-    polynomials), or "power-sparse" (polynomials evaluated at n**power).
-    ``ray_start`` is the first argument from which ordering and growth are
-    certified; families are only evaluated from there on, and ``columns``
-    rejects maps that are not strictly ordered or not strictly increasing
-    there.
+    ``coeffs`` holds one tuple of integer coefficients per map, highest
+    degree first, each with a positive leading coefficient; q_i(n) = i n is
+    (i, 0).  ``ray_start`` is the first argument from which ordering and
+    growth are certified; families are only evaluated from there on, and
+    ``columns`` rejects maps that are not strictly ordered or not strictly
+    increasing there.
     """
 
-    arity: int
-    kind: str
+    coeffs: tuple[tuple[int, ...], ...]
     ray_start: int = 1
-    poly_coeffs: tuple[tuple[int, ...], ...] | None = None
-    power: int | None = None
 
     def __post_init__(self):
-        if self.arity < 1:
-            raise ConfigError("arity must be >= 1")
-        if self.kind not in ("linear", "polynomial", "power-sparse"):
-            raise ConfigError(f"unknown family kind {self.kind!r}")
-        if self.kind in ("polynomial", "power-sparse"):
-            if self.poly_coeffs is None or len(self.poly_coeffs) != self.arity:
-                raise ConfigError("need one coefficient list per map")
-            for coeffs in self.poly_coeffs:
-                if not coeffs or coeffs[0] <= 0:
-                    raise ConfigError("polynomials need a positive leading coefficient")
-        if self.kind == "power-sparse" and (self.power is None or self.power < 1):
-            raise ConfigError("power-sparse families need a positive integer power")
+        if not self.coeffs:
+            raise ConfigError("a family needs at least one map")
+        for coeffs in self.coeffs:
+            if not coeffs or coeffs[0] <= 0:
+                raise ConfigError("polynomials need a positive leading coefficient")
+        if self.ray_start not in _INT64 or any(c not in _INT64 for cs in self.coeffs for c in cs):
+            raise ConfigError("family coefficients and ray start must fit in int64")
+
+    @property
+    def arity(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def linear(self) -> bool:
+        """Whether the maps are q_i(n) = i n, i = 1..arity, from ray start 1."""
+        return self.ray_start == 1 and self.coeffs == linear_family(self.arity).coeffs
 
     def evaluate(self, i: int, n) -> np.ndarray:
-        """q_i at one or many arguments; i is 1-based."""
+        """q_i at one or many arguments, by Horner's rule in int64; i is 1-based.
+
+        Refuses arguments below the ray start, arguments up to |n| = reach
+        with sum_k |a_k| reach^k at least 2^62, and values outside [1, 2^53).
+        For reach >= 1 that sum bounds |p x| and |p x + a| for every Horner
+        partial p at every |x| <= reach, so below 2^62 no step can wrap.
+        """
         if not (1 <= i <= self.arity):
             raise ConfigError(f"map index {i} outside 1..{self.arity}")
         arr = np.asarray(n, dtype=np.int64)
         if np.any(arr < self.ray_start):
             raise ConfigError(f"family evaluated below its ray start {self.ray_start}")
-        if self.kind == "linear":
-            out = i * arr
-        elif self.kind == "polynomial":
-            out = _poly_eval(self.poly_coeffs[i - 1], arr)
-        else:
-            out = _poly_eval(self.poly_coeffs[i - 1], arr**self.power)
+        coeffs = self.coeffs[i - 1]
+        reach = max(1, int(arr.max(initial=1)), -int(arr.min(initial=1)))
+        bound = 0
+        for c in coeffs:
+            bound = min(bound * reach + abs(c), _PARTIAL_CAP)  # small ints at any degree
+        if bound >= _PARTIAL_CAP:
+            raise ConfigError(
+                f"family values must stay in [1, 2^53), but q_{i} cannot be evaluated exactly "
+                f"at |n| up to {reach}: sum |a_k| |n|^k reaches 2^62"
+            )
+        out = np.zeros_like(arr)
+        for c in coeffs:
+            out = out * arr + c
         if np.any(out < 1) or np.any(np.abs(out) >= _VALUE_CAP):
             raise ConfigError("family values must stay in [1, 2^53)")
         return out
@@ -105,28 +113,13 @@ class IndexFamily:
 
 
 def linear_family(arity: int) -> IndexFamily:
-    return IndexFamily(arity=arity, kind="linear")
+    """q_i(n) = i n for i = 1..arity."""
+    return IndexFamily(tuple((i, 0) for i in range(1, arity + 1)))
 
 
 def polynomial_family(coeff_lists: Sequence[Sequence[int]], ray_start: int = 1) -> IndexFamily:
-    return IndexFamily(
-        arity=len(coeff_lists),
-        kind="polynomial",
-        ray_start=ray_start,
-        poly_coeffs=tuple(tuple(int(c) for c in cs) for cs in coeff_lists),
-    )
-
-
-def power_sparse_family(
-    coeff_lists: Sequence[Sequence[int]], power: int, ray_start: int = 1
-) -> IndexFamily:
-    return IndexFamily(
-        arity=len(coeff_lists),
-        kind="power-sparse",
-        ray_start=ray_start,
-        poly_coeffs=tuple(tuple(int(c) for c in cs) for cs in coeff_lists),
-        power=power,
-    )
+    """Integer polynomial maps, one coefficient list per map, highest degree first."""
+    return IndexFamily(tuple(tuple(int(c) for c in cs) for cs in coeff_lists), ray_start)
 
 
 # ---------------------------------------------------------------------------

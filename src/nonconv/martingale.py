@@ -189,7 +189,7 @@ def build_decomposition(
     starts at 8 and doubles until the certified truncation tail is at most
     1e-8; a tail still above that at horizon 4096 raises ConfigError.
     """
-    if family.kind != "linear" or family.arity != centered.arity:
+    if not family.linear or family.arity != centered.arity:
         raise ConfigError("martingale construction needs the linear family of matching arity")
     if n_terms < 1:
         raise ConfigError("need n_terms >= 1")

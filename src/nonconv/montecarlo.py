@@ -79,12 +79,15 @@ class SumSample:
     """Replicated values of the centered sum at one N."""
 
     n_terms: int
-    n_replicates: int
     master_seed: int
     sums: np.ndarray  # raw per-replicate sums (terms already centered)
     mean_correction: float  # exact or grand-mean E of the raw sum
     centering: str  # "exact" | "grand-mean"
     method: str  # "path-evaluation" | "binomial-count"
+
+    @property
+    def n_replicates(self) -> int:
+        return self.sums.size
 
     @property
     def centered(self) -> np.ndarray:
@@ -108,10 +111,6 @@ def _binomial_shortcut(
         return None
     vals = centered.table_for(model)
     return float(law.probs[1]), float(vals[0]), float(vals[1])
-
-
-def _block_edges(n_replicates: int) -> list[tuple[int, int]]:
-    return [(a, min(a + BLOCK, n_replicates)) for a in range(0, n_replicates, BLOCK)]
 
 
 def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
@@ -158,13 +157,8 @@ def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
 
         method = "path-evaluation"
 
-    edges = _block_edges(R)
-    if config.workers == 1 or len(edges) == 1:
-        for e in edges:
-            run_block(e)
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            list(pool.map(run_block, edges))
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        list(pool.map(run_block, [(a, min(a + BLOCK, R)) for a in range(0, R, BLOCK)]))
 
     try:
         correction = exact_mean_SN(config.model, config.centered, config.family, n_terms)
@@ -174,7 +168,6 @@ def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
         centering = "grand-mean"
     return SumSample(
         n_terms=n_terms,
-        n_replicates=R,
         master_seed=config.master_seed,
         sums=out,
         mean_correction=correction,
@@ -281,7 +274,6 @@ class VarianceFit:
     std_errors: np.ndarray
     d_squared: float
     d_squared_se: float
-    c1_hat: float
     c1_conservative: float
     residuals: np.ndarray
 
@@ -292,8 +284,8 @@ def variance_scan(sums: dict[int, SumSample]) -> VarianceFit:
     Per N the sample variance of the centered sums carries a moment-formula
     standard error; the slope of variance against N comes from a
     weighted least-squares fit through the origin, and the envelope constant
-    is the largest residual over sqrt(N), with a 2-sigma-padded conservative
-    variant for calibration.
+    is the largest 2-sigma-padded residual over sqrt(N), conservative for
+    calibration.
     """
     grid = _grid(sums)
     require_variance_grid(grid)
@@ -313,7 +305,6 @@ def variance_scan(sums: dict[int, SumSample]) -> VarianceFit:
     d2 = float(np.sum(w * ns * variances)) / denom
     d2_se = math.sqrt(1.0 / denom)
     resid = variances - d2 * ns
-    c1 = float(np.max(np.abs(resid) / np.sqrt(ns)))
     c1_cons = float(np.max((np.abs(resid) + 2.0 * ses) / np.sqrt(ns)))
     return VarianceFit(
         n_grid=grid,
@@ -321,7 +312,6 @@ def variance_scan(sums: dict[int, SumSample]) -> VarianceFit:
         std_errors=ses,
         d_squared=max(d2, 0.0),
         d_squared_se=d2_se,
-        c1_hat=c1,
         c1_conservative=c1_cons,
         residuals=resid,
     )
@@ -349,7 +339,6 @@ class MdpCell:
 
 @dataclass(frozen=True)
 class MdpTable:
-    d_const: float
     cells: tuple[MdpCell, ...]
 
     def cell(self, n_terms: int, x: float) -> MdpCell:
@@ -402,7 +391,7 @@ def mdp_diagnostic(
                     status="ok" if te.count >= min_count else "inconclusive",
                 )
             )
-    return MdpTable(d_const=d_const, cells=tuple(cells))
+    return MdpTable(cells=tuple(cells))
 
 
 # ---------------------------------------------------------------------------

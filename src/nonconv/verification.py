@@ -100,9 +100,13 @@ _PRESET_DIR = Path(__file__).resolve().parent / "presets"
 def preset_experiment(name, n_grid, n_replicates, seed=None, workers=1) -> ExperimentConfig:
     """The shipped preset ``presets/<name>.cfg`` at the given N grid and replicate count.
 
-    The seed defaults to the preset's own.
+    The seed defaults to the preset's own.  The preset's statistics and bound
+    checks, and their demands on the grid and replicate count, are left out:
+    each check runs and validates its own.
     """
     raw = load_config(str(_PRESET_DIR / f"{name}.cfg"))
+    for key in ("statistics", "bound_checks"):
+        raw.sections["run"].pop(key, None)
     return build_experiment(
         raw, seed=seed, replicates=n_replicates, n_grid=list(n_grid), workers=workers
     ).config
@@ -266,14 +270,13 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
 
     n_list = (8, 64) if quick else (8, 64, 512)
     n_rep = 256 if quick else 1024
-    gaps = {}
-    tel_ok = True
+    gaps, tels = {}, {}
     for n in n_list:
         d = build_decomposition(model, centered, fam, n)
         ev = evaluate_paths(d, 17, n_rep)
-        tel = telescoping_check(ev)
-        tel_ok = tel_ok and tel.passed
+        tels[n] = telescoping_check(ev)
         gaps[n] = float(np.max(ev.gaps))
+    tel_ok = all(t.passed for t in tels.values())
 
     d2_plain = decomp8.delta2_plain  # no approximation term: N-independent
     b_cal = SAFETY * max(gaps[8] / d2_plain, FLOOR)
@@ -291,7 +294,9 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
         f"vs B*delta2 = {b_cal * d2_plain:.4f} (B = {b_cal:.3f}); spread {spread:.3%}; "
         f"telescoping {'ok' if tel_ok else 'FAILED'}",
         t0,
-        {"offset_bound": chk.bound, "gaps": gaps, "b_calibrated": b_cal, "spread": spread},
+        {"offset_bound": chk.bound, "worst_time": chk.worst_time, "worst_level": chk.worst_level,
+         "gaps": gaps, "b_calibrated": b_cal, "spread": spread,
+         "telescoping_error": max(t.max_error for t in tels.values())},
     )
 
 
@@ -316,8 +321,8 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
         config, sums = preset_sums(cache, preset, (256,), 100_000, workers=workers)
         n = config.n_grid[0]
         sample, half = sums[n], sums[n].n_replicates // 2
-        fit = replace(sample, sums=sample.sums[:half], n_replicates=half)
-        held = replace(sample, sums=sample.sums[half:], n_replicates=sample.n_replicates - half)
+        fit = replace(sample, sums=sample.sums[:half])
+        held = replace(sample, sums=sample.sums[half:])
         decomp = build_decomposition(config.model, config.centered, config.family, n)
         b = calibrate_B(decomp, fit, mgf_estimates(fit, lambdas), default_thresholds(fit.centered))
         b_values[tag] = b
@@ -498,6 +503,8 @@ def check_mdp_diagnostic(cache: dict | None = None, workers: int = 1) -> CheckRe
             "reference": cell.reference,
             "rate": cell.rate,
             "count": cell.count,
+            "validity": {"grows": validity.grows, "damped_vanishes": validity.damped_vanishes,
+                         "a_range": validity.a_range, "damped_range": validity.damped_range},
         },
     )
 

@@ -52,6 +52,12 @@ b = 2.0
 """
 
 
+# a one-argument sum over the chain, whose [family] section, appended, starts on line 20
+TINY_CHAIN_SINGLE = TINY_CHAIN.replace("arity = 2", "arity = 1").replace(
+    'bound_checks = ["chernoff"]\n', ""
+)
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -168,6 +174,34 @@ class TestSimulateCommand:
         assert rc == (1 if man["verdicts"]["chernoff"] == "fail" else 0)
         assert "chernoff_refuted_points" in man["notes"]
 
+    def test_linear_family_spelled_as_polynomials_keeps_the_preset_bytes(self, tmp_path, capsys):
+        preset = PRESETS / "chain_pair.cfg"
+        spelled = _write(
+            tmp_path, preset.read_text() + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [2, 0]]\n"
+        )
+        for tag, cfg in (("preset", str(preset)), ("spelled", spelled)):
+            out = tmp_path / tag
+            assert main(["simulate", cfg, "--replicates", "10000", "--out-dir", str(out)]) == 0
+            assert "PASS chernoff" in capsys.readouterr().out
+        assert (tmp_path / "preset" / "sums.csv").read_bytes() == (
+            tmp_path / "spelled" / "sums.csv"
+        ).read_bytes()
+
+    def test_square_family_at_the_float_exact_boundary(self, tmp_path, capsys):
+        # n^2 from 94906265 on: 9007199136250225 < 2^53 runs, one step later is refused
+        def run(ray_start):
+            text = TINY_CHAIN_SINGLE.replace("n_grid = [16]", "n_grid = [1]") + (
+                f"\n[family]\nkind = polynomial\ncoeffs = [[1, 0, 0]]\nray_start = {ray_start}\n"
+            )
+            out = tmp_path / str(ray_start)
+            return main(["simulate", _write(tmp_path, text), "--out-dir", str(out)]), out
+
+        rc, out = run(94906265)
+        assert rc == 0 and (out / "sums.csv").exists()
+        rc, out = run(94906266)
+        assert rc == 2 and not out.exists()
+        assert "exp.cfg:20: family values must stay in [1, 2^53)" in capsys.readouterr().err
+
     def test_worker_count_leaves_bytes_unchanged(self, tmp_path, capsys):
         cfg = _write(tmp_path, TINY_IID)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -213,8 +247,9 @@ class TestSimulateCommand:
         "text, message",
         [
             (
-                TINY_CHAIN + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [2, 0]]\n",
-                "martingale construction needs the linear family",
+                # (n, n^2 + 1): (n, 2n) spelled as polynomials is the linear family
+                TINY_CHAIN + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [1, 0, 1]]\n",
+                "exp.cfg:21: martingale construction needs the linear family",
             ),
             (
                 TINY_IID.replace("n_grid = [50]", "n_grid = [16, 64]").replace(
@@ -257,6 +292,22 @@ class TestSimulateCommand:
                 "index maps must be strictly increasing, but at n = 2",
             ),
             (
+                # (2^32 + 1)^2 used to wrap in int64 to 2^33 + 1 and run
+                TINY_CHAIN_SINGLE
+                + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0, 0]]\nray_start = 4294967297\n",
+                "exp.cfg:20: family values must stay in [1, 2^53), but q_1 cannot be evaluated",
+            ),
+            (
+                TINY_CHAIN_SINGLE
+                + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0]]\nray_start = 18446744073709551616\n",
+                "exp.cfg:20: family coefficients and ray start must fit in int64",
+            ),
+            (
+                TINY_CHAIN_SINGLE
+                + "\n[family]\nkind = polynomial\ncoeffs = [[18446744073709551616, 0]]\n",
+                "exp.cfg:20: family coefficients and ray start must fit in int64",
+            ),
+            (
                 TINY_CHAIN.replace("kind = markov", "kind = markov\nholder_exp = 5"),
                 "exp.cfg:2: unknown key 'holder_exp' in [model]",
             ),
@@ -287,6 +338,9 @@ class TestSimulateCommand:
             "mdp-exponent-0.5",
             "mdp-exponent-0.7",
             "stalling-family-on-count-path",
+            "square-past-int64",
+            "ray-start-past-int64",
+            "coefficient-past-int64",
             "unknown-model-key",
             "misspelled-martingale-key",
             "misspelled-martingale-section",

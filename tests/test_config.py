@@ -100,17 +100,25 @@ class TestBuilders:
 
     def test_family_defaults_to_linear(self):
         fam = build_family(parse_config_text(BASIC), 2)
-        assert fam.kind == "linear" and fam.arity == 2
+        assert fam.linear and fam.arity == 2
 
     def test_family_arity_mismatch(self):
         raw = parse_config_text("[family]\nkind = polynomial\ncoeffs = [[1, 0]]\n")
         with pytest.raises(ConfigError, match="family arity 1 != observable arity 2"):
             build_family(raw, 2)
 
-    def test_unknown_family_kind(self):
-        raw = parse_config_text("[family]\nkind = fibonacci\n")
-        with pytest.raises(ConfigError, match="unknown family kind"):
+    def test_linear_family_arity_is_compared_before_building(self):
+        # a linear family holds one map per unit of arity: never build 10^12 of them
+        raw = parse_config_text("[family]\nkind = linear\narity = 1000000000000\n")
+        with pytest.raises(ConfigError, match="family arity 1000000000000 != observable arity 2"):
             build_family(raw, 2)
+
+    def test_unknown_family_kind(self):
+        # q(n^p) is written as its expanded polynomial: no power-sparse kind
+        for kind in ("fibonacci", "power-sparse"):
+            raw = parse_config_text(f"[family]\nkind = {kind}\n")
+            with pytest.raises(ConfigError, match="unknown family kind"):
+                build_family(raw, 2)
 
     def test_unknown_observable_kind(self):
         text = BASIC.replace("kind = product", "kind = mystery")
@@ -148,9 +156,9 @@ class TestExperimentAssembly:
         assert build_experiment(parse_config_text(text)).config.n_grid == (64,)
 
     def test_string_statistics_promoted(self):
-        text = BASIC + 'statistics = "variance"\n'
+        text = BASIC + 'statistics = "kolmogorov"\n'
         exp = build_experiment(parse_config_text(text))
-        assert exp.statistics == ("variance",)
+        assert exp.statistics == ("kolmogorov",)
 
     def test_gamma_from_bounds_section(self):
         text = BASIC + "\n[bounds]\ngamma = 0.5\n"
@@ -166,7 +174,7 @@ class TestExperimentAssembly:
         [
             ("model", "holder_exp"),
             ("run", "label"),
-            ("family", "power"),  # a power-sparse key on the default linear family
+            ("family", "power"),  # the key of the former power-sparse kind
             ("martingale", "smoothing_radus"),
             ("tails", "threshold"),
             ("mdp", "x"),
@@ -219,8 +227,8 @@ PRESETS = [
 @pytest.mark.parametrize("name", PRESETS)
 def test_shipped_presets_build(name):
     text = (resources.files("nonconv") / "presets" / name).read_text(encoding="utf-8")
-    # small replicate override keeps this a smoke test of assembly, not a run
-    exp = build_experiment(parse_config_text(text, path=name), replicates=200)
-    assert exp.config.n_replicates == 200
+    # the fewest replicates every preset's statistics accept; assembly draws nothing
+    exp = build_experiment(parse_config_text(text, path=name), replicates=10_000)
+    assert exp.config.n_replicates == 10_000
     assert exp.config.n_grid[0] >= 1
     assert exp.config.centered.arity == exp.config.family.arity

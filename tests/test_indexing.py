@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonconv.errors import ConfigError
@@ -10,7 +10,6 @@ from nonconv.indexing import (
     neighborhood_cap,
     neighborhood_sizes,
     polynomial_family,
-    power_sparse_family,
 )
 
 
@@ -50,9 +49,61 @@ class TestFamilies:
         assert fam.evaluate(2, 7) == 50
 
     def test_power_sparse_values(self):
-        fam = power_sparse_family([[1, 0], [2, 0]], power=3)  # n^3 and 2 n^3
+        # q(n^3) for q = n, 2n, written as expanded polynomials
+        fam = polynomial_family([[1, 0, 0, 0], [2, 0, 0, 0]])
         assert fam.evaluate(1, 2) == 8
         assert fam.evaluate(2, 2) == 16
+
+    def test_linear_is_the_dilation_family_from_one(self):
+        assert linear_family(3).coeffs == ((1, 0), (2, 0), (3, 0))
+        assert linear_family(3).linear
+        assert polynomial_family([[1, 0], [2, 0]]).linear
+        assert not polynomial_family([[1, 0], [2, 0]], ray_start=2).linear
+        assert not polynomial_family([[1, 0], [1, 0, 1]]).linear
+        assert not polynomial_family([[1, 0], [3, 0]]).linear
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=5),
+        st.integers(1, 2**40),
+        st.one_of(st.integers(0, 2**15), st.integers(2**32, 2**32 + 2**12)),
+    )
+    @example([0, 0], 1, 2**32 + 1)  # n^2 there wraps in int64 to 2^33 + 1
+    def test_horner_matches_exact_integers(self, tail, lead, n):
+        # every value is the exact integer, or the evaluator refuses it: one
+        # that leaves [1, 2^53), or one whose Horner partials are not certified
+        # below 2^62 (so no int64 step can wrap)
+        coeffs = (lead, *tail)
+        fam = polynomial_family([coeffs], ray_start=0)
+        exact = sum(c * n**k for k, c in enumerate(reversed(coeffs)))
+        certified = sum(abs(c) * n**k for k, c in enumerate(reversed(coeffs))) < 2**62
+        try:
+            got = int(fam.evaluate(1, n))
+        except ConfigError:
+            assert not (certified and 1 <= exact < 2**53)
+        else:
+            assert got == exact and 1 <= exact < 2**53
+
+    def test_values_past_int64_are_refused_not_wrapped(self):
+        # (2^32 + 1)^2 wraps in int64 to 2^33 + 1; the bound refuses it
+        fam = polynomial_family([[1, 0, 0]], ray_start=2**32 + 1)
+        with pytest.raises(ConfigError, match="cannot be evaluated exactly"):
+            fam.columns(4)
+
+    def test_square_at_the_float_exact_boundary(self):
+        fam = polynomial_family([[1, 0, 0]], ray_start=94906265)
+        assert fam.columns(1)[0, 0] == 9007199136250225  # just below 2^53
+        with pytest.raises(ConfigError, match=r"\[1, 2\^53\)"):
+            polynomial_family([[1, 0, 0]], ray_start=94906266).columns(1)
+
+    @pytest.mark.parametrize(
+        "coeffs, ray_start",
+        [([[1, 0]], 2**64), ([[2**64, 0]], 1), ([[1, -(2**63) - 1]], 1)],
+        ids=["ray-start", "leading-coefficient", "constant-term"],
+    )
+    def test_inputs_outside_int64_are_refused(self, coeffs, ray_start):
+        with pytest.raises(ConfigError, match="must fit in int64"):
+            polynomial_family(coeffs, ray_start=ray_start)
 
     def test_family_rejects_values_below_one(self):
         fam = polynomial_family([[1, -5]])  # n - 5

@@ -60,7 +60,6 @@ def _standardized(rng_seed, size):
 def _synthetic_sample(n, sums):
     return SumSample(
         n_terms=n,
-        n_replicates=sums.size,
         master_seed=0,
         sums=sums,
         mean_correction=0.0,
@@ -187,8 +186,7 @@ class TestGoldenBytes:
         ids=["chain_pair", "iid_product", "doubling_pwc", "iid_product_4096"],
     )
     def test_preset_sums_digest(self, name, n_terms, digest):
-        text = (resources.files("nonconv") / "presets" / f"{name}.cfg").read_text(encoding="utf-8")
-        cfg = build_experiment(parse_config_text(text, path=name), replicates=1024).config
+        cfg = preset_experiment(name, (n_terms,), 1024)
         sample = replicate_sums(cfg, n_terms)
         assert sample.method == "path-evaluation"
         assert hashlib.sha256(sample.sums.tobytes()).hexdigest() == digest
@@ -203,8 +201,7 @@ class TestGoldenBytes:
         ids=["iid_bernoulli_mdp", "iid_skew_64", "iid_skew_4096"],
     )
     def test_count_preset_sums_digest(self, name, n_terms, digest):
-        text = (resources.files("nonconv") / "presets" / f"{name}.cfg").read_text(encoding="utf-8")
-        cfg = build_experiment(parse_config_text(text, path=name), replicates=2048).config
+        cfg = preset_experiment(name, (n_terms,), 2048)
         sample = replicate_sums(cfg, n_terms)
         assert sample.method == "binomial-count"
         assert hashlib.sha256(sample.sums.tobytes()).hexdigest() == digest
@@ -215,7 +212,7 @@ class TestGoldenBytes:
         # run on the same chain reads every gap table from the cache, and a
         # freshly built chain builds them all again
         text = (resources.files("nonconv") / "presets" / "chain_pair.cfg").read_text(encoding="utf-8")
-        text = text.replace('bound_checks = ["chernoff"]\n', "") + (
+        text = text.replace('statistics = ["tails", "cumulants"]\nbound_checks = ["chernoff"]\n', "") + (
             "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [1, 0, 0]]\nray_start = 2\n"
         )
 
@@ -374,8 +371,9 @@ class TestVarianceScan:
         by_n = {n: _synthetic_sample(n, math.sqrt(2 * n + math.sqrt(n)) * z) for n in grid}
         fit = variance_scan(by_n)
         assert fit.d_squared == pytest.approx(2.0, abs=0.15)
-        assert fit.c1_hat > 0
-        assert fit.c1_conservative > fit.c1_hat
+        # the padded envelope constant exceeds the bare residual one, which is positive
+        c1_bare = float(np.max(np.abs(fit.residuals) / np.sqrt(grid)))
+        assert 0 < c1_bare < fit.c1_conservative
         assert fit.residuals.shape == (3,)
 
     def test_rejects_narrow_grid(self):
@@ -469,7 +467,6 @@ class TestCalibration:
             std_errors=np.array([1.0, 1.0]),
             d_squared=1.0,
             d_squared_se=0.1,
-            c1_hat=0.3,
             c1_conservative=0.4,
             residuals=np.zeros(2),
         )

@@ -24,22 +24,8 @@ ALLOWED = {
     ),
 }
 
-# class members kept without a reader in the package, each with its reason:
-# diagnostic fields of result records, which `nonconv verify --json`
-# (ROADMAP item 6) is to emit
-ALLOWED_MEMBERS = {
-    "MdpValidity.grows": "which half of the a_N validity verdict failed",
-    "MdpValidity.damped_vanishes": "which half of the a_N validity verdict failed",
-    "MdpValidity.first_a": "the scanned a_N range behind the verdict",
-    "MdpValidity.last_a": "the scanned a_N range behind the verdict",
-    "MdpValidity.first_damped": "the damped sequence's range behind the verdict",
-    "MdpValidity.last_damped": "the damped sequence's range behind the verdict",
-    "MartingaleCheck.worst_time": "the step of the worst conditional-mean offset",
-    "MartingaleCheck.worst_level": "the level of the worst conditional-mean offset",
-    "TelescopingReport.max_error": "the rounding error behind the telescoping verdict",
-    "VarianceFit.c1_hat": "the envelope constant before its 2-SE padding",
-    "MdpTable.d_const": "the normalizer the tail cells were computed with",
-}
+# class members kept without a reader in the package, each with its reason
+ALLOWED_MEMBERS: dict[str, str] = {}
 
 
 # defaulted parameters, as function.parameter, kept although no call in the
