@@ -143,17 +143,17 @@ _STATS = {
 }
 
 
-def _check_chernoff(exp, sums, decomps, manifest):
+def _check_chernoff(exp, sums, decomp, manifest):
     b = exp.params["martingale"]["b"]
-    refuted = 0
-    for n in exp.config.n_grid:
-        s = sums[n].centered
-        refuted += chernoff_refutations(s, _threshold_grid(exp, s), decomps[n], b)
+    refuted = sum(
+        chernoff_refutations(sums[n], _threshold_grid(exp, sums[n].centered), decomp, b)
+        for n in exp.config.n_grid
+    )
     manifest.record("chernoff", "fail" if refuted else "pass")
     manifest.notes["chernoff_refuted_points"] = refuted
 
 
-def _check_concentration(exp, sums, decomps, manifest):
+def _check_concentration(exp, sums, decomp, manifest):
     bounds = exp.params["bounds"]
     refuted = 0
     for n in exp.config.n_grid:
@@ -185,10 +185,9 @@ def _cmd_simulate(args) -> int:
         n_grid=_parse_grid(args.n_grid),
         workers=args.workers,
     )
-    decomps = {}  # the martingale decomposition at every N, for the Chernoff check
+    decomp = None  # the martingale decomposition every N of the Chernoff check shares
     if "chernoff" in exp.bound_checks:
-        model, centered, family = exp.config.model, exp.config.centered, exp.config.family
-        decomps = {n: build_decomposition(model, centered, family, n) for n in exp.config.n_grid}
+        decomp = build_decomposition(exp.config.model, exp.config.centered, exp.config.family)
 
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest(
@@ -217,7 +216,7 @@ def _cmd_simulate(args) -> int:
     for name in exp.statistics:
         _STATS[name](exp, sums, args.out_dir, manifest)
     for name in exp.bound_checks:
-        _BOUND_CHECKS[name](exp, sums, decomps, manifest)
+        _BOUND_CHECKS[name](exp, sums, decomp, manifest)
 
     manifest.wall_clock_s = time.perf_counter() - t0
     write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)

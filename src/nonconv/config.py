@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from nonconv.errors import ConfigError
-from nonconv.indexing import IndexFamily, linear_family, polynomial_family
+from nonconv.indexing import IndexFamily, as_int, linear_family, polynomial_family
 from nonconv.montecarlo import ExperimentConfig, require_cumulant_replicates, require_variance_grid
 from nonconv.observables import CATALOG, Observable, center
 from nonconv.processes import ProcessModel, doubling_model, iid_model, markov_model
@@ -158,14 +158,15 @@ def build_model(raw: RawConfig) -> ProcessModel:
         return markov_model(raw.require("model", "transition"), raw.require("model", "values"))
     if kind == "iid":
         return iid_model(raw.require("model", "atoms"), raw.require("model", "probs"))
-    return doubling_model(raw.require("model", "table"), int(raw.require("model", "level")))
+    return doubling_model(raw.require("model", "table"), as_int(raw.require("model", "level")))
 
 
 def build_observable(raw: RawConfig, dim: int) -> Observable:
     kind = raw.require("observable", "kind")
     sec = dict(raw.section("observable"))
     sec.pop("kind")
-    arity = int(sec.pop("arity", 0) or raw.require("observable", "arity"))
+    arity = as_int(raw.require("observable", "arity"))
+    sec.pop("arity")
     maker = CATALOG.get(kind)
     if maker is None:
         line = raw.header_lines["observable"]
@@ -189,11 +190,9 @@ def build_family(raw: RawConfig, arity: int) -> IndexFamily:
     _only_keys(raw, "family", keys)
     if kind == "linear":
         # built at the observable's arity: a linear family holds a map per unit of arity
-        fam, n_maps = linear_family(arity), int(sec.get("arity", arity))
+        fam, n_maps = linear_family(arity), as_int(sec.get("arity", arity))
     else:
-        fam = polynomial_family(
-            raw.require("family", "coeffs"), ray_start=int(sec.get("ray_start", 1))
-        )
+        fam = polynomial_family(raw.require("family", "coeffs"), ray_start=sec.get("ray_start", 1))
         n_maps = fam.arity
     if n_maps != arity:
         raise ConfigError(f"{raw.path}:{line}: family arity {n_maps} != observable arity {arity}")
@@ -204,7 +203,7 @@ def build_family(raw: RawConfig, arity: int) -> IndexFamily:
 def _reading(raw: RawConfig, name: str):
     """Report a value of section ``name`` that its reader cannot use as a ConfigError.
 
-    Readers convert and validate values (int(), float(), numpy arrays, model
+    Readers convert and validate values (as_int, float(), numpy arrays, model
     and family constructors); a TypeError, ValueError, LookupError (a wrong
     shape) or ArithmeticError they raise means a malformed value, and is
     reported at the section's header line, as is a ConfigError that names no
@@ -247,7 +246,7 @@ OPTIONAL_SECTIONS = {
         "exponent": (float, 0.1),
         "x_grid": (_floats, (1.0,)),
         "d_const": (float, 1.0),
-        "min_count": (int, 20),
+        "min_count": (as_int, 20),
     },
     "martingale": {"b": (float, 1.0)},
     "bounds": {"gamma": (float, 1.0), "c1": (float, 1.0), "c2": (float, 1.0)},
@@ -304,10 +303,10 @@ def build_experiment(
             model=model,
             centered=centered,
             family=family,
-            n_grid=tuple(int(n) for n in grid),
-            n_replicates=int(replicates if replicates is not None else run.get("replicates", 10_000)),
-            master_seed=int(seed if seed is not None else run.get("seed", 0)),
-            workers=int(workers if workers is not None else run.get("workers", 1)),
+            n_grid=tuple(as_int(n) for n in grid),
+            n_replicates=as_int(replicates if replicates is not None else run.get("replicates", 10_000)),
+            master_seed=as_int(seed if seed is not None else run.get("seed", 0)),
+            workers=as_int(workers if workers is not None else run.get("workers", 1)),
         )
         statistics = _names(run.get("statistics", ["tails"]), STATISTICS, "statistic")
         bound_checks = _names(run.get("bound_checks", []), BOUND_CHECKS, "bound check")

@@ -10,11 +10,13 @@ all of n = 1..N at once from the same intervals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from nonconv.budget import ensure_within_budget
 from nonconv.errors import ConfigError
 
 _VALUE_CAP = 1 << 53  # keep family values exactly representable as floats
@@ -68,22 +70,24 @@ class IndexFamily:
         arr = np.asarray(n, dtype=np.int64)
         if np.any(arr < self.ray_start):
             raise ConfigError(f"family evaluated below its ray start {self.ray_start}")
-        coeffs = self.coeffs[i - 1]
-        reach = max(1, int(arr.max(initial=1)), -int(arr.min(initial=1)))
+        self._require_exact(i, max(1, int(arr.max(initial=1)), -int(arr.min(initial=1))))
+        out = np.zeros_like(arr)
+        for c in self.coeffs[i - 1]:
+            out = out * arr + c
+        if np.any(out < 1) or np.any(np.abs(out) >= _VALUE_CAP):
+            raise ConfigError("family values must stay in [1, 2^53)")
+        return out
+
+    def _require_exact(self, i: int, reach: int) -> None:
+        """Refuse q_i at arguments up to |n| = reach once sum_k |a_k| reach^k reaches 2^62."""
         bound = 0
-        for c in coeffs:
+        for c in self.coeffs[i - 1]:
             bound = min(bound * reach + abs(c), _PARTIAL_CAP)  # small ints at any degree
         if bound >= _PARTIAL_CAP:
             raise ConfigError(
                 f"family values must stay in [1, 2^53), but q_{i} cannot be evaluated exactly "
                 f"at |n| up to {reach}: sum |a_k| |n|^k reaches 2^62"
             )
-        out = np.zeros_like(arr)
-        for c in coeffs:
-            out = out * arr + c
-        if np.any(out < 1) or np.any(np.abs(out) >= _VALUE_CAP):
-            raise ConfigError("family values must stay in [1, 2^53)")
-        return out
 
     def columns(self, n_terms: int) -> np.ndarray:
         """All maps at the arguments ray_start, ..., ray_start + n_terms - 1: shape (n_terms, arity).
@@ -91,9 +95,17 @@ class IndexFamily:
         Raises at the first argument n where the maps are not strictly
         ordered, q_1(n) < q_2(n) < ... < q_l(n), naming that n and the
         offending pair, then at the first n where a map fails to increase,
-        q_i(n) <= q_i(n - 1), naming that n and i.
+        q_i(n) <= q_i(n - 1), naming that n and i.  First the last argument
+        is checked in Python integers, so one past int64 meets the evaluation
+        bound instead of wrapping in np.arange, and the budget is asked for
+        16 arity + 17 bytes per term (tracemalloc: at most 32 at arity 1,
+        16 arity + 8 above it).
         """
-        arr = np.arange(self.ray_start, self.ray_start + n_terms, dtype=np.int64)
+        last = self.ray_start + n_terms - 1
+        for i in range(1, self.arity + 1):
+            self._require_exact(i, max(1, last, -self.ray_start))
+        ensure_within_budget(n_terms * (16 * self.arity + 17), "index family columns")
+        arr = np.arange(self.ray_start, last + 1, dtype=np.int64)
         cols = np.stack([self.evaluate(i, arr) for i in range(1, self.arity + 1)], axis=1)
         unordered = cols[:, 1:] <= cols[:, :-1]
         if unordered.any():
@@ -119,7 +131,20 @@ def linear_family(arity: int) -> IndexFamily:
 
 def polynomial_family(coeff_lists: Sequence[Sequence[int]], ray_start: int = 1) -> IndexFamily:
     """Integer polynomial maps, one coefficient list per map, highest degree first."""
-    return IndexFamily(tuple(tuple(int(c) for c in cs) for cs in coeff_lists), ray_start)
+    return IndexFamily(tuple(tuple(as_int(c) for c in cs) for cs in coeff_lists), as_int(ray_start))
+
+
+def as_int(value) -> int:
+    """``value`` as an exact int: an integer, or a float with no fractional part such as 1e5.
+
+    A bool, a non-number or a value with a fractional part raises
+    TypeError or ValueError; nothing is truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

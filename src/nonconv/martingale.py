@@ -62,7 +62,7 @@ _TELESCOPING_TOL = 1e-9  # relative rounding allowed in the telescoping identity
 
 @dataclass(eq=False)
 class MartingaleDecomposition:
-    """Precomputed tables for the increment construction on one instance.
+    """Precomputed tables for the increment construction, shared by every N.
 
     delta1_plain / delta2_plain are the difference and gap bounds
     K*(phi_sum + r + 1) and K*N*beta + delta1_plain.  The approximation rate
@@ -74,7 +74,6 @@ class MartingaleDecomposition:
 
     chain: MarkovChainModel
     centered: CenteredObservable
-    n_terms: int
     arity: int
     smoothing_radius: int
     horizon: int
@@ -176,9 +175,8 @@ def build_decomposition(
     model: ProcessModel,
     centered: CenteredObservable,
     family: IndexFamily,
-    n_terms: int,
 ) -> MartingaleDecomposition:
-    """Assemble the increment machinery for one (model, observable, N) triple.
+    """Assemble the increment machinery for one (model, observable, family) triple.
 
     Only linear index families are supported (the per-level streams need the
     arithmetic-progression structure).  Every model goes through its exact
@@ -191,8 +189,6 @@ def build_decomposition(
     """
     if not family.linear or family.arity != centered.arity:
         raise ConfigError("martingale construction needs the linear family of matching arity")
-    if n_terms < 1:
-        raise ConfigError("need n_terms >= 1")
     chain = as_chain(model)
     centered.table_for(chain)  # the component tables index the chain's states
     sups = centered.component_sups
@@ -220,7 +216,6 @@ def build_decomposition(
     return MartingaleDecomposition(
         chain=chain,
         centered=centered,
-        n_terms=n_terms,
         arity=centered.arity,
         smoothing_radius=model.level if isinstance(model, DoublingMapModel) else 0,
         horizon=H,
@@ -250,7 +245,7 @@ class PathEvaluation:
 
 
 def evaluate_paths(
-    decomp: MartingaleDecomposition, master_seed: int, n_replicates: int
+    decomp: MartingaleDecomposition, n_terms: int, master_seed: int, n_replicates: int
 ) -> PathEvaluation:
     """Evaluate S_N, all increments, and the terminal martingale on replicates 0..n-1.
 
@@ -261,7 +256,9 @@ def evaluate_paths(
     arity 1 (at seed 17 they agree at N = 1 and differ at N = 2 and 8 for
     the pair chain and the i.i.d. product).
     """
-    L, N = decomp.arity, decomp.n_terms
+    if n_terms < 1:
+        raise ConfigError("need n_terms >= 1")
+    L, N = decomp.arity, n_terms
     LN = L * N
     states = sample_state_paths(decomp.chain, np.arange(1, LN + 1), master_seed, n_replicates)
     getcol = lambda p: states[:, p - 1]
@@ -339,7 +336,7 @@ def _drift_sup(chain: MarkovChainModel, m: int, term: tuple, prior: tuple | None
     return float(np.max(np.abs(drift)))
 
 
-def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
+def check_martingale(decomp: MartingaleDecomposition, n_terms: int) -> MartingaleCheck:
     """Certify E[W_{i,m} | path to m-1] = 0 up to the certified truncation, term by term.
 
     R_{i,m-1} and the terms of W_{i,m} share their times s, except the one
@@ -352,12 +349,14 @@ def check_martingale(decomp: MartingaleDecomposition) -> MartingaleCheck:
     level it occurs at, and the allowance it is compared against: tol =
     1e-8 plus the certified truncation tail.
     """
+    if n_terms < 1:
+        raise ConfigError("need n_terms >= 1")
     worst = 0.0
     worst_at = (0, 0)
     terms_checked = 0
     for i in range(1, decomp.arity + 1):
         before, _ = decomp.step(i, 0)
-        for m in range(1, i * decomp.n_terms + 1):
+        for m in range(1, i * n_terms + 1):
             predicted, due = decomp.step(i, m)
             terms = {**due, **predicted}
             bound = math.fsum(

@@ -7,8 +7,8 @@ whatever workers are configured, and each replicate's path sum is an np.sum
 over its own row of a C-contiguous block of terms, a reduction whose order
 depends only on N (the binomial-count shortcut is closed form), so outputs
 are bit-identical across worker counts and blockings.  Only the
-mean corrections are compensated: the exact one (``exact_mean_SN``) sums its
-terms with Kahan summation, the grand-mean fallback with math.fsum.
+mean corrections are compensated: the exact one (``exact_mean_SN``) and the
+grand-mean fallback both sum their terms with math.fsum.
 Confidence machinery: exact binomial intervals for tail probabilities,
 delete-one jackknife for cumulants, a seeded bootstrap for means.  Every
 statistic is a function of drawn sums (``{N: SumSample}``) and plain
@@ -493,7 +493,7 @@ def default_thresholds(samples: np.ndarray) -> np.ndarray:
 
 
 def chernoff_refutations(
-    samples: np.ndarray,
+    sample: SumSample,
     t_grid: Sequence[float],
     decomp: MartingaleDecomposition,
     b_const: float,
@@ -503,10 +503,10 @@ def chernoff_refutations(
     A point refutes it when the lower Clopper-Pearson edge of
     P(S_N >= t + B delta2) lies above exp(-t^2 / (4 B^2 N arity delta1^2)).
     """
-    d1, d2 = decomp.delta1_plain, decomp.delta2_plain
+    d1, d2, s = decomp.delta1_plain, decomp.delta2_plain, sample.centered
     return sum(
-        tail_estimate(samples, chernoff_threshold(t, d2, b_const)).lower
-        > chernoff_tail_bound(t, decomp.n_terms, decomp.arity, d1, d2, b_const)
+        tail_estimate(s, chernoff_threshold(t, d2, b_const)).lower
+        > chernoff_tail_bound(t, sample.n_terms, decomp.arity, d1, d2, b_const)
         for t in t_grid
     )
 
@@ -536,14 +536,11 @@ def calibrate_B(
     raises CheckFailure: the bound is genuinely refuted, which is a
     scientific failure upstream.
     """
-    if sample.n_terms != decomp.n_terms:
-        raise ConfigError("sample and decomposition disagree on N")
     d1, d2 = decomp.delta1_plain, decomp.delta2_plain
-    N, L = decomp.n_terms, decomp.arity
-    ev = evaluate_paths(decomp, sample.master_seed, _GAP_REPLICATES)
+    N, L = sample.n_terms, decomp.arity
+    ev = evaluate_paths(decomp, N, sample.master_seed, _GAP_REPLICATES)
     req = max(FLOOR, float(np.max(ev.gaps)) / d2 if d2 > 0 else FLOOR)
 
-    s = sample.centered
     for lam, (point, se) in mgf.items():
         log_upper = math.log(max(point + 2.0 * se, 1e-300))
         denom = lam * lam * N * L * d1 + abs(lam) * d2
@@ -552,7 +549,7 @@ def calibrate_B(
 
     b = req
     while b <= _B_CAP:
-        if chernoff_refutations(s, t_grid, decomp, b) == 0:
+        if chernoff_refutations(sample, t_grid, decomp, b) == 0:
             return b * SAFETY
         b *= 1.25
     raise CheckFailure("no feasible martingale constant B below the scan cap")

@@ -10,6 +10,7 @@ estimated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -310,16 +311,10 @@ def exact_mean_SN(
         return 0.0
     chain = as_chain(model)
     f_vals = centered.table_for(chain).reshape(-1)  # (S**arity,)
-    total = 0.0
-    comp = 0.0
-    for row in family.columns(n_terms):
-        term = float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals)
-        # compensated accumulation over terms
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+    return math.fsum(
+        float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals)
+        for row in family.columns(n_terms)
+    )
 
 
 def exact_d_squared(model: ProcessModel, centered: CenteredObservable) -> float | None:

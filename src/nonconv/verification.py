@@ -265,20 +265,19 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
     base = preset_experiment("chain_pair", (8,), 256, seed=17)
     model, centered, fam = base.model, base.centered, base.family
 
-    decomp8 = build_decomposition(model, centered, fam, 8)
-    chk = check_martingale(decomp8)
+    decomp = build_decomposition(model, centered, fam)  # serves every N below
+    chk = check_martingale(decomp, 8)
 
     n_list = (8, 64) if quick else (8, 64, 512)
     n_rep = 256 if quick else 1024
     gaps, tels = {}, {}
     for n in n_list:
-        d = build_decomposition(model, centered, fam, n)
-        ev = evaluate_paths(d, 17, n_rep)
+        ev = evaluate_paths(decomp, n, 17, n_rep)
         tels[n] = telescoping_check(ev)
         gaps[n] = float(np.max(ev.gaps))
     tel_ok = all(t.passed for t in tels.values())
 
-    d2_plain = decomp8.delta2_plain  # no approximation term: N-independent
+    d2_plain = decomp.delta2_plain  # no approximation term: N-independent
     b_cal = SAFETY * max(gaps[8] / d2_plain, FLOOR)
     sup_ok = all(g <= b_cal * d2_plain for g in gaps.values())
     g_lo, g_hi = min(gaps.values()), max(gaps.values())
@@ -323,7 +322,7 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
         sample, half = sums[n], sums[n].n_replicates // 2
         fit = replace(sample, sums=sample.sums[:half])
         held = replace(sample, sums=sample.sums[half:])
-        decomp = build_decomposition(config.model, config.centered, config.family, n)
+        decomp = build_decomposition(config.model, config.centered, config.family)
         b = calibrate_B(decomp, fit, mgf_estimates(fit, lambdas), default_thresholds(fit.centered))
         b_values[tag] = b
         d1, d2 = decomp.delta1_plain, decomp.delta2_plain
@@ -333,8 +332,7 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
             if point - 2.0 * se > bound:
                 all_ok = False
                 details.append(f"{tag}: MGF at lam={lam} refutes bound")
-        s = held.centered
-        n_tail_fail = chernoff_refutations(s, default_thresholds(s), decomp, b)
+        n_tail_fail = chernoff_refutations(held, default_thresholds(held.centered), decomp, b)
         if n_tail_fail:
             all_ok = False
             details.append(f"{tag}: {n_tail_fail} tail grid points refute the bound")

@@ -174,6 +174,15 @@ class TestSimulateCommand:
         assert rc == (1 if man["verdicts"]["chernoff"] == "fail" else 0)
         assert "chernoff_refuted_points" in man["notes"]
 
+    def test_chernoff_grid_shares_one_decomposition(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = cli.build_decomposition
+        monkeypatch.setattr(cli, "build_decomposition", lambda *a: built.append(a) or build(*a))
+        out = tmp_path / "out"
+        main(["simulate", _write(tmp_path, TINY_CHAIN), "--n-grid", "8,16,32", "--out-dir", str(out)])
+        assert len(built) == 1
+        assert "chernoff" in json.loads((out / "manifest.json").read_text())["verdicts"]
+
     def test_linear_family_spelled_as_polynomials_keeps_the_preset_bytes(self, tmp_path, capsys):
         preset = PRESETS / "chain_pair.cfg"
         spelled = _write(
@@ -308,6 +317,15 @@ class TestSimulateCommand:
                 "exp.cfg:20: family coefficients and ray start must fit in int64",
             ),
             (
+                # the last argument, 2^63 + 7, used to wrap in np.arange to a
+                # negative start and be refused as below the ray start
+                TINY_CHAIN.replace('bound_checks = ["chernoff"]\n', "")
+                + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0], [2, 0]]\n"
+                + "ray_start = 9223372036854775800\n",
+                "exp.cfg:20: family values must stay in [1, 2^53), but q_1 cannot be evaluated "
+                "exactly at |n| up to 9223372036854775815: sum |a_k| |n|^k reaches 2^62",
+            ),
+            (
                 TINY_CHAIN.replace("kind = markov", "kind = markov\nholder_exp = 5"),
                 "exp.cfg:2: unknown key 'holder_exp' in [model]",
             ),
@@ -323,6 +341,55 @@ class TestSimulateCommand:
             (
                 TINY_IID.replace('["tails"]', '["entropy"]'),
                 "exp.cfg:11: bad value in [run]: unknown statistic 'entropy'",
+            ),
+            # every integer key refuses what int() would truncate, and a bool
+            (
+                TINY_IID.replace(
+                    "kind = iid\natoms = [[1.0], [-1.0]]\nprobs = [0.5, 0.5]",
+                    "kind = doubling\ntable = [1.0, -1.0]\nlevel = 1.5",
+                ),
+                "exp.cfg:2: bad value in [model]: expected an integer, got 1.5",
+            ),
+            (
+                TINY_IID.replace("arity = 1", "arity = 1.5"),
+                "exp.cfg:7: bad value in [observable]: expected an integer, got 1.5",
+            ),
+            (
+                TINY_IID + "\n[family]\nkind = linear\narity = 1.5\n",
+                "exp.cfg:17: bad value in [family]: expected an integer, got 1.5",
+            ),
+            (
+                TINY_CHAIN.replace('bound_checks = ["chernoff"]\n', "")
+                + "\n[family]\nkind = polynomial\ncoeffs = [[1.5, 0], [2, 0]]\n",
+                "exp.cfg:20: bad value in [family]: expected an integer, got 1.5",
+            ),
+            (
+                TINY_CHAIN_SINGLE + "\n[family]\nkind = polynomial\ncoeffs = [[1, 0]]\nray_start = 2.5\n",
+                "exp.cfg:20: bad value in [family]: expected an integer, got 2.5",
+            ),
+            (
+                TINY_IID.replace("n_grid = [50]", "n_grid = [64.7]"),
+                "exp.cfg:11: bad value in [run]: expected an integer, got 64.7",
+            ),
+            (
+                TINY_IID.replace("replicates = 300", "replicates = 200.9"),
+                "exp.cfg:11: bad value in [run]: expected an integer, got 200.9",
+            ),
+            (
+                TINY_IID.replace("seed = 5", "seed = 3.5"),
+                "exp.cfg:11: bad value in [run]: expected an integer, got 3.5",
+            ),
+            (
+                TINY_IID.replace("seed = 5", "seed = true"),
+                "exp.cfg:11: bad value in [run]: expected an integer, got True",
+            ),
+            (
+                TINY_IID.replace("seed = 5", "seed = 5\nworkers = 1.9"),
+                "exp.cfg:11: bad value in [run]: expected an integer, got 1.9",
+            ),
+            (
+                TINY_IID.replace('["tails"]', '["mdp"]') + "\n[mdp]\nmin_count = 20.5\n",
+                "exp.cfg:17: bad value in [mdp]: expected an integer, got 20.5",
             ),
         ],
         ids=[
@@ -341,10 +408,22 @@ class TestSimulateCommand:
             "square-past-int64",
             "ray-start-past-int64",
             "coefficient-past-int64",
+            "ray-start-near-2^63",
             "unknown-model-key",
             "misspelled-martingale-key",
             "misspelled-martingale-section",
             "unknown-statistic",
+            "integer-model-level",
+            "integer-observable-arity",
+            "integer-linear-family-arity",
+            "integer-family-coeffs",
+            "integer-family-ray-start",
+            "integer-run-n-grid",
+            "integer-run-replicates",
+            "integer-run-seed",
+            "integer-run-seed-bool",
+            "integer-run-workers",
+            "integer-mdp-min-count",
         ],
     )
     def test_config_only_failure_precedes_every_draw_and_file(
@@ -355,6 +434,28 @@ class TestSimulateCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert list(out.glob("*")) == []
+
+    def test_integral_floats_read_as_integers(self, tmp_path, capsys):
+        # 3e2 replicates at N = 5e1 is the run of 300 at N = 50, byte for byte
+        spelled = TINY_IID.replace("replicates = 300", "replicates = 3e2")
+        outs = []
+        for k, text in enumerate((TINY_IID, spelled.replace("n_grid = [50]", "n_grid = [5e1]"))):
+            out = tmp_path / f"o{k}"
+            assert main(["simulate", _write(tmp_path, text, f"{k}.cfg"), "--out-dir", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            outs.append(((out / "sums.csv").read_bytes(), man["config_hash"], man["n_replicates"]))
+        assert outs[0] == outs[1]
+
+    def test_term_grid_too_large_to_tabulate_exits_three(self, tmp_path, capsys):
+        # N = 1e12 used to reach np.arange and fail on 7.28 TiB with a traceback
+        out = tmp_path / "out"
+        rc = main([
+            "simulate", str(PRESETS / "iid_bernoulli_mdp.cfg"), "--n-grid", "1000000000000",
+            "--replicates", "200", "--out-dir", str(out),
+        ])
+        assert rc == 3
+        assert "budget error: index family columns needs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2

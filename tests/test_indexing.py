@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nonconv.errors import ConfigError
+import nonconv.indexing
+from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import (
     linear_family,
     neighborhood,
@@ -89,6 +92,29 @@ class TestFamilies:
         fam = polynomial_family([[1, 0, 0]], ray_start=2**32 + 1)
         with pytest.raises(ConfigError, match="cannot be evaluated exactly"):
             fam.columns(4)
+
+    @pytest.mark.parametrize("n_terms", [10_000, 200_000])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_columns_request_covers_the_traced_peak(self, arity, n_terms, monkeypatch):
+        # above 256 KiB numpy reuses a Horner temporary, so at arity 1 the
+        # peak drops from 32 to 25 bytes per term under the same request
+        requests = []
+        monkeypatch.setattr(nonconv.indexing, "ensure_within_budget", lambda b, _: requests.append(b))
+        fam = linear_family(arity)
+        fam.columns(n_terms)
+        tracemalloc.start()
+        try:
+            fam.columns(n_terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= requests[-1] <= 1.35 * peak
+
+    def test_columns_refused_over_the_budget(self, monkeypatch):
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "1")
+        assert linear_family(2).columns(10_000).shape == (10_000, 2)
+        with pytest.raises(BudgetError, match="index family columns needs 4.7 MiB"):
+            linear_family(2).columns(100_000)
 
     def test_square_at_the_float_exact_boundary(self):
         fam = polynomial_family([[1, 0, 0]], ray_start=94906265)

@@ -22,21 +22,21 @@ DOUBLING = doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3)  # do
 _CONDITION_BUDGET = 1_000_000  # cap on enumerated conditions per increment
 
 
-def _decomp(model, n_terms):
-    """The decomposition of the pair product over the model at N = n_terms."""
+def _decomp(model):
+    """The decomposition of the pair product over the model."""
     c = center(product_observable(2), model)
-    return build_decomposition(model, c, linear_family(2), n_terms)
+    return build_decomposition(model, c, linear_family(2))
 
 
-def exhaustive_offset(decomp):
-    """Largest |E[W_{i,m} | path to m-1]| over every state assignment of the positions read.
+def exhaustive_offset(decomp, n_terms):
+    """Largest |E[W_{i,m} | path to m-1]| over steps m <= i N and every state assignment read.
 
     The enumeration oracle for ``check_martingale``: every assignment of
     states to the positions an increment reads is enumerated (the kernel
     identity is pointwise, so this is the full conditional-mean check);
     more than 10^6 conditions for one increment raise ConfigError.
     """
-    L, N, S = decomp.arity, decomp.n_terms, decomp.chain.n_states
+    L, N, S = decomp.arity, n_terms, decomp.chain.n_states
     LN = L * N
     P = decomp.chain.transition
 
@@ -87,7 +87,7 @@ def exhaustive_offset(decomp):
 @pytest.fixture(scope="module")
 def pair_decomp():
     c = center(product_observable(2), PAIR)
-    return build_decomposition(PAIR, c, linear_family(2), 16)
+    return build_decomposition(PAIR, c, linear_family(2))
 
 
 class TestVarphiSum:
@@ -103,7 +103,7 @@ class TestVarphiSum:
 
     def test_iid_has_zero_tail(self):
         c = center(product_observable(2), RADEMACHER)
-        d = build_decomposition(RADEMACHER, c, linear_family(2), 8)
+        d = build_decomposition(RADEMACHER, c, linear_family(2))
         value, tail = d.phi_sum_value, d.phi_sum_tail
         assert value == 1.0  # only the phi(0) = 1 convention term
         assert tail == 0.0
@@ -128,13 +128,30 @@ class TestBuild:
     def test_constants_pinned_bitwise_at_n8(self):
         # recorded before the phi tail and the path weights were merged
         c = center(product_observable(2), PAIR)
-        d = build_decomposition(PAIR, c, linear_family(2), 8)
+        d = build_decomposition(PAIR, c, linear_family(2))
         assert d.horizon == 128
         assert d.tail_error == 1.084231544565188e-09
         assert d.phi_sum_value == 2.5555555553658444
         assert d.phi_sum_tail == 4.065868292119452e-10
-        got = hashlib.sha256(evaluate_paths(d, 17, 64).martingale.tobytes()).hexdigest()
+        got = hashlib.sha256(evaluate_paths(d, 8, 17, 64).martingale.tobytes()).hexdigest()
         assert got == "2e47a25dda689a0dea556c41febc7fb2d364fcdd3e9e6f28cb0561cd787934a5"
+
+    def test_one_decomposition_serves_every_n(self):
+        # nothing a decomposition caches depends on N: after N = 64 it
+        # evaluates and certifies N = 8 exactly as a fresh one does
+        shared, fresh = _decomp(PAIR), _decomp(PAIR)
+        evaluate_paths(shared, 64, 17, 64)
+        check_martingale(shared, 64)
+        got, want = evaluate_paths(shared, 8, 17, 64), evaluate_paths(fresh, 8, 17, 64)
+        for name in ("sums", "martingale", "r_start", "r_end"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert check_martingale(shared, 8) == check_martingale(fresh, 8)
+
+    def test_term_count_below_one_refused(self, pair_decomp):
+        with pytest.raises(ConfigError, match="need n_terms >= 1"):
+            evaluate_paths(pair_decomp, 0, 17, 4)
+        with pytest.raises(ConfigError, match="need n_terms >= 1"):
+            check_martingale(pair_decomp, 0)
 
     def test_horizon_certificate(self, pair_decomp):
         # doubling the horizon once more would be pointless: the recorded
@@ -146,29 +163,29 @@ class TestBuild:
 
         c = center(product_observable(2), PAIR)
         with pytest.raises(ConfigError):
-            build_decomposition(PAIR, c, polynomial_family([[1, 0], [1, 0, 1]]), 16)
+            build_decomposition(PAIR, c, polynomial_family([[1, 0], [1, 0, 1]]))
 
     def test_doubling_needs_smoothing_radius(self):
         # the radius is the table level, where the smoothed summands are exact;
         # other models need none
-        d = _decomp(DOUBLING, 8)
+        d = _decomp(DOUBLING)
         assert d.smoothing_radius == DOUBLING.level == 3
         assert d.delta1_plain == d.bound_const * (d.phi_sum + 3 + 1.0)
         assert d.delta2_plain == d.delta1_plain
-        assert _decomp(PAIR, 8).smoothing_radius == 0
+        assert _decomp(PAIR).smoothing_radius == 0
         # the enumeration would need over 10^6 conditions for this chain at N = 8
-        assert check_martingale(d).passed
+        assert check_martingale(d, 8).passed
 
 
 class TestPathIdentities:
     def test_telescoping_identity(self, pair_decomp):
-        ev = evaluate_paths(pair_decomp, 3, 128)
+        ev = evaluate_paths(pair_decomp, 16, 3, 128)
         rep = telescoping_check(ev)
         assert rep.passed
         assert rep.max_error <= 1e-9
 
     def test_gap_equals_boundary_difference(self, pair_decomp):
-        ev = evaluate_paths(pair_decomp, 3, 64)
+        ev = evaluate_paths(pair_decomp, 16, 3, 64)
         # S - M = sum_i (R_{i,0} - R_{i,iN}) along every replicate
         boundary = (ev.r_start[None, :] - ev.r_end).sum(axis=1)
         np.testing.assert_allclose(ev.sums - ev.martingale, boundary, atol=1e-9)
@@ -193,8 +210,8 @@ class TestPathIdentities:
         from nonconv.observables import batch_sums
 
         c = center(product_observable(1), PAIR)
-        d = build_decomposition(PAIR, c, linear_family(1), 16)
-        ev = evaluate_paths(d, 3, 16)
+        d = build_decomposition(PAIR, c, linear_family(1))
+        ev = evaluate_paths(d, 16, 3, 16)
         direct = batch_sums(PAIR, c, linear_family(1), 16, 3, 16)
         np.testing.assert_allclose(ev.sums, direct, atol=1e-12)
 
@@ -207,12 +224,12 @@ def _rounding(decomp):
 
 class TestIncrementLaw:
     def test_exhaustive_conditional_expectations(self, pair_decomp):
-        chk = check_martingale(pair_decomp)
+        chk = check_martingale(pair_decomp, 16)
         assert chk.passed
         assert chk.bound <= chk.tol + chk.allowance
-        assert exhaustive_offset(pair_decomp) <= chk.bound + _rounding(pair_decomp)
+        assert exhaustive_offset(pair_decomp, 16) <= chk.bound + _rounding(pair_decomp)
         # out of the enumeration's reach
-        assert check_martingale(_decomp(PAIR, 64)).passed
+        assert check_martingale(pair_decomp, 64).passed
 
     @pytest.mark.parametrize(
         "model, n_terms",
@@ -220,16 +237,16 @@ class TestIncrementLaw:
         ids=["pair-4", "pair-8", "doubling-4"],
     )
     def test_termwise_bound_covers_the_exhaustive_offset(self, model, n_terms):
-        d = _decomp(model, n_terms)
-        chk = check_martingale(d)
+        d = _decomp(model)
+        chk = check_martingale(d, n_terms)
         assert chk.passed
-        assert exhaustive_offset(d) <= chk.bound + _rounding(d)
+        assert exhaustive_offset(d, n_terms) <= chk.bound + _rounding(d)
         assert chk.bound <= chk.tol + chk.allowance
 
     def test_perturbed_prediction_fails_both_checks(self):
         # 1e-6 on one entry of E[Y_{1,4} | path to 2] breaks the conditional
         # mean at steps 2 and 3 far beyond tol = 1e-8
-        d = _decomp(PAIR, 4)
+        d = _decomp(PAIR)
         term = d._term
 
         def perturbed(i, s, m):
@@ -240,21 +257,21 @@ class TestIncrementLaw:
             return positions, table
 
         d._term = perturbed
-        chk = check_martingale(d)
+        chk = check_martingale(d, 4)
         assert not chk.passed
-        assert chk.bound >= exhaustive_offset(d) > chk.tol + chk.allowance
+        assert chk.bound >= exhaustive_offset(d, 4) > chk.tol + chk.allowance
 
     def test_sup_gap_needs_calibrated_b(self, pair_decomp):
         # plain constants undershoot the observed boundary gap for this
         # chain, which is why the Chernoff and MGF displays take a calibrated
         # B; doubling the slack factor clears it
-        gap_max = np.max(evaluate_paths(pair_decomp, 3, 128).gaps)
+        gap_max = np.max(evaluate_paths(pair_decomp, 16, 3, 128).gaps)
         assert gap_max == pytest.approx(4.378820984154804, rel=1e-9)
         assert gap_max > pair_decomp.delta2_plain
         assert gap_max <= 2.0 * pair_decomp.delta2_plain
 
     def test_iid_increments_are_exactly_centered(self):
-        d = _decomp(RADEMACHER, 8)
-        chk = check_martingale(d)
+        d = _decomp(RADEMACHER)
+        chk = check_martingale(d, 8)
         assert chk.passed
-        assert exhaustive_offset(d) <= chk.bound <= 1e-10
+        assert exhaustive_offset(d, 8) <= chk.bound <= 1e-10

@@ -483,8 +483,8 @@ class TestCalibration:
         from nonconv.martingale import build_decomposition, evaluate_paths
 
         c = center(product_observable(2), PAIR)
-        decomp = build_decomposition(PAIR, c, linear_family(2), 16)
+        decomp = build_decomposition(PAIR, c, linear_family(2))
         sample = replicate_sums(_config(PAIR, 2, (16,), 256, seed=3), 16)
         b = calibrate_B(decomp, sample, mgf_estimates(sample, (0.02,)), t_grid=(1.0, 2.0))
-        ev = evaluate_paths(decomp, 3, 256)
+        ev = evaluate_paths(decomp, 16, 3, 256)
         assert b > float(np.max(ev.gaps)) / decomp.delta2_plain

@@ -57,6 +57,15 @@ def test_run_suite_fills_cache_and_workers_through_a_wrapper(monkeypatch):
     assert isinstance(first, dict) and second is first
 
 
+def test_martingale_construction_builds_one_decomposition(monkeypatch):
+    # the N = 8 certificate and every N of the gap list share one decomposition
+    built = []
+    build = verification.build_decomposition
+    monkeypatch.setattr(verification, "build_decomposition", lambda *a: built.append(a) or build(*a))
+    assert verification.check_martingale_construction(quick=True).passed
+    assert len(built) == 1
+
+
 QUICK_SUITE_TEXT = [
     (
         "mixing-oracle",
