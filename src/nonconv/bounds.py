@@ -100,13 +100,11 @@ def moddev_window_edge(n_terms: float, c4: float, gamma: float) -> float:
     return c4 * n_terms ** (1.0 / (2.0 + 4.0 * gamma))
 
 
-def moddev_envelope(
-    x: float, n_terms: float, c5: float, gamma: float, c4: float | None = None
-) -> float:
+def moddev_envelope(x: float, n_terms: float, c5: float, gamma: float, c4: float | None) -> float:
     """Envelope c5 (1 + x^3) N^(-1/(2+4 gamma)) for the log-ratio of the
     normalized tail to the Gaussian tail.
 
-    Monotone increasing in x.  When c4 is supplied, x at or beyond the window
+    Monotone increasing in x.  When c4 is not None, x at or beyond the window
     edge raises OutOfWindowError; the inequality is simply not asserted there
     and extrapolating would misreport it.
     """

@@ -66,7 +66,7 @@ def _threshold_grid(exp, centered: np.ndarray) -> np.ndarray:
 
 def _stat_tails(exp, sums, out, manifest):
     rows = []
-    for n in exp.config.n_grid:
+    for n in exp.n_grid:
         s = sums[n].centered
         for t in _threshold_grid(exp, s):
             te = tail_estimate(s, float(t))
@@ -103,7 +103,7 @@ def _stat_cumulants(exp, sums, out, manifest):
 
 def _stat_kolmogorov(exp, sums, out, manifest):
     rows = []
-    for n in exp.config.n_grid:
+    for n in exp.n_grid:
         s = sums[n].centered
         scale = float(np.std(s, ddof=1))
         rows.append((n, kolmogorov_distance(s, 0.0, scale), scale))
@@ -147,7 +147,7 @@ def _check_chernoff(exp, sums, decomp, manifest):
     b = exp.params["martingale"]["b"]
     refuted = sum(
         chernoff_refutations(sums[n], _threshold_grid(exp, sums[n].centered), decomp, b)
-        for n in exp.config.n_grid
+        for n in exp.n_grid
     )
     manifest.record("chernoff", "fail" if refuted else "pass")
     manifest.notes["chernoff_refuted_points"] = refuted
@@ -156,7 +156,7 @@ def _check_chernoff(exp, sums, decomp, manifest):
 def _check_concentration(exp, sums, decomp, manifest):
     bounds = exp.params["bounds"]
     refuted = 0
-    for n in exp.config.n_grid:
+    for n in exp.n_grid:
         s = sums[n].centered
         for x in np.linspace(0.5, 5.0, 10):
             bound = concentration_bound(float(x), n, bounds["c1"], bounds["c2"], bounds["gamma"])
@@ -187,20 +187,20 @@ def _cmd_simulate(args) -> int:
     )
     decomp = None  # the martingale decomposition every N of the Chernoff check shares
     if "chernoff" in exp.bound_checks:
-        decomp = build_decomposition(exp.config.model, exp.config.centered, exp.config.family)
+        decomp = build_decomposition(exp.model, exp.centered, exp.family)
 
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = RunManifest(
-        config_hash=config_hash(effective_sections(raw, exp.config)),
-        master_seed=exp.config.master_seed,
+        config_hash=config_hash(effective_sections(raw, exp)),
+        master_seed=exp.master_seed,
         version=_version(),
-        n_replicates=exp.config.n_replicates,
-        n_grid=list(exp.config.n_grid),
+        n_replicates=exp.n_replicates,
+        n_grid=list(exp.n_grid),
     )
-    sums = sums_over_grid(exp.config)
+    sums = sums_over_grid(exp)
     manifest.sampling = [
         {"n_terms": n, "method": sums[n].method, "centering": sums[n].centering}
-        for n in exp.config.n_grid
+        for n in exp.n_grid
     ]
     _emit(
         args.out_dir,
@@ -208,7 +208,7 @@ def _cmd_simulate(args) -> int:
         ("n_terms", "replicate", "sum"),
         (
             (n, j, v)
-            for n in exp.config.n_grid
+            for n in exp.n_grid
             for j, v in enumerate(sums[n].sums.tolist())
         ),
         manifest,
@@ -231,27 +231,43 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# evaluator -> (bounds function, the options it takes, in argument order)
+_BOUNDS = {
+    "berry-esseen": (berry_esseen_bound, ("delta", "gamma")),
+    "moddev": (moddev_envelope, ("x", "n", "c5", "gamma", "c4")),
+    "momthm": (momthm_bound, ("p", "n", "c0", "gamma")),
+    "concentration": (concentration_bound, ("x", "n", "c1", "c2", "gamma")),
+    "chernoff": (chernoff_tail_bound, ("t", "n", "arity", "delta1", "delta2", "b")),
+    "variance": (variance_envelope, ("n", "c")),
+    "mdp-rate": (mdp_rate, ("x",)),
+}
+# option -> (type, default) for every option of `nonconv bounds`, in the parser's order
+_BOUND_OPTIONS = {
+    "x": (float, 1.0),
+    "t": (float, 1.0),
+    "n": (float, 1.0),
+    "p": (int, 3),
+    "arity": (int, 1),
+    "gamma": (float, 1.0),
+    "delta": (float, 0.1),
+    "delta1": (float, 1.0),
+    "delta2": (float, 1.0),
+    "b": (float, 1.0),
+    "c": (float, 1.0),
+    "c0": (float, 1.0),
+    "c1": (float, 1.0),
+    "c2": (float, 1.0),
+    "c4": (float, None),
+    "c5": (float, 1.0),
+}
+
+
 def _cmd_bounds(args) -> int:
-    kind = args.evaluator
-    if kind == "berry-esseen":
-        print(fmt(berry_esseen_bound(args.delta, args.gamma)))
-    elif kind == "moddev":
-        try:
-            print(fmt(moddev_envelope(args.x, args.n, args.c5, args.gamma, c4=args.c4)))
-        except OutOfWindowError:
-            print("OUT_OF_WINDOW")
-    elif kind == "momthm":
-        print(fmt(momthm_bound(args.p, args.n, args.c0, args.gamma)))
-    elif kind == "concentration":
-        print(fmt(concentration_bound(args.x, args.n, args.c1, args.c2, args.gamma)))
-    elif kind == "chernoff":
-        print(fmt(chernoff_tail_bound(args.t, args.n, args.arity, args.delta1, args.delta2, args.b)))
-    elif kind == "variance":
-        print(fmt(variance_envelope(args.n, args.c)))
-    elif kind == "mdp-rate":
-        print(fmt(mdp_rate(args.x)))
-    else:  # argparse choices make this unreachable
-        raise ConfigError(f"unknown evaluator {kind!r}")
+    bound, options = _BOUNDS[args.evaluator]
+    try:
+        print(fmt(bound(*(getattr(args, name) for name in options))))
+    except OutOfWindowError:  # moddev past its window edge with --c4
+        print("OUT_OF_WINDOW")
     return 0
 
 
@@ -307,34 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     b = sub.add_parser("bounds", help="evaluate one closed-form bound and print the value")
-    b.add_argument(
-        "evaluator",
-        choices=(
-            "berry-esseen",
-            "moddev",
-            "momthm",
-            "concentration",
-            "chernoff",
-            "variance",
-            "mdp-rate",
-        ),
-    )
-    b.add_argument("--x", type=float, default=1.0)
-    b.add_argument("--t", type=float, default=1.0)
-    b.add_argument("--n", type=float, default=1.0)
-    b.add_argument("--p", type=int, default=3)
-    b.add_argument("--arity", type=int, default=1)
-    b.add_argument("--gamma", type=float, default=1.0)
-    b.add_argument("--delta", type=float, default=0.1)
-    b.add_argument("--delta1", type=float, default=1.0)
-    b.add_argument("--delta2", type=float, default=1.0)
-    b.add_argument("--b", type=float, default=1.0)
-    b.add_argument("--c", type=float, default=1.0)
-    b.add_argument("--c0", type=float, default=1.0)
-    b.add_argument("--c1", type=float, default=1.0)
-    b.add_argument("--c2", type=float, default=1.0)
-    b.add_argument("--c4", type=float, default=None)
-    b.add_argument("--c5", type=float, default=1.0)
+    b.add_argument("evaluator", choices=tuple(_BOUNDS))
+    for name, (kind, default) in _BOUND_OPTIONS.items():
+        b.add_argument(f"--{name}", type=kind, default=default)
     b.set_defaults(func=_cmd_bounds)
 
     v = sub.add_parser("verify", help="run a self-check suite")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily, as_int, linear_family, polynomial_family
-from nonconv.montecarlo import ExperimentConfig, require_cumulant_replicates, require_variance_grid
+from nonconv.montecarlo import ExperimentConfig
 from nonconv.observables import CATALOG, Observable, center
 from nonconv.processes import ProcessModel, doubling_model, iid_model, markov_model
 
@@ -254,23 +254,13 @@ OPTIONAL_SECTIONS = {
 _SECTIONS = ("model", "observable", "family", "run", *OPTIONAL_SECTIONS)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """Everything a run needs, resolved and validated."""
-
-    config: ExperimentConfig
-    statistics: tuple[str, ...]
-    bound_checks: tuple[str, ...]
-    params: dict  # optional section -> key -> value, every key of OPTIONAL_SECTIONS
-
-
 def build_experiment(
     raw: RawConfig,
     seed: int | None = None,
     replicates: int | None = None,
     n_grid: list | None = None,
     workers: int | None = None,
-) -> Experiment:
+) -> ExperimentConfig:
     """Assemble a validated experiment, applying CLI overrides when given.
 
     Every unknown section, unknown key, unknown statistic or bound-check
@@ -293,31 +283,6 @@ def build_experiment(
     with _reading(raw, "family"):
         family = build_family(raw, obs.arity)
 
-    run = raw.section("run")
-    _only_keys(raw, "run", _RUN_KEYS)
-    with _reading(raw, "run"):
-        grid = n_grid if n_grid is not None else raw.require("run", "n_grid")
-        if isinstance(grid, (int, float)):
-            grid = [grid]
-        config = ExperimentConfig(
-            model=model,
-            centered=centered,
-            family=family,
-            n_grid=tuple(as_int(n) for n in grid),
-            n_replicates=as_int(replicates if replicates is not None else run.get("replicates", 10_000)),
-            master_seed=as_int(seed if seed is not None else run.get("seed", 0)),
-            workers=as_int(workers if workers is not None else run.get("workers", 1)),
-        )
-        statistics = _names(run.get("statistics", ["tails"]), STATISTICS, "statistic")
-        bound_checks = _names(run.get("bound_checks", []), BOUND_CHECKS, "bound check")
-        if "variance" in statistics:
-            require_variance_grid(config.n_grid)
-        if "cumulants" in statistics:
-            require_cumulant_replicates(config.n_replicates)
-    with _reading(raw, "family"):
-        # every value the run will take: unordered, stalling or inexact maps stop here
-        family.columns(max(config.n_grid))
-
     params = {}
     for name, keys in OPTIONAL_SECTIONS.items():
         _only_keys(raw, name, keys)
@@ -327,6 +292,30 @@ def build_experiment(
                 key: convert(sec[key]) if key in sec else default
                 for key, (convert, default) in keys.items()
             }
+    run = raw.section("run")
+    _only_keys(raw, "run", _RUN_KEYS)
+    with _reading(raw, "run"):
+        grid = n_grid if n_grid is not None else raw.require("run", "n_grid")
+        if isinstance(grid, (int, float)):
+            grid = [grid]
+        statistics = _names(run.get("statistics", ["tails"]), STATISTICS, "statistic")
+        bound_checks = _names(run.get("bound_checks", []), BOUND_CHECKS, "bound check")
+        config = ExperimentConfig(
+            model=model,
+            centered=centered,
+            family=family,
+            n_grid=tuple(as_int(n) for n in grid),
+            n_replicates=as_int(replicates if replicates is not None else run.get("replicates", 10_000)),
+            master_seed=as_int(seed if seed is not None else run.get("seed", 0)),
+            statistics=statistics,
+            bound_checks=bound_checks,
+            params=params,
+            workers=as_int(workers if workers is not None else run.get("workers", 1)),
+        )
+    with _reading(raw, "family"):
+        # every value the run will take: unordered, stalling or inexact maps stop here
+        family.columns(max(config.n_grid))
+
     # values the statistics and bound checks would refuse only after the draws
     bounds, chernoff = params["bounds"], "chernoff" in bound_checks
     for name, refused, message in (
@@ -348,7 +337,7 @@ def build_experiment(
         if refused:
             line = raw.header_lines.get(name, raw.header_lines["run"])
             raise ConfigError(f"{raw.path}:{line}: {message}")
-    return Experiment(config, statistics, bound_checks, params)
+    return config
 
 
 def effective_sections(raw: RawConfig, config: ExperimentConfig) -> dict:

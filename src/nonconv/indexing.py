@@ -57,56 +57,45 @@ class IndexFamily:
         """Whether the maps are q_i(n) = i n, i = 1..arity, from ray start 1."""
         return self.ray_start == 1 and self.coeffs == linear_family(self.arity).coeffs
 
-    def evaluate(self, i: int, n) -> np.ndarray:
-        """q_i at one or many arguments, by Horner's rule in int64; i is 1-based.
-
-        Refuses arguments below the ray start, arguments up to |n| = reach
-        with sum_k |a_k| reach^k at least 2^62, and values outside [1, 2^53).
-        For reach >= 1 that sum bounds |p x| and |p x + a| for every Horner
-        partial p at every |x| <= reach, so below 2^62 no step can wrap.
-        """
-        if not (1 <= i <= self.arity):
-            raise ConfigError(f"map index {i} outside 1..{self.arity}")
-        arr = np.asarray(n, dtype=np.int64)
-        if np.any(arr < self.ray_start):
-            raise ConfigError(f"family evaluated below its ray start {self.ray_start}")
-        self._require_exact(i, max(1, int(arr.max(initial=1)), -int(arr.min(initial=1))))
-        out = np.zeros_like(arr)
-        for c in self.coeffs[i - 1]:
-            out = out * arr + c
-        if np.any(out < 1) or np.any(np.abs(out) >= _VALUE_CAP):
-            raise ConfigError("family values must stay in [1, 2^53)")
-        return out
-
-    def _require_exact(self, i: int, reach: int) -> None:
-        """Refuse q_i at arguments up to |n| = reach once sum_k |a_k| reach^k reaches 2^62."""
-        bound = 0
-        for c in self.coeffs[i - 1]:
-            bound = min(bound * reach + abs(c), _PARTIAL_CAP)  # small ints at any degree
-        if bound >= _PARTIAL_CAP:
-            raise ConfigError(
-                f"family values must stay in [1, 2^53), but q_{i} cannot be evaluated exactly "
-                f"at |n| up to {reach}: sum |a_k| |n|^k reaches 2^62"
-            )
-
     def columns(self, n_terms: int) -> np.ndarray:
         """All maps at the arguments ray_start, ..., ray_start + n_terms - 1: shape (n_terms, arity).
 
-        Raises at the first argument n where the maps are not strictly
-        ordered, q_1(n) < q_2(n) < ... < q_l(n), naming that n and the
-        offending pair, then at the first n where a map fails to increase,
-        q_i(n) <= q_i(n - 1), naming that n and i.  First the last argument
-        is checked in Python integers, so one past int64 meets the evaluation
-        bound instead of wrapping in np.arange, and the budget is asked for
-        16 arity + 17 bytes per term (tracemalloc: at most 32 at arity 1,
-        16 arity + 8 above it).
+        Each map is evaluated by Horner's rule in int64.  First every map is
+        checked in Python integers at reach = max(1, last argument,
+        -ray_start): once sum_k |a_k| reach^k reaches 2^62 the map is refused,
+        and below that no Horner partial p x + a at |x| <= reach can wrap,
+        so one past int64 meets this bound instead of wrapping in np.arange.
+        Then the budget is asked for 16 arity + 17 bytes per term
+        (tracemalloc: at most 32 at arity 1, 16 arity + 8 above it).  Values
+        outside [1, 2^53) are refused; then the first argument n where the
+        maps are not strictly ordered, q_1(n) < q_2(n) < ... < q_l(n), naming
+        that n and the offending pair, then the first n where a map fails to
+        increase, q_i(n) <= q_i(n - 1), naming that n and i.
         """
         last = self.ray_start + n_terms - 1
-        for i in range(1, self.arity + 1):
-            self._require_exact(i, max(1, last, -self.ray_start))
+        reach = max(1, last, -self.ray_start)
+        for i, coeffs in enumerate(self.coeffs, start=1):
+            bound = 0
+            for c in coeffs:
+                bound = min(bound * reach + abs(c), _PARTIAL_CAP)  # small ints at any degree
+            if bound >= _PARTIAL_CAP:
+                raise ConfigError(
+                    f"family values must stay in [1, 2^53), but q_{i} cannot be evaluated exactly "
+                    f"at |n| up to {reach}: sum |a_k| |n|^k reaches 2^62"
+                )
         ensure_within_budget(n_terms * (16 * self.arity + 17), "index family columns")
         arr = np.arange(self.ray_start, last + 1, dtype=np.int64)
-        cols = np.stack([self.evaluate(i, arr) for i in range(1, self.arity + 1)], axis=1)
+
+        def horner(coeffs) -> np.ndarray:
+            out = np.zeros_like(arr)
+            for c in coeffs:
+                out = out * arr + c
+            if np.any(out < 1) or np.any(np.abs(out) >= _VALUE_CAP):
+                raise ConfigError("family values must stay in [1, 2^53)")
+            return out
+
+        # the per-map arrays live only until stacked, not through the checks below
+        cols = np.stack([horner(coeffs) for coeffs in self.coeffs], axis=1)
         unordered = cols[:, 1:] <= cols[:, :-1]
         if unordered.any():
             row, i = np.argwhere(unordered)[0]

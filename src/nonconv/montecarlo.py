@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from nonconv.bounds import chernoff_tail_bound, chernoff_threshold, mdp_gaussian_rate, mdp_rate
+from nonconv.budget import ensure_within_budget
 from nonconv.cumulants import sample_cumulants
 from nonconv.errors import CheckFailure, ConfigError
 from nonconv.indexing import IndexFamily
@@ -46,7 +47,14 @@ _BOOT_PURPOSE = 3  # substream of the bootstrap resampling
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a model/observable/family triple plus run controls."""
+    """One experiment: a model/observable/family triple, run controls and reports.
+
+    ``statistics`` and ``bound_checks`` name the reports a run writes, and
+    ``params`` holds every key of the optional config sections, resolved.
+    Construction refuses run controls that the statistics cannot use, and
+    asks the budget for the 8 bytes per replicate and per N that the sums
+    of ``sums_over_grid`` hold, before any draw.
+    """
 
     model: ProcessModel
     centered: CenteredObservable
@@ -54,6 +62,9 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     n_replicates: int
     master_seed: int
+    statistics: tuple[str, ...]
+    bound_checks: tuple[str, ...]
+    params: dict  # optional section -> key -> value
     workers: int = 1
 
     def __post_init__(self):
@@ -67,6 +78,11 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master seed must be nonnegative")
+        if "variance" in self.statistics:
+            require_variance_grid(self.n_grid)
+        if "cumulants" in self.statistics:
+            require_cumulant_replicates(self.n_replicates)
+        ensure_within_budget(8 * self.n_replicates * len(self.n_grid), "replicate sums")
 
 
 # ---------------------------------------------------------------------------

@@ -279,16 +279,17 @@ def batch_sums(
     from its own counter-based stream, looks up the centered table at the
     per-term state tuples, and reduces in fixed index order.  The budget
     request is the peak of the lookup, which holds per replicate the states
-    and, per term, a state column, the flat index and the float term;
+    at no more than arity N indices and, per term, a state column, the flat
+    index and the float term; it is made before the index table is built.
     sample_state_paths requests its own.
     """
     table = centered.table_for(model)
-    uniq, positions = family_indices(family, n_terms)
     state_type = np.min_scalar_type(table.shape[0] - 1)
     flat_type = np.promote_types(state_type, np.min_scalar_type(table.size - 1))
     s = state_type.itemsize
-    row_bytes = uniq.size * s + n_terms * (s + flat_type.itemsize + 8) + 8
+    row_bytes = family.arity * n_terms * s + n_terms * (s + flat_type.itemsize + 8) + 8
     ensure_within_budget(block_bytes(n_replicates, row_bytes, n_terms), "sum evaluation block")
+    uniq, positions = family_indices(family, n_terms)
     states = sample_state_paths(model, uniq, master_seed, n_replicates, first_replicate)
     return lookup_sums(table, states, positions)
 

@@ -5,13 +5,14 @@ index), so results are independent of how replicates are batched or spread
 across workers.  Streams are consumed strictly sequentially within a
 replicate; nothing here depends on global RNG state.
 
-Philox is counter-based: a stream is fixed by its key alone, so one
-generator can be re-keyed from replicate to replicate and draws exactly what
-a freshly built one would.  Loops over the replicates of a block build one
-generator for the block and re-key it per replicate (``reuse``); a block
-starts with no generator, so a generator never crosses worker threads.  The
-re-key passes the state setter plain Python ints: it reads every word by
-index, and numpy arrays there cost more than twice as much per replicate.
+Philox is counter-based: a stream is fixed by its key alone, so every
+stream is made the same way, by re-keying a generator to (master seed,
+replicate index), and draws exactly what a freshly keyed one would.  Loops
+over the replicates of a block build one generator for the block and re-key
+it per replicate (``reuse``); a block starts with no generator, so a
+generator never crosses worker threads.  The re-key passes the state setter
+plain Python ints: it reads every word by index, and numpy arrays there cost
+more than twice as much per replicate.
 """
 
 from __future__ import annotations
@@ -23,31 +24,21 @@ _BUFFER = 4  # Philox4x64 words per counter block; buffer_pos == 4 means empty
 _ZERO_WORDS = (0,) * _BUFFER  # counter 0 and an empty buffer
 
 
-def replicate_key(master_seed: int, replicate: int) -> np.ndarray:
-    """128-bit Philox key for one replicate: (master seed, replicate index)."""
-    if master_seed < 0 or replicate < 0:
-        raise ValueError("seed and replicate index must be nonnegative")
-    return np.array([master_seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
-
-
 def replicate_rng(
     master_seed: int, replicate: int, reuse: np.random.Generator | None = None
 ) -> np.random.Generator:
     """Sequential generator for one replicate, independent of all others.
 
-    With ``reuse``, a generator returned by an earlier call, that generator
-    is re-keyed in place to the fresh state of this replicate's stream
-    (counter 0, buffer emptied, no cached half word) and returned; its draws
-    are bit-identical to those of a newly built one, at a fraction of the
-    construction cost.  The re-keyed generator is the caller's alone: share
-    it with no other thread.  A negative seed or replicate index raises
-    ValueError on both paths.
+    The generator, ``reuse`` (one returned by an earlier call) or else a new
+    Philox generator, is re-keyed in place to the fresh state of this
+    replicate's stream (counter 0, buffer emptied, no cached half word) and
+    returned.  A re-keyed generator is the caller's alone: share it with no
+    other thread.  A negative seed or replicate index raises ValueError.
     """
-    if reuse is None:
-        return np.random.Generator(np.random.Philox(key=replicate_key(master_seed, replicate)))
     if master_seed < 0 or replicate < 0:
         raise ValueError("seed and replicate index must be nonnegative")
-    reuse.bit_generator.state = {
+    gen = np.random.Generator(np.random.Philox(key=0)) if reuse is None else reuse
+    gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_WORDS, "key": (master_seed & _MASK64, replicate & _MASK64)},
         "buffer": _ZERO_WORDS,
@@ -55,7 +46,7 @@ def replicate_rng(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return reuse
+    return gen
 
 
 def substream_rng(master_seed: int, purpose: int) -> np.random.Generator:

@@ -109,7 +109,7 @@ def preset_experiment(name, n_grid, n_replicates, seed=None, workers=1) -> Exper
         raw.sections["run"].pop(key, None)
     return build_experiment(
         raw, seed=seed, replicates=n_replicates, n_grid=list(n_grid), workers=workers
-    ).config
+    )
 
 
 def preset_sums(cache: dict | None, name, n_grid, n_replicates, workers=1):

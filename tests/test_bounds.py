@@ -110,7 +110,7 @@ class TestModerateDeviationPieces:
         with pytest.raises(OutOfWindowError):
             moddev_envelope(4.0, 4096, 1.5, 1.0, c4=1.0)
         # without the edge parameter no window is enforced
-        assert moddev_envelope(4.0, 4096, 1.5, 1.0) > 0
+        assert moddev_envelope(4.0, 4096, 1.5, 1.0, None) > 0
 
     def test_validity_scan_accepts_slow_growth(self):
         v = mdp_validity(0.1, 1.0, np.geomspace(1e2, 1e12, 11))

@@ -105,6 +105,14 @@ class TestBoundsCommand:
             1.5 * 9.0 * 4096 ** (-1 / 6), rel=1e-12
         )
 
+    def test_concentration_value(self, capsys):
+        rc = main([
+            "bounds", "concentration", "--x", "2", "--n", "100", "--c1", "1", "--c2", "1",
+            "--gamma", "1",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "0.47383346083868927"
+
     def test_bad_arguments_exit_two(self, capsys):
         rc = main(["bounds", "chernoff", "--delta1", "0"])
         assert rc == 2
@@ -455,6 +463,15 @@ class TestSimulateCommand:
         ])
         assert rc == 3
         assert "budget error: index family columns needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replicates", ["1e30", str(10**30)], ids=["float", "integer"])
+    def test_replicate_count_too_large_to_hold_exits_three(self, tmp_path, capsys, replicates):
+        # np.empty(R) used to fail on it with a traceback, after the out dir was made
+        text = TINY_IID.replace("replicates = 300", f"replicates = {replicates}")
+        out = tmp_path / "out"
+        assert main(["simulate", _write(tmp_path, text), "--out-dir", str(out)]) == 3
+        assert "budget error: replicate sums needs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_exits_two(self, capsys):

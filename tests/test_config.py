@@ -129,9 +129,9 @@ class TestBuilders:
 class TestExperimentAssembly:
     def test_defaults_and_sections(self):
         exp = build_experiment(parse_config_text(BASIC))
-        assert exp.config.n_grid == (16, 64)
-        assert exp.config.n_replicates == 500
-        assert exp.config.master_seed == 7
+        assert exp.n_grid == (16, 64)
+        assert exp.n_replicates == 500
+        assert exp.master_seed == 7
         assert exp.statistics == ("tails",)
         assert exp.bound_checks == ()
         # every key of every optional section is filled with its default
@@ -146,14 +146,14 @@ class TestExperimentAssembly:
         exp = build_experiment(
             parse_config_text(BASIC), seed=99, replicates=256, n_grid=[32], workers=2
         )
-        assert exp.config.master_seed == 99
-        assert exp.config.n_replicates == 256
-        assert exp.config.n_grid == (32,)
-        assert exp.config.workers == 2
+        assert exp.master_seed == 99
+        assert exp.n_replicates == 256
+        assert exp.n_grid == (32,)
+        assert exp.workers == 2
 
     def test_scalar_grid_promoted(self):
         text = BASIC.replace("n_grid = [16, 64]", "n_grid = 64")
-        assert build_experiment(parse_config_text(text)).config.n_grid == (64,)
+        assert build_experiment(parse_config_text(text)).n_grid == (64,)
 
     def test_string_statistics_promoted(self):
         text = BASIC + 'statistics = "kolmogorov"\n'
@@ -229,6 +229,6 @@ def test_shipped_presets_build(name):
     text = (resources.files("nonconv") / "presets" / name).read_text(encoding="utf-8")
     # the fewest replicates every preset's statistics accept; assembly draws nothing
     exp = build_experiment(parse_config_text(text, path=name), replicates=10_000)
-    assert exp.config.n_replicates == 10_000
-    assert exp.config.n_grid[0] >= 1
-    assert exp.config.centered.arity == exp.config.family.arity
+    assert exp.n_replicates == 10_000
+    assert exp.n_grid[0] >= 1
+    assert exp.centered.arity == exp.family.arity

@@ -47,6 +47,9 @@ def _config(model, arity, n_grid, n_replicates, seed=0, workers=1):
         n_grid=tuple(n_grid),
         n_replicates=n_replicates,
         master_seed=seed,
+        statistics=(),
+        bound_checks=(),
+        params={},
         workers=workers,
     )
 
@@ -217,7 +220,7 @@ class TestGoldenBytes:
         )
 
         def fresh_config():
-            return build_experiment(parse_config_text(text, path="chain_poly"), replicates=1024).config
+            return build_experiment(parse_config_text(text, path="chain_poly"), replicates=1024)
 
         def tables_built(run):
             before = _gap_thresholds.cache_info().misses

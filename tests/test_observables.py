@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,9 +257,17 @@ class TestBatchSums:
             batch_sums(iid_model([[1.0], [-1.0], [0.0]], [0.4, 0.4, 0.2]), c, fam, 4, 0, 8)
 
     def test_budget_violation_raises(self):
+        # the refusal comes before the (1e7, 2) index table and its np.unique,
+        # which at N = 1e7 peak near 1 GiB
         c = center(product_observable(2), RADEMACHER)
-        with pytest.raises(BudgetError):
-            batch_sums(RADEMACHER, c, linear_family(2), 10_000_000, 0, 10_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="sum evaluation block"):
+                batch_sums(RADEMACHER, c, linear_family(2), 10_000_000, 0, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestValidation:

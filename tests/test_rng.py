@@ -3,6 +3,8 @@ import pytest
 
 from nonconv.rng import replicate_rng, substream_rng
 
+_MASK64 = (1 << 64) - 1
+
 
 def test_replicate_streams_are_reproducible():
     a = replicate_rng(42, 7).random(16)
@@ -36,7 +38,6 @@ def test_substream_purposes_are_independent():
     assert not np.array_equal(a, b)
 
 
-
 @pytest.mark.parametrize("seed", [0, 11, 2**63 + 5])
 def test_rekeyed_generator_draws_the_fresh_stream(seed):
     # re-keying must reset everything a partly consumed stream leaves behind:
@@ -50,7 +51,9 @@ def test_rekeyed_generator_draws_the_fresh_stream(seed):
         used = gen.bit_generator.state
         assert used["buffer_pos"] != 4 and used["has_uint32"] == 1
         rekeyed = replicate_rng(seed, j, reuse=gen)
-        fresh = replicate_rng(seed, j)
+        # a uint64 array: Philox reads a list key through float64, losing bits past 2^53
+        key = np.array([seed & _MASK64, j & _MASK64], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
         assert rekeyed is gen
         got, want = rekeyed.bit_generator.state, fresh.bit_generator.state
         for part in ("key", "counter"):
