@@ -9,7 +9,8 @@ calibration routines in the Monte Carlo layer, a config file's [bounds] and
 [martingale] sections, or the options of ``nonconv bounds``.
 
 All evaluators work in log space internally and document their monotone
-directions, which the property tests exercise.
+directions, which the property tests exercise.  A value past the float range
+comes out as inf and one below it as 0, never as an exception.
 """
 
 from __future__ import annotations
@@ -20,6 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from nonconv.errors import ConfigError, OutOfWindowError
+
+
+def _exp(v: float) -> float:
+    """math.exp, with inf where the value overflows instead of an OverflowError."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _minus_square_over(a: float, den: float, log_den: float) -> float:
+    """-a^2 / den for a >= 0, where ``den`` > 0 is the denominator as floats evaluate it
+    and ``log_den`` its exact log; from the logs where a^2 or den left the float range."""
+    if a == 0.0:
+        return -0.0
+    if 0.0 < min(a * a, den) and max(a * a, den) < math.inf:
+        return -(a * a) / den
+    return -_exp(2.0 * math.log(a) - log_den)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +60,11 @@ def concentration_log(x: float, n_terms: float, c1: float, c2: float, gamma: flo
     damp = math.exp(-math.log(n_terms) / (2.0 + 4.0 * gamma))
     base = c1 + c2 * x * damp
     expo = (1.0 + 2.0 * gamma) / (1.0 + gamma)
-    return -(x * x) / (2.0 * math.exp(expo * math.log(base)))
+    log_half_den = expo * math.log(base)
+    if base == math.inf and x > 0:  # c1 + c2 x damp overflowed: log(e^u + e^v) instead
+        u, v = math.log(c1), math.log(c2) + math.log(damp) + math.log(x)
+        log_half_den = expo * np.logaddexp(u, v)
+    return _minus_square_over(x, 2.0 * _exp(log_half_den), math.log(2.0) + log_half_den)
 
 
 def concentration_bound(x: float, n_terms: float, c1: float, c2: float, gamma: float) -> float:
@@ -53,9 +76,7 @@ def concentration_bound(x: float, n_terms: float, c1: float, c2: float, gamma: f
 # ---------------------------------------------------------------------------
 
 
-def chernoff_tail_log(
-    t: float, n_terms: float, arity: int, delta1: float, delta2: float, b_const: float
-) -> float:
+def chernoff_tail_log(t: float, n_terms: float, arity: int, delta1: float, b_const: float) -> float:
     """log bound for P(S_N >= t + B delta2): -t^2 / (4 B^2 N arity delta1^2).
 
     Nonincreasing in t; nondecreasing in B and delta1.  Doubling t quarters
@@ -63,15 +84,15 @@ def chernoff_tail_log(
     """
     if delta1 <= 0:
         raise ConfigError("delta1 must be positive")
-    if t < 0 or n_terms < 1 or arity < 1 or b_const <= 0 or delta2 < 0:
+    if t < 0 or n_terms < 1 or arity < 1 or b_const <= 0:
         raise ConfigError("bad Chernoff arguments")
-    return -(t * t) / (4.0 * b_const * b_const * n_terms * arity * delta1 * delta1)
+    den = 4.0 * b_const * b_const * n_terms * arity * delta1 * delta1
+    log_den = math.log(4.0 * arity) + math.log(n_terms)
+    return _minus_square_over(t, den, log_den + 2.0 * (math.log(b_const) + math.log(delta1)))
 
 
-def chernoff_tail_bound(
-    t: float, n_terms: float, arity: int, delta1: float, delta2: float, b_const: float
-) -> float:
-    return math.exp(chernoff_tail_log(t, n_terms, arity, delta1, delta2, b_const))
+def chernoff_tail_bound(t: float, n_terms: float, arity: int, delta1: float, b_const: float) -> float:
+    return math.exp(chernoff_tail_log(t, n_terms, arity, delta1, b_const))
 
 
 def chernoff_threshold(t: float, delta2: float, b_const: float) -> float:
@@ -118,7 +139,10 @@ def moddev_envelope(x: float, n_terms: float, c5: float, gamma: float, c4: float
             raise OutOfWindowError(
                 f"x = {x:g} is outside the validity window [0, {edge:g})"
             )
-    return c5 * (1.0 + x**3) * n_terms ** (-1.0 / (2.0 + 4.0 * gamma))
+    try:
+        return c5 * (1.0 + x**3) * n_terms ** (-1.0 / (2.0 + 4.0 * gamma))
+    except OverflowError:  # x^3 past the float range: inf, as c5 * inf is
+        return math.inf
 
 
 def mdp_rate(x: float) -> float:
@@ -196,7 +220,10 @@ def berry_esseen_bound(delta: float, gamma: float) -> float:
     """
     if delta <= 0:
         raise ConfigError("Delta must be positive")
-    return berry_esseen_constant(gamma) * delta ** (-1.0 / (1.0 + 2.0 * gamma))
+    try:
+        return berry_esseen_constant(gamma) * delta ** (-1.0 / (1.0 + 2.0 * gamma))
+    except OverflowError:  # Delta^(-1/(1+2 gamma)) past the float range
+        return math.inf
 
 
 def momthm_log(p: int, n_terms: float, c0: float, gamma: float) -> float:
@@ -216,13 +243,12 @@ def momthm_log(p: int, n_terms: float, c0: float, gamma: float) -> float:
     u = np.arange(1, u_max + 1)
     terms = u * (math.log(n_terms) + math.log(p)) - 2.0 * gammaln(u + 1)
     return float(
-        p * math.log(c01) + (1.0 + gamma) * gammaln(p + 1) + logsumexp(terms)
+        p * math.log(c01) + (1.0 + gamma) * float(gammaln(p + 1)) + logsumexp(terms)
     )
 
 
 def momthm_bound(p: int, n_terms: float, c0: float, gamma: float) -> float:
-    lg = momthm_log(p, n_terms, c0, gamma)
-    return 0.0 if lg == -math.inf else math.exp(lg)
+    return _exp(momthm_log(p, n_terms, c0, gamma))
 
 
 def variance_envelope(n_terms: float, const: float) -> float:

@@ -237,7 +237,7 @@ _BOUNDS = {
     "moddev": (moddev_envelope, ("x", "n", "c5", "gamma", "c4")),
     "momthm": (momthm_bound, ("p", "n", "c0", "gamma")),
     "concentration": (concentration_bound, ("x", "n", "c1", "c2", "gamma")),
-    "chernoff": (chernoff_tail_bound, ("t", "n", "arity", "delta1", "delta2", "b")),
+    "chernoff": (chernoff_tail_bound, ("t", "n", "arity", "delta1", "b")),
     "variance": (variance_envelope, ("n", "c")),
     "mdp-rate": (mdp_rate, ("x",)),
 }
@@ -251,7 +251,6 @@ _BOUND_OPTIONS = {
     "gamma": (float, 1.0),
     "delta": (float, 0.1),
     "delta1": (float, 1.0),
-    "delta2": (float, 1.0),
     "b": (float, 1.0),
     "c": (float, 1.0),
     "c0": (float, 1.0),
@@ -264,8 +263,12 @@ _BOUND_OPTIONS = {
 
 def _cmd_bounds(args) -> int:
     bound, options = _BOUNDS[args.evaluator]
+    values = {name: getattr(args, name) for name in options}
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be a finite number, got {value}")
     try:
-        print(fmt(bound(*(getattr(args, name) for name in options))))
+        print(fmt(bound(*values.values())))
     except OutOfWindowError:  # moddev past its window edge with --c4
         print("OUT_OF_WINDOW")
     return 0
@@ -279,6 +282,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     from nonconv.verification import run_suite
 
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     results = run_suite(args.suite, workers=args.workers)
     failed = sum(r.status == "fail" for r in results)
     if args.json:

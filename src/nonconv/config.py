@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily, as_int, linear_family, polynomial_family
 from nonconv.montecarlo import ExperimentConfig
-from nonconv.observables import CATALOG, Observable, center
+from nonconv.observables import CATALOG, Observable, center, family_indices
 from nonconv.processes import ProcessModel, doubling_model, iid_model, markov_model
 
 _BARE_WORD_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
@@ -314,7 +314,7 @@ def build_experiment(
         )
     with _reading(raw, "family"):
         # every value the run will take: unordered, stalling or inexact maps stop here
-        family.columns(max(config.n_grid))
+        family_indices(family, max(config.n_grid))
 
     # values the statistics and bound checks would refuse only after the draws
     bounds, chernoff = params["bounds"], "chernoff" in bound_checks

@@ -64,40 +64,22 @@ _TELESCOPING_TOL = 1e-9  # relative rounding allowed in the telescoping identity
 class MartingaleDecomposition:
     """Precomputed tables for the increment construction, shared by every N.
 
-    delta1_plain / delta2_plain are the difference and gap bounds
-    K*(phi_sum + r + 1) and K*N*beta + delta1_plain.  The approximation rate
-    beta is 0 for every model ``build_decomposition`` accepts, so the two
-    coincide.  The calibrated constant B that scales them in the
-    exponential-moment and Chernoff displays is supplied separately (see
-    ``montecarlo.calibrate_B``).
+    ``delta`` = K (phi_sum + r + 1) is both the difference bound delta1 and
+    the gap bound delta2 = K N beta + delta1, as the approximation rate beta
+    is 0 for every model ``build_decomposition`` accepts.  phi_sum is phi over
+    gaps 0..64 plus the certified tail, and the smoothing radius r, the least
+    at which the smoothed summands are exact, is the doubling map's table
+    level and 0 for every other model.  The calibrated B that scales delta in
+    the MGF and Chernoff displays comes from ``montecarlo.calibrate_B``.
     """
 
     chain: MarkovChainModel
     centered: CenteredObservable
-    arity: int
-    smoothing_radius: int
     horizon: int
     tail_error: float
-    phi_sum_value: float
-    phi_sum_tail: float
+    delta: float
     _u_cache: dict = field(default_factory=dict, repr=False)
     _ahead_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def phi_sum(self) -> float:
-        return self.phi_sum_value + self.phi_sum_tail
-
-    @property
-    def bound_const(self) -> float:
-        return self.centered.base.bound_const
-
-    @property
-    def delta1_plain(self) -> float:
-        return self.bound_const * (self.phi_sum + self.smoothing_radius + 1.0)
-
-    @property
-    def delta2_plain(self) -> float:
-        return self.delta1_plain
 
     # -- internal tables ---------------------------------------------------
 
@@ -140,8 +122,6 @@ class MartingaleDecomposition:
         if m == 0:
             return known, self.chain.stationary @ u
         ahead = self._ahead(j0 * nprime - m)
-        # BLAS for one argument, einsum past it: each equals the batched
-        # contraction it replaced bit for bit
         table = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
         return known + [m], table
 
@@ -181,9 +161,8 @@ def build_decomposition(
     Only linear index families are supported (the per-level streams need the
     arithmetic-progression structure).  Every model goes through its exact
     chain (``as_chain``): an i.i.d. law as the chain whose rows are that law,
-    the doubling map as its bit-window chain.  The smoothing radius is the
-    doubling table's level, the least radius at which the smoothed summands
-    coincide with the exact ones, and 0 for every other model.  The horizon
+    the doubling map as its bit-window chain.  The constant ``delta`` is
+    K (phi_sum + r + 1), as :class:`MartingaleDecomposition` states.  The horizon
     starts at 8 and doubles until the certified truncation tail is at most
     1e-8; a tail still above that at horizon 4096 raises ConfigError.
     """
@@ -211,17 +190,14 @@ def build_decomposition(
         )
 
     # phi over gaps 0..64 (phi(0) = 1 by convention) plus the certified rest
-    value = math.fsum(phi_coefficient(chain, n) for n in range(65))
-    tail_sum = phi_tail(chain, 64)
+    phi_sum = math.fsum(phi_coefficient(chain, n) for n in range(65)) + phi_tail(chain, 64)
+    r = model.level if isinstance(model, DoublingMapModel) else 0
     return MartingaleDecomposition(
         chain=chain,
         centered=centered,
-        arity=centered.arity,
-        smoothing_radius=model.level if isinstance(model, DoublingMapModel) else 0,
         horizon=H,
         tail_error=float(tail),
-        phi_sum_value=value,
-        phi_sum_tail=tail_sum,
+        delta=centered.base.bound_const * (phi_sum + r + 1.0),
     )
 
 
@@ -258,7 +234,7 @@ def evaluate_paths(
     """
     if n_terms < 1:
         raise ConfigError("need n_terms >= 1")
-    L, N = decomp.arity, n_terms
+    L, N = decomp.centered.arity, n_terms
     LN = L * N
     states = sample_state_paths(decomp.chain, np.arange(1, LN + 1), master_seed, n_replicates)
     getcol = lambda p: states[:, p - 1]
@@ -354,7 +330,7 @@ def check_martingale(decomp: MartingaleDecomposition, n_terms: int) -> Martingal
     worst = 0.0
     worst_at = (0, 0)
     terms_checked = 0
-    for i in range(1, decomp.arity + 1):
+    for i in range(1, decomp.centered.arity + 1):
         before, _ = decomp.step(i, 0)
         for m in range(1, i * n_terms + 1):
             predicted, due = decomp.step(i, m)

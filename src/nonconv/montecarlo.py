@@ -35,6 +35,7 @@ from nonconv.observables import (
     CenteredObservable,
     batch_sums,
     exact_mean_SN,
+    family_indices,
 )
 from nonconv.processes import IIDModel, ProcessModel
 from nonconv.rng import replicate_rng, substream_rng
@@ -144,7 +145,7 @@ def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
 
     if shortcut is not None:
         # the count assumes N distinct draws: run the family checks of the bypassed path
-        config.family.columns(n_terms)
+        family_indices(config.family, n_terms)
         p1, f0, f1 = shortcut
 
         def run_block(edge: tuple[int, int]) -> None:
@@ -516,13 +517,13 @@ def chernoff_refutations(
 ) -> int:
     """How many t of the grid refute the Chernoff display at the CI edge.
 
-    A point refutes it when the lower Clopper-Pearson edge of
-    P(S_N >= t + B delta2) lies above exp(-t^2 / (4 B^2 N arity delta1^2)).
+    A point refutes it when the lower Clopper-Pearson edge of P(S_N >= t + B delta)
+    lies above exp(-t^2 / (4 B^2 N arity delta^2)), delta the decomposition's.
     """
-    d1, d2, s = decomp.delta1_plain, decomp.delta2_plain, sample.centered
+    delta, s = decomp.delta, sample.centered
     return sum(
-        tail_estimate(s, chernoff_threshold(t, d2, b_const)).lower
-        > chernoff_tail_bound(t, sample.n_terms, decomp.arity, d1, d2, b_const)
+        tail_estimate(s, chernoff_threshold(t, delta, b_const)).lower
+        > chernoff_tail_bound(t, sample.n_terms, decomp.centered.arity, delta, b_const)
         for t in t_grid
     )
 
@@ -552,14 +553,13 @@ def calibrate_B(
     raises CheckFailure: the bound is genuinely refuted, which is a
     scientific failure upstream.
     """
-    d1, d2 = decomp.delta1_plain, decomp.delta2_plain
-    N, L = sample.n_terms, decomp.arity
+    N, L, delta = sample.n_terms, decomp.centered.arity, decomp.delta
     ev = evaluate_paths(decomp, N, sample.master_seed, _GAP_REPLICATES)
-    req = max(FLOOR, float(np.max(ev.gaps)) / d2 if d2 > 0 else FLOOR)
+    req = max(FLOOR, float(np.max(ev.gaps)) / delta)
 
     for lam, (point, se) in mgf.items():
         log_upper = math.log(max(point + 2.0 * se, 1e-300))
-        denom = lam * lam * N * L * d1 + abs(lam) * d2
+        denom = lam * lam * N * L * delta + abs(lam) * delta
         if denom > 0 and log_upper > 0:
             req = max(req, log_upper / denom)
 

@@ -10,6 +10,7 @@ estimated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -230,11 +231,18 @@ def center(obs: Observable, model: ProcessModel) -> CenteredObservable:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
 def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique index set for terms 1..n_terms and the (term, slot) -> position map."""
+    """Sorted unique index set for terms 1..n_terms and the (term, slot) -> position map.
+
+    ``uniq[positions]`` is ``family.columns(n_terms)``, kept per (family, N) and
+    shared by every caller, so the arrays are read-only.
+    """
     cols = family.columns(n_terms)  # (N, arity)
     uniq, inverse = np.unique(cols, return_inverse=True)
-    return uniq, inverse.reshape(cols.shape)
+    positions = inverse.reshape(cols.shape)
+    uniq.flags.writeable = positions.flags.writeable = False
+    return uniq, positions
 
 
 def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -312,9 +320,9 @@ def exact_mean_SN(
         return 0.0
     chain = as_chain(model)
     f_vals = centered.table_for(chain).reshape(-1)  # (S**arity,)
+    uniq, positions = family_indices(family, n_terms)
     return math.fsum(
-        float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals)
-        for row in family.columns(n_terms)
+        float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals) for row in uniq[positions]
     )
 
 

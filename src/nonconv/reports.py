@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return "%.17g" % value
     return str(value)
@@ -85,18 +83,6 @@ class RunManifest:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    payload = {
-        "config_hash": manifest.config_hash,
-        "master_seed": manifest.master_seed,
-        "version": manifest.version,
-        "n_replicates": manifest.n_replicates,
-        "n_grid": manifest.n_grid,
-        "sampling": manifest.sampling,
-        "verdicts": manifest.verdicts,
-        "outputs": manifest.outputs,
-        "wall_clock_s": manifest.wall_clock_s,
-        "notes": manifest.notes,
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -263,9 +263,7 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
     """Term-wise increment certificate at N = 8; gap bounded and N-independent."""
     t0 = time.perf_counter()
     base = preset_experiment("chain_pair", (8,), 256, seed=17)
-    model, centered, fam = base.model, base.centered, base.family
-
-    decomp = build_decomposition(model, centered, fam)  # serves every N below
+    decomp = build_decomposition(base.model, base.centered, base.family)  # serves every N below
     chk = check_martingale(decomp, 8)
 
     n_list = (8, 64) if quick else (8, 64, 512)
@@ -277,9 +275,9 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
         gaps[n] = float(np.max(ev.gaps))
     tel_ok = all(t.passed for t in tels.values())
 
-    d2_plain = decomp.delta2_plain  # no approximation term: N-independent
-    b_cal = SAFETY * max(gaps[8] / d2_plain, FLOOR)
-    sup_ok = all(g <= b_cal * d2_plain for g in gaps.values())
+    delta = decomp.delta  # the gap bound delta2: N-independent, as beta = 0
+    b_cal = SAFETY * max(gaps[8] / delta, FLOOR)
+    sup_ok = all(g <= b_cal * delta for g in gaps.values())
     g_lo, g_hi = min(gaps.values()), max(gaps.values())
     spread = (g_hi - g_lo) / g_hi if g_hi > 0 else 0.0
     spread_ok = spread <= 0.05
@@ -290,7 +288,7 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
         passed,
         f"term-wise offset bound {chk.bound:.2e} (allow {chk.tol:.0e}+{chk.allowance:.0e}) "
         f"over {chk.terms_checked} terms; gaps {dict((n, round(g, 6)) for n, g in gaps.items())} "
-        f"vs B*delta2 = {b_cal * d2_plain:.4f} (B = {b_cal:.3f}); spread {spread:.3%}; "
+        f"vs B*delta2 = {b_cal * delta:.4f} (B = {b_cal:.3f}); spread {spread:.3%}; "
         f"telescoping {'ok' if tel_ok else 'FAILED'}",
         t0,
         {"offset_bound": chk.bound, "worst_time": chk.worst_time, "worst_level": chk.worst_level,
@@ -305,7 +303,7 @@ def check_martingale_construction(quick: bool = False) -> CheckResult:
 
 
 def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckResult:
-    """(B, delta1, delta2) calibrated on half of R = 1e5 sums, never refuted on the other half.
+    """B calibrated on half of R = 1e5 sums, never refuted on the other half.
 
     B is sized on the first half's MGF estimates and tail grid, so testing it
     there again could not fail; the held-out half, with its own estimates and
@@ -325,10 +323,10 @@ def check_mgf_and_tails(cache: dict | None = None, workers: int = 1) -> CheckRes
         decomp = build_decomposition(config.model, config.centered, config.family)
         b = calibrate_B(decomp, fit, mgf_estimates(fit, lambdas), default_thresholds(fit.centered))
         b_values[tag] = b
-        d1, d2 = decomp.delta1_plain, decomp.delta2_plain
+        arity, delta = decomp.centered.arity, decomp.delta
 
         for lam, (point, se) in mgf_estimates(held, lambdas).items():
-            bound = math.exp(mgf_exponent_bound(lam, n, decomp.arity, d1, d2, b))
+            bound = math.exp(mgf_exponent_bound(lam, n, arity, delta, delta, b))
             if point - 2.0 * se > bound:
                 all_ok = False
                 details.append(f"{tag}: MGF at lam={lam} refutes bound")

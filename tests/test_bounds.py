@@ -50,6 +50,25 @@ class TestConcentration:
         assert concentration_log(2.0, 1e4, 1.5, 1.0, 1.0) > base
         assert concentration_log(2.0, 1e4, 1.0, 1.5, 1.0) > base
 
+    def test_out_of_range_denominators_read_their_limits(self):
+        # (c1 + ...)^1.5 past the float range: the bound is 1 instead of an OverflowError
+        assert concentration_bound(0.5, 1, 1e308, 1.0, 1.0) == 1.0
+        # ... and below it: exp(-1 / (2 (2e-300)^1.5)) = 0
+        assert concentration_bound(1.0, 1, 1e-300, 1e-300, 1.0) == 0.0
+        assert concentration_bound(0.0, 1, 1e-300, 1e-300, 1.0) == 1.0
+        # x^2 and the denominator both overflow, their ratio does not: at N = 1
+        # the log is -x^2 / (2 (c1 + x)^e) = -4e308 / (2 (1e308)^e), about -2
+        x, c1, g = 2e154, 1e308, 1e-9
+        e = (1 + 2 * g) / (1 + g)
+        expect = -math.exp(2 * math.log(x) - math.log(2) - e * math.log(c1 + x))
+        assert concentration_log(x, 1, c1, 1.0, g) == pytest.approx(expect, rel=1e-12)
+        assert -2.0 < expect < -1.99
+        # c1 + c2 x overflows as well: the log is -x^2 / (2 (c2 x)^e), about -1
+        c2 = 1e154
+        expect = -math.exp(2 * math.log(x) - math.log(2) - e * (math.log(c2) + math.log(x)))
+        assert concentration_log(x, 1, 1.0, c2, g) == pytest.approx(expect, rel=1e-12)
+        assert -1.0 < expect < -0.99
+
     def test_domain_errors(self):
         with pytest.raises(ConfigError):
             concentration_log(-0.1, 10, 1, 1, 1)
@@ -59,15 +78,15 @@ class TestConcentration:
 
 class TestChernoff:
     def test_doubling_t_quarters_the_log(self):
-        one = chernoff_tail_log(1.0, 256, 2, 3.5, 3.5, 1.8)
-        two = chernoff_tail_log(2.0, 256, 2, 3.5, 3.5, 1.8)
+        one = chernoff_tail_log(1.0, 256, 2, 3.5, 1.8)
+        two = chernoff_tail_log(2.0, 256, 2, 3.5, 1.8)
         assert two == pytest.approx(4.0 * one, rel=1e-14)
 
     def test_literal_form(self):
         t, n, l, d1, b = 2.0, 100.0, 2, 3.0, 1.5
         expect = -(t * t) / (4.0 * b * b * n * l * d1 * d1)
-        assert chernoff_tail_log(t, n, l, d1, 7.0, b) == pytest.approx(expect, rel=1e-14)
-        assert chernoff_tail_bound(t, n, l, d1, 7.0, b) == pytest.approx(math.exp(expect))
+        assert chernoff_tail_log(t, n, l, d1, b) == pytest.approx(expect, rel=1e-14)
+        assert chernoff_tail_bound(t, n, l, d1, b) == pytest.approx(math.exp(expect))
 
     def test_threshold_and_tuning_point(self):
         assert chernoff_threshold(2.0, 3.5, 1.8) == pytest.approx(2.0 + 1.8 * 3.5)
@@ -81,7 +100,15 @@ class TestChernoff:
 
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
-            chernoff_tail_log(1.0, 10, 2, 0.0, 1.0, 1.0)
+            chernoff_tail_log(1.0, 10, 2, 0.0, 1.0)
+
+    def test_underflowing_denominator_reads_the_limit(self):
+        # delta1^2 underflows to 0: the bound is exp(-1e400 / 4e-400) = 0, not a division error
+        assert chernoff_tail_bound(1e200, 1, 1, 1e-200, 1.0) == 0.0
+        # both squares leave the float range, their ratio does not: exp(-1/4) either way
+        for t, d1, b in ((1e-200, 1e-200, 1.0), (1e200, 1.0, 1e200), (1e-170, 1e-170, 1.0)):
+            assert chernoff_tail_bound(t, 1, 1, d1, b) == pytest.approx(math.exp(-0.25), rel=1e-13)
+        assert chernoff_tail_bound(0.0, 1, 1, 1e-200, 1.0) == 1.0
 
 
 class TestModerateDeviationPieces:
@@ -112,6 +139,9 @@ class TestModerateDeviationPieces:
         # without the edge parameter no window is enforced
         assert moddev_envelope(4.0, 4096, 1.5, 1.0, None) > 0
 
+    def test_envelope_past_the_float_range(self):
+        assert moddev_envelope(1e200, 1, 1.0, 1.0, None) == math.inf
+
     def test_validity_scan_accepts_slow_growth(self):
         v = mdp_validity(0.1, 1.0, np.geomspace(1e2, 1e12, 11))
         assert v.passed and v.grows and v.damped_vanishes
@@ -141,6 +171,9 @@ class TestBerryEsseen:
     def test_decreasing_in_delta(self):
         assert berry_esseen_bound(100.0, 2.0) < berry_esseen_bound(10.0, 2.0)
 
+    def test_overflowing_power(self):
+        assert berry_esseen_bound(5e-324, 1e-10) == math.inf
+
 
 class TestMomentComparison:
     def test_first_two_orders_match_exactly(self):
@@ -160,6 +193,10 @@ class TestMomentComparison:
 
     def test_monotone_in_n(self):
         assert momthm_log(5, 1e6, 2.0, 1.0) > momthm_log(5, 1e3, 2.0, 1.0)
+
+    def test_overflow_reads_inf(self):
+        assert 709.8 < momthm_log(200, 10, 1.0, 1.0) < math.inf
+        assert momthm_bound(200, 10, 1.0, 1.0) == math.inf
 
 
 def test_variance_envelope_is_sqrt_n():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,37 @@ b = 2.0
 """
 
 
+# manifest.json of a TINY_CHAIN run, with its wall-clock field zeroed
+MANIFEST_OF_TINY_CHAIN = """{
+  "config_hash": "fb634433f13287266066aee77c7c0eafc706554d91067177f002e160fabffa6f",
+  "master_seed": 3,
+  "n_grid": [
+    16
+  ],
+  "n_replicates": 200,
+  "notes": {
+    "chernoff_refuted_points": 0
+  },
+  "outputs": [
+    "sums.csv",
+    "tails.csv"
+  ],
+  "sampling": [
+    {
+      "centering": "exact",
+      "method": "path-evaluation",
+      "n_terms": 16
+    }
+  ],
+  "verdicts": {
+    "chernoff": "pass"
+  },
+  "version": "VERSION",
+  "wall_clock_s": 0.0
+}
+"""
+
+
 # a one-argument sum over the chain, whose [family] section, appended, starts on line 20
 TINY_CHAIN_SINGLE = TINY_CHAIN.replace("arity = 2", "arity = 1").replace(
     'bound_checks = ["chernoff"]\n', ""
@@ -79,7 +111,7 @@ class TestBoundsCommand:
     def test_chernoff_value(self, capsys):
         rc = main([
             "bounds", "chernoff", "--t", "2", "--n", "100", "--arity", "2",
-            "--delta1", "1", "--delta2", "1", "--b", "1",
+            "--delta1", "1", "--b", "1",
         ])
         assert rc == 0
         got = float(capsys.readouterr().out)
@@ -117,6 +149,58 @@ class TestBoundsCommand:
         rc = main(["bounds", "chernoff", "--delta1", "0"])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            (["momthm", "--p", "200", "--n", "10"], "inf"),
+            (["moddev", "--x", "1e200", "--n", "1"], "inf"),
+            (["chernoff", "--t", "1e200", "--n", "1", "--delta1", "1e-200"], "0"),
+        ],
+        ids=["momthm-overflow", "moddev-overflow", "chernoff-underflow"],
+    )
+    def test_values_past_the_float_range_print_their_limit(self, capsys, argv, printed):
+        assert main(["bounds", *argv]) == 0
+        assert capsys.readouterr().out.strip() == printed
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chernoff", "--n", "nan"], "--n must be a finite number, got nan"),
+            (["moddev", "--x=inf"], "--x must be a finite number, got inf"),
+            (["concentration", "--c1=-inf"], "--c1 must be a finite number, got -inf"),
+        ],
+        ids=["nan", "inf", "minus-inf"],
+    )
+    def test_non_finite_option_exits_two(self, capsys, argv, message):
+        assert main(["bounds", *argv]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_chernoff_takes_no_delta2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "chernoff", "--delta2", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta2 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("evaluator", tuple(cli._BOUNDS))
+    def test_no_option_is_inert(self, capsys, evaluator):
+        # at --n 100 and the other defaults, doubling any option that has a
+        # default (adding 1 to an int option) changes the printed value
+        _, options = cli._BOUNDS[evaluator]
+        base = {"n": 100.0} if "n" in options else {}
+
+        def printed(values):
+            assert main(["bounds", evaluator, *(f"--{k}={v!r}" for k, v in values.items())]) == 0
+            return capsys.readouterr().out
+
+        reference = printed(base)
+        for name in options:
+            kind, default = cli._BOUND_OPTIONS[name]
+            if default is None:
+                continue
+            value = base.get(name, default)
+            bumped = value + 1 if kind is int else 2 * value
+            assert printed({**base, name: bumped}) != reference, name
 
 
 class TestSimulateCommand:
@@ -181,6 +265,24 @@ class TestSimulateCommand:
         assert "chernoff" in man["verdicts"]
         assert rc == (1 if man["verdicts"]["chernoff"] == "fail" else 0)
         assert "chernoff_refuted_points" in man["notes"]
+
+    def test_manifest_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", _write(tmp_path, TINY_CHAIN), "--out-dir", str(out)]) == 0
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        text = re.sub(r'"wall_clock_s": [0-9.e+-]+', '"wall_clock_s": 0.0', text)
+        assert text == MANIFEST_OF_TINY_CHAIN.replace("VERSION", nonconv.__version__)
+
+    def test_overflowing_concentration_constant_passes(self, tmp_path, capsys):
+        # (c1 + ...)^1.5 leaves the float range: the bound reads 1, never refuted
+        text = TINY_IID.replace(
+            'statistics = ["tails"]', 'statistics = ["tails"]\nbound_checks = ["concentration"]'
+        ) + "\n[bounds]\nc1 = 1e308\n"
+        out = tmp_path / "out"
+        assert main(["simulate", _write(tmp_path, text), "--out-dir", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["verdicts"] == {"concentration": "pass"}
+        assert man["notes"]["concentration_refuted_points"] == 0
 
     def test_chernoff_grid_shares_one_decomposition(self, tmp_path, capsys, monkeypatch):
         built = []
@@ -555,3 +657,8 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_two(self, capsys):
         assert main(["verify", "nonexistent-suite"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["quick", "full"])
+    def test_workers_below_one_exit_two_naming_the_flag(self, capsys, suite):
+        assert main(["verify", suite, "--workers", "0"]) == 2
+        assert "config error: --workers must be >= 1" in capsys.readouterr().err

@@ -14,7 +14,14 @@ from nonconv.martingale import (
     telescoping_check,
 )
 from nonconv.observables import center, product_observable
-from nonconv.processes import as_chain, iid_model, markov_model, phi_tail, doubling_model
+from nonconv.processes import (
+    as_chain,
+    doubling_model,
+    iid_model,
+    markov_model,
+    phi_coefficient,
+    phi_tail,
+)
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
@@ -36,7 +43,7 @@ def exhaustive_offset(decomp, n_terms):
     identity is pointwise, so this is the full conditional-mean check);
     more than 10^6 conditions for one increment raise ConfigError.
     """
-    L, N, S = decomp.arity, n_terms, decomp.chain.n_states
+    L, N, S = decomp.centered.arity, n_terms, decomp.chain.n_states
     LN = L * N
     P = decomp.chain.transition
 
@@ -90,23 +97,27 @@ def pair_decomp():
     return build_decomposition(PAIR, c, linear_family(2))
 
 
-class TestVarphiSum:
-    """The phi sum a decomposition records: phi over gaps 0..64 plus phi_tail beyond."""
+def _phi_sum(model):
+    """The phi sum delta charges: phi over gaps 0..64 and phi_tail beyond, as a pair."""
+    chain = as_chain(model)
+    return math.fsum(phi_coefficient(chain, n) for n in range(65)), phi_tail(chain, 64)
 
-    def test_chain_matches_truncated_geometric(self, pair_decomp):
-        value, tail = pair_decomp.phi_sum_value, pair_decomp.phi_sum_tail
+
+class TestVarphiSum:
+    """The phi sum in delta: phi over gaps 0..64 plus phi_tail beyond."""
+
+    def test_chain_matches_truncated_geometric(self):
+        value, tail = _phi_sum(PAIR)
         # phi(0) = 1 plus the geometric series (7/15) 0.7^(n-1)
         direct = 1.0 + math.fsum((7 / 15) * 0.7 ** (n - 1) for n in range(1, 65))
         assert value == pytest.approx(direct, rel=1e-12)
         assert 0 < tail < 1e-9
-        assert tail == phi_tail(PAIR, 64)
 
     def test_iid_has_zero_tail(self):
-        c = center(product_observable(2), RADEMACHER)
-        d = build_decomposition(RADEMACHER, c, linear_family(2))
-        value, tail = d.phi_sum_value, d.phi_sum_tail
+        value, tail = _phi_sum(RADEMACHER)
         assert value == 1.0  # only the phi(0) = 1 convention term
         assert tail == 0.0
+        assert _decomp(RADEMACHER).delta == 2.0  # K (1 + 0 + 1) with K = 1
 
     def test_tail_shrinks_with_cutoff(self):
         t32 = phi_tail(PAIR, 32)
@@ -116,14 +127,11 @@ class TestVarphiSum:
 
 class TestBuild:
     def test_constants_frozen_for_the_pair_chain(self, pair_decomp):
-        d = pair_decomp
-        assert d.bound_const == pytest.approx(1.0)
-        # delta1 = K (phi sum + r + 1) with r = 0, charging the truncation
-        # tail on top of the partial sum
-        assert d.delta1_plain == pytest.approx(
-            1.0 + d.phi_sum_value + d.phi_sum_tail, rel=1e-12
-        )
-        assert d.delta2_plain == d.delta1_plain  # no approximation term
+        # delta = K (phi sum + r + 1) with K = 1 and r = 0, charging the
+        # truncation tail on top of the partial sum, bit for bit
+        value, tail = _phi_sum(PAIR)
+        assert pair_decomp.centered.base.bound_const == 1.0
+        assert pair_decomp.delta == 1.0 * (value + tail + 0 + 1.0)
 
     def test_constants_pinned_bitwise_at_n8(self):
         # recorded before the phi tail and the path weights were merged
@@ -131,8 +139,8 @@ class TestBuild:
         d = build_decomposition(PAIR, c, linear_family(2))
         assert d.horizon == 128
         assert d.tail_error == 1.084231544565188e-09
-        assert d.phi_sum_value == 2.5555555553658444
-        assert d.phi_sum_tail == 4.065868292119452e-10
+        assert _phi_sum(PAIR) == (2.5555555553658444, 4.065868292119452e-10)
+        assert d.delta == 3.555555555772431
         got = hashlib.sha256(evaluate_paths(d, 8, 17, 64).martingale.tobytes()).hexdigest()
         assert got == "2e47a25dda689a0dea556c41febc7fb2d364fcdd3e9e6f28cb0561cd787934a5"
 
@@ -167,12 +175,11 @@ class TestBuild:
 
     def test_doubling_needs_smoothing_radius(self):
         # the radius is the table level, where the smoothed summands are exact;
-        # other models need none
+        # other models need none (see test_constants_frozen_for_the_pair_chain)
         d = _decomp(DOUBLING)
-        assert d.smoothing_radius == DOUBLING.level == 3
-        assert d.delta1_plain == d.bound_const * (d.phi_sum + 3 + 1.0)
-        assert d.delta2_plain == d.delta1_plain
-        assert _decomp(PAIR).smoothing_radius == 0
+        value, tail = _phi_sum(DOUBLING)
+        assert DOUBLING.level == 3
+        assert d.delta == d.centered.base.bound_const * (value + tail + 3 + 1.0)
         # the enumeration would need over 10^6 conditions for this chain at N = 8
         assert check_martingale(d, 8).passed
 
@@ -267,8 +274,8 @@ class TestIncrementLaw:
         # B; doubling the slack factor clears it
         gap_max = np.max(evaluate_paths(pair_decomp, 16, 3, 128).gaps)
         assert gap_max == pytest.approx(4.378820984154804, rel=1e-9)
-        assert gap_max > pair_decomp.delta2_plain
-        assert gap_max <= 2.0 * pair_decomp.delta2_plain
+        assert gap_max > pair_decomp.delta
+        assert gap_max <= 2.0 * pair_decomp.delta
 
     def test_iid_increments_are_exactly_centered(self):
         d = _decomp(RADEMACHER)

@@ -160,6 +160,21 @@ class TestReplicateSums:
         cfg = replace(_config(PAIR, 2, (8,), 256), family=polynomial_family([[1, 0], [1, 1, 0]]))
         assert replicate_sums(cfg, 8).centering == "exact"
 
+    @pytest.mark.parametrize(
+        "model, arity", [(PAIR, 2), (RADEMACHER, 1)], ids=["path-evaluation", "binomial-count"]
+    )
+    def test_index_table_built_once_per_n(self, monkeypatch, model, arity):
+        # the three 512-replicate blocks, the exact centering and the count
+        # path's family check of one N share one table
+        from nonconv.indexing import IndexFamily
+
+        built = []
+        columns = IndexFamily.columns
+        monkeypatch.setattr(IndexFamily, "columns", lambda fam, n: built.append(n) or columns(fam, n))
+        by_n = sums_over_grid(_config(model, arity, (16, 32), 1100))
+        assert built == [16, 32]
+        assert {s.centering for s in by_n.values()} == {"exact"}
+
     def test_grid_helper_covers_all_n(self):
         cfg = _config(RADEMACHER, 1, (16, 64), 256)
         by_n = sums_over_grid(cfg)
@@ -490,4 +505,4 @@ class TestCalibration:
         sample = replicate_sums(_config(PAIR, 2, (16,), 256, seed=3), 16)
         b = calibrate_B(decomp, sample, mgf_estimates(sample, (0.02,)), t_grid=(1.0, 2.0))
         ev = evaluate_paths(decomp, 16, 3, 256)
-        assert b > float(np.max(ev.gaps)) / decomp.delta2_plain
+        assert b > float(np.max(ev.gaps)) / decomp.delta

@@ -235,6 +235,13 @@ class TestBatchSums:
         got = batch_sums(model, c, family, n_terms, seed, R, first_replicate=first)
         assert got.tobytes() == np.sum(terms, axis=1).tobytes()
 
+    def test_index_table_is_shared_and_read_only(self):
+        family = polynomial_family([[1, 0], [1, 1, 0]])
+        uniq, positions = family_indices(family, 50)
+        assert family_indices(family, 50)[0] is uniq
+        assert not uniq.flags.writeable and not positions.flags.writeable
+        assert np.array_equal(uniq[positions], family.columns(50))
+
     @pytest.mark.parametrize("n_atoms", [3, 7])  # flat index fits uint8, needs uint16
     def test_flat_index_lookup_matches_tuple_gather(self, n_atoms):
         rs = np.random.default_rng(n_atoms)

@@ -25,7 +25,11 @@ ALLOWED = {
 }
 
 # class members kept without a reader in the package, each with its reason
-ALLOWED_MEMBERS: dict[str, str] = {}
+_IN_MANIFEST = "write_manifest writes it to manifest.json through dataclasses.asdict"
+ALLOWED_MEMBERS = {
+    f"RunManifest.{name}": _IN_MANIFEST
+    for name in ("config_hash", "sampling", "version", "wall_clock_s")
+}
 
 
 # defaulted parameters, as function.parameter, kept although no call in the
