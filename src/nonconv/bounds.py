@@ -61,9 +61,6 @@ def concentration_log(x: float, n_terms: float, c1: float, c2: float, gamma: flo
     base = c1 + c2 * x * damp
     expo = (1.0 + 2.0 * gamma) / (1.0 + gamma)
     log_half_den = expo * math.log(base)
-    if base == math.inf and x > 0:  # c1 + c2 x damp overflowed: log(e^u + e^v) instead
-        u, v = math.log(c1), math.log(c2) + math.log(damp) + math.log(x)
-        log_half_den = expo * np.logaddexp(u, v)
     return _minus_square_over(x, 2.0 * _exp(log_half_den), math.log(2.0) + log_half_den)
 
 

@@ -231,7 +231,7 @@ def center(obs: Observable, model: ProcessModel) -> CenteredObservable:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique index set for terms 1..n_terms and the (term, slot) -> position map.
 
