@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nonconv.budget import ensure_within_budget
 from nonconv.errors import ConfigError, OutOfWindowError
 
 
@@ -227,7 +228,8 @@ def momthm_log(p: int, n_terms: float, c0: float, gamma: float) -> float:
     """log of the moment-comparison bound
     c01^p (p!)^(1+gamma) sum_{1 <= u <= (p-1)/2} N^u p^u / (u!)^2,
     with c01 = max(1, c0).  Empty sum (p <= 2) gives -inf: the first two
-    moments match the Gaussian surrogate exactly.
+    moments match the Gaussian surrogate exactly.  The budget is asked for
+    64 bytes per term of the sum before its arrays exist (tracemalloc: 57).
     """
     from scipy.special import gammaln, logsumexp
 
@@ -236,6 +238,7 @@ def momthm_log(p: int, n_terms: float, c0: float, gamma: float) -> float:
     u_max = (p - 1) // 2
     if u_max < 1:
         return -math.inf
+    ensure_within_budget(64 * u_max, "moment bound terms")
     c01 = max(1.0, c0)
     u = np.arange(1, u_max + 1)
     terms = u * (math.log(n_terms) + math.log(p)) - 2.0 * gammaln(u + 1)

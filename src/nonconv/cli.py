@@ -267,6 +267,8 @@ def _cmd_bounds(args) -> int:
     for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{name} must be a finite number, got {value}")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ConfigError(f"--{name} must lie in the float range")
     try:
         print(fmt(bound(*values.values())))
     except OutOfWindowError:  # moddev past its window edge with --c4

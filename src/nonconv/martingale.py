@@ -47,6 +47,7 @@ from nonconv.processes import (
     phi_coefficient,
     phi_tail,
     sample_state_paths,
+    transition_power,
 )
 
 _TAIL_TARGET = 1e-8  # certified truncation tail the horizon doubling must reach
@@ -64,6 +65,8 @@ _TELESCOPING_TOL = 1e-9  # relative rounding allowed in the telescoping identity
 class MartingaleDecomposition:
     """Precomputed tables for the increment construction, shared by every N.
 
+    The n-step kernels P^g its terms read come from ``processes.transition_power``.
+
     ``delta`` = K (phi_sum + r + 1) is both the difference bound delta1 and
     the gap bound delta2 = K N beta + delta1, as the approximation rate beta
     is 0 for every model ``build_decomposition`` accepts.  phi_sum is phi over
@@ -79,17 +82,8 @@ class MartingaleDecomposition:
     tail_error: float
     delta: float
     _u_cache: dict = field(default_factory=dict, repr=False)
-    _ahead_cache: dict = field(default_factory=dict, repr=False)
 
     # -- internal tables ---------------------------------------------------
-
-    def _ahead(self, g: int) -> np.ndarray:
-        """P^g: the law of the state g steps ahead given the present one."""
-        got = self._ahead_cache.get(g)
-        if got is None:
-            got = path_weights(self.chain, (g,), np.ones(self.chain.n_states))
-            self._ahead_cache[g] = got
-        return got
 
     def _u(self, i: int, nprime: int, j0: int) -> np.ndarray:
         """F_i with arguments j0+1..i integrated forward from the one at
@@ -121,7 +115,7 @@ class MartingaleDecomposition:
         u = self._u(i, nprime, j0)
         if m == 0:
             return known, self.chain.stationary @ u
-        ahead = self._ahead(j0 * nprime - m)
+        ahead = transition_power(self.chain, j0 * nprime - m)
         table = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
         return known + [m], table
 

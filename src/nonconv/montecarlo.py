@@ -142,10 +142,11 @@ def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
     R = config.n_replicates
     out = np.empty(R)
     shortcut = _binomial_shortcut(config.model, config.centered)
+    # built before the pool, as the cache does not serialize concurrent misses;
+    # its family checks also guard the count, which assumes N distinct draws
+    family_indices(config.family, n_terms)
 
     if shortcut is not None:
-        # the count assumes N distinct draws: run the family checks of the bypassed path
-        family_indices(config.family, n_terms)
         p1, f0, f1 = shortcut
 
         def run_block(edge: tuple[int, int]) -> None:

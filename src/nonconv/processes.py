@@ -10,10 +10,10 @@ the model's finite marginal alphabet:
 
 Uniform-mixing and strong-mixing coefficients come with exact brute-force
 enumeration oracles over cylinder events, so the closed forms used by the
-bound evaluators are checkable on small instances.  ``path_weights`` is the
-one kernel that chains transition powers along sorted times (exact
-centering, the oracles' window laws and the martingale tables read it), and
-``phi_tail`` certifies the summed phi tail.
+bound evaluators are checkable on small instances.  ``transition_power`` is
+the one source of the n-step kernels P^g, ``path_weights`` chains them
+along sorted times (exact centering, the oracles' window laws and the
+martingale tables read it), and ``phi_tail`` certifies the summed phi tail.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from nonconv.rng import replicate_rng
 
 _ENUM_BUDGET = 1_000_000  # cap on enumerated state tuples for exact oracles
 _TV_NOISE = 1e-12  # float matrix powers cannot resolve TV mass below this
+_TABLE_CAP = 4096  # (chain, gap) entries each chain table cache holds
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +323,29 @@ def sample_paths(
     return model.marginal().atoms[states]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_TABLE_CAP)
+def transition_power(chain: MarkovChainModel, g: int) -> np.ndarray:
+    """P^g of the chain, read-only, cached per (chain, g) for every reader.
+
+    A miss first asks the budget for the full cache: _TABLE_CAP tables of S^2 doubles.
+    """
+    ensure_within_budget(_TABLE_CAP * chain.n_states**2 * 8, "transition-power cache")
+    # a view: at g = 1 matrix_power returns the chain's own matrix
+    power = np.linalg.matrix_power(chain.transition, g).view()
+    power.flags.writeable = False
+    return power
+
+
+@lru_cache(maxsize=_TABLE_CAP)
 def _gap_thresholds(model: MarkovChainModel, gap: int) -> np.ndarray:
     """Read-only table whose row k holds cumsum(P^gap)[:, k] for every source state.
 
     Cached per (chain, gap), so the blocks of one run and the grid points
-    that share a gap build each table once.
+    that share a gap build each table once.  A miss asks the budget as
+    ``transition_power`` does.
     """
-    table = np.ascontiguousarray(
-        np.cumsum(np.linalg.matrix_power(model.transition, gap), axis=1)[:, :-1].T
-    )
+    ensure_within_budget(_TABLE_CAP * model.n_states**2 * 8, "gap-threshold cache")
+    table = np.ascontiguousarray(np.cumsum(transition_power(model, gap), axis=1)[:, :-1].T)
     table.flags.writeable = False
     return table
 
@@ -398,7 +412,7 @@ def path_weights(
     """
     weights = chain.stationary if start is None else start
     for g in gaps:
-        weights = weights[..., None] * np.linalg.matrix_power(chain.transition, int(g))
+        weights = weights[..., None] * transition_power(chain, int(g))
     return weights
 
 
@@ -422,7 +436,7 @@ def phi_coefficient(model: MarkovChainModel, n: int) -> float:
         raise ConfigError("gap must be nonnegative")
     if n == 0:
         return 1.0
-    Pn = np.linalg.matrix_power(model.transition, n)
+    Pn = transition_power(model, n)
     tv = float(0.5 * np.max(np.abs(Pn - model.stationary[None, :]).sum(axis=1)))
     # below _TV_NOISE the residual is rounding debris that stops shrinking
     # with n; snap to 0 so decay certificates downstream can terminate
@@ -510,7 +524,7 @@ def phi_tail(chain: MarkovChainModel, cutoff: int) -> float:
     if phi_coefficient(chain, cutoff + 1) == 0.0:
         return 0.0
     for k in range(1, chain.n_states**2 + 1):
-        Pk = np.linalg.matrix_power(chain.transition, k)
+        Pk = transition_power(chain, k)
         beta = float(np.max(0.5 * np.abs(Pk[:, None, :] - Pk[None, :, :]).sum(axis=2)))
         if beta < 1.0 - 1e-12:
             if beta <= 0:

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import nonconv.bounds
 from nonconv.bounds import (
     berry_esseen_bound,
     berry_esseen_constant,
@@ -22,7 +24,7 @@ from nonconv.bounds import (
     momthm_log,
     variance_envelope,
 )
-from nonconv.errors import ConfigError, OutOfWindowError
+from nonconv.errors import BudgetError, ConfigError, OutOfWindowError
 
 
 class TestConcentration:
@@ -194,6 +196,26 @@ class TestMomentComparison:
     def test_overflow_reads_inf(self):
         assert 709.8 < momthm_log(200, 10, 1.0, 1.0) < math.inf
         assert momthm_bound(200, 10, 1.0, 1.0) == math.inf
+
+    def test_terms_request_covers_the_traced_peak(self, monkeypatch):
+        requests = []
+        monkeypatch.setattr(nonconv.bounds, "ensure_within_budget", lambda b, _: requests.append(b))
+        momthm_log(200_001, 10, 1.0, 1.0)
+        tracemalloc.start()
+        try:
+            momthm_log(200_001, 10, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert requests[-1] == 64 * 100_000
+        assert peak <= requests[-1] <= 1.25 * peak
+
+    def test_terms_refused_over_the_budget(self, monkeypatch):
+        # 64 bytes for each of the (p - 1)/2 terms: 16384 fill 1 MiB exactly
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "1")
+        assert math.isfinite(momthm_log(32_769, 10, 1.0, 1.0))
+        with pytest.raises(BudgetError, match="moment bound terms needs 1.0 MiB"):
+            momthm_log(32_771, 10, 1.0, 1.0)
 
 
 def test_variance_envelope_is_sqrt_n():

@@ -169,12 +169,18 @@ class TestBoundsCommand:
             (["chernoff", "--n", "nan"], "--n must be a finite number, got nan"),
             (["moddev", "--x=inf"], "--x must be a finite number, got inf"),
             (["concentration", "--c1=-inf"], "--c1 must be a finite number, got -inf"),
+            (["chernoff", "--arity", "1" + "0" * 400], "--arity must lie in the float range"),
         ],
-        ids=["nan", "inf", "minus-inf"],
+        ids=["nan", "inf", "minus-inf", "int-past-float-range"],
     )
     def test_non_finite_option_exits_two(self, capsys, argv, message):
         assert main(["bounds", *argv]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_moment_terms_over_the_budget_exit_three(self, capsys):
+        # (p - 1)/2 = 5e8 terms of 64 bytes each
+        assert main(["bounds", "momthm", "--p", "1000000001", "--n", "10"]) == 3
+        assert "budget error: moment bound terms needs 30517.6 MiB" in capsys.readouterr().err
 
     def test_chernoff_takes_no_delta2(self, capsys):
         with pytest.raises(SystemExit) as exc:

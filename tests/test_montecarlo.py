@@ -175,6 +175,21 @@ class TestReplicateSums:
         assert built == [16, 32]
         assert {s.centering for s in by_n.values()} == {"exact"}
 
+    def test_two_workers_build_each_index_table_once(self, monkeypatch):
+        # iid_product's five-N grid: the family check's max-N table, evicted by
+        # the first N and built again last, and one per N; the blocks that two
+        # workers run at once share the table built before the pool starts
+        from nonconv.indexing import IndexFamily
+
+        built = []
+        columns = IndexFamily.columns
+        monkeypatch.setattr(IndexFamily, "columns", lambda fam, n: built.append(n) or columns(fam, n))
+        grid = (64, 256, 1024, 2048, 4096)
+        for _ in range(3):
+            built.clear()
+            sums_over_grid(preset_experiment("iid_product", grid, 10_000, workers=2))
+            assert built == [4096, *grid]
+
     def test_grid_helper_covers_all_n(self):
         cfg = _config(RADEMACHER, 1, (16, 64), 256)
         by_n = sums_over_grid(cfg)

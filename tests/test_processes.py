@@ -1,17 +1,20 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import nonconv.observables
 import nonconv.processes
-from nonconv.errors import ConfigError
+from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import linear_family
+from nonconv.martingale import MartingaleDecomposition
 from nonconv.observables import batch_sums, center, family_indices, lookup_sums, product_observable
 from nonconv.processes import (
     _draw,
+    _gap_thresholds,
     alpha_coefficient,
     as_chain,
     doubling_model,
@@ -25,6 +28,7 @@ from nonconv.processes import (
     sample_paths,
     sample_state_paths,
     stationary_distribution,
+    transition_power,
 )
 from nonconv.rng import replicate_rng
 
@@ -351,3 +355,61 @@ class TestPathWeights:
 
     def test_no_gaps_is_the_start(self, triple):
         np.testing.assert_array_equal(path_weights(triple, ()), triple.stationary)
+
+
+class TestTransitionPower:
+    """P^g from the one shared table."""
+
+    def test_equals_matrix_power_bit_for_bit(self, pair, triple):
+        for chain in (pair, triple):
+            for g in range(71):
+                want = np.linalg.matrix_power(chain.transition, g)
+                got = transition_power(chain, g)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_table_is_read_only(self, pair):
+        for g in (0, 1, 5):
+            with pytest.raises(ValueError, match="read-only"):
+                transition_power(pair, g)[0, 0] = 0.5
+        # at g = 1 the table is a view: the chain's own matrix stays writeable
+        assert pair.transition.flags.writeable
+
+    def test_every_reader_builds_each_power_once(self, monkeypatch):
+        chain = markov_model(TRIPLE, TRIPLE_VALUES)  # fresh, so nothing is cached yet
+        calls = Counter()
+        matrix_power = np.linalg.matrix_power
+
+        def counted(a, n):
+            calls[id(a), int(n)] += 1
+            return matrix_power(a, n)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        phi_coefficient(chain, 5)
+        phi_tail(chain, 4)
+        path_weights(chain, [5])
+        _gap_thresholds(chain, 5)
+        decomp = MartingaleDecomposition(
+            chain=chain,
+            centered=center(product_observable(1), chain),
+            horizon=8,
+            tail_error=0.0,
+            delta=1.0,
+        )
+        positions, _ = decomp._term(1, 6, 1)  # the argument at 6 is reached from 1 through P^5
+        assert positions == [1]
+        assert calls[id(chain.transition), 5] == 1
+        assert max(calls.values()) == 1
+
+    def test_chain_caches_ask_the_budget_when_full(self, monkeypatch):
+        # each cache holds up to 4096 tables of S^2 doubles: 128 MiB at 64 states
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "64")
+        table = np.arange(64.0)
+        wide = doubling_to_markov(doubling_model(table, 6))
+        with pytest.raises(BudgetError, match="transition-power cache needs 128.0 MiB"):
+            transition_power(wide, 1)
+        with pytest.raises(BudgetError, match="gap-threshold cache needs 128.0 MiB"):
+            _gap_thresholds(wide, 1)
+        narrow = markov_model(PAIR, PAIR_VALUES)
+        assert transition_power(narrow, 3).shape == (2, 2)
+        assert _gap_thresholds(narrow, 3).shape == (1, 2)
