@@ -10,13 +10,21 @@ is zero up to the certified truncation error, so the running sum M over
 increments with m <= i*N is a martingale approximating S_N.
 
 Every conditional expectation is an exact chain computation.  A term Y_{i,s}
-has arguments at positions j*(s/i); the positions at or before the
-conditioning time are read off the path, the rest are integrated out with
-the chain's path weights (``processes.path_weights``).  Each term is one
-lookup in a small table over the positions it reads, so path batches
-evaluate vectorized, and the martingale check certifies one term at a
-time: a term's one-step drift is its table contracted with one transition
-row, minus its table one step earlier.
+has arguments at positions j*n' with n' = s/i; the positions at or before
+the conditioning time m are read off the path, the rest are integrated out
+with the chain's path weights (``processes.path_weights``).  Each term is
+one lookup in a small table over the positions it reads, and that table
+depends on m only through j0, the first argument ahead, and the gap from m
+to it: it is keyed by (i, j0, gap) when j0 = i and by (i, j0, n', gap) when
+later arguments are integrated out.  Each key's table is built once per
+decomposition, on first use, in one stacked product per (i, j0).
+
+Path batches evaluate by term rank: for each level, every step and every
+replicate at once, looping only over a term's rank k within the horizon,
+and the increments follow in one array pass per level.  The martingale
+check certifies each term's one-step drift (its table contracted with one
+transition row, minus its table one step earlier) once per distinct pair
+of tables and reading pattern.
 
 The truncation certificate: |E[Y_{i,s} | path to m]| <= 2 sup|F_i| phi(g)
 with g = s - max(m, (i-1)s/i), because the conditional expectation given
@@ -35,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from nonconv.budget import block_bytes, ensure_within_budget
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
 from nonconv.observables import CenteredObservable, lookup_sums
@@ -82,6 +91,10 @@ class MartingaleDecomposition:
     tail_error: float
     delta: float
     _u_cache: dict = field(default_factory=dict, repr=False)
+    # per (i, j0): the term tables built so far, stacked, and their keys'
+    # codes n' (horizon + 1) + gap, sorted, with each one's row in the stack
+    _table_stores: dict = field(default_factory=dict, repr=False)
+    _table_index: dict = field(default_factory=dict, repr=False)
 
     # -- internal tables ---------------------------------------------------
 
@@ -97,27 +110,81 @@ class MartingaleDecomposition:
             self._u_cache[key] = got
         return got
 
+    def _rows(self, i: int, j0: int, n0: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Rows in ``_table_stores[i, j0]`` of the term tables keyed (n', gap), n' = 0 once j0 = i.
+
+        A term's table depends on its step only through the key: it is
+        ``_u`` with its last axis carried back through P^gap to the state at
+        the conditioning time.  Missing keys are built in one stacked
+        product, which equals the per-key product bit for bit, and appended
+        to the read-only store; a miss first asks the budget for every store.
+        """
+        width = self.horizon + 1
+        codes = n0 * width + gap
+        known, rows = self._table_index.get((i, j0), (np.empty(0, np.int64), np.empty(0, np.intp)))
+        at = np.searchsorted(known, codes)
+        found = at < len(known)
+        found[found] = known[at[found]] == codes[found]
+        if not found.all():
+            # return_index keeps np.unique on its sorting path, which imports no numpy.ma
+            missing = np.unique(codes[~found], return_index=True)[0]
+            held = sum(store.size for store in self._table_stores.values())
+            ensure_within_budget(
+                8 * (held + missing.size * self.chain.n_states**j0), "martingale table cache"
+            )
+            n0s, at_n0 = np.unique(missing // width, return_inverse=True)
+            gaps, at_gap = np.unique(missing % width, return_inverse=True)
+            u = np.stack([self._u(i, n, j0) for n in n0s.tolist()])[at_n0]
+            ahead = np.stack([transition_power(self.chain, g) for g in gaps.tolist()])[at_gap]
+            if j0 == 1:
+                built = (ahead @ u[..., None])[..., 0]
+            else:
+                built = np.einsum("k...a,kxa->k...x", u, ahead)
+            old = self._table_stores.get((i, j0))
+            store = built if old is None else np.concatenate([old, built])
+            store.flags.writeable = False
+            self._table_stores[i, j0] = store
+            known = np.concatenate([known, missing])
+            rows = np.concatenate([rows, np.arange(len(store) - missing.size, len(store))])
+            order = np.argsort(known)
+            known, rows = known[order], rows[order]
+            self._table_index[i, j0] = (known, rows)
+            at = np.searchsorted(known, codes)
+        return rows[at]
+
     def _term(self, i: int, s: int, m: int) -> tuple[list[int], np.ndarray]:
         """E[Y_{i,s} | path to m] (= Y_{i,s} itself once s <= m) as positions and a table.
 
         The term is the table's entry at the states the path holds at the
         positions.  Arguments at or before m are read off the path; when one
-        lies ahead, the state at m is read too, the first argument ahead is
-        reached from it through P^gap and the later ones are integrated out
-        by ``_u``.  At m = 0 nothing is read and the table is the
-        unconditional mean.
+        lies ahead, the state at m is read too, and the table is the one
+        ``_rows`` keeps for the term's key.  At m = 0 nothing is read and
+        the table is the unconditional mean.
         """
         nprime = s // i
         j0 = m // nprime + 1
         known = [j * nprime for j in range(1, min(j0, i + 1))]
         if j0 > i:
             return known, self.centered.components[i - 1]
-        u = self._u(i, nprime, j0)
+        n0 = 0 if j0 == i else nprime
         if m == 0:
-            return known, self.chain.stationary @ u
-        ahead = transition_power(self.chain, j0 * nprime - m)
-        table = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
-        return known + [m], table
+            return known, self.chain.stationary @ self._u(i, n0, 1)
+        (row,) = self._rows(i, j0, np.array([n0]), np.array([j0 * nprime - m]))
+        return known + [m], self._table_stores[i, j0][row]
+
+    def _ranks(self, i: int, steps: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The retained terms of R_{i,m} at ``steps``, as (steps, K) arrays over rank k.
+
+        The rank-k term's time is i n' with n' = floor(m/i) + 1 + k; the
+        arrays are n', j0 (its first argument ahead), the gap from m to that
+        argument, and whether the term is retained.  R_{i,m} holds
+        floor((m mod i + horizon) / i) terms, so only the last rank can be
+        missing.
+        """
+        m = steps[:, None]
+        nprime = m // i + 1 + np.arange(-(-self.horizon // i))
+        j0 = m // nprime + 1
+        return nprime, j0, j0 * nprime - m, i * nprime <= m + self.horizon
 
     def step(self, i: int, m: int) -> tuple[dict, dict]:
         """Terms of the increment at step m on level i, each as ``_term`` returns it.
@@ -140,11 +207,6 @@ class MartingaleDecomposition:
         return math.fsum(table for _, table in self.step(i, 0)[0].values())
 
 
-def _lookup(terms: dict, getcol) -> np.ndarray | float:
-    """Sum of the terms' table entries at the states ``getcol(p)`` returns for their positions."""
-    return sum(table[tuple(getcol(p) for p in positions)] for positions, table in terms.values())
-
-
 def build_decomposition(
     model: ProcessModel,
     centered: CenteredObservable,
@@ -158,7 +220,8 @@ def build_decomposition(
     the doubling map as its bit-window chain.  The constant ``delta`` is
     K (phi_sum + r + 1), as :class:`MartingaleDecomposition` states.  The horizon
     starts at 8 and doubles until the certified truncation tail is at most
-    1e-8; a tail still above that at horizon 4096 raises ConfigError.
+    1e-8; a tail still above that at horizon 4096 raises ConfigError.  No
+    term table is built here: each is built on first use.
     """
     if not family.linear or family.arity != centered.arity:
         raise ConfigError("martingale construction needs the linear family of matching arity")
@@ -214,6 +277,59 @@ class PathEvaluation:
         return np.abs(self.sums - self.martingale)
 
 
+_BLOCK = 2**13  # (step, replicate) entries an evaluation block holds per array
+
+
+def _predictions(
+    decomp: MartingaleDecomposition, i: int, by_time: np.ndarray, first: int, last: int
+) -> np.ndarray:
+    """R_{i,m} for m = first..last on every replicate, shape (last - first + 1, B).
+
+    ``by_time`` holds the states at position p in row p - 1.  The terms are
+    added rank by rank from zeros, so each entry is the same left-to-right
+    sum in time order as Python's ``sum`` over ``step``.  A rank gathers all
+    its (step, replicate) values at once from the level's table stores laid
+    end to end: the flat index is the table's offset plus the Horner value
+    of the states the term reads, the state at m last.  For fixed k, a run
+    of steps whose terms read the same number of earlier arguments (the
+    same j0) is one band of rows.
+    """
+    S = decomp.chain.n_states
+    nprime, j0, gap, kept = decomp._ranks(i, np.arange(first, last + 1))
+    offset = np.zeros(nprime.shape, dtype=np.intp)
+    stores = []
+    for j in range(1, i + 1):
+        sel = kept & (j0 == j)
+        if sel.any():
+            rows = decomp._rows(i, j, nprime[sel] * (j < i), gap[sel])
+            offset[sel] = sum(store.size for store in stores) + rows * S**j
+            stores.append(decomp._table_stores[i, j].ravel())
+    flat = np.concatenate(stores)
+    at_m = by_time[first - 1 : last]
+    if i == 1:
+        # every term reads only the state at m, through the table at gap k + 1
+        # whatever m is: sum the tables rank by rank, then look the sum up
+        per_state = np.zeros(S)
+        for k in range(nprime.shape[1]):
+            per_state += flat[offset[0, k] : offset[0, k] + S]
+        return per_state[at_m]
+
+    R = np.zeros(at_m.shape)
+    for k in range(nprime.shape[1]):
+        index = offset[:, k, None] + at_m
+        bands = np.flatnonzero(np.diff(j0[:, k])) + 1
+        for lo, hi in zip([0, *bands.tolist()], [*bands.tolist(), len(R)]):
+            ahead = int(j0[lo, k])
+            for j in range(1, ahead):  # argument j, at position j n'
+                at_j = by_time[j * nprime[lo:hi, k] - 1]
+                index[lo:hi] += np.multiply(at_j, S ** (ahead - j), dtype=np.intp)
+        if kept[:, k].all():
+            R += flat[index]
+        else:
+            R[kept[:, k]] += flat[index[kept[:, k]]]
+    return R
+
+
 def evaluate_paths(
     decomp: MartingaleDecomposition, n_terms: int, master_seed: int, n_replicates: int
 ) -> PathEvaluation:
@@ -225,33 +341,53 @@ def evaluate_paths(
     same seed only when that union is the dense range 1..arity*N, i.e. at
     arity 1 (at seed 17 they agree at N = 1 and differ at N = 2 and 8 for
     the pair chain and the i.i.d. product).
+
+    Each level goes through its steps in blocks of about 2^13 (step,
+    replicate) entries (``_predictions``), and the increments add up level
+    by level from zeros, as the per-step loop over ``step`` adds them.
     """
     if n_terms < 1:
         raise ConfigError("need n_terms >= 1")
-    L, N = decomp.centered.arity, n_terms
+    if n_replicates < 1:
+        raise ConfigError("need n_replicates >= 1")
+    L, N, B = decomp.centered.arity, n_terms, n_replicates
     LN = L * N
-    states = sample_state_paths(decomp.chain, np.arange(1, LN + 1), master_seed, n_replicates)
-    getcol = lambda p: states[:, p - 1]
-    B = n_replicates
+    S = decomp.chain.n_states
+    # per replicate and step: the increments (8 bytes), the state path and
+    # its time-major copy (1 each) and at most 17 of the sums' lookup; on
+    # top, six arrays of 8-byte entries per block of steps
+    ensure_within_budget(
+        block_bytes(B, 27 * LN, LN) + 6 * 8 * _BLOCK, "martingale path block"
+    )
+    states = sample_state_paths(decomp.chain, np.arange(1, LN + 1), master_seed, B)
 
     # term n reads positions n, 2n, ..., Ln, i.e. state columns i*n - 1
     positions = np.arange(1, N + 1)[:, None] * np.arange(1, L + 1)[None, :] - 1
     sums = lookup_sums(decomp.centered.table, states, positions)
 
+    by_time = np.ascontiguousarray(states.T)
     increments = np.zeros((B, LN))
     r_start = np.array([decomp.r_start(i) for i in range(1, L + 1)])
-    r_prev = [np.full(B, r_start[i - 1]) for i in range(1, L + 1)]
     r_end = np.zeros((B, L))
-    for m in range(1, LN + 1):
-        for i in range(1, L + 1):
-            if m > i * N:
-                continue
-            predicted, due = decomp.step(i, m)
-            r_m = _lookup(predicted, getcol)
-            increments[:, m - 1] += r_m - r_prev[i - 1] + _lookup(due, getcol)
-            r_prev[i - 1] = r_m
-            if m == i * N:
-                r_end[:, i - 1] = r_m
+    per_block = max(1, _BLOCK // B)
+    for i in range(1, L + 1):
+        before = np.full(B, r_start[i - 1])  # R_{i,m-1} at the block's first step m
+        for lo in range(0, i * N, per_block):
+            hi = min(lo + per_block, i * N)
+            R = _predictions(decomp, i, by_time, lo + 1, hi)
+            W = np.empty_like(R)
+            np.subtract(R[0], before, out=W[0])
+            np.subtract(R[1:], R[:-1], out=W[1:])
+            # Y_{i,m} at m = i n' in the block, read at positions n', 2n', ..., i n'
+            n = np.arange(lo // i + 1, hi // i + 1)
+            due = by_time[n - 1].astype(np.intp)
+            for j in range(2, i + 1):
+                due *= S
+                due += by_time[j * n - 1]
+            W[i * n - 1 - lo] += decomp.centered.components[i - 1].ravel()[due]
+            increments[:, lo:hi] += W.T
+            before = R[-1]
+        r_end[:, i - 1] = before
     martingale = increments.sum(axis=1)
     return PathEvaluation(
         sums=sums,
@@ -277,33 +413,117 @@ class MartingaleCheck:
     passed: bool
 
 
-def _drift_sup(chain: MarkovChainModel, m: int, term: tuple, prior: tuple | None) -> float:
-    """sup of |E[term | path to m-1] - prior| over the states at the positions they read.
+def _drift_sups(
+    chain: MarkovChainModel,
+    m: int,
+    positions: list,
+    tables: np.ndarray,
+    prior_positions: list | None,
+    prior_tables: np.ndarray | None,
+) -> np.ndarray:
+    """Per stacked term, the sup of |E[term | path to m-1] - prior| over the states they read.
 
-    ``term`` is a prediction at step m and ``prior`` the same time's
-    prediction at m - 1, both as ``_term`` returns them; the term entering
-    at the horizon has no prior and is bounded by its whole conditional
-    mean.  The state at m is integrated out against P[x_{m-1}, .] (the
-    stationary law at m = 1) in one einsum, where a position read twice
-    takes one label, and the prior is broadcast over the positions it
-    does not read.
+    The terms are predictions at step m and the priors the same times'
+    predictions at m - 1, stacked along a first axis; they all read the
+    positions given (one term's), or positions that land on m and m - 1
+    alike, so one labelling serves the stack.  A term entering at the
+    horizon has no prior and is bounded by its whole conditional mean.  The
+    state at m is integrated out against P[x_{m-1}, .] (the stationary law
+    at m = 1) in one einsum, where a position read twice takes one label,
+    and the prior is broadcast over the positions it does not read.  The
+    stacked einsums equal the per-term ones bit for bit.
     """
-    positions, table = term
     past = sorted({p for p in positions if p != m} | ({m - 1} if m > 1 else set()))
     label = {p: k for k, p in enumerate(past + [m])}
+    batch = len(label)
     if m > 1:
         law, law_axes = chain.transition, [label[m - 1], label[m]]
     else:
         law, law_axes = chain.stationary, [label[m]]
-    drift = np.einsum(table, [label[p] for p in positions], law, law_axes, list(range(len(past))))
-    if prior is not None:
-        prior_positions, prior_table = prior
+    out = [batch, *range(len(past))]
+    drift = np.einsum(tables, [batch] + [label[p] for p in positions], law, law_axes, out)
+    if prior_positions is not None:
         read = set(prior_positions)
         at_prior = np.einsum(
-            prior_table, [label[p] for p in prior_positions], [label[p] for p in sorted(read)]
+            prior_tables,
+            [batch] + [label[p] for p in prior_positions],
+            [batch] + [label[p] for p in sorted(read)],
         )
-        drift = drift - at_prior.reshape([chain.n_states if p in read else 1 for p in past])
-    return float(np.max(np.abs(drift)))
+        shape = [len(tables)] + [chain.n_states if p in read else 1 for p in past]
+        drift = drift - at_prior.reshape(shape)
+    return np.abs(drift).reshape(len(tables), -1).max(axis=1)
+
+
+def _drift_bounds(decomp: MartingaleDecomposition, i: int, n_steps: int) -> tuple[list, int]:
+    """The per-step offset bounds on level i for m = 1..n_steps, and the terms they cover.
+
+    A step's bound is the fsum of its terms' drift sups, the due term
+    Y_{i,m} included; fsum is exact, so the order of the sups does not
+    matter.  A drift sup depends only on the term's table key, its prior's
+    table key, and which read positions land on m or m - 1, and n' enters
+    that pattern only through such a landing.  So each distinct pattern is
+    computed once, on its first term, and the patterns that read alike go
+    through ``_drift_sups`` together.
+    """
+    H = decomp.horizon
+    # about 14 arrays of 8-byte entries per (step, rank) pair
+    ensure_within_budget(112 * n_steps * -(-H // i), "martingale check grid")
+    grid, _, _, kept = decomp._ranks(i, np.arange(1, n_steps + 1))
+    rows, ranks = np.nonzero(kept)
+    # the due term Y_{i,m} takes one more column, at the steps i divides
+    due = np.arange(i, n_steps + 1, i)
+    m = np.concatenate([rows + 1, due])
+    nprime = np.concatenate([grid[rows, ranks], due // i])
+    column = np.concatenate([ranks, np.full(due.size, grid.shape[1])])
+    j0 = m // nprime + 1
+    gap = np.where(j0 > i, 0, j0 * nprime - m)  # a due term reads its table at any gap
+    has_prior = i * nprime <= m - 1 + H
+    j0_before = np.where(has_prior, (m - 1) // nprime + 1, 0)
+    gap_before = np.where(has_prior, j0_before * nprime - (m - 1), 0)
+    # the last position a term reads besides m, relative to m, and the prior's
+    # relative to m - 1 (-2: none; below -1 it lands on neither)
+    last = np.where((j0 > 1) & (j0 <= i), gap - nprime, -2)
+    last_before = np.where(j0_before > 1, gap_before - nprime, -2)
+    lands = (last >= -1) | (last_before == 0) | (nprime == 1)
+    keyed = (j0 < i) | (has_prior & (j0_before < i))
+    n_key = np.where(lands | keyed, nprime, 0)
+    dims = (i + 2, i + 1, H + 1, H + 1, 2, int(nprime.max()) + 1)
+    codes = np.ravel_multi_index((j0, j0_before, gap, gap_before, m == 1, n_key), dims)
+    _, first, pattern = np.unique(codes, return_index=True, return_inverse=True)
+
+    # the patterns that read alike: same table shapes, same landings on m and m - 1
+    at, n_at, prior_at = m[first], nprime[first], has_prior[first]
+    reading = np.stack(
+        [a[first] for a in (j0, j0_before, m == 1, last, last_before, nprime == 1)], axis=1
+    )
+    _, alike = np.unique(np.maximum(reading, -2), axis=0, return_inverse=True)
+
+    def stacked(members, when):
+        """The members' terms conditioned at ``when`` (their m or m - 1), tables stacked."""
+        if when[0] == 0:
+            return np.stack([decomp._term(i, i * n, 0)[1] for n in n_at[members].tolist()])
+        n = n_at[members]
+        ahead = int(when[0] // n[0]) + 1
+        if ahead > i:
+            return np.repeat(decomp.centered.components[i - 1][None], len(members), axis=0)
+        rows = decomp._rows(i, ahead, n if ahead < i else np.zeros_like(n), ahead * n - when)
+        return decomp._table_stores[i, ahead][rows]
+
+    sups = np.empty(first.size)
+    for group in range(alike.max() + 1):
+        members = np.flatnonzero(alike == group)
+        t, s, prior = int(at[members[0]]), i * int(n_at[members[0]]), prior_at[members[0]]
+        sups[members] = _drift_sups(
+            decomp.chain,
+            t,
+            decomp._term(i, s, t)[0],
+            stacked(members, at[members]),
+            decomp._term(i, s, t - 1)[0] if prior else None,
+            stacked(members, at[members] - 1) if prior else None,
+        )
+    per_step = np.zeros((n_steps, grid.shape[1] + 1))
+    per_step[m - 1, column] = sups[pattern]
+    return [math.fsum(row) for row in per_step.tolist()], m.size
 
 
 def check_martingale(decomp: MartingaleDecomposition, n_terms: int) -> MartingaleCheck:
@@ -325,18 +545,12 @@ def check_martingale(decomp: MartingaleDecomposition, n_terms: int) -> Martingal
     worst_at = (0, 0)
     terms_checked = 0
     for i in range(1, decomp.centered.arity + 1):
-        before, _ = decomp.step(i, 0)
-        for m in range(1, i * n_terms + 1):
-            predicted, due = decomp.step(i, m)
-            terms = {**due, **predicted}
-            bound = math.fsum(
-                _drift_sup(decomp.chain, m, term, before.get(s)) for s, term in terms.items()
-            )
-            terms_checked += len(terms)
+        bounds, count = _drift_bounds(decomp, i, i * n_terms)
+        terms_checked += count
+        for m, bound in enumerate(bounds, start=1):
             if bound > worst:
                 worst = bound
                 worst_at = (m, i)
-            before = predicted
 
     return MartingaleCheck(
         bound=worst,

@@ -87,10 +87,10 @@ def test_03_cumulant_algebra_round_trip():
 
 
 def test_04_martingale_construction():
-    # term-wise certificate of the increments' conditional means at N = 8
-    # within 1e-8 plus the truncation tail; observed increment gap below the
-    # calibrated budget for N in {8, 64, 512}, with the per-N maxima within
-    # 5% of each other
+    # term-wise certificate of the increments' conditional means at N = 256,
+    # and on doubling_pwc at N = 64, within 1e-8 plus the truncation tail;
+    # observed increment gap below the calibrated budget for N in
+    # {8, 64, 512}, with the per-N maxima within 5% of each other
     r = check_martingale_construction()
     _report(r)
     assert r.passed, r.detail

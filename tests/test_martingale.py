@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from nonconv.errors import ConfigError
+from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import linear_family
 from nonconv.martingale import (
-    _lookup,
+    MartingaleCheck,
+    PathEvaluation,
     build_decomposition,
     check_martingale,
     evaluate_paths,
     telescoping_check,
 )
-from nonconv.observables import center, product_observable
+from nonconv.observables import center, lookup_sums, product_observable
 from nonconv.processes import (
     as_chain,
     doubling_model,
@@ -21,6 +22,8 @@ from nonconv.processes import (
     markov_model,
     phi_coefficient,
     phi_tail,
+    sample_state_paths,
+    transition_power,
 )
 
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
@@ -33,6 +36,90 @@ def _decomp(model):
     """The decomposition of the pair product over the model."""
     c = center(product_observable(2), model)
     return build_decomposition(model, c, linear_family(2))
+
+
+def _lookup(terms, getcol):
+    """Sum of the terms' table entries at the states ``getcol(p)`` returns for their positions."""
+    return sum(table[tuple(getcol(p) for p in positions)] for positions, table in terms.values())
+
+
+def reference_paths(decomp, n_terms, master_seed, n_replicates):
+    """The per-step evaluator: every (step, term) pair of ``step`` looked up on its own.
+
+    The oracle for ``evaluate_paths``, which must equal it bit for bit.
+    """
+    L, N, B = decomp.centered.arity, n_terms, n_replicates
+    LN = L * N
+    states = sample_state_paths(decomp.chain, np.arange(1, LN + 1), master_seed, B)
+    getcol = lambda p: states[:, p - 1]
+    positions = np.arange(1, N + 1)[:, None] * np.arange(1, L + 1)[None, :] - 1
+    sums = lookup_sums(decomp.centered.table, states, positions)
+
+    increments = np.zeros((B, LN))
+    r_start = np.array([decomp.r_start(i) for i in range(1, L + 1)])
+    r_prev = [np.full(B, r_start[i - 1]) for i in range(1, L + 1)]
+    r_end = np.zeros((B, L))
+    for m in range(1, LN + 1):
+        for i in range(1, L + 1):
+            if m > i * N:
+                continue
+            predicted, due = decomp.step(i, m)
+            r_m = _lookup(predicted, getcol)
+            increments[:, m - 1] += r_m - r_prev[i - 1] + _lookup(due, getcol)
+            r_prev[i - 1] = r_m
+            if m == i * N:
+                r_end[:, i - 1] = r_m
+    return PathEvaluation(sums, increments.sum(axis=1), r_start, r_end)
+
+
+def reference_drift_sup(chain, m, term, prior):
+    """sup of |E[term | path to m-1] - prior| for one term, by one einsum over its own labels."""
+    positions, table = term
+    past = sorted({p for p in positions if p != m} | ({m - 1} if m > 1 else set()))
+    label = {p: k for k, p in enumerate(past + [m])}
+    if m > 1:
+        law, law_axes = chain.transition, [label[m - 1], label[m]]
+    else:
+        law, law_axes = chain.stationary, [label[m]]
+    drift = np.einsum(table, [label[p] for p in positions], law, law_axes, list(range(len(past))))
+    if prior is not None:
+        prior_positions, prior_table = prior
+        read = set(prior_positions)
+        at_prior = np.einsum(
+            prior_table, [label[p] for p in prior_positions], [label[p] for p in sorted(read)]
+        )
+        drift = drift - at_prior.reshape([chain.n_states if p in read else 1 for p in past])
+    return float(np.max(np.abs(drift)))
+
+
+def reference_check(decomp, n_terms):
+    """The term-by-term certificate: every (step, term) pair's drift sup computed on its own.
+
+    The oracle for ``check_martingale``, which must return an equal report.
+    """
+    worst, worst_at, terms_checked = 0.0, (0, 0), 0
+    for i in range(1, decomp.centered.arity + 1):
+        before, _ = decomp.step(i, 0)
+        for m in range(1, i * n_terms + 1):
+            predicted, due = decomp.step(i, m)
+            terms = {**due, **predicted}
+            bound = math.fsum(
+                reference_drift_sup(decomp.chain, m, term, before.get(s))
+                for s, term in terms.items()
+            )
+            terms_checked += len(terms)
+            if bound > worst:
+                worst, worst_at = bound, (m, i)
+            before = predicted
+    return MartingaleCheck(
+        bound=worst,
+        allowance=decomp.tail_error,
+        tol=1e-8,
+        worst_time=worst_at[0],
+        worst_level=worst_at[1],
+        terms_checked=terms_checked,
+        passed=worst <= 1e-8 + decomp.tail_error,
+    )
 
 
 def exhaustive_offset(decomp, n_terms):
@@ -251,19 +338,14 @@ class TestIncrementLaw:
         assert chk.bound <= chk.tol + chk.allowance
 
     def test_perturbed_prediction_fails_both_checks(self):
-        # 1e-6 on one entry of E[Y_{1,4} | path to 2] breaks the conditional
-        # mean at steps 2 and 3 far beyond tol = 1e-8
+        # 1e-6 on one entry of the level-1 table at gap 2, which both checks
+        # read for E[Y_{1,s} | path to s - 2] at every s, breaks the
+        # conditional mean far beyond tol = 1e-8
         d = _decomp(PAIR)
-        term = d._term
-
-        def perturbed(i, s, m):
-            positions, table = term(i, s, m)
-            if (i, s, m) == (1, 4, 2):
-                table = table.copy()
-                table.flat[0] += 1e-6
-            return positions, table
-
-        d._term = perturbed
+        (row,) = d._rows(1, 1, np.array([0]), np.array([2]))  # builds the table
+        store = d._table_stores[1, 1].copy()
+        store[row].flat[0] += 1e-6
+        d._table_stores[1, 1] = store
         chk = check_martingale(d, 4)
         assert not chk.passed
         assert chk.bound >= exhaustive_offset(d, 4) > chk.tol + chk.allowance
@@ -282,3 +364,102 @@ class TestIncrementLaw:
         chk = check_martingale(d, 8)
         assert chk.passed
         assert exhaustive_offset(d, 8) <= chk.bound <= 1e-10
+
+
+# the shipped presets' models with their pair product: chain_pair, iid_product, doubling_pwc
+PRESET_MODELS = {"chain_pair": PAIR, "iid_product": RADEMACHER, "doubling_pwc": DOUBLING}
+
+
+@pytest.fixture(scope="module")
+def preset_decomps():
+    return {name: _decomp(model) for name, model in PRESET_MODELS.items()}
+
+
+class TestAgainstThePerStepReference:
+    """``evaluate_paths`` and ``check_martingale`` equal their per-term references bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_MODELS))
+    @pytest.mark.parametrize("n_terms", [1, 2, 8, 64])
+    @pytest.mark.parametrize("n_replicates", [1, 64])
+    def test_paths_equal_the_reference(self, preset_decomps, name, n_terms, n_replicates):
+        d = preset_decomps[name]
+        got = evaluate_paths(d, n_terms, 17, n_replicates)
+        want = reference_paths(d, n_terms, 17, n_replicates)
+        for field in ("sums", "martingale", "r_start", "r_end"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    @pytest.mark.parametrize("name", sorted(PRESET_MODELS))
+    @pytest.mark.parametrize("n_terms", [8, 64])
+    def test_check_equals_the_reference(self, preset_decomps, name, n_terms):
+        d = preset_decomps[name]
+        assert check_martingale(d, n_terms) == reference_check(d, n_terms)
+
+    def test_three_levels_equal_the_reference(self):
+        # arity 3 on a three-state chain: two arguments integrated out, the
+        # horizon not a multiple of every level, and positions that land on
+        # m and m - 1 in every combination
+        chain = markov_model(
+            [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]], [[1.0], [-0.5], [2.0]]
+        )
+        d = build_decomposition(chain, center(product_observable(3), chain), linear_family(3))
+        assert d.horizon % 3
+        assert check_martingale(d, 12) == reference_check(d, 12)
+        got, want = evaluate_paths(d, 12, 5, 16), reference_paths(d, 12, 5, 16)
+        for field in ("sums", "martingale", "r_start", "r_end"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_blocks_of_steps_equal_the_reference(self, pair_decomp):
+        # 1000 replicates split each level into blocks of 8 steps, here with
+        # a short last block and due terms on both sides of a boundary
+        got = evaluate_paths(pair_decomp, 13, 3, 1000)
+        want = reference_paths(pair_decomp, 13, 3, 1000)
+        for field in ("sums", "martingale", "r_start", "r_end"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_many_states_equal_the_reference(self):
+        # 17 states: a flat table index past 255 must not wrap in the states' uint8
+        law = iid_model([[float(k)] for k in range(17)], [1 / 17] * 17)
+        d = _decomp(law)
+        got, want = evaluate_paths(d, 8, 5, 16), reference_paths(d, 8, 5, 16)
+        for field in ("sums", "martingale", "r_start", "r_end"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_first_replicates_do_not_depend_on_the_batch(self, pair_decomp):
+        small = evaluate_paths(pair_decomp, 16, 3, 64)
+        large = evaluate_paths(pair_decomp, 16, 3, 128)
+        assert large.sums[:64].tobytes() == small.sums.tobytes()
+        assert large.martingale[:64].tobytes() == small.martingale.tobytes()
+        assert large.r_end[:64].tobytes() == small.r_end.tobytes()
+
+    def test_stacked_tables_equal_the_per_key_product(self, preset_decomps):
+        # every table a batch built equals P^gap carried onto its own u, alone
+        d = preset_decomps["chain_pair"]
+        evaluate_paths(d, 64, 17, 1)
+        for (i, j0), (codes, rows) in d._table_index.items():
+            for code, row in zip(codes.tolist(), rows.tolist()):
+                n0, gap = divmod(code, d.horizon + 1)
+                u, ahead = d._u(i, n0, j0), transition_power(d.chain, gap)
+                alone = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
+                assert d._table_stores[i, j0][row].tobytes() == alone.tobytes()
+
+
+class TestRefusals:
+    def test_zero_replicates_refused(self, pair_decomp):
+        with pytest.raises(ConfigError, match="need n_replicates >= 1"):
+            evaluate_paths(pair_decomp, 8, 17, 0)
+
+    def test_small_budget_refuses_the_path_block(self, pair_decomp, monkeypatch):
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "0.05")
+        with pytest.raises(BudgetError, match="martingale path block"):
+            evaluate_paths(pair_decomp, 64, 17, 64)
+
+    def test_small_budget_refuses_a_table_cache_miss(self, monkeypatch):
+        d = _decomp(PAIR)
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "1e-6")
+        with pytest.raises(BudgetError, match="martingale table cache"):
+            d._term(1, 6, 1)
+
+    def test_decomposition_builds_no_table(self):
+        # simulate builds one for its Chernoff check, which reads no table
+        d = _decomp(PAIR)
+        assert d._table_stores == {} and d._u_cache == {}
