@@ -8,9 +8,13 @@ baked in: every constant is an argument, supplied by the caller from the
 calibration routines in the Monte Carlo layer, a config file's [bounds] and
 [martingale] sections, or the options of ``nonconv bounds``.
 
-All evaluators work in log space internally and document their monotone
-directions, which the property tests exercise.  A value past the float range
-comes out as inf and one below it as 0, never as an exception.
+The tail and envelope evaluators (concentration, Chernoff, moderate
+deviation, Berry-Esseen, moment comparison) follow one rule: each builds the
+log of its value from the logs of its factors (logaddexp for a sum, log 0 =
+-inf) and turns it into a value only through ``_exp``, which reads inf past
+the float range and 0 below it.  So a value is finite wherever the bound is,
+and never an exception.  Every evaluator documents its monotone directions,
+which the property tests exercise.
 """
 
 from __future__ import annotations
@@ -32,14 +36,9 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def _minus_square_over(a: float, den: float, log_den: float) -> float:
-    """-a^2 / den for a >= 0, where ``den`` > 0 is the denominator as floats evaluate it
-    and ``log_den`` its exact log; from the logs where a^2 or den left the float range."""
-    if a == 0.0:
-        return -0.0
-    if 0.0 < min(a * a, den) and max(a * a, den) < math.inf:
-        return -(a * a) / den
-    return -_exp(2.0 * math.log(a) - log_den)
+def _log(v: float) -> float:
+    """math.log, with -inf at 0."""
+    return math.log(v) if v > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +57,15 @@ def concentration_log(x: float, n_terms: float, c1: float, c2: float, gamma: flo
         raise ConfigError("need c1, c2, gamma > 0")
     if x < 0 or n_terms < 1:
         raise ConfigError("need x >= 0 and n_terms >= 1")
-    damp = math.exp(-math.log(n_terms) / (2.0 + 4.0 * gamma))
-    base = c1 + c2 * x * damp
-    expo = (1.0 + 2.0 * gamma) / (1.0 + gamma)
-    log_half_den = expo * math.log(base)
-    return _minus_square_over(x, 2.0 * _exp(log_half_den), math.log(2.0) + log_half_den)
+    log_x = _log(x)
+    log_damp = -math.log(n_terms) / (2.0 + 4.0 * gamma)
+    log_base = float(np.logaddexp(math.log(c1), math.log(c2) + log_x + log_damp))
+    log_den = math.log(2.0) + (1.0 + 2.0 * gamma) / (1.0 + gamma) * log_base
+    return -_exp(2.0 * log_x - log_den)
 
 
 def concentration_bound(x: float, n_terms: float, c1: float, c2: float, gamma: float) -> float:
-    return math.exp(concentration_log(x, n_terms, c1, c2, gamma))
+    return _exp(concentration_log(x, n_terms, c1, c2, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +77,18 @@ def chernoff_tail_log(t: float, n_terms: float, arity: int, delta1: float, b_con
     """log bound for P(S_N >= t + B delta2): -t^2 / (4 B^2 N arity delta1^2).
 
     Nonincreasing in t; nondecreasing in B and delta1.  Doubling t quarters
-    the log exactly.
+    the log.
     """
     if delta1 <= 0:
         raise ConfigError("delta1 must be positive")
     if t < 0 or n_terms < 1 or arity < 1 or b_const <= 0:
         raise ConfigError("bad Chernoff arguments")
-    den = 4.0 * b_const * b_const * n_terms * arity * delta1 * delta1
-    log_den = math.log(4.0 * arity) + math.log(n_terms)
-    return _minus_square_over(t, den, log_den + 2.0 * (math.log(b_const) + math.log(delta1)))
+    log_den = math.log(4.0) + math.log(arity) + math.log(n_terms)
+    return -_exp(2.0 * (_log(t) - math.log(b_const) - math.log(delta1)) - log_den)
 
 
 def chernoff_tail_bound(t: float, n_terms: float, arity: int, delta1: float, b_const: float) -> float:
-    return math.exp(chernoff_tail_log(t, n_terms, arity, delta1, b_const))
+    return _exp(chernoff_tail_log(t, n_terms, arity, delta1, b_const))
 
 
 def chernoff_threshold(t: float, delta2: float, b_const: float) -> float:
@@ -137,10 +135,8 @@ def moddev_envelope(x: float, n_terms: float, c5: float, gamma: float, c4: float
             raise OutOfWindowError(
                 f"x = {x:g} is outside the validity window [0, {edge:g})"
             )
-    try:
-        return c5 * (1.0 + x**3) * n_terms ** (-1.0 / (2.0 + 4.0 * gamma))
-    except OverflowError:  # x^3 past the float range: inf, as c5 * inf is
-        return math.inf
+    log_cube = float(np.logaddexp(0.0, 3.0 * _log(x)))
+    return _exp(math.log(c5) + log_cube - math.log(n_terms) / (2.0 + 4.0 * gamma))
 
 
 def mdp_rate(x: float) -> float:
@@ -218,10 +214,7 @@ def berry_esseen_bound(delta: float, gamma: float) -> float:
     """
     if delta <= 0:
         raise ConfigError("Delta must be positive")
-    try:
-        return berry_esseen_constant(gamma) * delta ** (-1.0 / (1.0 + 2.0 * gamma))
-    except OverflowError:  # Delta^(-1/(1+2 gamma)) past the float range
-        return math.inf
+    return _exp(math.log(berry_esseen_constant(gamma)) - math.log(delta) / (1.0 + 2.0 * gamma))
 
 
 def momthm_log(p: int, n_terms: float, c0: float, gamma: float) -> float:

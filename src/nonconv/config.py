@@ -2,8 +2,8 @@
 
 Format: `[section]` headers, one `key = value` per line, `#` comments.
 Values are JSON (numbers, strings, booleans, bracketed lists; matrices as
-lists of row lists); a bare word falls back to a string so `kind = markov`
-works unquoted.  No nesting beyond the one section level.  Every parse or
+lists of row lists; not NaN or Infinity); a bare word falls back to a string
+so `kind = markov` works unquoted.  No nesting beyond the one section level.  Every parse or
 validation error carries a line number, using the section header's line for
 missing keys, for keys the section does not know and for sections the schema
 does not know: a misspelled optional key or section is an error, never a
@@ -14,6 +14,7 @@ resolved, validated values.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -62,12 +63,19 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
+def _number(value) -> float:
+    """``value`` as a float, refusing a string (such as a bare ``inf``), nan and infinity."""
+    if isinstance(value, str) or not math.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_value(raw: str, path: str, lineno: int):
     text = raw.strip()
     if not text:
         raise ConfigError(f"{path}:{lineno}: empty value")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_number)  # NaN, Infinity, -Infinity
     except json.JSONDecodeError:
         if all(c in _BARE_WORD_OK for c in text):
             return text
@@ -221,7 +229,7 @@ def _reading(raw: RawConfig, name: str):
 
 
 def _floats(value) -> tuple[float, ...]:
-    return tuple(float(v) for v in (value if isinstance(value, list) else [value]))
+    return tuple(_number(v) for v in (value if isinstance(value, list) else [value]))
 
 
 def _names(value, known: tuple[str, ...], kind: str) -> tuple[str, ...]:
@@ -243,13 +251,13 @@ BOUND_CHECKS = ("chernoff", "concentration")
 OPTIONAL_SECTIONS = {
     "tails": {"thresholds": (_floats, None)},
     "mdp": {
-        "exponent": (float, 0.1),
+        "exponent": (_number, 0.1),
         "x_grid": (_floats, (1.0,)),
-        "d_const": (float, 1.0),
+        "d_const": (_number, 1.0),
         "min_count": (as_int, 20),
     },
-    "martingale": {"b": (float, 1.0)},
-    "bounds": {"gamma": (float, 1.0), "c1": (float, 1.0), "c2": (float, 1.0)},
+    "martingale": {"b": (_number, 1.0)},
+    "bounds": {"gamma": (_number, 1.0), "c1": (_number, 1.0), "c2": (_number, 1.0)},
 }
 _SECTIONS = ("model", "observable", "family", "run", *OPTIONAL_SECTIONS)
 

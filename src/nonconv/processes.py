@@ -51,6 +51,8 @@ class FiniteLaw:
         probs = np.asarray(self.probs, dtype=float)
         if atoms.ndim != 2 or probs.ndim != 1 or atoms.shape[0] != probs.shape[0]:
             raise ConfigError("law atoms and probabilities have mismatched shapes")
+        if not (np.isfinite(atoms).all() and np.isfinite(probs).all()):
+            raise ConfigError("law atoms and probabilities must be finite")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ConfigError("law probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "atoms", atoms)
@@ -164,8 +166,10 @@ def _reachability(P: np.ndarray) -> np.ndarray:
 
 def markov_model(transition, values) -> MarkovChainModel:
     P = np.asarray(transition, dtype=float)
-    pi = stationary_distribution(P)
     vals = np.asarray(values, dtype=float)
+    if not (np.isfinite(P).all() and np.isfinite(vals).all()):
+        raise ConfigError("transition matrix and values must be finite")
+    pi = stationary_distribution(P)
     if vals.ndim == 1:
         vals = vals[:, None]
     if vals.shape[0] != P.shape[0]:
@@ -183,6 +187,8 @@ def doubling_model(table: Sequence[float] | np.ndarray, level: int) -> DoublingM
         table = table[:, None]
     if table.shape[0] != n:
         raise ConfigError(f"value table must have 2**level = {n} rows")
+    if not np.isfinite(table).all():
+        raise ConfigError("value table must be finite")
     return DoublingMapModel(table=table, level=level)
 
 

@@ -1,5 +1,9 @@
+import decimal
 import math
+import random
+import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,6 +29,32 @@ from nonconv.bounds import (
     variance_envelope,
 )
 from nonconv.errors import BudgetError, ConfigError, OutOfWindowError
+
+
+# ---------------------------------------------------------------------------
+# 60-digit decimal references: the log of each bound, spelled out
+# ---------------------------------------------------------------------------
+
+
+def _ref_concentration(x, n, c1, c2, g):
+    x, n, c1, c2, g = map(Decimal, (x, n, c1, c2, g))
+    base = c1 + c2 * x * (-n.ln() / (2 + 4 * g)).exp()
+    return -(x * x) / (2 * ((1 + 2 * g) / (1 + g) * base.ln()).exp())
+
+
+def _ref_chernoff(t, n, arity, d1, b):
+    t, n, arity, d1, b = map(Decimal, (t, n, arity, d1, b))
+    return -(t * t) / (4 * b * b * n * arity * d1 * d1)
+
+
+def _ref_moddev(x, n, c5, g, _c4):
+    x, n, c5, g = map(Decimal, (x, n, c5, g))
+    return c5.ln() + (1 + x**3).ln() - n.ln() / (2 + 4 * g)
+
+
+def _ref_berry_esseen(delta, g):
+    delta, g = map(Decimal, (delta, g))
+    return (Decimal(1) / 6).ln() + ((Decimal(2).sqrt() / 6).ln() - delta.ln()) / (1 + 2 * g)
 
 
 class TestConcentration:
@@ -65,8 +95,11 @@ class TestConcentration:
         expect = -math.exp(2 * math.log(x) - math.log(2) - e * math.log(c1 + x))
         assert concentration_log(x, 1, c1, 1.0, g) == pytest.approx(expect, rel=1e-12)
         assert -2.0 < expect < -1.99
-        # c1 + c2 x overflows as well: the denominator reads inf and the bound 1
-        assert concentration_bound(x, 1, 1.0, 1e154, g) == 1.0
+        # c1 + c2 x overflows as well, its log does not: the bound is about exp(-1)
+        with decimal.localcontext(prec=60):
+            ref = float(_ref_concentration(x, 1, 1.0, 1e154, g).exp())
+        assert concentration_bound(x, 1, 1.0, 1e154, g) == pytest.approx(ref, rel=1e-12)
+        assert 0.3678797 < ref < 0.3678798
 
     def test_domain_errors(self):
         with pytest.raises(ConfigError):
@@ -108,6 +141,10 @@ class TestChernoff:
         for t, d1, b in ((1e-200, 1e-200, 1.0), (1e200, 1.0, 1e200), (1e-170, 1e-170, 1.0)):
             assert chernoff_tail_bound(t, 1, 1, d1, b) == pytest.approx(math.exp(-0.25), rel=1e-13)
         assert chernoff_tail_bound(0.0, 1, 1, 1e-200, 1.0) == 1.0
+        # B^2 goes subnormal and loses digits; its log keeps them
+        args = (3.699790396930567e126, 1.010918224343481e162, 1, 6.974184544536242e207,
+                8.298415900381758e-162)
+        assert chernoff_tail_bound(*args) == pytest.approx(0.9989898601166015, rel=1e-12)
 
 
 class TestModerateDeviationPieces:
@@ -140,6 +177,11 @@ class TestModerateDeviationPieces:
 
     def test_envelope_past_the_float_range(self):
         assert moddev_envelope(1e200, 1, 1.0, 1.0, None) == math.inf
+        # x^3 overflows, c5 x^3 does not: about 1e30
+        with decimal.localcontext(prec=60):
+            ref = float(_ref_moddev(1e110, 1, 1e-300, 1.0, None).exp())
+        assert moddev_envelope(1e110, 1, 1e-300, 1.0, None) == pytest.approx(ref, rel=1e-12)
+        assert 0.99e30 < ref < 1.01e30
 
     def test_validity_scan_accepts_slow_growth(self):
         v = mdp_validity(0.1, 1.0, np.geomspace(1e2, 1e12, 11))
@@ -172,6 +214,11 @@ class TestBerryEsseen:
 
     def test_overflowing_power(self):
         assert berry_esseen_bound(5e-324, 1e-10) == math.inf
+        # Delta^(-1/(1+2 gamma)) overflows, c_gamma times it does not
+        with decimal.localcontext(prec=60):
+            ref = float(_ref_berry_esseen(1e-309, 1e-12).exp())
+        assert berry_esseen_bound(1e-309, 1e-12) == pytest.approx(ref, rel=1e-12)
+        assert ref == pytest.approx(3.928371e307, rel=1e-6)
 
 
 class TestMomentComparison:
@@ -222,3 +269,69 @@ def test_variance_envelope_is_sqrt_n():
     assert variance_envelope(400.0, 1.25) == pytest.approx(25.0)
     with pytest.raises(ConfigError):
         variance_envelope(0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# sweep over the whole float range against the decimal references
+# ---------------------------------------------------------------------------
+
+_TINY = Decimal(5e-324)  # the smallest subnormal, 2^-1074
+with decimal.localcontext(prec=60):
+    _LN_MAX = Decimal(sys.float_info.max).ln()
+    _LN_HALF_TINY = (_TINY / 2).ln()
+_LOG_RANGE = (math.log(5e-324), math.log(sys.float_info.max))
+_LOG_GAMMA = (math.log(1e-12), math.log(1e12))
+
+
+def _log_uniform(rng, lo=_LOG_RANGE[0], hi=_LOG_RANGE[1]):
+    return math.exp(rng.uniform(lo, hi))
+
+
+def _agrees(v: float, ln_r: Decimal, tol: float = 2e-12) -> bool:
+    """v is inf exactly where the reference exp(ln_r) is past the float max, 0
+    where it is below half the smallest subnormal, and otherwise within
+    |ln v - ln_r| <= tol max(1, |ln_r|), widened by one subnormal spacing
+    because a value below the normal range cannot keep relative precision."""
+    if ln_r > _LN_MAX:
+        return v == math.inf
+    if ln_r < _LN_HALF_TINY:
+        return v == 0.0
+    if v == math.inf:
+        return False
+    eps = Decimal(tol) * max(1, abs(ln_r))
+    return (ln_r - eps).exp() - _TINY <= Decimal(v) <= (ln_r + eps).exp() + _TINY
+
+
+# evaluator, reference, and a draw of its arguments: every positive argument
+# log-uniform over the floats (subnormals included), N >= 1, gamma in [1e-12, 1e12]
+SWEEP = {
+    "concentration": (concentration_bound, _ref_concentration, lambda rng: (
+        _log_uniform(rng), _log_uniform(rng, 0.0), _log_uniform(rng), _log_uniform(rng),
+        _log_uniform(rng, *_LOG_GAMMA),
+    )),
+    "chernoff": (chernoff_tail_bound, _ref_chernoff, lambda rng: (
+        _log_uniform(rng), _log_uniform(rng, 0.0), int(_log_uniform(rng, 0.0, math.log(2.0**62))),
+        _log_uniform(rng), _log_uniform(rng),
+    )),
+    "moddev": (moddev_envelope, _ref_moddev, lambda rng: (
+        _log_uniform(rng), _log_uniform(rng, 0.0), _log_uniform(rng),
+        _log_uniform(rng, *_LOG_GAMMA), None,
+    )),
+    "berry-esseen": (berry_esseen_bound, _ref_berry_esseen, lambda rng: (
+        _log_uniform(rng), _log_uniform(rng, *_LOG_GAMMA),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_values_match_decimal_references_across_the_float_range(name):
+    evaluate, reference, draw = SWEEP[name]
+    rng = random.Random(23)
+    wrong = []
+    with decimal.localcontext(prec=60):
+        for _ in range(250):
+            args = draw(rng)
+            v = evaluate(*args)
+            if not _agrees(v, reference(*args)):
+                wrong.append((args, v))
+    assert wrong == []

@@ -100,7 +100,7 @@ class TestBoundsCommand:
     def test_berry_esseen_value(self, capsys):
         rc = main(["bounds", "berry-esseen", "--delta", "1", "--gamma", "1"])
         assert rc == 0
-        assert capsys.readouterr().out.strip() == "0.10295244508785542"
+        assert capsys.readouterr().out.strip() == "0.10295244508785543"
 
     def test_momthm_value(self, capsys):
         rc = main(["bounds", "momthm", "--p", "3", "--n", "100", "--c0", "2"])
@@ -550,6 +550,96 @@ class TestSimulateCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                TINY_CHAIN + "\n[bounds]\ngamma = Infinity\n",
+                "exp.cfg:22: cannot parse value: expected a finite number, got 'Infinity'",
+            ),
+            (
+                TINY_CHAIN + "\n[bounds]\nc2 = Infinity\n",
+                "exp.cfg:22: cannot parse value: expected a finite number, got 'Infinity'",
+            ),
+            (
+                TINY_CHAIN.replace("b = 2.0", "b = Infinity"),
+                "exp.cfg:19: cannot parse value: expected a finite number, got 'Infinity'",
+            ),
+            (
+                TINY_IID.replace("probs = [0.5, 0.5]", "probs = [NaN, 0.5]"),
+                "exp.cfg:5: cannot parse value: expected a finite number, got 'NaN'",
+            ),
+            (
+                TINY_CHAIN.replace("[[0.9, 0.1]", "[[NaN, 0.1]"),
+                "exp.cfg:4: cannot parse value: expected a finite number, got 'NaN'",
+            ),
+            (
+                TINY_IID.replace("atoms = [[1.0], [-1.0]]", 'atoms = [["inf"], [-1.0]]'),
+                "exp.cfg:2: law atoms and probabilities must be finite",
+            ),
+            (
+                TINY_IID.replace("probs = [0.5, 0.5]", "probs = [1e400, 0.5]"),
+                "exp.cfg:2: law atoms and probabilities must be finite",
+            ),
+            (
+                TINY_CHAIN.replace("[[0.9, 0.1]", '[["nan", 0.1]'),
+                "exp.cfg:2: transition matrix and values must be finite",
+            ),
+            (
+                TINY_CHAIN.replace("values = [[1.0], [-1.0]]", 'values = [[1.0], ["-inf"]]'),
+                "exp.cfg:2: transition matrix and values must be finite",
+            ),
+            (
+                TINY_IID.replace(
+                    "kind = iid\natoms = [[1.0], [-1.0]]\nprobs = [0.5, 0.5]",
+                    'kind = doubling\ntable = [1.0, "inf"]\nlevel = 1',
+                ),
+                "exp.cfg:2: value table must be finite",
+            ),
+            (
+                TINY_CHAIN + "\n[bounds]\nc1 = inf\n",
+                "exp.cfg:21: bad value in [bounds]: expected a finite number, got 'inf'",
+            ),
+            (
+                TINY_CHAIN.replace("b = 2.0", "b = 1e400"),
+                "exp.cfg:18: bad value in [martingale]: expected a finite number, got inf",
+            ),
+            (
+                TINY_IID + "\n[mdp]\nexponent = nan\n",
+                "exp.cfg:17: bad value in [mdp]: expected a finite number, got 'nan'",
+            ),
+            (
+                TINY_IID + '\n[tails]\nthresholds = [1.0, "inf"]\n',
+                "exp.cfg:17: bad value in [tails]: expected a finite number, got 'inf'",
+            ),
+        ],
+        ids=[
+            "json-infinity-bounds-gamma",
+            "json-infinity-bounds-c2",
+            "json-infinity-martingale-b",
+            "json-nan-probs",
+            "json-nan-transition",
+            "bare-inf-atom",
+            "overflowing-prob",
+            "bare-nan-transition",
+            "bare-minus-inf-value",
+            "bare-inf-doubling-table",
+            "bare-inf-bounds-c1",
+            "overflowing-martingale-b",
+            "bare-nan-mdp-exponent",
+            "quoted-inf-threshold",
+        ],
+    )
+    def test_non_finite_config_numbers_exit_two(self, tmp_path, capfd, text, message):
+        # refused where the value is read, before LAPACK or a draw sees it
+        out = tmp_path / "out"
+        rc = main(["simulate", _write(tmp_path, text), "--out-dir", str(out)])
+        captured = capfd.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert "DLASCL" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_integral_floats_read_as_integers(self, tmp_path, capsys):
         # 3e2 replicates at N = 5e1 is the run of 300 at N = 50, byte for byte

@@ -1,7 +1,8 @@
 """Fuzzing of the config parser and the simulate command.
 
 Bad input must end in a ConfigError naming the file and line (parser) or in
-one of the CLI's exit codes 0-3, never in a traceback.  The examples are
+one of the CLI's exit codes 0-3, never in a traceback; a config holding a
+non-finite number must exit 2 before writing any sums.  The examples are
 derandomized so the suite runs the same inputs, in the same time, every run;
 raise max_examples and drop derandomize to search further.
 """
@@ -105,11 +106,17 @@ def test_simulate_exits_with_a_documented_code(tmp_path, capsys, model, arity, m
             deleted.add((name, key))
         else:
             sections.setdefault(name, {})[key] = value
+    text = _render(sections, deleted)
     path = tmp_path / "fuzz.cfg"
-    path.write_text(_render(sections, deleted), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
     rc = main([
-        "simulate", str(path), "--out-dir", str(tmp_path / "out"),
+        "simulate", str(path), "--out-dir", str(out),
         "--replicates", "100", "--n-grid", "4,64",
     ])
     capsys.readouterr()
     assert rc in (0, 1, 2, 3)
+    # json.dumps renders nan and the infinities as NaN, Infinity and -Infinity
+    if "NaN" in text or "Infinity" in text:
+        assert rc == 2
+        assert not (out / "sums.csv").exists()
