@@ -189,7 +189,10 @@ def _cmd_simulate(args) -> int:
     if "chernoff" in exp.bound_checks:
         decomp = build_decomposition(exp.model, exp.centered, exp.family)
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"cannot create --out-dir {args.out_dir}: {exc.strerror}") from exc
     manifest = RunManifest(
         config_hash=config_hash(effective_sections(raw, exp)),
         master_seed=exp.master_seed,

@@ -122,7 +122,7 @@ def load_config(path: str) -> RawConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     return parse_config_text(text, path=path)
 
@@ -169,12 +169,28 @@ def build_model(raw: RawConfig) -> ProcessModel:
     return doubling_model(raw.require("model", "table"), as_int(raw.require("model", "level")))
 
 
+# the number readers of the CATALOG makers' parameters, applied to a value or each list entry
+_OBSERVABLE_NUMBERS = {
+    "coeffs": _number,
+    "degrees": as_int,
+    "thresholds": _number,
+    "clip": _number,
+    "value_bound": _number,
+    "bound_const": _number,
+    "coord": as_int,
+}
+
+
 def build_observable(raw: RawConfig, dim: int) -> Observable:
     kind = raw.require("observable", "kind")
     sec = dict(raw.section("observable"))
     sec.pop("kind")
     arity = as_int(raw.require("observable", "arity"))
     sec.pop("arity")
+    for key, read in _OBSERVABLE_NUMBERS.items():
+        if key in sec:
+            value = sec[key]
+            sec[key] = [read(v) for v in value] if isinstance(value, list) else read(value)
     maker = CATALOG.get(kind)
     if maker is None:
         line = raw.header_lines["observable"]

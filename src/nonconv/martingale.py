@@ -16,8 +16,10 @@ with the chain's path weights (``processes.path_weights``).  Each term is
 one lookup in a small table over the positions it reads, and that table
 depends on m only through j0, the first argument ahead, and the gap from m
 to it: it is keyed by (i, j0, gap) when j0 = i and by (i, j0, n', gap) when
-later arguments are integrated out.  Each key's table is built once per
-decomposition, on first use, in one stacked product per (i, j0).
+later arguments are integrated out.  The tables of one (i, j0) are one
+dense read-only array indexed [n', gap] (n' read as 0 once j0 = i) that
+holds every key a retained term can have; it is built once per
+decomposition, on first use, in one stacked product.
 
 Path batches evaluate by term rank: for each level, every step and every
 replicate at once, looping only over a term's rank k within the horizon,
@@ -90,75 +92,59 @@ class MartingaleDecomposition:
     horizon: int
     tail_error: float
     delta: float
-    _u_cache: dict = field(default_factory=dict, repr=False)
-    # per (i, j0): the term tables built so far, stacked, and their keys'
-    # codes n' (horizon + 1) + gap, sorted, with each one's row in the stack
-    _table_stores: dict = field(default_factory=dict, repr=False)
-    _table_index: dict = field(default_factory=dict, repr=False)
+    # per (i, j0): every term table of level i whose first argument ahead is
+    # j0, read-only, indexed [n0, gap] (see ``_store``)
+    _stores: dict = field(default_factory=dict, repr=False)
 
     # -- internal tables ---------------------------------------------------
 
     def _u(self, i: int, nprime: int, j0: int) -> np.ndarray:
         """F_i with arguments j0+1..i integrated forward from the one at
         position j0*nprime; j0 axes (the arguments up to that one)."""
-        key = (i, nprime, j0)
-        got = self._u_cache.get(key)
-        if got is None:
-            ahead = path_weights(self.chain, [nprime] * (i - j0), np.ones(self.chain.n_states))
-            F = self.centered.components[i - 1]
-            got = np.einsum(F, range(i), ahead, range(j0 - 1, i), range(j0))
-            self._u_cache[key] = got
-        return got
+        ahead = path_weights(self.chain, [nprime] * (i - j0), np.ones(self.chain.n_states))
+        F = self.centered.components[i - 1]
+        return np.einsum(F, range(i), ahead, range(j0 - 1, i), range(j0))
 
-    def _rows(self, i: int, j0: int, n0: np.ndarray, gap: np.ndarray) -> np.ndarray:
-        """Rows in ``_table_stores[i, j0]`` of the term tables keyed (n', gap), n' = 0 once j0 = i.
+    def _store(self, i: int, j0: int) -> np.ndarray:
+        """Every term table of level i whose first argument ahead is j0, indexed [n0, gap].
 
-        A term's table depends on its step only through the key: it is
-        ``_u`` with its last axis carried back through P^gap to the state at
-        the conditioning time.  Missing keys are built in one stacked
-        product, which equals the per-key product bit for bit, and appended
-        to the read-only store; a miss first asks the budget for every store.
+        A term's table depends on its step only through n0 (n' when j0 < i,
+        0 once j0 = i) and the gap from m to its argument j0: it is ``_u``
+        with its last axis carried back through P^gap to the state at m.  A
+        retained term has i n' <= m + H, and one with j0 < i also
+        (i - 1) n' > m, so n' < H; every gap is at most H.  So the shape
+        (H or 1, H + 1, S, ..., S) holds every key, and a key beyond it
+        raises instead of reading another key's table.  The store is built
+        on first use in one stacked product over the repeated (n0, gap)
+        grid, after one budget request; that product equals the per-key one
+        bit for bit.
         """
-        width = self.horizon + 1
-        codes = n0 * width + gap
-        known, rows = self._table_index.get((i, j0), (np.empty(0, np.int64), np.empty(0, np.intp)))
-        at = np.searchsorted(known, codes)
-        found = at < len(known)
-        found[found] = known[at[found]] == codes[found]
-        if not found.all():
-            # return_index keeps np.unique on its sorting path, which imports no numpy.ma
-            missing = np.unique(codes[~found], return_index=True)[0]
-            held = sum(store.size for store in self._table_stores.values())
-            ensure_within_budget(
-                8 * (held + missing.size * self.chain.n_states**j0), "martingale table cache"
-            )
-            n0s, at_n0 = np.unique(missing // width, return_inverse=True)
-            gaps, at_gap = np.unique(missing % width, return_inverse=True)
-            u = np.stack([self._u(i, n, j0) for n in n0s.tolist()])[at_n0]
-            ahead = np.stack([transition_power(self.chain, g) for g in gaps.tolist()])[at_gap]
+        store = self._stores.get((i, j0))
+        if store is None:
+            H, S = self.horizon, self.chain.n_states
+            n0s = range(H if j0 < i else 1)
+            keys = len(n0s) * (H + 1)
+            # the repeated u and P^gap, and the store
+            ensure_within_budget(8 * keys * (2 * S**j0 + S**2), "martingale term table")
+            u = np.stack([self._u(i, n, j0) for n in n0s]).repeat(H + 1, axis=0)
+            powers = np.stack([transition_power(self.chain, g) for g in range(H + 1)])
+            ahead = np.tile(powers, (len(n0s), 1, 1))
             if j0 == 1:
                 built = (ahead @ u[..., None])[..., 0]
             else:
                 built = np.einsum("k...a,kxa->k...x", u, ahead)
-            old = self._table_stores.get((i, j0))
-            store = built if old is None else np.concatenate([old, built])
+            store = built.reshape(len(n0s), H + 1, *built.shape[1:])
             store.flags.writeable = False
-            self._table_stores[i, j0] = store
-            known = np.concatenate([known, missing])
-            rows = np.concatenate([rows, np.arange(len(store) - missing.size, len(store))])
-            order = np.argsort(known)
-            known, rows = known[order], rows[order]
-            self._table_index[i, j0] = (known, rows)
-            at = np.searchsorted(known, codes)
-        return rows[at]
+            self._stores[i, j0] = store
+        return store
 
     def _term(self, i: int, s: int, m: int) -> tuple[list[int], np.ndarray]:
         """E[Y_{i,s} | path to m] (= Y_{i,s} itself once s <= m) as positions and a table.
 
         The term is the table's entry at the states the path holds at the
         positions.  Arguments at or before m are read off the path; when one
-        lies ahead, the state at m is read too, and the table is the one
-        ``_rows`` keeps for the term's key.  At m = 0 nothing is read and
+        lies ahead, the state at m is read too, and the table is the
+        ``_store`` entry at the term's key.  At m = 0 nothing is read and
         the table is the unconditional mean.
         """
         nprime = s // i
@@ -169,8 +155,7 @@ class MartingaleDecomposition:
         n0 = 0 if j0 == i else nprime
         if m == 0:
             return known, self.chain.stationary @ self._u(i, n0, 1)
-        (row,) = self._rows(i, j0, np.array([n0]), np.array([j0 * nprime - m]))
-        return known + [m], self._table_stores[i, j0][row]
+        return known + [m], self._store(i, j0)[n0, j0 * nprime - m]
 
     def _ranks(self, i: int, steps: np.ndarray) -> tuple[np.ndarray, ...]:
         """The retained terms of R_{i,m} at ``steps``, as (steps, K) arrays over rank k.
@@ -301,9 +286,10 @@ def _predictions(
     for j in range(1, i + 1):
         sel = kept & (j0 == j)
         if sel.any():
-            rows = decomp._rows(i, j, nprime[sel] * (j < i), gap[sel])
-            offset[sel] = sum(store.size for store in stores) + rows * S**j
-            stores.append(decomp._table_stores[i, j].ravel())
+            store = decomp._store(i, j)
+            key = np.ravel_multi_index((nprime[sel] * (j < i), gap[sel]), store.shape[:2])
+            offset[sel] = sum(s.size for s in stores) + key * S**j
+            stores.append(store.ravel())
     flat = np.concatenate(stores)
     at_m = by_time[first - 1 : last]
     if i == 1:
@@ -506,8 +492,7 @@ def _drift_bounds(decomp: MartingaleDecomposition, i: int, n_steps: int) -> tupl
         ahead = int(when[0] // n[0]) + 1
         if ahead > i:
             return np.repeat(decomp.centered.components[i - 1][None], len(members), axis=0)
-        rows = decomp._rows(i, ahead, n if ahead < i else np.zeros_like(n), ahead * n - when)
-        return decomp._table_stores[i, ahead][rows]
+        return decomp._store(i, ahead)[n * (ahead < i), ahead * n - when]
 
     sups = np.empty(first.size)
     for group in range(alike.max() + 1):

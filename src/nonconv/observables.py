@@ -47,8 +47,8 @@ class Observable:
     def __post_init__(self):
         if self.arity < 1 or self.dim < 1:
             raise ConfigError("arity and dim must be >= 1")
-        if self.bound_const <= 0:
-            raise ConfigError("need K > 0")
+        if not 0 < self.bound_const < math.inf:
+            raise ConfigError("need a finite K > 0")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

@@ -641,6 +641,67 @@ class TestSimulateCommand:
         assert "DLASCL" not in captured.out + captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "observable, message",
+        [
+            (
+                "kind = clipped-polynomial\narity = 1\ncoeffs = [1e400]\ndegrees = [1]\nclip = 1.0",
+                "expected a finite number, got inf",
+            ),
+            (
+                'kind = indicator-product\narity = 2\nthresholds = ["nan", 0]',
+                "expected a finite number, got 'nan'",
+            ),
+            (
+                "kind = clipped-polynomial\narity = 1\ncoeffs = [1.0]\ndegrees = [1]\nclip = 1e400",
+                "expected a finite number, got inf",
+            ),
+            (
+                "kind = product\narity = 1\nvalue_bound = 1e400",
+                "expected a finite number, got inf",
+            ),
+            (
+                "kind = sum\narity = 1\nbound_const = 1e400",
+                "expected a finite number, got inf",
+            ),
+            (
+                "kind = clipped-polynomial\narity = 2\ncoeffs = [1.0, 1.0]\ndegrees = [1.5, 1]\n"
+                "clip = 1.0",
+                "expected an integer, got 1.5",
+            ),
+        ],
+        ids=["coeffs", "thresholds", "clip", "value-bound", "bound-const", "degrees"],
+    )
+    def test_observable_numbers_exit_two(self, tmp_path, capsys, observable, message):
+        # a nan sums.csv, an indicator that never fires, an infinite K or a
+        # truncated degree, each read with exit 0 before
+        text = TINY_IID.replace(
+            "atoms = [[1.0], [-1.0]]", "atoms = [[0.0], [1.0]]"
+        ).replace("kind = product\narity = 1", observable)
+        out = tmp_path / "out"
+        rc = main(["simulate", _write(tmp_path, text), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"exp.cfg:7: bad value in [observable]: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["over-a-file", "under-a-file"])
+    def test_out_dir_over_or_under_a_file_exits_two(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / below if below else taken
+        rc = main(["simulate", _write(tmp_path, TINY_IID), "--out-dir", str(out)])
+        assert rc == 2
+        assert f"config error: cannot create --out-dir {out}" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
+    def test_config_not_in_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(TINY_IID.replace("kind = iid", "kind = iid  # d\xe9j\xe0").encode("latin-1"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"config error: cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_floats_read_as_integers(self, tmp_path, capsys):
         # 3e2 replicates at N = 5e1 is the run of 300 at N = 50, byte for byte
         spelled = TINY_IID.replace("replicates = 300", "replicates = 3e2")

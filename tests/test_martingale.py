@@ -231,6 +231,32 @@ class TestBuild:
         got = hashlib.sha256(evaluate_paths(d, 8, 17, 64).martingale.tobytes()).hexdigest()
         assert got == "2e47a25dda689a0dea556c41febc7fb2d364fcdd3e9e6f28cb0561cd787934a5"
 
+    def test_reports_pinned_at_large_n(self):
+        # recorded before the term tables became one dense store per (level, j0);
+        # unlike the references below, these do not read the tables under test
+        assert check_martingale(_decomp(PAIR), 256) == MartingaleCheck(
+            bound=7.58960510484182e-11,
+            allowance=1.084231544565188e-09,
+            tol=1e-08,
+            worst_time=2,
+            worst_level=2,
+            terms_checked=66048,
+            passed=True,
+        )
+        assert check_martingale(_decomp(DOUBLING), 64) == MartingaleCheck(
+            bound=0.0,
+            allowance=0.0,
+            tol=1e-08,
+            worst_time=0,
+            worst_level=0,
+            terms_checked=1152,
+            passed=True,
+        )
+        got = evaluate_paths(_decomp(PAIR), 256, 17, 64).martingale
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "bd34470e06cfffa09ac2aab0dbee975fe01bb8758e1b31ba5ea5919c86eaf947"
+        )
+
     def test_one_decomposition_serves_every_n(self):
         # nothing a decomposition caches depends on N: after N = 64 it
         # evaluates and certifies N = 8 exactly as a fresh one does
@@ -342,10 +368,9 @@ class TestIncrementLaw:
         # read for E[Y_{1,s} | path to s - 2] at every s, breaks the
         # conditional mean far beyond tol = 1e-8
         d = _decomp(PAIR)
-        (row,) = d._rows(1, 1, np.array([0]), np.array([2]))  # builds the table
-        store = d._table_stores[1, 1].copy()
-        store[row].flat[0] += 1e-6
-        d._table_stores[1, 1] = store
+        store = d._store(1, 1).copy()
+        store[0, 2].flat[0] += 1e-6
+        d._stores[1, 1] = store
         chk = check_martingale(d, 4)
         assert not chk.passed
         assert chk.bound >= exhaustive_offset(d, 4) > chk.tol + chk.allowance
@@ -431,16 +456,18 @@ class TestAgainstThePerStepReference:
         assert large.martingale[:64].tobytes() == small.martingale.tobytes()
         assert large.r_end[:64].tobytes() == small.r_end.tobytes()
 
-    def test_stacked_tables_equal_the_per_key_product(self, preset_decomps):
-        # every table a batch built equals P^gap carried onto its own u, alone
-        d = preset_decomps["chain_pair"]
-        evaluate_paths(d, 64, 17, 1)
-        for (i, j0), (codes, rows) in d._table_index.items():
-            for code, row in zip(codes.tolist(), rows.tolist()):
-                n0, gap = divmod(code, d.horizon + 1)
-                u, ahead = d._u(i, n0, j0), transition_power(d.chain, gap)
-                alone = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
-                assert d._table_stores[i, j0][row].tobytes() == alone.tobytes()
+    @pytest.mark.parametrize("name", sorted(PRESET_MODELS))
+    def test_stacked_tables_equal_the_per_key_product(self, preset_decomps, name):
+        # every (n0, gap) of every store equals P^gap carried onto its own u, alone
+        d = preset_decomps[name]
+        for i in range(1, d.centered.arity + 1):
+            for j0 in range(1, i + 1):
+                store = d._store(i, j0)
+                assert store.shape[:2] == (d.horizon if j0 < i else 1, d.horizon + 1)
+                for n0, gap in np.ndindex(store.shape[:2]):
+                    u, ahead = d._u(i, n0, j0), transition_power(d.chain, gap)
+                    alone = ahead @ u if j0 == 1 else np.einsum("...a,xa->...x", u, ahead)
+                    assert store[n0, gap].tobytes() == alone.tobytes()
 
 
 class TestRefusals:
@@ -453,13 +480,14 @@ class TestRefusals:
         with pytest.raises(BudgetError, match="martingale path block"):
             evaluate_paths(pair_decomp, 64, 17, 64)
 
-    def test_small_budget_refuses_a_table_cache_miss(self, monkeypatch):
+    def test_small_budget_refuses_a_term_table(self, monkeypatch):
         d = _decomp(PAIR)
         monkeypatch.setenv("NONCONV_BUDGET_MB", "1e-6")
-        with pytest.raises(BudgetError, match="martingale table cache"):
+        with pytest.raises(BudgetError, match="martingale term table"):
             d._term(1, 6, 1)
+        assert d._stores == {}
 
     def test_decomposition_builds_no_table(self):
         # simulate builds one for its Chernoff check, which reads no table
         d = _decomp(PAIR)
-        assert d._table_stores == {} and d._u_cache == {}
+        assert d._stores == {}

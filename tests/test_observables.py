@@ -56,6 +56,11 @@ class TestCatalog:
     def test_product_bound_const(self):
         assert product_observable(2, value_bound=3.0).bound_const == pytest.approx(9.0)
 
+    @pytest.mark.parametrize("k", [math.inf, math.nan, 0.0])
+    def test_bound_const_must_be_finite_and_positive(self, k):
+        with pytest.raises(ConfigError, match="need a finite K > 0"):
+            sum_observable(1, bound_const=k)
+
 
 class TestCentering:
     def test_mean_of_pair_product_under_stationary(self):
