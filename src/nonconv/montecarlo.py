@@ -2,13 +2,17 @@
 
 Replicates are embarrassingly parallel: replicate j draws from a
 counter-based stream keyed by (master seed, j) (one generator per block,
-re-keyed per replicate), blocks of 512 replicates are dispatched to
-whatever workers are configured, and each replicate's path sum is an np.sum
-over its own row of a C-contiguous block of terms, a reduction whose order
-depends only on N (the binomial-count shortcut is closed form), so outputs
-are bit-identical across worker counts and blockings.  Only the
-mean corrections are compensated: the exact one (``exact_mean_SN``) and the
-grand-mean fallback both sum their terms with math.fsum.
+re-keyed per replicate), and blocks of 512 replicates are dispatched to
+whatever workers are configured, each block once for the whole N grid.
+i.i.d. rows are prefix-stable: an i.i.d. draw ignores the index it lands
+on, so a replicate's states at N are the first |uniq(N)| states it draws at
+the largest N, and a block draws them once; chains, the doubling map and
+the binomial count draw per N inside the block.  Each replicate's path sum
+is an np.sum over its own row of a C-contiguous block of terms, a reduction
+whose order depends only on N (the binomial-count shortcut is closed form),
+so outputs are bit-identical across worker counts, blockings and grids.
+Only the mean corrections are compensated: the exact one (``exact_mean_SN``)
+and the grand-mean fallback both sum their terms with math.fsum.
 Confidence machinery: exact binomial intervals for tail probabilities,
 delete-one jackknife for cumulants, a seeded bootstrap for means.  Every
 statistic is a function of drawn sums (``{N: SumSample}``) and plain
@@ -33,9 +37,10 @@ from nonconv.indexing import IndexFamily
 from nonconv.martingale import MartingaleDecomposition, evaluate_paths
 from nonconv.observables import (
     CenteredObservable,
-    batch_sums,
+    block_sums,
     exact_mean_SN,
     family_indices,
+    request_sum_block,
 )
 from nonconv.processes import IIDModel, ProcessModel
 from nonconv.rng import replicate_rng, substream_rng
@@ -131,20 +136,44 @@ def _binomial_shortcut(
 
 
 def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
-    """All replicate sums at one N, deterministic for any worker count.
+    """All replicate sums at one N: the one-N case of :func:`sums_over_grid`."""
+    return _grid_sums(config, (n_terms,))[n_terms]
+
+
+def sums_over_grid(config: ExperimentConfig) -> dict[int, SumSample]:
+    """Replicate sums at every N of the config's grid, deterministic for any worker count.
 
     The mean correction subtracted to form centered sums is the exact
     enumeration when the model admits one, otherwise the grand mean over
     replicates; which one was used is recorded.
     """
-    if n_terms < 1:
+    return _grid_sums(config, config.n_grid)
+
+
+def _grid_sums(config: ExperimentConfig, n_grid: Sequence[int]) -> dict[int, SumSample]:
+    """The engine: each block of replicates is dispatched once for the whole grid.
+
+    Every N's index table is fetched, and its exact centering tried, before
+    the pool starts, so blocks never call ``family_indices``: its one-entry
+    cache would thrash across the grid, and concurrent misses would build the
+    same table twice.  Its family checks also guard the binomial count,
+    which assumes N distinct draws.  A block draws per N on the count path,
+    and through ``block_sums`` otherwise, where an i.i.d. model draws once.
+    """
+    if any(n < 1 for n in n_grid):
         raise ConfigError("n_terms must be positive")
-    R = config.n_replicates
-    out = np.empty(R)
-    shortcut = _binomial_shortcut(config.model, config.centered)
-    # built before the pool, as the cache does not serialize concurrent misses;
-    # its family checks also guard the count, which assumes N distinct draws
-    family_indices(config.family, n_terms)
+    R, model = config.n_replicates, config.model
+    # the index tables the run holds: uniq and positions, at most arity N int64 each
+    ensure_within_budget(16 * config.family.arity * sum(n_grid), "index tables")
+    index_tables, corrections = [], {}
+    for n in n_grid:
+        index_tables.append(family_indices(config.family, n))
+        try:  # exact centering reads the table of N, the one now cached
+            corrections[n] = exact_mean_SN(model, config.centered, config.family, n)
+        except (ConfigError, MemoryError):
+            pass
+    outs = [np.empty(R) for _ in n_grid]
+    shortcut = _binomial_shortcut(model, config.centered)
 
     if shortcut is not None:
         p1, f0, f1 = shortcut
@@ -153,49 +182,39 @@ def replicate_sums(config: ExperimentConfig, n_terms: int) -> SumSample:
             a, b = edge
             ks = np.empty(b - a)
             gen = None
-            for j in range(a, b):
-                gen = replicate_rng(config.master_seed, j, reuse=gen)
-                ks[j - a] = gen.binomial(n_terms, p1)
-            out[a:b] = ks * f1 + (n_terms - ks) * f0
+            for n, out in zip(n_grid, outs):
+                for j in range(a, b):
+                    gen = replicate_rng(config.master_seed, j, reuse=gen)
+                    ks[j - a] = gen.binomial(n, p1)
+                out[a:b] = ks * f1 + (n - ks) * f0
 
         method = "binomial-count"
     else:
+        table = config.centered.table_for(model)
+        request_sum_block(table, max(n_grid), min(BLOCK, R))
 
         def run_block(edge: tuple[int, int]) -> None:
             a, b = edge
-            out[a:b] = batch_sums(
-                config.model,
-                config.centered,
-                config.family,
-                n_terms,
-                config.master_seed,
-                b - a,
-                first_replicate=a,
-            )
+            sums = block_sums(model, table, index_tables, config.master_seed, b - a, a)
+            for out, block in zip(outs, sums):
+                out[a:b] = block
 
         method = "path-evaluation"
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         list(pool.map(run_block, [(a, min(a + BLOCK, R)) for a in range(0, R, BLOCK)]))
 
-    try:
-        correction = exact_mean_SN(config.model, config.centered, config.family, n_terms)
-        centering = "exact"
-    except (ConfigError, MemoryError):
-        correction = math.fsum(out) / R
-        centering = "grand-mean"
-    return SumSample(
-        n_terms=n_terms,
-        master_seed=config.master_seed,
-        sums=out,
-        mean_correction=correction,
-        centering=centering,
-        method=method,
-    )
-
-
-def sums_over_grid(config: ExperimentConfig) -> dict[int, SumSample]:
-    return {n: replicate_sums(config, n) for n in config.n_grid}
+    return {
+        n: SumSample(
+            n_terms=n,
+            master_seed=config.master_seed,
+            sums=out,
+            mean_correction=corrections[n] if n in corrections else math.fsum(out) / R,
+            centering="exact" if n in corrections else "grand-mean",
+            method=method,
+        )
+        for n, out in zip(n_grid, outs)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -196,26 +196,32 @@ def decompose(obs: Observable, law: FiniteLaw) -> CenteredObservable:
     trailing tuples, so G_arity = F and G_0 = mean.  The i-th component is
     G_i - G_{i-1}; the first one absorbs the centering constant.  Component
     sup norms are taken over these exact tables, and F - mean is kept as the
-    centered table.
+    centered table.  F is evaluated with float overflow and invalid results
+    silenced: a centered table, mean or component that is not finite
+    everywhere raises ConfigError instead, before any sum is drawn from it.
     """
     n_atoms = law.atoms.shape[0]
     pts = law.atoms[_tuples(n_atoms, obs.arity)]
     ensure_within_budget(pts.nbytes, "centering grid")
-    vals = obs(pts)
-    mean = float(vals @ _product_weights(law, obs.arity))
-    averages = [np.array(mean)]
-    for keep in range(1, obs.arity):
-        averages.append(vals.reshape(n_atoms**keep, -1) @ _product_weights(law, obs.arity - keep))
-    averages.append(vals)
-    components = tuple(
-        (averages[i].reshape(-1, n_atoms) - averages[i - 1].reshape(-1, 1)).reshape((n_atoms,) * i)
-        for i in range(1, obs.arity + 1)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = obs(pts)
+        mean = float(vals @ _product_weights(law, obs.arity))
+        averages = [np.array(mean)]
+        for keep in range(1, obs.arity):
+            averages.append(vals.reshape(n_atoms**keep, -1) @ _product_weights(law, obs.arity - keep))
+        averages.append(vals)
+        components = tuple(
+            (averages[i].reshape(-1, n_atoms) - averages[i - 1].reshape(-1, 1)).reshape((n_atoms,) * i)
+            for i in range(1, obs.arity + 1)
+        )
+        table = (vals - mean).reshape((n_atoms,) * obs.arity)
+    if not all(np.isfinite(a).all() for a in (table, mean, *components)):
+        raise ConfigError("observable F, its mean and its components must be finite on the atoms")
     return CenteredObservable(
         base=obs,
         law=law,
         mean=mean,
-        table=(vals - mean).reshape((n_atoms,) * obs.arity),
+        table=table,
         components=components,
         component_sups=tuple(float(np.max(np.abs(c))) for c in components),
     )
@@ -272,6 +278,53 @@ def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) ->
     return np.sum(table.ravel()[flat], axis=1)
 
 
+def request_sum_block(table: np.ndarray, n_terms: int, n_replicates: int) -> None:
+    """Ask the budget for the peak of a block's lookups at up to ``n_terms`` terms.
+
+    The lookup holds per replicate the states at no more than arity N indices
+    and, per term, a state column, the flat index and the float term (arity is
+    ``table.ndim``).  It is asked before any index table or draw exists;
+    sample_state_paths requests its own.
+    """
+    state_type = np.min_scalar_type(table.shape[0] - 1)
+    flat_type = np.promote_types(state_type, np.min_scalar_type(table.size - 1))
+    s = state_type.itemsize
+    row_bytes = table.ndim * n_terms * s + n_terms * (s + flat_type.itemsize + 8) + 8
+    ensure_within_budget(block_bytes(n_replicates, row_bytes, n_terms), "sum evaluation block")
+
+
+def block_sums(
+    model: ProcessModel,
+    table: np.ndarray,
+    index_tables: Sequence[tuple[np.ndarray, np.ndarray]],
+    master_seed: int,
+    n_replicates: int,
+    first_replicate: int,
+) -> list[np.ndarray]:
+    """Centered sums of one block of replicates at each (uniq, positions) index table.
+
+    ``table`` is the centered table, checked against ``model`` by the caller.
+    A chain's or the doubling map's states depend on the index gaps, so each
+    index table draws its own.  An i.i.d. draw ignores the index it lands
+    on: a replicate's states at any index set are the atoms of the first
+    |uniq| uniforms of its stream, so the block draws once at the largest set
+    and every index table reads a prefix of those columns, the bytes its own
+    draw would give.  Each sum reduces its terms in fixed index order.
+    """
+    if isinstance(model, IIDModel):
+        widest = max((uniq for uniq, _ in index_tables), key=len)
+        states = sample_state_paths(model, widest, master_seed, n_replicates, first_replicate)
+        return [lookup_sums(table, states[:, : uniq.size], positions) for uniq, positions in index_tables]
+    return [
+        lookup_sums(
+            table,
+            sample_state_paths(model, uniq, master_seed, n_replicates, first_replicate),
+            positions,
+        )
+        for uniq, positions in index_tables
+    ]
+
+
 def batch_sums(
     model: ProcessModel,
     centered: CenteredObservable,
@@ -283,23 +336,17 @@ def batch_sums(
 ) -> np.ndarray:
     """Centered sums S_N for a block of replicates, shape (n_replicates,).
 
-    Each replicate draws the process states at the union of family indices
-    from its own counter-based stream, looks up the centered table at the
-    per-term state tuples, and reduces in fixed index order.  The budget
-    request is the peak of the lookup, which holds per replicate the states
-    at no more than arity N indices and, per term, a state column, the flat
-    index and the float term; it is made before the index table is built.
-    sample_state_paths requests its own.
+    The one-N case of :func:`block_sums`: each replicate draws the process
+    states at the union of family indices from its own counter-based stream,
+    looks up the centered table at the per-term state tuples, and reduces in
+    fixed index order.  The budget request of :func:`request_sum_block` is
+    made before the index table is built.
     """
     table = centered.table_for(model)
-    state_type = np.min_scalar_type(table.shape[0] - 1)
-    flat_type = np.promote_types(state_type, np.min_scalar_type(table.size - 1))
-    s = state_type.itemsize
-    row_bytes = family.arity * n_terms * s + n_terms * (s + flat_type.itemsize + 8) + 8
-    ensure_within_budget(block_bytes(n_replicates, row_bytes, n_terms), "sum evaluation block")
-    uniq, positions = family_indices(family, n_terms)
-    states = sample_state_paths(model, uniq, master_seed, n_replicates, first_replicate)
-    return lookup_sums(table, states, positions)
+    request_sum_block(table, n_terms, n_replicates)
+    index_table = family_indices(family, n_terms)
+    (sums,) = block_sums(model, table, [index_table], master_seed, n_replicates, first_replicate)
+    return sums
 
 
 def exact_mean_SN(

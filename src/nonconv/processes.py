@@ -365,19 +365,29 @@ def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray
     Each step reads one contiguous column of uniforms and writes one
     contiguous column of states into preallocated buffers of the narrowest
     unsigned type that holds S - 1; the result is the C-contiguous
-    (replicates, indices) array of that type.
+    (replicates, indices) array of that type.  The threshold table of each
+    distinct gap is looked up once per call, and the first threshold row's
+    count, 0 or 1, is written straight into the step's states: as bools
+    where states are one byte wide (up to 256 states, every chain a config
+    builds), cast into wider ones.
     """
+    if model.n_states == 1:  # no thresholds: the one state is 0
+        return np.zeros(uniforms.shape, dtype=np.uint8)
     gaps = np.diff(idx).tolist()
+    tables = {g: _gap_thresholds(model, g) for g in set(gaps)}
     u_cols = np.ascontiguousarray(uniforms.T)
     walk = np.empty(u_cols.shape, dtype=np.min_scalar_type(model.n_states - 1))
     walk[0] = _draw(model.stationary, u_cols[0])
+    first = walk.view(bool) if walk.itemsize == 1 else walk
     thr = np.empty(u_cols.shape[1])
     hit = np.empty(u_cols.shape[1], dtype=bool)
     for t, g in enumerate(gaps, start=1):
         prev, nxt, u = walk[t - 1], walk[t], u_cols[t]
-        nxt[:] = 0
-        for row in _gap_thresholds(model, g):
-            # states are always in range; "clip" writes into ``out`` unbuffered
+        rows = tables[g]
+        # states are always in range; "clip" writes into ``out`` unbuffered
+        rows[0].take(prev, out=thr, mode="clip")
+        np.less_equal(thr, u, out=first[t], casting="unsafe")
+        for row in rows[1:]:
             row.take(prev, out=thr, mode="clip")
             np.less_equal(thr, u, out=hit)
             nxt += hit

@@ -50,6 +50,7 @@ from nonconv.montecarlo import (
     mdp_diagnostic,
     mgf_estimates,
     replicate_sums,
+    sums_over_grid,
     variance_scan,
 )
 from nonconv.observables import exact_d_squared
@@ -116,17 +117,16 @@ def preset_sums(cache: dict | None, name, n_grid, n_replicates, workers=1):
     """(the preset's experiment, {N: its replicate sums}) at its own seed.
 
     The sums are memoized in ``cache`` on (name, N, R): those and the
-    preset's seed fix them, and the worker count never changes them.
+    preset's seed fix them, and the worker count never changes them.  The N
+    missing from the cache are drawn together, in one ``sums_over_grid``.
     """
     config = preset_experiment(name, n_grid, n_replicates, workers=workers)
     cache = {} if cache is None else cache
-    sums = {}
-    for n in config.n_grid:
-        key = (name, n, n_replicates)
-        if key not in cache:
-            cache[key] = replicate_sums(config, n)
-        sums[n] = cache[key]
-    return config, sums
+    missing = tuple(n for n in config.n_grid if (name, n, n_replicates) not in cache)
+    if missing:
+        drawn = sums_over_grid(replace(config, n_grid=missing))
+        cache.update(((name, n, n_replicates), sample) for n, sample in drawn.items())
+    return config, {n: cache[(name, n, n_replicates)] for n in config.n_grid}
 
 
 # ---------------------------------------------------------------------------

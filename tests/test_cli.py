@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -682,6 +683,22 @@ class TestSimulateCommand:
         rc = main(["simulate", _write(tmp_path, text), "--out-dir", str(out)])
         assert rc == 2
         assert f"exp.cfg:7: bad value in [observable]: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_observable_overflowing_on_finite_atoms_exits_two(self, tmp_path, capsys):
+        # x^3 overflows at 1e110 and inf - inf is nan, which np.clip keeps: the
+        # run used to write a sums.csv of nan and exit 0, with numpy warnings
+        text = TINY_IID.replace("atoms = [[1.0], [-1.0]]", "atoms = [[1e110], [-1e110]]").replace(
+            "kind = product\narity = 1",
+            "kind = clipped-polynomial\narity = 2\ncoeffs = [1.0, -1.0]\ndegrees = [3, 3]\nclip = 1.0",
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", _write(tmp_path, text), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "exp.cfg:7: observable F, its mean and its components must be finite on the atoms" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"], ids=["over-a-file", "under-a-file"])

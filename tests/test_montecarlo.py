@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 from dataclasses import replace
 from importlib import resources
 
@@ -189,6 +190,60 @@ class TestReplicateSums:
             built.clear()
             sums_over_grid(preset_experiment("iid_product", grid, 10_000, workers=2))
             assert built == [4096, *grid]
+
+    def test_two_workers_build_each_chain_index_table_once(self, monkeypatch):
+        # chain_pair draws per N inside each block; the family check's max-N
+        # table, then one per N, all fetched before the pool starts
+        from nonconv.indexing import IndexFamily
+
+        built = []
+        columns = IndexFamily.columns
+        monkeypatch.setattr(IndexFamily, "columns", lambda fam, n: built.append(n) or columns(fam, n))
+        by_n = sums_over_grid(preset_experiment("chain_pair", (16, 256), 1100, workers=2))
+        assert built == [256, 16, 256]
+        assert {s.centering for s in by_n.values()} == {"exact"}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "arity, coeffs, ray_start",
+        [(3, [[1, 0], [2, 0], [3, 0]], 1), (2, [[1, 0], [1, 0, 0]], 2)],
+        ids=["linear-arity-3", "n-and-n-squared"],
+    )
+    def test_iid_grid_equals_each_n_drawn_alone(self, monkeypatch, arity, coeffs, ray_start, workers):
+        # the grid draws each block once, at the largest index set, and every
+        # N reads a prefix of those columns; the (n, n^2) index sets are not
+        # prefixes of each other, only their draws are
+        import nonconv.observables as obs
+
+        law = iid_model([[1.0], [-0.5], [2.0]], [0.2, 0.5, 0.3])
+        cfg = replace(
+            _config(law, arity, (4, 16, 64), 1100, seed=9, workers=workers),
+            family=polynomial_family(coeffs, ray_start=ray_start),
+        )
+        alone = {n: replicate_sums(cfg, n) for n in cfg.n_grid}
+        widest = obs.family_indices(cfg.family, 64)[0]
+        drawn = []
+        sample = obs.sample_state_paths
+
+        def recorded(model, indices, seed, n_replicates, first_replicate):
+            drawn.append((tuple(indices), n_replicates, first_replicate))
+            return sample(model, indices, seed, n_replicates, first_replicate)
+
+        monkeypatch.setattr(obs, "sample_state_paths", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch as often as they can
+        try:
+            by_n = sums_over_grid(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn, key=lambda d: d[2]) == [
+            (tuple(widest), 512, 0), (tuple(widest), 512, 512), (tuple(widest), 76, 1024)
+        ]
+        for n, sample_n in alone.items():
+            assert by_n[n].method == sample_n.method == "path-evaluation"
+            assert by_n[n].sums.tobytes() == sample_n.sums.tobytes()
+            assert by_n[n].mean_correction == sample_n.mean_correction
+        assert by_n[4].sums.tobytes() != by_n[64].sums.tobytes()
 
     def test_grid_helper_covers_all_n(self):
         cfg = _config(RADEMACHER, 1, (16, 64), 256)

@@ -135,14 +135,21 @@ class TestSampling:
             vals = sample_paths(model, idx, 3, 5, first_replicate=2)
             np.testing.assert_array_equal(model.marginal().atoms[states], vals)
 
-    @pytest.mark.parametrize("n_states", [3, 5])
+    @pytest.mark.parametrize("n_states", [1, 3, 5, 300])
     def test_chain_walk_matches_row_gather_reference(self, n_states):
         # reference: per replicate a fresh stream, per step the cumulative
-        # row of P^g at the previous state, next = min(#{cum <= u}, S - 1)
+        # row of P^g at the previous state, next = min(#{cum <= u}, S - 1);
+        # one state has no thresholds, and 300 (an i.i.d. law's chain, past
+        # the cap of a configured chain) walks in uint16
         rs = np.random.default_rng(n_states)
         P = rs.random((n_states, n_states)) ** 3 + 0.01
         P /= P.sum(axis=1, keepdims=True)
-        model = markov_model(P, np.arange(n_states, dtype=float)[:, None])
+        values = np.arange(n_states, dtype=float)[:, None]
+        if n_states > 64:
+            model = as_chain(iid_model(values, P[0]))
+            P = model.transition
+        else:
+            model = markov_model(P, values)
         idx = np.cumsum(rs.choice([1, 2, 5], size=200))
         cum = {g: np.cumsum(np.linalg.matrix_power(P, g), axis=1) for g in (1, 2, 5)}
         seed, R, first = 2**63 + 5, 40, 9

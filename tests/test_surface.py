@@ -19,6 +19,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nonconv"
 # public names kept without a caller in the package, each with its reason
 ALLOWED = {
     "sample_paths": "perfbench/tracer.py binds it by name to count path draws",
+    "batch_sums": (
+        "perfbench/tracer.py binds it by name to count terms; it is the one-N case of block_sums"
+    ),
     "neighborhood": (
         "perfbench/tracer.py binds it by name; it is the per-point oracle of neighborhood_sizes"
     ),
@@ -38,6 +41,9 @@ ALLOWED_UNPASSED = {
     "main.argv": "the entry point: the console script passes nothing, tests and perfbench argv",
     "sample_paths.first_replicate": (
         "sample_paths stays for perfbench/tracer.py and mirrors sample_state_paths"
+    ),
+    "batch_sums.first_replicate": (
+        "batch_sums stays for perfbench/tracer.py and mirrors sample_state_paths"
     ),
 }
 # also kept: the parameters of the CATALOG makers, which arrive as

@@ -24,18 +24,37 @@ def test_equal_presets_built_separately_are_sampled_once(monkeypatch):
     # the acceptance checks ask for their presets independently and still
     # share draws; the worker count never changes the sums, so it is no key
     calls = []
-    sample = verification.replicate_sums
+    sample = verification.sums_over_grid
 
-    def counted(config, n_terms):
-        calls.append(n_terms)
-        return sample(config, n_terms)
+    def counted(config):
+        calls.append(config.n_grid)
+        return sample(config)
 
-    monkeypatch.setattr(verification, "replicate_sums", counted)
+    monkeypatch.setattr(verification, "sums_over_grid", counted)
     cache = {}
     _, first = preset_sums(cache, "chain_pair", (16,), 200, workers=1)
     _, again = preset_sums(cache, "chain_pair", (16,), 200, workers=2)
-    assert calls == [16]
+    assert calls == [(16,)]
     assert again[16] is first[16]
+
+
+def test_missing_grid_points_are_drawn_together(monkeypatch):
+    # the N missing from the cache go through one grid draw, and each equals
+    # its own one-N draw byte for byte
+    calls = []
+    sample = verification.sums_over_grid
+
+    def counted(config):
+        calls.append(config.n_grid)
+        return sample(config)
+
+    monkeypatch.setattr(verification, "sums_over_grid", counted)
+    cache = {}
+    preset_sums(cache, "iid_product", (16,), 200)
+    config, sums = preset_sums(cache, "iid_product", (4, 16, 64), 200)
+    assert calls == [(16,), (4, 64)]
+    for n in (4, 16, 64):
+        assert sums[n].sums.tobytes() == replicate_sums(config, n).sums.tobytes()
 
 
 def test_run_suite_fills_cache_and_workers_through_a_wrapper(monkeypatch):
