@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily, as_int, linear_family, polynomial_family
 from nonconv.montecarlo import ExperimentConfig
-from nonconv.observables import CATALOG, Observable, center, family_indices
+from nonconv.observables import CATALOG, Observable, center
 from nonconv.processes import ProcessModel, doubling_model, iid_model, markov_model
 
 _BARE_WORD_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
@@ -338,7 +338,7 @@ def build_experiment(
         )
     with _reading(raw, "family"):
         # every value the run will take: unordered, stalling or inexact maps stop here
-        family_indices(family, max(config.n_grid))
+        family.columns(config.n_grid[-1])
 
     # values the statistics and bound checks would refuse only after the draws
     bounds, chernoff = params["bounds"], "chernoff" in bound_checks
@@ -353,6 +353,8 @@ def build_experiment(
          "[mdp] exponent must lie in the moderate-deviation window (0, 1/2)"),
         ("martingale", chernoff and not params["martingale"]["b"] > 0,
          "[martingale] b must be positive for the chernoff check"),
+        ("tails", chernoff and params["tails"]["thresholds"] == (),
+         "[tails] thresholds must not be empty for the chernoff check"),
         ("tails", chernoff and any(t < 0 for t in params["tails"]["thresholds"] or ()),
          "[tails] thresholds must be nonnegative for the chernoff check"),
         ("bounds", "concentration" in bound_checks and not (bounds["c1"] > 0 and bounds["c2"] > 0),

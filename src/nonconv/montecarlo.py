@@ -76,14 +76,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_grid or any(n < 1 for n in self.n_grid):
             raise ConfigError("n_grid must hold positive term counts")
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid must be ascending")
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ConfigError("n_grid must be strictly ascending")
         if self.n_replicates < 100:
             raise ConfigError("need at least 100 replicates for CI-bearing statistics")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master seed must be nonnegative")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError("master seed must lie in [0, 2^64)")
         if "variance" in self.statistics:
             require_variance_grid(self.n_grid)
         if "cumulants" in self.statistics:
@@ -153,27 +153,29 @@ def sums_over_grid(config: ExperimentConfig) -> dict[int, SumSample]:
 def _grid_sums(config: ExperimentConfig, n_grid: Sequence[int]) -> dict[int, SumSample]:
     """The engine: each block of replicates is dispatched once for the whole grid.
 
-    Every N's index table is fetched, and its exact centering tried, before
-    the pool starts, so blocks never call ``family_indices``: its one-entry
-    cache would thrash across the grid, and concurrent misses would build the
-    same table twice.  Its family checks also guard the binomial count,
-    which assumes N distinct draws.  A block draws per N on the count path,
-    and through ``block_sums`` otherwise, where an i.i.d. model draws once.
+    ``n_grid`` is strictly ascending.  The budget is asked for the index
+    tables and the sum-evaluation block before anything is built.  Then
+    each N's index table is built once, and the largest N's gives the exact
+    centering of the whole grid, all before the pool starts.  The family
+    checks of building a table also guard the binomial count, which assumes
+    N distinct draws.  A block draws per N on the count path, and through
+    ``block_sums`` otherwise, where an i.i.d. model draws once.
     """
     if any(n < 1 for n in n_grid):
         raise ConfigError("n_terms must be positive")
     R, model = config.n_replicates, config.model
     # the index tables the run holds: uniq and positions, at most arity N int64 each
     ensure_within_budget(16 * config.family.arity * sum(n_grid), "index tables")
-    index_tables, corrections = [], {}
-    for n in n_grid:
-        index_tables.append(family_indices(config.family, n))
-        try:  # exact centering reads the table of N, the one now cached
-            corrections[n] = exact_mean_SN(model, config.centered, config.family, n)
-        except (ConfigError, MemoryError):
-            pass
-    outs = [np.empty(R) for _ in n_grid]
     shortcut = _binomial_shortcut(model, config.centered)
+    if shortcut is None:
+        table = config.centered.table_for(model)
+        request_sum_block(table, n_grid[-1], min(BLOCK, R))
+    index_tables = [family_indices(config.family, n) for n in n_grid]
+    try:
+        corrections = exact_mean_SN(model, config.centered, *index_tables[-1], n_grid)
+    except (ConfigError, MemoryError):
+        corrections = {}
+    outs = [np.empty(R) for _ in n_grid]
 
     if shortcut is not None:
         p1, f0, f1 = shortcut
@@ -190,9 +192,6 @@ def _grid_sums(config: ExperimentConfig, n_grid: Sequence[int]) -> dict[int, Sum
 
         method = "binomial-count"
     else:
-        table = config.centered.table_for(model)
-        request_sum_block(table, max(n_grid), min(BLOCK, R))
-
         def run_block(edge: tuple[int, int]) -> None:
             a, b = edge
             sums = block_sums(model, table, index_tables, config.master_seed, b - a, a)

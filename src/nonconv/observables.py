@@ -10,7 +10,6 @@ estimated.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -52,15 +51,12 @@ class Observable:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 2:
-            pts = pts[None]
-        if pts.shape[-2:] != (self.arity, self.dim):
-            raise ConfigError(f"expected (..., {self.arity}, {self.dim}) argument tuples")
-        flat = pts.reshape(-1, self.arity, self.dim)
-        out = np.asarray(self.fn(flat), dtype=float)
-        if out.shape != (flat.shape[0],):
+        if pts.ndim != 3 or pts.shape[1:] != (self.arity, self.dim):
+            raise ConfigError(f"expected (n, {self.arity}, {self.dim}) argument tuples")
+        out = np.asarray(self.fn(pts), dtype=float)
+        if out.shape != (pts.shape[0],):
             raise ConfigError("observable evaluator must return one value per tuple")
-        return out.reshape(pts.shape[:-2])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,18 +233,14 @@ def center(obs: Observable, model: ProcessModel) -> CenteredObservable:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique index set for terms 1..n_terms and the (term, slot) -> position map.
 
-    ``uniq[positions]`` is ``family.columns(n_terms)``, kept per (family, N) and
-    shared by every caller, so the arrays are read-only.
+    ``uniq[positions]`` is ``family.columns(n_terms)``.
     """
     cols = family.columns(n_terms)  # (N, arity)
     uniq, inverse = np.unique(cols, return_inverse=True)
-    positions = inverse.reshape(cols.shape)
-    uniq.flags.writeable = positions.flags.writeable = False
-    return uniq, positions
+    return uniq, inverse.reshape(cols.shape)
 
 
 def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -352,25 +344,27 @@ def batch_sums(
 def exact_mean_SN(
     model: ProcessModel,
     centered: CenteredObservable,
-    family: IndexFamily,
-    n_terms: int,
-) -> float:
-    """E S_N by exact enumeration of the per-term joint laws.
+    uniq: np.ndarray,
+    positions: np.ndarray,
+    n_grid: Sequence[int],
+) -> dict[int, float]:
+    """E S_N at every N of ``n_grid`` by exact enumeration of the per-term joint laws.
 
-    For a chain the joint law of the states at one term's indices
-    (``path_weights`` over the term's index gaps) reweights the centered
-    table.  For i.i.d. models every term has mean equal to the centering
-    constant, so E S_N = 0.  The tabulated doubling map goes through its
-    exact chain representation.
+    ``(uniq, positions)`` is the index table of the largest N: term n's
+    indices do not depend on N, so each term's mean is computed once and
+    E S_N is the math.fsum of the first N of them, correctly rounded and so
+    bitwise the sum of an N enumerated alone.  For a chain the joint law of
+    the states at one term's indices (``path_weights`` over the term's index
+    gaps) reweights the centered table.  For i.i.d. models every term has
+    mean equal to the centering constant, so E S_N = 0.  The tabulated
+    doubling map goes through its exact chain representation.
     """
     if isinstance(model, IIDModel):
-        return 0.0
+        return {n: 0.0 for n in n_grid}
     chain = as_chain(model)
     f_vals = centered.table_for(chain).reshape(-1)  # (S**arity,)
-    uniq, positions = family_indices(family, n_terms)
-    return math.fsum(
-        float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals) for row in uniq[positions]
-    )
+    means = [float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals) for row in uniq[positions]]
+    return {n: math.fsum(means[:n]) for n in n_grid}
 
 
 def exact_d_squared(model: ProcessModel, centered: CenteredObservable) -> float | None:

@@ -62,9 +62,6 @@ class FiniteLaw:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.atoms
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovChainModel:
@@ -193,7 +190,11 @@ def doubling_model(table: Sequence[float] | np.ndarray, level: int) -> DoublingM
 
 
 def iid_model(atoms, probs) -> IIDModel:
-    return IIDModel(FiniteLaw(np.asarray(atoms, dtype=float), np.asarray(probs, dtype=float)))
+    """i.i.d. draws from a finite law; a flat atoms list is one coordinate per atom."""
+    atoms = np.asarray(atoms, dtype=float)
+    if atoms.ndim == 1:
+        atoms = atoms[:, None]
+    return IIDModel(FiniteLaw(atoms, np.asarray(probs, dtype=float)))
 
 
 def doubling_to_markov(model: DoublingMapModel) -> MarkovChainModel:

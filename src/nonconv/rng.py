@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _BUFFER = 4  # Philox4x64 words per counter block; buffer_pos == 4 means empty
 _ZERO_WORDS = (0,) * _BUFFER  # counter 0 and an empty buffer
 
@@ -33,14 +32,15 @@ def replicate_rng(
     Philox generator, is re-keyed in place to the fresh state of this
     replicate's stream (counter 0, buffer emptied, no cached half word) and
     returned.  A re-keyed generator is the caller's alone: share it with no
-    other thread.  A negative seed or replicate index raises ValueError.
+    other thread.  A seed or replicate index outside [0, 2^64), the Philox
+    key words, raises ValueError.
     """
-    if master_seed < 0 or replicate < 0:
-        raise ValueError("seed and replicate index must be nonnegative")
+    if not (0 <= master_seed < 1 << 64 and 0 <= replicate < 1 << 64):
+        raise ValueError("seed and replicate index must lie in [0, 2^64)")
     gen = np.random.Generator(np.random.Philox(key=0)) if reuse is None else reuse
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS, "key": (master_seed & _MASK64, replicate & _MASK64)},
+        "state": {"counter": _ZERO_WORDS, "key": (master_seed, replicate)},
         "buffer": _ZERO_WORDS,
         "buffer_pos": _BUFFER,
         "has_uint32": 0,

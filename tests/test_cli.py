@@ -351,6 +351,30 @@ class TestSimulateCommand:
         first_data = (out / "sums.csv").read_text().splitlines()[1]
         assert first_data.startswith("32,")
 
+    @pytest.mark.parametrize("arity", [1, 2], ids=["binomial-count", "path-evaluation"])
+    def test_flat_iid_atoms_read_as_one_coordinate(self, tmp_path, capsys, arity):
+        # like a flat markov values list: [1.0, -1.0] is [[1.0], [-1.0]]
+        nested = TINY_IID.replace("arity = 1", f"arity = {arity}")
+        flat = nested.replace("atoms = [[1.0], [-1.0]]", "atoms = [1.0, -1.0]")
+        outs = [tmp_path / "nested", tmp_path / "flat"]
+        for text, out in zip((nested, flat), outs):
+            assert main(["simulate", _write(tmp_path, text), "--out-dir", str(out)]) == 0
+        assert (outs[0] / "sums.csv").read_bytes() == (outs[1] / "sums.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-grid", "16,16", "exp.cfg:11: n_grid must be strictly ascending"),
+            ("--seed", "18446744073709551616", "exp.cfg:11: master seed must lie in [0, 2^64)"),
+        ],
+    )
+    def test_override_refused_at_run(self, tmp_path, capsys, flag, value, message):
+        # a repeated N would be drawn twice; a seed of 2^64 draws the sums of seed 0
+        out = tmp_path / "out"
+        assert main(["simulate", _write(tmp_path, TINY_IID), "--out-dir", str(out), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_statistic_exits_two(self, tmp_path, capsys):
         cfg = _write(tmp_path, TINY_IID.replace('["tails"]', '["entropy"]'))
         rc = main(["simulate", cfg, "--out-dir", str(tmp_path / "o")])
@@ -394,6 +418,11 @@ class TestSimulateCommand:
             (
                 TINY_CHAIN + "\n[tails]\nthresholds = [1.0, -0.5]\n",
                 "[tails] thresholds must be nonnegative for the chernoff check",
+            ),
+            (
+                # no threshold would be tested: a PASS would be vacuous
+                TINY_CHAIN + "\n[tails]\nthresholds = []\n",
+                "exp.cfg:21: [tails] thresholds must not be empty for the chernoff check",
             ),
             (
                 TINY_IID.replace("statistics", 'bound_checks = ["concentration"]\nstatistics')
@@ -515,6 +544,7 @@ class TestSimulateCommand:
             "few-cumulant-replicates",
             "chernoff-b-zero",
             "chernoff-negative-threshold",
+            "chernoff-empty-thresholds",
             "concentration-c2-zero",
             "mdp-d-const-negative",
             "mdp-exponent--0.5",

@@ -11,7 +11,7 @@ from scipy.stats import beta, binom
 
 from nonconv.config import build_experiment, parse_config_text
 from nonconv.cumulants import sample_cumulants
-from nonconv.errors import ConfigError
+from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import linear_family, polynomial_family
 from nonconv.montecarlo import (
     CumulantRow,
@@ -76,6 +76,14 @@ class TestConfig:
     def test_grid_must_ascend(self):
         with pytest.raises(ConfigError):
             _config(RADEMACHER, 1, (64, 16), 200)
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            _config(RADEMACHER, 1, (16, 16), 200)
+
+    def test_seed_must_fit_the_philox_key(self):
+        # a seed past 2^64 would draw what its value mod 2^64 draws
+        assert _config(RADEMACHER, 1, (16,), 200, seed=2**64 - 1).master_seed == 2**64 - 1
+        with pytest.raises(ConfigError, match=r"\[0, 2\^64\)"):
+            _config(RADEMACHER, 1, (16,), 200, seed=2**64)
 
     def test_replicate_floor(self):
         with pytest.raises(ConfigError):
@@ -177,9 +185,9 @@ class TestReplicateSums:
         assert {s.centering for s in by_n.values()} == {"exact"}
 
     def test_two_workers_build_each_index_table_once(self, monkeypatch):
-        # iid_product's five-N grid: the family check's max-N table, evicted by
-        # the first N and built again last, and one per N; the blocks that two
-        # workers run at once share the table built before the pool starts
+        # iid_product's five-N grid: the family check's max-N columns, then one
+        # table per N; the blocks that two workers run at once share the
+        # tables built before the pool starts
         from nonconv.indexing import IndexFamily
 
         built = []
@@ -193,7 +201,7 @@ class TestReplicateSums:
 
     def test_two_workers_build_each_chain_index_table_once(self, monkeypatch):
         # chain_pair draws per N inside each block; the family check's max-N
-        # table, then one per N, all fetched before the pool starts
+        # columns, then one table per N, all built before the pool starts
         from nonconv.indexing import IndexFamily
 
         built = []
@@ -202,6 +210,21 @@ class TestReplicateSums:
         by_n = sums_over_grid(preset_experiment("chain_pair", (16, 256), 1100, workers=2))
         assert built == [256, 16, 256]
         assert {s.centering for s in by_n.values()} == {"exact"}
+
+    def test_refused_block_builds_nothing(self, monkeypatch):
+        # the sum-evaluation block is asked for before any index table or
+        # exact centering: a refused run costs no enumeration
+        import nonconv.montecarlo as mc
+        from nonconv.indexing import IndexFamily
+
+        def built(*a):
+            raise AssertionError("built before the budget refused the block")
+
+        monkeypatch.setattr(mc, "exact_mean_SN", built)
+        monkeypatch.setattr(IndexFamily, "columns", built)
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "10")  # the 0.3 MiB of index tables fit
+        with pytest.raises(BudgetError, match="sum evaluation block needs"):
+            replicate_sums(_config(PAIR, 2, (10_000,), 1000), 10_000)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(

@@ -27,6 +27,11 @@ PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
 
 
+def _exact_mean(model, centered, family, n_terms):
+    # E S_N of one N enumerated alone
+    return exact_mean_SN(model, centered, *family_indices(family, n_terms), (n_terms,))[n_terms]
+
+
 def _component_total(c):
     # sum of the component tables, each broadcast over the axes it lacks
     return sum(comp.reshape(comp.shape + (1,) * (c.arity - comp.ndim)) for comp in c.components)
@@ -117,7 +122,7 @@ class TestExactMean:
         fam = linear_family(2)
         for n_terms in (1, 3, 8):
             expect = (8 / 9) * sum(0.7**n for n in range(1, n_terms + 1))
-            assert exact_mean_SN(PAIR, c, fam, n_terms) == pytest.approx(
+            assert _exact_mean(PAIR, c, fam, n_terms) == pytest.approx(
                 expect, abs=1e-12
             )
 
@@ -129,17 +134,40 @@ class TestExactMean:
         # recorded before the joint-law kernel replaced the per-term loop;
         # weights multiply left to right (a backward fold moves the last digits)
         c = center(product_observable(2), PAIR)
-        assert exact_mean_SN(PAIR, c, linear_family(2), n_terms) == pinned
+        assert _exact_mean(PAIR, c, linear_family(2), n_terms) == pinned
 
     def test_iid_mean_is_exactly_zero(self):
         c = center(product_observable(2), RADEMACHER)
-        assert exact_mean_SN(RADEMACHER, c, linear_family(2), 50) == 0.0
+        assert _exact_mean(RADEMACHER, c, linear_family(2), 50) == 0.0
+
+    @pytest.mark.parametrize(
+        "model, family",
+        [
+            (PAIR, linear_family(2)),
+            (doubling_model([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0], 3), linear_family(2)),
+            (PAIR, polynomial_family([[1, 0], [1, 0, 0]], ray_start=2)),
+        ],
+        ids=["chain_pair", "doubling_pwc", "n-and-n-squared"],
+    )
+    def test_grid_equals_each_n_alone(self, monkeypatch, model, family):
+        # one term mean per term of the largest N, each E S_N the fsum of a
+        # prefix of them: bitwise what each N gives enumerated alone
+        import nonconv.observables as obs
+
+        c = center(product_observable(2), model)
+        grid = (64, 256, 1024, 2048, 4096)
+        alone = [_exact_mean(model, c, family, n).hex() for n in grid]
+        weights, calls = obs.path_weights, []
+        monkeypatch.setattr(obs, "path_weights", lambda *a: calls.append(a) or weights(*a))
+        by_n = exact_mean_SN(model, c, *family_indices(family, grid[-1]), grid)
+        assert [by_n[n].hex() for n in grid] == alone
+        assert len(calls) == grid[-1]  # 4096 term means, not the 7488 of the N alone
 
     def test_montecarlo_agreement(self):
         c = center(product_observable(2), PAIR)
         fam = linear_family(2)
         sums = batch_sums(PAIR, c, fam, 6, 3, 40_000)
-        exact = exact_mean_SN(PAIR, c, fam, 6)
+        exact = _exact_mean(PAIR, c, fam, 6)
         se = float(np.std(sums, ddof=1)) / math.sqrt(len(sums))
         assert abs(float(np.mean(sums)) - exact) < 5 * se
 
@@ -240,11 +268,9 @@ class TestBatchSums:
         got = batch_sums(model, c, family, n_terms, seed, R, first_replicate=first)
         assert got.tobytes() == np.sum(terms, axis=1).tobytes()
 
-    def test_index_table_is_shared_and_read_only(self):
+    def test_index_table_gathers_the_columns(self):
         family = polynomial_family([[1, 0], [1, 1, 0]])
         uniq, positions = family_indices(family, 50)
-        assert family_indices(family, 50)[0] is uniq
-        assert not uniq.flags.writeable and not positions.flags.writeable
         assert np.array_equal(uniq[positions], family.columns(50))
 
     @pytest.mark.parametrize("n_atoms", [3, 7])  # flat index fits uint8, needs uint16

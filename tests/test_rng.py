@@ -3,8 +3,6 @@ import pytest
 
 from nonconv.rng import replicate_rng, substream_rng
 
-_MASK64 = (1 << 64) - 1
-
 
 def test_replicate_streams_are_reproducible():
     a = replicate_rng(42, 7).random(16)
@@ -52,7 +50,7 @@ def test_rekeyed_generator_draws_the_fresh_stream(seed):
         assert used["buffer_pos"] != 4 and used["has_uint32"] == 1
         rekeyed = replicate_rng(seed, j, reuse=gen)
         # a uint64 array: Philox reads a list key through float64, losing bits past 2^53
-        key = np.array([seed & _MASK64, j & _MASK64], dtype=np.uint64)
+        key = np.array([seed, j], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key))
         assert rekeyed is gen
         got, want = rekeyed.bit_generator.state, fresh.bit_generator.state
@@ -81,3 +79,11 @@ def test_negative_seed_or_replicate_raises_on_both_paths(seed, replicate):
         replicate_rng(seed, replicate)
     with pytest.raises(ValueError):
         replicate_rng(seed, replicate, reuse=gen)
+
+
+@pytest.mark.parametrize("seed, replicate", [(2**64, 0), (0, 2**64)])
+def test_key_word_past_64_bits_raises(seed, replicate):
+    # such a word would draw the stream of its value mod 2^64
+    replicate_rng(2**64 - 1, 2**64 - 1)
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        replicate_rng(seed, replicate)
