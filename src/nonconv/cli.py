@@ -209,10 +209,10 @@ def _cmd_simulate(args) -> int:
         args.out_dir,
         "sums.csv",
         ("n_terms", "replicate", "sum"),
+        # each N's rows as one block of lines, printed as fmt prints ints and floats
         (
-            (n, j, v)
+            "\n".join(map(("%d,%%d,%%.17g" % n).__mod__, enumerate(sums[n].sums.tolist())))
             for n in exp.n_grid
-            for j, v in enumerate(sums[n].sums.tolist())
         ),
         manifest,
     )

@@ -19,8 +19,9 @@ martingale tables read it), and ``phi_tail`` certifies the summed phi tail.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,6 +33,9 @@ from nonconv.rng import replicate_rng
 _ENUM_BUDGET = 1_000_000  # cap on enumerated state tuples for exact oracles
 _TV_NOISE = 1e-12  # float matrix powers cannot resolve TV mass below this
 _TABLE_CAP = 4096  # (chain, gap) entries each chain table cache holds
+# One chain walk at a time: each step is a few short numpy calls that release
+# the GIL, so concurrent walks spend their time handing it back and forth.
+_WALK_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,11 @@ class DoublingMapModel:
     def marginal(self) -> FiniteLaw:
         n = self.table.shape[0]
         return FiniteLaw(self.table, np.full(n, 1.0 / n))
+
+    @cached_property
+    def chain(self) -> MarkovChainModel:
+        """The bit-window chain, built once so every reader shares its cached powers."""
+        return doubling_to_markov(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +230,7 @@ def as_chain(model: ProcessModel) -> MarkovChainModel:
     """The model as a finite chain whose states index its marginal atoms.
 
     An i.i.d. law becomes the chain whose every row is that law; the doubling
-    map becomes its bit-window chain (levels up to 6).
+    map becomes its bit-window chain (levels up to 6), one per model.
     """
     if isinstance(model, MarkovChainModel):
         return model
@@ -233,7 +242,7 @@ def as_chain(model: ProcessModel) -> MarkovChainModel:
             stationary=model.law.probs.copy(),
         )
     if isinstance(model, DoublingMapModel):
-        return doubling_to_markov(model)
+        return model.chain
     raise ConfigError(f"unknown model kind: {model!r}")
 
 
@@ -290,12 +299,9 @@ def sample_state_paths(
     """
     idx = _check_indices(indices)
     state_bytes = np.min_scalar_type(model.marginal().atoms.shape[0] - 1).itemsize
-    if isinstance(model, MarkovChainModel):
-        entry_bytes = 16 + 2 * state_bytes  # uniforms, their time-major copy, walk, result
-    elif isinstance(model, IIDModel):
-        entry_bytes = 9 + state_bytes  # uniforms, comparison mask, states
-    else:
-        entry_bytes = 8 + state_bytes  # uniforms, cells
+    # uniforms and states (the chain walk writes its states in place); an
+    # i.i.d. draw also holds a comparison mask
+    entry_bytes = 8 + state_bytes + isinstance(model, IIDModel)
     ensure_within_budget(
         block_bytes(n_replicates, idx.size * entry_bytes, idx.size), "state path block"
     )
@@ -358,41 +364,42 @@ def _gap_thresholds(model: MarkovChainModel, gap: int) -> np.ndarray:
 
 
 def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Chain states by inverse CDF, walked time-major over all replicates at once.
+    """Chain states by inverse CDF, walked in place one index column at a time.
 
     A gap of g steps draws from P^g: the next state is the number of
     thresholds k < S - 1 with cumsum(P^g)[prev, k] <= u, which equals
     min(#{cum <= u}, S - 1) because every cumulative row is nondecreasing.
-    Each step reads one contiguous column of uniforms and writes one
-    contiguous column of states into preallocated buffers of the narrowest
-    unsigned type that holds S - 1; the result is the C-contiguous
-    (replicates, indices) array of that type.  The threshold table of each
-    distinct gap is looked up once per call, and the first threshold row's
-    count, 0 or 1, is written straight into the step's states: as bools
-    where states are one byte wide (up to 256 states, every chain a config
-    builds), cast into wider ones.
+    Step t reads column t of the uniforms and writes column t of the result,
+    the C-contiguous (replicates, indices) array of the narrowest unsigned
+    type that holds S - 1, both as strided views: no block is copied.  The
+    head threshold row's count, 0 or 1, is written straight into the step's
+    states: as bools where states are one byte wide (up to 256 states, every
+    chain a config builds), cast into wider ones.
     """
     if model.n_states == 1:  # no thresholds: the one state is 0
         return np.zeros(uniforms.shape, dtype=np.uint8)
-    gaps = np.diff(idx).tolist()
-    tables = {g: _gap_thresholds(model, g) for g in set(gaps)}
-    u_cols = np.ascontiguousarray(uniforms.T)
-    walk = np.empty(u_cols.shape, dtype=np.min_scalar_type(model.n_states - 1))
-    walk[0] = _draw(model.stationary, u_cols[0])
-    first = walk.view(bool) if walk.itemsize == 1 else walk
-    thr = np.empty(u_cols.shape[1])
-    hit = np.empty(u_cols.shape[1], dtype=bool)
-    for t, g in enumerate(gaps, start=1):
-        prev, nxt, u = walk[t - 1], walk[t], u_cols[t]
-        rows = tables[g]
-        # states are always in range; "clip" writes into ``out`` unbuffered
-        rows[0].take(prev, out=thr, mode="clip")
-        np.less_equal(thr, u, out=first[t], casting="unsafe")
-        for row in rows[1:]:
-            row.take(prev, out=thr, mode="clip")
-            np.less_equal(thr, u, out=hit)
-            nxt += hit
-    return np.ascontiguousarray(walk.T)
+    diffs = np.diff(idx).tolist()
+    tables = {g: _gap_thresholds(model, g) for g in set(diffs)}
+    rows = {g: (table[0], list(table[1:])) for g, table in tables.items()}  # head, tails
+    gaps = [rows[g] for g in diffs]
+    states = np.empty(uniforms.shape, dtype=np.min_scalar_type(model.n_states - 1))
+    cols = states.T
+    cols[0] = _draw(model.stationary, uniforms[:, 0])
+    first = (states.view(bool) if states.itemsize == 1 else states).T
+    thr = np.empty(states.shape[0])
+    hit = np.empty(states.shape[0], dtype=bool)
+    with _WALK_LOCK:
+        for prev, nxt, head, u, (head_row, tail_rows) in zip(
+            cols, cols[1:], first[1:], uniforms.T[1:], gaps
+        ):
+            # states are always in range; "clip" writes into ``out`` unbuffered
+            head_row.take(prev, out=thr, mode="clip")
+            np.less_equal(thr, u, out=head, casting="unsafe")
+            for row in tail_rows:
+                row.take(prev, out=thr, mode="clip")
+                np.less_equal(thr, u, out=hit)
+                nxt += hit
+    return states
 
 
 def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -38,12 +38,16 @@ def _row_format(kinds: tuple) -> str | None:
 def write_csv(path, header, rows) -> None:
     """Write a header and rows, every cell as fmt prints it.
 
+    A row is a sequence of cells, or a str of whole lines already printed so.
     Rows of one shape share one % format, built once from the exact types of
     their cells, so a row of ints and floats is formatted in one operation.
     """
     lines = [",".join(header)]
     formats: dict[tuple, str | None] = {}
     for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
         kinds = tuple(map(type, row))
         if kinds not in formats:
             formats[kinds] = _row_format(kinds)

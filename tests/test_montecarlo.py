@@ -211,6 +211,19 @@ class TestReplicateSums:
         assert built == [256, 16, 256]
         assert {s.centering for s in by_n.values()} == {"exact"}
 
+    def test_concurrent_chain_walks_equal_one_worker(self):
+        # five workers on two or fewer cores, switching as often as they can,
+        # walk five chain blocks per N: the sums are the one-worker bytes
+        one = sums_over_grid(_config(PAIR, 2, (16, 256), 2100, seed=5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = sums_over_grid(_config(PAIR, 2, (16, 256), 2100, seed=5, workers=5))
+        finally:
+            sys.setswitchinterval(interval)
+        for n in (16, 256):
+            assert many[n].sums.tobytes() == one[n].sums.tobytes()
+
     def test_refused_block_builds_nothing(self, monkeypatch):
         # the sum-evaluation block is asked for before any index table or
         # exact centering: a refused run costs no enumeration

@@ -11,8 +11,10 @@ import nonconv.processes
 from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import linear_family
 from nonconv.martingale import MartingaleDecomposition
+from nonconv.montecarlo import sums_over_grid
 from nonconv.observables import batch_sums, center, family_indices, lookup_sums, product_observable
 from nonconv.processes import (
+    _chain_states,
     _draw,
     _gap_thresholds,
     alpha_coefficient,
@@ -31,6 +33,7 @@ from nonconv.processes import (
     transition_power,
 )
 from nonconv.rng import replicate_rng
+from nonconv.verification import preset_experiment
 
 PAIR = [[0.9, 0.1], [0.2, 0.8]]
 PAIR_VALUES = [[1.0], [-1.0]]
@@ -110,6 +113,77 @@ class TestDoublingEmbedding:
         np.testing.assert_allclose(np.sort(chain.transition, axis=1)[:, -2:], 0.5)
 
 
+def _random_chain(n_states):
+    """A chain with random rows and 200 indices at gaps 1, 2 and 5.
+
+    Past 64 states, the cap of a configured chain, it is an i.i.d. law's chain.
+    """
+    rs = np.random.default_rng(n_states)
+    P = rs.random((n_states, n_states)) ** 3 + 0.01
+    P /= P.sum(axis=1, keepdims=True)
+    values = np.arange(n_states, dtype=float)[:, None]
+    if n_states > 64:
+        model = as_chain(iid_model(values, P[0]))
+    else:
+        model = markov_model(P, values)
+    return model, np.cumsum(rs.choice([1, 2, 5], size=200))
+
+
+def _time_major_walk(model, idx, uniforms):
+    """Reference: the chain walk on time-major copies of the uniforms and the states.
+
+    Each step reads one contiguous column of the transposed uniforms and
+    writes one contiguous row of the (indices, replicates) walk, which is
+    copied back to (replicates, indices) at the end.
+    """
+    if model.n_states == 1:
+        return np.zeros(uniforms.shape, dtype=np.uint8)
+    gaps = np.diff(idx).tolist()
+    tables = {g: _gap_thresholds(model, g) for g in set(gaps)}
+    u_cols = np.ascontiguousarray(uniforms.T)
+    walk = np.empty(u_cols.shape, dtype=np.min_scalar_type(model.n_states - 1))
+    walk[0] = _draw(model.stationary, u_cols[0])
+    first = walk.view(bool) if walk.itemsize == 1 else walk
+    thr = np.empty(u_cols.shape[1])
+    hit = np.empty(u_cols.shape[1], dtype=bool)
+    for t, g in enumerate(gaps, start=1):
+        prev, nxt, u = walk[t - 1], walk[t], u_cols[t]
+        rows = tables[g]
+        rows[0].take(prev, out=thr, mode="clip")
+        np.less_equal(thr, u, out=first[t], casting="unsafe")
+        for row in rows[1:]:
+            row.take(prev, out=thr, mode="clip")
+            np.less_equal(thr, u, out=hit)
+            nxt += hit
+    return np.ascontiguousarray(walk.T)
+
+
+class TestInPlaceWalk:
+    """The chain walk in place equals the time-major reference bit for bit."""
+
+    def _check(self, model, idx, n_replicates, seed):
+        uniforms = np.random.default_rng(seed).random((n_replicates, len(idx)))
+        want = _time_major_walk(model, idx, uniforms)
+        got = _chain_states(model, idx, uniforms)
+        assert got.dtype == want.dtype == np.min_scalar_type(model.n_states - 1)
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_terms", [16, 256, 4096])
+    def test_chain_pair_index_sets(self, n_terms):
+        exp = preset_experiment("chain_pair", (n_terms,), 512)
+        uniq, _ = family_indices(exp.family, n_terms)
+        self._check(exp.model, uniq, 512, n_terms)
+
+    def test_one_index_takes_no_step(self, triple):
+        self._check(triple, np.array([7]), 512, 1)
+
+    def test_wide_states(self):
+        model, idx = _random_chain(300)
+        assert model.n_states == 300
+        self._check(model, idx, 40, 300)
+
+
 class TestSampling:
     def test_batching_invariance(self, pair):
         idx = [1, 2, 5, 9]
@@ -141,16 +215,8 @@ class TestSampling:
         # row of P^g at the previous state, next = min(#{cum <= u}, S - 1);
         # one state has no thresholds, and 300 (an i.i.d. law's chain, past
         # the cap of a configured chain) walks in uint16
-        rs = np.random.default_rng(n_states)
-        P = rs.random((n_states, n_states)) ** 3 + 0.01
-        P /= P.sum(axis=1, keepdims=True)
-        values = np.arange(n_states, dtype=float)[:, None]
-        if n_states > 64:
-            model = as_chain(iid_model(values, P[0]))
-            P = model.transition
-        else:
-            model = markov_model(P, values)
-        idx = np.cumsum(rs.choice([1, 2, 5], size=200))
+        model, idx = _random_chain(n_states)
+        P = model.transition
         cum = {g: np.cumsum(np.linalg.matrix_power(P, g), axis=1) for g in (1, 2, 5)}
         seed, R, first = 2**63 + 5, 40, 9
         want = np.empty((R, idx.size), dtype=np.int64)
@@ -407,6 +473,15 @@ class TestTransitionPower:
         assert positions == [1]
         assert calls[id(chain.transition), 5] == 1
         assert max(calls.values()) == 1
+
+    def test_doubling_map_keeps_one_chain(self):
+        # the exact centering of a second run reads the powers the first built
+        config = preset_experiment("doubling_pwc", (128,), 100)
+        assert as_chain(config.model) is as_chain(config.model)
+        sums_over_grid(config)
+        misses = transition_power.cache_info().misses
+        assert sums_over_grid(config)[128].centering == "exact"
+        assert transition_power.cache_info().misses == misses
 
     def test_chain_caches_ask_the_budget_when_full(self, monkeypatch):
         # each cache holds up to 4096 tables of S^2 doubles: 128 MiB at 64 states

@@ -25,6 +25,9 @@ ALLOWED = {
     "neighborhood": (
         "perfbench/tracer.py binds it by name; it is the per-point oracle of neighborhood_sizes"
     ),
+    "replicate_sums": (
+        "perfbench/tracer.py binds it by name to count terms; it is the one-N case of sums_over_grid"
+    ),
 }
 
 # class members kept without a reader in the package, each with its reason
