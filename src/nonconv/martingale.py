@@ -48,7 +48,7 @@ import numpy as np
 from nonconv.budget import block_bytes, ensure_within_budget
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
-from nonconv.observables import CenteredObservable, lookup_sums
+from nonconv.observables import CenteredObservable, lookup_sums, lookup_terms
 from nonconv.processes import (
     DoublingMapModel,
     MarkovChainModel,
@@ -338,7 +338,6 @@ def evaluate_paths(
         raise ConfigError("need n_replicates >= 1")
     L, N, B = decomp.centered.arity, n_terms, n_replicates
     LN = L * N
-    S = decomp.chain.n_states
     # per replicate and step: the increments (8 bytes), the state path and
     # its time-major copy (1 each) and at most 17 of the sums' lookup; on
     # top, six arrays of 8-byte entries per block of steps
@@ -366,11 +365,8 @@ def evaluate_paths(
             np.subtract(R[1:], R[:-1], out=W[1:])
             # Y_{i,m} at m = i n' in the block, read at positions n', 2n', ..., i n'
             n = np.arange(lo // i + 1, hi // i + 1)
-            due = by_time[n - 1].astype(np.intp)
-            for j in range(2, i + 1):
-                due *= S
-                due += by_time[j * n - 1]
-            W[i * n - 1 - lo] += decomp.centered.components[i - 1].ravel()[due]
+            component = decomp.centered.components[i - 1]
+            W[i * n - 1 - lo] += lookup_terms(component, states, positions[n - 1, :i]).T
             increments[:, lo:hi] += W.T
             before = R[-1]
         r_end[:, i - 1] = before

@@ -243,8 +243,8 @@ def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.nd
     return uniq, inverse.reshape(cols.shape)
 
 
-def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Row sums of table lookups: sum over terms n of table[states[:, positions[n]]].
+def lookup_terms(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Table lookups table[states[:, positions[n]]], shape (R, N): the one lookup kernel.
 
     ``states`` is (R, n_positions), integer states as the sampler returns
     them (uint8 for up to 256 atoms), and ``positions`` (N, arity) maps each
@@ -253,8 +253,7 @@ def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) ->
     type that holds a flat table index (or the states' type, if wider):
     every partial value is below table.size, so it never overflows.  Each
     slot's state columns are gathered by np.take into one preallocated
-    column buffer.  The flat index is C-contiguous, so the (R, N) block of
-    terms is too and np.sum reduces every row in the same fixed order.
+    column buffer.  The flat index is C-contiguous, so the terms are too.
     """
     n_atoms = table.shape[0]
     shape = (states.shape[0], positions.shape[0])
@@ -267,7 +266,12 @@ def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) ->
         np.take(states, positions[:, j], axis=1, out=column, mode="clip")
         flat *= n_atoms
         flat += column
-    return np.sum(table.ravel()[flat], axis=1)
+    return table.ravel()[flat]
+
+
+def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Row sums of :func:`lookup_terms`, every row reduced in the same fixed order."""
+    return np.sum(lookup_terms(table, states, positions), axis=1)
 
 
 def request_sum_block(table: np.ndarray, n_terms: int, n_replicates: int) -> None:

@@ -33,8 +33,9 @@ from nonconv.rng import replicate_rng
 _ENUM_BUDGET = 1_000_000  # cap on enumerated state tuples for exact oracles
 _TV_NOISE = 1e-12  # float matrix powers cannot resolve TV mass below this
 _TABLE_CAP = 4096  # (chain, gap) entries each chain table cache holds
-# One chain walk at a time: each step is a few short numpy calls that release
-# the GIL, so concurrent walks spend their time handing it back and forth.
+# One dependent walk at a time, chain or doubling map: each step is a few
+# short numpy calls that release the GIL, so concurrent walks spend their time
+# handing it back and forth.  sample_state_paths is the one site that takes it.
 _WALK_LOCK = threading.Lock()
 
 
@@ -260,20 +261,19 @@ def _check_indices(indices) -> np.ndarray:
     return idx
 
 
-def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Atoms drawn from one law by inverse CDF, elementwise in ``u``.
+def _draw(probs: np.ndarray, u: np.ndarray, states: np.ndarray) -> None:
+    """Fill ``states`` with atoms drawn from one law by inverse CDF, elementwise in ``u``.
 
     The atom is the number of thresholds k < S - 1 with cumsum(probs)[k] <= u,
-    counted straight into the narrowest unsigned type that holds S - 1.  It
-    equals min(searchsorted(cumsum(probs), u, "right"), S - 1) because the
-    cumulative sums are nondecreasing.
+    counted straight into ``states``, an unsigned array (or view) of u's shape
+    that holds S - 1.  It equals min(searchsorted(cumsum(probs), u, "right"),
+    S - 1) because the cumulative sums are nondecreasing.
     """
-    states = np.zeros(u.shape, dtype=np.min_scalar_type(probs.size - 1))
+    states[...] = 0
     hit = np.empty(u.shape, dtype=bool)
     for c in np.cumsum(probs)[:-1]:
         np.less_equal(c, u, out=hit)
         states += hit
-    return states
 
 
 def sample_state_paths(
@@ -287,8 +287,10 @@ def sample_state_paths(
 
     Returns a C-contiguous array of shape (n_replicates, n_indices) whose
     entries index ``model.marginal().atoms``: chain states, i.i.d. atoms, or
-    dyadic cells.  Its type is the narrowest unsigned one that holds
-    ``n_states - 1``: uint8 for up to 256 states.
+    dyadic cells.  Its type, chosen here only, is the narrowest unsigned one
+    that holds ``n_states - 1``: uint8 for up to 256 states.  The kernel of
+    the model's kind fills it in place, a chain or doubling-map walk under
+    ``_WALK_LOCK``.
     Replicate ``first_replicate + j`` consumes only its own counter-based
     stream, one uniform per index (one generator per call, re-keyed per
     replicate), so any batching of replicates reproduces the same rows.  Work
@@ -298,10 +300,10 @@ def sample_state_paths(
     (doubling map).  The budget request is the peak of the model's kind.
     """
     idx = _check_indices(indices)
-    state_bytes = np.min_scalar_type(model.marginal().atoms.shape[0] - 1).itemsize
-    # uniforms and states (the chain walk writes its states in place); an
-    # i.i.d. draw also holds a comparison mask
-    entry_bytes = 8 + state_bytes + isinstance(model, IIDModel)
+    state_type = np.min_scalar_type(model.marginal().atoms.shape[0] - 1)
+    # uniforms and states (the walks write their states in place); an i.i.d.
+    # draw also holds a comparison mask
+    entry_bytes = 8 + state_type.itemsize + isinstance(model, IIDModel)
     ensure_within_budget(
         block_bytes(n_replicates, idx.size * entry_bytes, idx.size), "state path block"
     )
@@ -310,13 +312,19 @@ def sample_state_paths(
     for j in range(n_replicates):
         gen = replicate_rng(master_seed, first_replicate + j, reuse=gen)
         gen.random(out=uniforms[j])
+    states = np.empty(uniforms.shape, dtype=state_type)
     if isinstance(model, IIDModel):
-        return _draw(model.law.probs, uniforms)
+        _draw(model.law.probs, uniforms, states)
+        return states
     if isinstance(model, MarkovChainModel):
-        return _chain_states(model, idx, uniforms)
-    if isinstance(model, DoublingMapModel):
-        return _dyadic_cells(model, idx, uniforms)
-    raise ConfigError(f"unknown model kind: {model!r}")
+        walk = _chain_states
+    elif isinstance(model, DoublingMapModel):
+        walk = _dyadic_cells
+    else:
+        raise ConfigError(f"unknown model kind: {model!r}")
+    with _WALK_LOCK:
+        walk(model, idx, uniforms, states)
+    return states
 
 
 def sample_paths(
@@ -363,60 +371,60 @@ def _gap_thresholds(model: MarkovChainModel, gap: int) -> np.ndarray:
     return table
 
 
-def _chain_states(model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Chain states by inverse CDF, walked in place one index column at a time.
+def _chain_states(
+    model: MarkovChainModel, idx: np.ndarray, uniforms: np.ndarray, states: np.ndarray
+) -> None:
+    """Fill ``states`` with chain states by inverse CDF, one index column at a time.
 
     A gap of g steps draws from P^g: the next state is the number of
     thresholds k < S - 1 with cumsum(P^g)[prev, k] <= u, which equals
     min(#{cum <= u}, S - 1) because every cumulative row is nondecreasing.
-    Step t reads column t of the uniforms and writes column t of the result,
-    the C-contiguous (replicates, indices) array of the narrowest unsigned
-    type that holds S - 1, both as strided views: no block is copied.  The
-    head threshold row's count, 0 or 1, is written straight into the step's
-    states: as bools where states are one byte wide (up to 256 states, every
-    chain a config builds), cast into wider ones.
+    Step t reads column t of the uniforms and writes column t of ``states``,
+    the sampler's C-contiguous (replicates, indices) array, both as strided
+    views: no block is copied.  The head threshold row's count, 0 or 1, is
+    written straight into the step's states: as bools where states are one
+    byte wide (up to 256 states, every chain a config builds), cast into
+    wider ones.
     """
     if model.n_states == 1:  # no thresholds: the one state is 0
-        return np.zeros(uniforms.shape, dtype=np.uint8)
+        states.fill(0)
+        return
     diffs = np.diff(idx).tolist()
     tables = {g: _gap_thresholds(model, g) for g in set(diffs)}
     rows = {g: (table[0], list(table[1:])) for g, table in tables.items()}  # head, tails
     gaps = [rows[g] for g in diffs]
-    states = np.empty(uniforms.shape, dtype=np.min_scalar_type(model.n_states - 1))
     cols = states.T
-    cols[0] = _draw(model.stationary, uniforms[:, 0])
+    _draw(model.stationary, uniforms[:, 0], cols[0])
     first = (states.view(bool) if states.itemsize == 1 else states).T
     thr = np.empty(states.shape[0])
     hit = np.empty(states.shape[0], dtype=bool)
-    with _WALK_LOCK:
-        for prev, nxt, head, u, (head_row, tail_rows) in zip(
-            cols, cols[1:], first[1:], uniforms.T[1:], gaps
-        ):
-            # states are always in range; "clip" writes into ``out`` unbuffered
-            head_row.take(prev, out=thr, mode="clip")
-            np.less_equal(thr, u, out=head, casting="unsafe")
-            for row in tail_rows:
-                row.take(prev, out=thr, mode="clip")
-                np.less_equal(thr, u, out=hit)
-                nxt += hit
-    return states
+    for prev, nxt, head, u, (head_row, tail_rows) in zip(
+        cols, cols[1:], first[1:], uniforms.T[1:], gaps
+    ):
+        # states are always in range; "clip" writes into ``out`` unbuffered
+        head_row.take(prev, out=thr, mode="clip")
+        np.less_equal(thr, u, out=head, casting="unsafe")
+        for row in tail_rows:
+            row.take(prev, out=thr, mode="clip")
+            np.less_equal(thr, u, out=hit)
+            nxt += hit
 
 
-def _dyadic_cells(model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _dyadic_cells(
+    model: DoublingMapModel, idx: np.ndarray, uniforms: np.ndarray, cells: np.ndarray
+) -> None:
+    """Fill ``cells`` with dyadic cells, walked in place one index column at a time.
+
+    The window at index k holds the L bits after position k; a gap of g
+    shifts g fresh bits in (all L refreshed once g >= L).
+    """
     L = model.level
     mask = (1 << L) - 1
-    gaps = np.diff(idx)
-    # window at index k holds the L bits after position k; a gap of g
-    # shifts g fresh bits in (all L refreshed once g >= L)
     window = (uniforms[:, 0] * (1 << L)).astype(np.int64)
-    cells = np.empty(uniforms.shape, dtype=np.min_scalar_type(mask))
-    cells[:, 0] = window
-    for t in range(1, idx.size):
-        g = int(min(gaps[t - 1], L))
-        fresh = (uniforms[:, t] * (1 << g)).astype(np.int64)
-        window = ((window << g) | fresh) & mask
-        cells[:, t] = window
-    return cells
+    cells.T[0] = window
+    for g, u, cell in zip(np.minimum(np.diff(idx), L).tolist(), uniforms.T[1:], cells.T[1:]):
+        window = ((window << g) | (u * (1 << g)).astype(np.int64)) & mask
+        cell[...] = window
 
 
 # ---------------------------------------------------------------------------

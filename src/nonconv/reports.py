@@ -2,9 +2,8 @@
 
 Numbers are printed with 17 significant digits so every value round-trips
 exactly; files are UTF-8 with LF endings regardless of platform.  ``fmt``
-defines how a cell prints; ``write_csv`` prints a row of plain ints and
-floats with one % format per row shape, the same bytes at a fraction of the
-per-cell cost.  The manifest is a single JSON object; its wall-clock field is
+defines how a cell prints, and ``write_csv`` prints every cell through it.
+The manifest is a single JSON object; its wall-clock field is
 the only part of a run's output allowed to differ between identical runs.
 """
 
@@ -23,36 +22,15 @@ def fmt(value) -> str:
     return str(value)
 
 
-# One %-conversion per exact cell type, printing what fmt prints for that type.
-# Exact types only: bool (an int subclass) and np.float64 (a float subclass) go
-# through fmt.
-_CELL_FORMATS = {int: "%d", float: "%.17g"}
-
-
-def _row_format(kinds: tuple) -> str | None:
-    """The % format of a row of cells of these exact types, or None if a cell needs fmt."""
-    cells = [_CELL_FORMATS.get(kind) for kind in kinds]
-    return None if None in cells else ",".join(cells)
-
-
 def write_csv(path, header, rows) -> None:
     """Write a header and rows, every cell as fmt prints it.
 
-    A row is a sequence of cells, or a str of whole lines already printed so.
-    Rows of one shape share one % format, built once from the exact types of
-    their cells, so a row of ints and floats is formatted in one operation.
+    A row is a str of whole lines already printed so (sums.csv's blocks of
+    replicate sums), or a sequence of cells that each go through fmt.
     """
     lines = [",".join(header)]
-    formats: dict[tuple, str | None] = {}
     for row in rows:
-        if isinstance(row, str):
-            lines.append(row)
-            continue
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = _row_format(kinds)
-        line_format = formats[kinds]
-        lines.append(line_format % tuple(row) if line_format else ",".join(map(fmt, row)))
+        lines.append(row if isinstance(row, str) else ",".join(map(fmt, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -211,14 +211,17 @@ class TestReplicateSums:
         assert built == [256, 16, 256]
         assert {s.centering for s in by_n.values()} == {"exact"}
 
-    def test_concurrent_chain_walks_equal_one_worker(self):
+    @pytest.mark.parametrize("walk", ["chain_pair", "doubling_pwc"])
+    def test_concurrent_chain_walks_equal_one_worker(self, walk):
         # five workers on two or fewer cores, switching as often as they can,
-        # walk five chain blocks per N: the sums are the one-worker bytes
-        one = sums_over_grid(_config(PAIR, 2, (16, 256), 2100, seed=5))
+        # walk five chain or doubling-map blocks per N: the sums are the
+        # one-worker bytes
+        model = PAIR if walk == "chain_pair" else preset_experiment(walk, (16,), 100).model
+        one = sums_over_grid(_config(model, 2, (16, 256), 2100, seed=5))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = sums_over_grid(_config(PAIR, 2, (16, 256), 2100, seed=5, workers=5))
+            many = sums_over_grid(_config(model, 2, (16, 256), 2100, seed=5, workers=5))
         finally:
             sys.setswitchinterval(interval)
         for n in (16, 256):

@@ -16,6 +16,7 @@ from nonconv.observables import batch_sums, center, family_indices, lookup_sums,
 from nonconv.processes import (
     _chain_states,
     _draw,
+    _dyadic_cells,
     _gap_thresholds,
     alpha_coefficient,
     as_chain,
@@ -142,7 +143,7 @@ def _time_major_walk(model, idx, uniforms):
     tables = {g: _gap_thresholds(model, g) for g in set(gaps)}
     u_cols = np.ascontiguousarray(uniforms.T)
     walk = np.empty(u_cols.shape, dtype=np.min_scalar_type(model.n_states - 1))
-    walk[0] = _draw(model.stationary, u_cols[0])
+    _draw(model.stationary, u_cols[0], walk[0])
     first = walk.view(bool) if walk.itemsize == 1 else walk
     thr = np.empty(u_cols.shape[1])
     hit = np.empty(u_cols.shape[1], dtype=bool)
@@ -158,16 +159,26 @@ def _time_major_walk(model, idx, uniforms):
     return np.ascontiguousarray(walk.T)
 
 
+def _given(shape, dtype):
+    """A state array for a kernel to fill, every entry set to the type's largest value."""
+    return np.full(shape, np.iinfo(dtype).max, dtype=dtype)
+
+
 class TestInPlaceWalk:
     """The chain walk in place equals the time-major reference bit for bit."""
 
     def _check(self, model, idx, n_replicates, seed):
+        state_type = np.min_scalar_type(model.n_states - 1)
         uniforms = np.random.default_rng(seed).random((n_replicates, len(idx)))
         want = _time_major_walk(model, idx, uniforms)
-        got = _chain_states(model, idx, uniforms)
-        assert got.dtype == want.dtype == np.min_scalar_type(model.n_states - 1)
-        assert got.flags.c_contiguous and got.flags.owndata
+        got = _given(uniforms.shape, state_type)
+        assert _chain_states(model, idx, uniforms, got) is None
+        assert want.dtype == state_type
         assert got.tobytes() == want.tobytes()
+        # the sampler allocates the states the kernel fills
+        states = sample_state_paths(model, idx, seed, n_replicates)
+        assert states.dtype == state_type and states.shape == uniforms.shape
+        assert states.flags.c_contiguous and states.flags.owndata
 
     @pytest.mark.parametrize("n_terms", [16, 256, 4096])
     def test_chain_pair_index_sets(self, n_terms):
@@ -182,6 +193,68 @@ class TestInPlaceWalk:
         model, idx = _random_chain(300)
         assert model.n_states == 300
         self._check(model, idx, 40, 300)
+
+    def test_one_state_fills_zeros(self):
+        model, idx = _random_chain(1)
+        self._check(model, idx, 40, 1)
+
+
+def _column_copy_cells(model, idx, uniforms):
+    """Reference: the doubling-map walk that copies each column of cells out of its window."""
+    L = model.level
+    mask = (1 << L) - 1
+    gaps = np.diff(idx)
+    window = (uniforms[:, 0] * (1 << L)).astype(np.int64)
+    cells = np.empty(uniforms.shape, dtype=np.min_scalar_type(mask))
+    cells[:, 0] = window
+    for t in range(1, idx.size):
+        g = int(min(gaps[t - 1], L))
+        fresh = (uniforms[:, t] * (1 << g)).astype(np.int64)
+        window = ((window << g) | fresh) & mask
+        cells[:, t] = window
+    return cells
+
+
+class TestInPlaceCells:
+    """The doubling-map walk in place equals the column-copy reference bit for bit."""
+
+    @pytest.mark.parametrize("level", [1, 3, 9])
+    def test_gaps_below_at_and_past_the_level(self, level):
+        # gaps of 1, L - 1, L, L + 1 and 3L (level 9 needs uint16 cells)
+        gaps = [g for g in (1, level - 1, level, level + 1, 3 * level) if g > 0]
+        idx = np.cumsum([5] + gaps * 4)
+        model = doubling_model(np.linspace(-1.0, 1.0, 1 << level), level)
+        for index_set in (idx, idx[:1]):
+            uniforms = np.random.default_rng(level).random((300, index_set.size))
+            want = _column_copy_cells(model, index_set, uniforms)
+            got = _given(uniforms.shape, np.min_scalar_type((1 << level) - 1))
+            assert _dyadic_cells(model, index_set, uniforms, got) is None
+            assert got.dtype == want.dtype == (np.uint16 if level == 9 else np.uint8)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestWalkLock:
+    """Each dependent walk takes the one walk lock once; an i.i.d. draw never does."""
+
+    @pytest.mark.parametrize(
+        "preset, takes", [("chain_pair", 1), ("doubling_pwc", 1), ("iid_product", 0)]
+    )
+    def test_one_sampler_call_takes_the_lock(self, preset, takes, monkeypatch):
+        taken = []
+        lock = nonconv.processes._WALK_LOCK
+
+        class CountingLock:
+            def __enter__(self):
+                taken.append(True)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        monkeypatch.setattr(nonconv.processes, "_WALK_LOCK", CountingLock())
+        model = preset_experiment(preset, (64,), 100).model
+        sample_state_paths(model, np.arange(1, 129), 3, 16)
+        assert len(taken) == takes
 
 
 class TestSampling:
@@ -321,8 +394,8 @@ class TestThresholdDraw:
     """The threshold count agrees elementwise with the searchsorted inverse CDF."""
 
     def _check(self, probs, u):
-        got = _draw(probs, u)
-        assert got.dtype == np.min_scalar_type(probs.size - 1)
+        got = _given(u.shape, np.min_scalar_type(probs.size - 1))
+        assert _draw(probs, u, got) is None
         want = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1)
         np.testing.assert_array_equal(got, want)
         return got
@@ -356,7 +429,7 @@ class TestThresholdDraw:
         assert self._check(probs, u).dtype == dtype
         model = iid_model(np.arange(n_atoms, dtype=float)[:, None], probs)
         states = sample_state_paths(model, [1, 3, 4], 5, 64)
-        assert states.dtype == dtype and states.flags.c_contiguous
+        assert states.dtype == dtype and states.flags.c_contiguous and states.flags.owndata
 
 
 class TestMixingProfile:
