@@ -43,7 +43,7 @@ from nonconv.observables import (
     request_sum_block,
 )
 from nonconv.processes import IIDModel, ProcessModel
-from nonconv.rng import replicate_rng, substream_rng
+from nonconv.rng import replicate_streams, substream_rng
 
 BLOCK = 512  # replicate block size; fixed so worker count cannot affect blocking
 _ALPHA = 0.05  # tail intervals are two-sided 95% Clopper-Pearson
@@ -183,11 +183,9 @@ def _grid_sums(config: ExperimentConfig, n_grid: Sequence[int]) -> dict[int, Sum
         def run_block(edge: tuple[int, int]) -> None:
             a, b = edge
             ks = np.empty(b - a)
-            gen = None
             for n, out in zip(n_grid, outs):
-                for j in range(a, b):
-                    gen = replicate_rng(config.master_seed, j, reuse=gen)
-                    ks[j - a] = gen.binomial(n, p1)
+                for j, gen in enumerate(replicate_streams(config.master_seed, a, b - a)):
+                    ks[j] = gen.binomial(n, p1)
                 out[a:b] = ks * f1 + (n - ks) * f0
 
         method = "binomial-count"

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from nonconv.budget import block_bytes, ensure_within_budget
+from nonconv.budget import block_bytes, ensure_within_budget, slice_rows
 from nonconv.errors import ConfigError
 from nonconv.indexing import IndexFamily
 from nonconv.processes import (
@@ -243,6 +243,16 @@ def family_indices(family: IndexFamily, n_terms: int) -> tuple[np.ndarray, np.nd
     return uniq, inverse.reshape(cols.shape)
 
 
+def _flat_type(table: np.ndarray, state_type: np.dtype) -> np.dtype:
+    """Smallest unsigned type that holds a flat table index, or the states' type if wider."""
+    return np.promote_types(state_type, np.min_scalar_type(table.size - 1))
+
+
+def _term_bytes(table: np.ndarray, state_type: np.dtype) -> int:
+    """Bytes a lookup holds per (replicate, term): a state column entry, the flat index, the term."""
+    return np.dtype(state_type).itemsize + _flat_type(table, state_type).itemsize + 8
+
+
 def lookup_terms(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Table lookups table[states[:, positions[n]]], shape (R, N): the one lookup kernel.
 
@@ -257,11 +267,10 @@ def lookup_terms(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -
     """
     n_atoms = table.shape[0]
     shape = (states.shape[0], positions.shape[0])
-    flat_type = np.promote_types(states.dtype, np.min_scalar_type(table.size - 1))
     column = np.empty(shape, dtype=states.dtype)
     # positions are always in range; "clip" writes into ``out`` unbuffered
     np.take(states, positions[:, 0], axis=1, out=column, mode="clip")
-    flat = column.astype(flat_type)
+    flat = column.astype(_flat_type(table, states.dtype))
     for j in range(1, positions.shape[1]):
         np.take(states, positions[:, j], axis=1, out=column, mode="clip")
         flat *= n_atoms
@@ -270,23 +279,35 @@ def lookup_terms(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -
 
 
 def lookup_sums(table: np.ndarray, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Row sums of :func:`lookup_terms`, every row reduced in the same fixed order."""
-    return np.sum(lookup_terms(table, states, positions), axis=1)
+    """Row sums of :func:`lookup_terms`, every row reduced in the same fixed order.
+
+    The terms are looked up one row slice at a time (``slice_rows``), so the
+    lookup holds one slice's column, flat index and terms; each row is
+    reduced alone, so the sums do not depend on the slicing.
+    """
+    R = states.shape[0]
+    rows = slice_rows(R, positions.shape[0] * _term_bytes(table, states.dtype))
+    sums = np.empty(R)
+    for a in range(0, R, rows):
+        sums[a : a + rows] = np.sum(lookup_terms(table, states[a : a + rows], positions), axis=1)
+    return sums
 
 
 def request_sum_block(table: np.ndarray, n_terms: int, n_replicates: int) -> None:
     """Ask the budget for the peak of a block's lookups at up to ``n_terms`` terms.
 
     The lookup holds per replicate the states at no more than arity N indices
-    and, per term, a state column, the flat index and the float term (arity is
-    ``table.ndim``).  It is asked before any index table or draw exists;
+    and the sum, and one row slice of :func:`lookup_sums` at N terms (arity
+    is ``table.ndim``).  It is asked before any index table or draw exists;
     sample_state_paths requests its own.
     """
     state_type = np.min_scalar_type(table.shape[0] - 1)
-    flat_type = np.promote_types(state_type, np.min_scalar_type(table.size - 1))
-    s = state_type.itemsize
-    row_bytes = table.ndim * n_terms * s + n_terms * (s + flat_type.itemsize + 8) + 8
-    ensure_within_budget(block_bytes(n_replicates, row_bytes, n_terms), "sum evaluation block")
+    held = table.ndim * n_terms * state_type.itemsize + 8
+    sliced = n_terms * _term_bytes(table, state_type)
+    ensure_within_budget(
+        block_bytes(n_replicates, held, n_terms) + slice_rows(n_replicates, sliced) * sliced,
+        "sum evaluation block",
+    )
 
 
 def block_sums(

@@ -26,9 +26,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from nonconv.budget import block_bytes, ensure_within_budget
+from nonconv.budget import block_bytes, ensure_within_budget, slice_rows
 from nonconv.errors import ConfigError
-from nonconv.rng import replicate_rng
+from nonconv.rng import replicate_streams
 
 _ENUM_BUDGET = 1_000_000  # cap on enumerated state tuples for exact oracles
 _TV_NOISE = 1e-12  # float matrix powers cannot resolve TV mass below this
@@ -289,41 +289,46 @@ def sample_state_paths(
     entries index ``model.marginal().atoms``: chain states, i.i.d. atoms, or
     dyadic cells.  Its type, chosen here only, is the narrowest unsigned one
     that holds ``n_states - 1``: uint8 for up to 256 states.  The kernel of
-    the model's kind fills it in place, a chain or doubling-map walk under
-    ``_WALK_LOCK``.
+    the model's kind fills it in place: an i.i.d. draw one row slice at a
+    time (``slice_rows``), its float uniforms in one reused slice buffer; a
+    chain or doubling-map walk on the whole block, under ``_WALK_LOCK``.
     Replicate ``first_replicate + j`` consumes only its own counter-based
-    stream, one uniform per index (one generator per call, re-keyed per
-    replicate), so any batching of replicates reproduces the same rows.  Work
-    and memory scale with the number of requested indices, not with the
-    largest index: gaps in the index set are jumped with precomputed
-    multi-step transition kernels (chains) or by discarding reservoir bits
-    (doubling map).  The budget request is the peak of the model's kind.
+    stream, one uniform per index (the call's ``replicate_streams``), so any
+    batching of replicates reproduces the same rows.  Work and memory scale
+    with the number of requested indices, not with the largest index: gaps in
+    the index set are jumped with precomputed multi-step transition kernels
+    (chains) or by discarding reservoir bits (doubling map).  The budget
+    request is the peak of the model's kind, asked before any array exists.
     """
     idx = _check_indices(indices)
+    R, T = n_replicates, idx.size
     state_type = np.min_scalar_type(model.marginal().atoms.shape[0] - 1)
-    # uniforms and states (the walks write their states in place); an i.i.d.
-    # draw also holds a comparison mask
-    entry_bytes = 8 + state_type.itemsize + isinstance(model, IIDModel)
-    ensure_within_budget(
-        block_bytes(n_replicates, idx.size * entry_bytes, idx.size), "state path block"
-    )
-    uniforms = np.empty((n_replicates, idx.size))
-    gen = None
-    for j in range(n_replicates):
-        gen = replicate_rng(master_seed, first_replicate + j, reuse=gen)
-        gen.random(out=uniforms[j])
-    states = np.empty(uniforms.shape, dtype=state_type)
+    # an i.i.d. draw holds a uniform and a comparison mask per entry, one row
+    # slice at a time; a walk's cost per step is mostly fixed, so it takes
+    # the whole block's uniforms
     if isinstance(model, IIDModel):
-        _draw(model.law.probs, uniforms, states)
-        return states
-    if isinstance(model, MarkovChainModel):
-        walk = _chain_states
+        walk, rows, entry_bytes = None, slice_rows(R, 9 * T), 9
+    elif isinstance(model, MarkovChainModel):
+        walk, rows, entry_bytes = _chain_states, max(R, 1), 8
     elif isinstance(model, DoublingMapModel):
-        walk = _dyadic_cells
+        walk, rows, entry_bytes = _dyadic_cells, max(R, 1), 8
     else:
         raise ConfigError(f"unknown model kind: {model!r}")
-    with _WALK_LOCK:
-        walk(model, idx, uniforms, states)
+    ensure_within_budget(
+        block_bytes(R, T * state_type.itemsize, T) + entry_bytes * T * rows, "state path block"
+    )
+    streams = replicate_streams(master_seed, first_replicate, R)
+    states = np.empty((R, T), dtype=state_type)
+    uniforms = np.empty((rows, T))
+    for a in range(0, R, rows):
+        u, out = uniforms[: min(rows, R - a)], states[a : a + rows]
+        for row, gen in zip(u, streams):
+            gen.random(out=row)
+        if walk is None:
+            _draw(model.law.probs, u, out)
+        else:
+            with _WALK_LOCK:
+                walk(model, idx, u, out)
     return states
 
 

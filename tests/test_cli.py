@@ -780,6 +780,22 @@ class TestSimulateCommand:
         assert "budget error: replicate sums needs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_iid_block_runs_under_a_budget_below_its_unsliced_peak(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # iid_product at N = 4096 and one 512-replicate block: its lookups
+        # once held 24.3 MiB of terms and indices at a time, and its draw
+        # 30.4 MiB of uniforms and masks; one row slice of each now fits 12 MiB
+        argv = [
+            "simulate", str(PRESETS / "iid_product.cfg"),
+            "--n-grid", "256,4096", "--replicates", "512",
+        ]
+        free, capped = tmp_path / "free", tmp_path / "capped"
+        assert main([*argv, "--out-dir", str(free)]) == 0
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "12")
+        assert main([*argv, "--out-dir", str(capped)]) == 0
+        assert (capped / "sums.csv").read_bytes() == (free / "sums.csv").read_bytes()
+
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2
 

@@ -160,7 +160,7 @@ class TestReplicateSums:
         def no_draws(*a, **k):
             raise AssertionError("drew before checking the family")
 
-        monkeypatch.setattr(mc, "replicate_rng", no_draws)
+        monkeypatch.setattr(mc, "replicate_streams", no_draws)
         cfg = replace(_config(RADEMACHER, 1, (8,), 256), family=polynomial_family([[1, -3, 3]]))
         with pytest.raises(ConfigError, match="at n = 2: q_1"):
             replicate_sums(cfg, 8)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nonconv.budget import slice_rows
 from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import linear_family, polynomial_family
 from nonconv.observables import (
@@ -17,7 +18,9 @@ from nonconv.observables import (
     exact_mean_SN,
     family_indices,
     indicator_product_observable,
+    _term_bytes,
     lookup_sums,
+    lookup_terms,
     product_observable,
     sum_observable,
 )
@@ -285,6 +288,30 @@ class TestBatchSums:
         for state_type in (np.uint8, np.uint16, np.int64):
             got = lookup_sums(table, states.astype(state_type), positions)
             assert got.tobytes() == want.tobytes(), state_type
+
+    @pytest.mark.parametrize(
+        "arity, symmetric", [(1, True), (2, True), (2, False), (3, False)],
+        ids=["arity-1", "arity-2", "arity-2-non-symmetric", "arity-3"],
+    )
+    def test_sliced_lookup_equals_one_shot_sums(self, arity, symmetric):
+        # lookup_sums reduces one row slice at a time: at block sizes around
+        # the slice's row count its bytes are the one-shot row sums
+        # (the states are uint8, so are the flat indices of these tables)
+        rs = np.random.default_rng(arity)
+        table = rs.standard_normal((3,) * arity)
+        if symmetric:
+            table = sum(table.transpose(p) for p in itertools.permutations(range(arity)))
+        assert np.array_equal(table, table.T) == symmetric
+        n_terms = 5000
+        rows = slice_rows(10**6, n_terms * _term_bytes(table, np.dtype(np.uint8)))
+        assert 1 < rows < 100
+        wide = rs.integers(0, 3, size=(3 * rows + 5, 9000), dtype=np.uint8)
+        positions = rs.integers(0, 7000, size=(n_terms, arity))
+        for R in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            # a column prefix of wider draws, as an i.i.d. block reads them
+            states = wide[:R, :7000]
+            want = np.sum(lookup_terms(table, states, positions), axis=1)
+            assert lookup_sums(table, states, positions).tobytes() == want.tobytes(), R
 
     def test_alphabet_mismatch_raises(self):
         c = center(product_observable(2), PAIR)

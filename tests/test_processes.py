@@ -8,6 +8,7 @@ import pytest
 
 import nonconv.observables
 import nonconv.processes
+from nonconv.budget import slice_rows
 from nonconv.errors import BudgetError, ConfigError
 from nonconv.indexing import linear_family
 from nonconv.martingale import MartingaleDecomposition
@@ -323,6 +324,22 @@ class TestSampling:
         got = sample_state_paths(model, idx, seed, R, first_replicate=first)
         assert got.dtype == np.uint16 and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
+
+    def test_sliced_iid_draw_matches_whole_block_reference(self):
+        # the i.i.d. draw fills the states one row slice at a time; at block
+        # sizes around the slice's row count they are the whole block's
+        # inverse-CDF draw from one fresh stream per replicate
+        law = iid_model([[-1.0], [0.0], [0.5], [2.0], [3.0]], [0.1, 0.3, 0.2, 0.25, 0.15])
+        idx = np.arange(3, 60003, 3)
+        rows = slice_rows(10**6, 9 * idx.size)  # a uniform and a mask byte per entry
+        assert 1 < rows < 100
+        seed, first = 2**63 + 5, 11
+        u = np.array([replicate_rng(seed, first + j).random(idx.size) for j in range(3 * rows + 5)])
+        want = np.minimum(np.searchsorted(np.cumsum(law.law.probs), u, side="right"), 4)
+        for R in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            got = sample_state_paths(law, idx, seed, R, first_replicate=first)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want[:R], err_msg=str(R))
 
     @pytest.mark.parametrize("kind", ["chain", "iid", "doubling"])
     def test_budget_requests_match_the_peaks(self, kind, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonconv.rng import replicate_rng, substream_rng
+from nonconv.rng import replicate_rng, replicate_streams, substream_rng
 
 
 def test_replicate_streams_are_reproducible():
@@ -41,14 +41,15 @@ def test_rekeyed_generator_draws_the_fresh_stream(seed):
     # re-keying must reset everything a partly consumed stream leaves behind:
     # the counter, the buffered words, the cached half word of int32 draws
     # and the binomial set-up cache
-    for j in (0, 7, (1 << 48) + 3):
-        gen = replicate_rng(seed + 1, j + 2)
+    for j in (1, 7, (1 << 48) + 3):
+        streams = replicate_streams(seed, j - 1, 2)
+        gen = next(streams)
         gen.random(3)
         gen.binomial(1000, 0.3, size=2)
         gen.integers(0, 1 << 20, size=3, dtype=np.int32)
         used = gen.bit_generator.state
         assert used["buffer_pos"] != 4 and used["has_uint32"] == 1
-        rekeyed = replicate_rng(seed, j, reuse=gen)
+        rekeyed = next(streams)
         # a uint64 array: Philox reads a list key through float64, losing bits past 2^53
         key = np.array([seed, j], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key))
@@ -70,20 +71,32 @@ def test_rekeyed_generator_draws_the_fresh_stream(seed):
             for g in (rekeyed, fresh)
         ]
         assert draws[0] == draws[1]
+        assert next(streams, None) is None
+
+
+def test_block_streams_equal_single_streams():
+    got = [gen.random(6).tobytes() for gen in replicate_streams(3, 2**64 - 5, 5)]
+    assert got == [replicate_rng(3, 2**64 - 5 + j).random(6).tobytes() for j in range(5)]
 
 
 @pytest.mark.parametrize("seed, replicate", [(-1, 0), (0, -1)])
 def test_negative_seed_or_replicate_raises_on_both_paths(seed, replicate):
-    gen = replicate_rng(0, 0)
     with pytest.raises(ValueError):
         replicate_rng(seed, replicate)
     with pytest.raises(ValueError):
-        replicate_rng(seed, replicate, reuse=gen)
+        replicate_streams(seed, replicate, 3)
 
 
-@pytest.mark.parametrize("seed, replicate", [(2**64, 0), (0, 2**64)])
-def test_key_word_past_64_bits_raises(seed, replicate):
-    # such a word would draw the stream of its value mod 2^64
+@pytest.mark.parametrize(
+    "seed, replicate, count", [(2**64, 0, 1), (0, 2**64, 1), (0, 2**64 - 2, 3)]
+)
+def test_key_word_past_64_bits_raises(seed, replicate, count):
+    # such a word would draw the stream of its value mod 2^64; a block is
+    # checked once, before its first stream, on its last replicate index
     replicate_rng(2**64 - 1, 2**64 - 1)
+    replicate_streams(2**64 - 1, 2**64 - 2, 2)
     with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
-        replicate_rng(seed, replicate)
+        replicate_streams(seed, replicate, count)
+    if count == 1:
+        with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+            replicate_rng(seed, replicate)
