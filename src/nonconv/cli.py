@@ -25,6 +25,7 @@ from nonconv.bounds import (
     momthm_bound,
     variance_envelope,
 )
+from nonconv.budget import slice_rows
 from nonconv.config import build_experiment, effective_sections, load_config
 from nonconv.errors import BudgetError, CheckFailure, ConfigError, OutOfWindowError
 from nonconv.martingale import build_decomposition
@@ -205,14 +206,18 @@ def _cmd_simulate(args) -> int:
         {"n_terms": n, "method": sums[n].method, "centering": sums[n].centering}
         for n in exp.n_grid
     ]
+    rows = slice_rows(exp.n_replicates, 256)  # at most about 256 bytes per line while printed
     _emit(
         args.out_dir,
         "sums.csv",
         ("n_terms", "replicate", "sum"),
-        # each N's rows as one block of lines, printed as fmt prints ints and floats
+        # each N's rows in slices of lines, printed as fmt prints ints and floats
         (
-            "\n".join(map(("%d,%%d,%%.17g" % n).__mod__, enumerate(sums[n].sums.tolist())))
+            "\n".join(
+                map(("%d,%%d,%%.17g" % n).__mod__, enumerate(sums[n].sums[a : a + rows].tolist(), a))
+            )
             for n in exp.n_grid
+            for a in range(0, exp.n_replicates, rows)
         ),
         manifest,
     )

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from nonconv.budget import ensure_within_budget, slice_rows
 from nonconv.errors import ConfigError
 
 EXACT_ORDER_CAP = 16
@@ -157,30 +158,56 @@ def _kstats_from_power_sums(s: np.ndarray, n) -> np.ndarray:
     return np.stack([k1, k2, k3, k4])
 
 
+def request_jackknife(n_samples: int) -> int:
+    """Ask the budget for what :func:`sample_cumulants` holds on ``n_samples`` values.
+
+    That is one (4, n) longdouble array, per column of one slice the
+    delete-one power sums, the four k-statistics and their stacked copy
+    (twelve longdoubles), and 64 KiB for numpy's ufunc buffer and the full
+    power sums.  Returns the columns per slice.
+    """
+    item = np.dtype(np.longdouble).itemsize
+    columns = slice_rows(n_samples, 12 * item)
+    ensure_within_budget((_ORDERS * n_samples + 12 * columns) * item + 2**16, "jackknife cumulants")
+    return columns
+
+
 def sample_cumulants(samples: np.ndarray) -> CumulantVector:
     """Cumulant estimates of orders 1..4 from one sample vector.
 
     The estimates are the unbiased polynomial k-statistics; their SEs are
-    delete-one jackknife, computed from power-sum updates so the whole thing
-    is a handful of vector passes.
+    delete-one jackknife, computed from power-sum updates.  Everything runs
+    in one (4, n) longdouble array, asked of the budget first
+    (:func:`request_jackknife`): row r - 1 holds the centered data to the
+    power r, then, one column slice at a time (``slice_rows``), the
+    delete-one estimates, which are finally centered and squared in place.
+    Every element sees the same operations as on whole-array temporaries,
+    and every reduction runs over one whole contiguous row, so the results
+    do not depend on the slicing.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 10 * _ORDERS:
         raise ConfigError(f"need a 1-d sample of at least {10 * _ORDERS} values")
     n = x.size
+    columns = request_jackknife(n)
     grand_mean = float(x.mean())
-    xc = (x - grand_mean).astype(np.longdouble)  # orders >= 2 are shift-invariant
-
-    powers = np.vstack([xc**r for r in range(1, _ORDERS + 1)])
-    S = powers.sum(axis=1)  # full-sample power sums of the centered data
+    work = np.empty((_ORDERS, n), dtype=np.longdouble)
+    # the float64 difference, widened: orders >= 2 are shift-invariant
+    np.subtract(x, grand_mean, out=work[0], dtype=float)
+    for r in range(2, _ORDERS + 1):
+        np.power(work[0], r, out=work[r - 1])
+    S = work.sum(axis=1)  # full-sample power sums of the centered data
     # k-statistics of the centered data; only the first shifts back
     shift = [grand_mean, 0.0, 0.0, 0.0]
     estimates = _kstats_from_power_sums(S, np.longdouble(n)).astype(float) + shift
 
     # (order, n) delete-one estimates from delete-one power sums
-    loo = _kstats_from_power_sums(S[:, None] - powers, np.longdouble(n - 1))
-    center_loo = loo.mean(axis=1, keepdims=True)
-    ses = np.sqrt((n - 1) / n * np.sum((loo - center_loo) ** 2, axis=1)).astype(float)
+    for a in range(0, n, columns):
+        block = work[:, a : a + columns]
+        block[...] = _kstats_from_power_sums(S[:, None] - block, np.longdouble(n - 1))
+    work -= work.mean(axis=1, keepdims=True)
+    np.square(work, out=work)
+    ses = np.sqrt((n - 1) / n * work.sum(axis=1)).astype(float)
     return CumulantVector(cumulants=estimates, std_errors=ses)
 
 

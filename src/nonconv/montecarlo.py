@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from nonconv.bounds import chernoff_tail_bound, chernoff_threshold, mdp_gaussian_rate, mdp_rate
-from nonconv.budget import ensure_within_budget
-from nonconv.cumulants import sample_cumulants
+from nonconv.budget import ensure_within_budget, slice_rows
+from nonconv.cumulants import request_jackknife, sample_cumulants
 from nonconv.errors import CheckFailure, ConfigError
 from nonconv.indexing import IndexFamily
 from nonconv.martingale import MartingaleDecomposition, evaluate_paths
@@ -59,7 +59,8 @@ class ExperimentConfig:
     ``params`` holds every key of the optional config sections, resolved.
     Construction refuses run controls that the statistics cannot use, and
     asks the budget for the 8 bytes per replicate and per N that the sums
-    of ``sums_over_grid`` hold, before any draw.
+    of ``sums_over_grid`` hold, and for what the jackknife of a cumulant
+    scan holds, before any draw.
     """
 
     model: ProcessModel
@@ -88,6 +89,7 @@ class ExperimentConfig:
             require_variance_grid(self.n_grid)
         if "cumulants" in self.statistics:
             require_cumulant_replicates(self.n_replicates)
+            request_jackknife(self.n_replicates)
         ensure_within_budget(8 * self.n_replicates * len(self.n_grid), "replicate sums")
 
 
@@ -255,20 +257,28 @@ def kolmogorov_distance(samples: np.ndarray, center: float, scale: float) -> flo
 
     The sup over the whole line of |Fhat - ndtr| is attained at a sorted
     sample point, approached from one side or the other, so both one-sided
-    gaps are taken at every step point.
+    gaps are taken at every step point.  The standardized sample is sorted
+    in place, and ndtr and the gaps are taken one slice at a time
+    (``slice_rows``); a max does not depend on the order it runs in.
     """
     from scipy.special import ndtr
 
     if scale <= 0:
         raise ConfigError("scale must be positive")
-    z = np.sort((np.asarray(samples, dtype=float) - center) / scale)
+    z = np.asarray(samples, dtype=float) - center
+    z /= scale
+    z.sort()
     R = z.size
     if R == 0:
         raise ConfigError("no samples")
-    cdf = ndtr(z)
-    hi = np.arange(1, R + 1) / R
-    lo = np.arange(0, R) / R
-    return float(max(np.max(hi - cdf), np.max(cdf - lo)))
+    rows = slice_rows(R, 5 * 8)  # ndtr, the two step heights and the two gaps
+    above, below = [], []
+    for a in range(0, R, rows):
+        b = min(a + rows, R)
+        cdf = ndtr(z[a:b])
+        above.append(np.max(np.arange(a + 1, b + 1) / R - cdf))
+        below.append(np.max(cdf - np.arange(a, b) / R))
+    return float(max(np.max(above), np.max(below)))
 
 
 def bootstrap_se(values: np.ndarray, master_seed: int) -> tuple[float, float]:

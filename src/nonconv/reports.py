@@ -23,16 +23,16 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows, every cell as fmt prints it.
+    """Write a header and rows, every cell as fmt prints it, each line as it arrives.
 
-    A row is a str of whole lines already printed so (sums.csv's blocks of
-    replicate sums), or a sequence of cells that each go through fmt.
+    A row is a str of whole lines already printed so (sums.csv's slices of
+    replicate sums), or a sequence of cells that each go through fmt.  Rows
+    may come from a generator: only the row in hand is held, never the file.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(row if isinstance(row, str) else ",".join(map(fmt, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        print(",".join(header), file=fh)
+        for row in rows:
+            print(row if isinstance(row, str) else ",".join(map(fmt, row)), file=fh)
 
 
 def config_hash(sections: dict) -> str:

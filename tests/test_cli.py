@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import pytest
 
 import nonconv
 from nonconv import cli, config
+from nonconv.budget import slice_rows
 from nonconv.cli import main
+from nonconv.montecarlo import sums_over_grid
 
 PRESETS = Path(nonconv.__file__).resolve().parent / "presets"
 
@@ -795,6 +798,55 @@ class TestSimulateCommand:
         monkeypatch.setenv("NONCONV_BUDGET_MB", "12")
         assert main([*argv, "--out-dir", str(capped)]) == 0
         assert (capped / "sums.csv").read_bytes() == (free / "sums.csv").read_bytes()
+
+    def test_jackknife_over_the_budget_exits_three_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # iid_skew's 4e5 replicates: their sums over five N (15.3 MiB) fit
+        # 20 MiB, the jackknife of one N (26.5 MiB) does not
+        monkeypatch.setenv("NONCONV_BUDGET_MB", "20")
+        out = tmp_path / "out"
+        assert main(["simulate", str(PRESETS / "iid_skew.cfg"), "--out-dir", str(out)]) == 3
+        assert "budget error: jackknife cumulants needs 26.5 MiB" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_streamed_sums_equal_the_one_string_join(self, tmp_path, capsys):
+        # sums.csv goes out one slice of lines at a time; at a slice less
+        # one, one, one more and two plus five, over three N, its bytes are
+        # those of the whole file joined into one string
+        chunk = slice_rows(10**6, 256)
+        grid = (16, 64, 256)
+        cfg = _write(tmp_path, TINY_IID)
+        raw = config.load_config(cfg)
+        sums = sums_over_grid(
+            config.build_experiment(raw, replicates=2 * chunk + 5, n_grid=list(grid))
+        )
+        for R in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            out = tmp_path / f"r{R}"
+            argv = ["simulate", cfg, "--replicates", str(R), "--n-grid", "16,64,256"]
+            assert main([*argv, "--out-dir", str(out)]) == 0
+            blocks = [
+                "\n".join(map(("%d,%%d,%%.17g" % n).__mod__, enumerate(sums[n].sums[:R].tolist())))
+                for n in grid
+            ]
+            joined = "\n".join(["n_terms,replicate,sum", *blocks]) + "\n"
+            assert (out / "sums.csv").read_bytes() == joined.encode("utf-8"), R
+
+    def test_cumulant_scan_and_sums_emission_stay_under_twelve_mib(self, tmp_path, capsys):
+        # at R = 1e5 the jackknife once held 26 MiB of whole-array
+        # temporaries, and sums.csv its whole text and every line at once
+        text = TINY_IID.replace('statistics = ["tails"]', 'statistics = ["cumulants"]')
+        cfg = _write(tmp_path, text)
+        warm = ["simulate", cfg, "--replicates", "10000", "--out-dir", str(tmp_path / "warm")]
+        assert main(warm) == 0
+        tracemalloc.start()
+        try:
+            rc = main(["simulate", cfg, "--replicates", "100000", "--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 12 * 2**20, peak / 2**20
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2

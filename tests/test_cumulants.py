@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstat
 
+import nonconv.cumulants
+from nonconv.budget import slice_rows
 from nonconv.cumulants import (
+    _kstats_from_power_sums,
     cumulants_to_moments,
     moments_to_cumulants,
     noncum_bound,
@@ -111,7 +115,65 @@ class TestMomentCumulantMaps:
             cumulants_to_moments([])
 
 
+def vstack_sample_cumulants(samples):
+    # the whole-array form: a centered longdouble copy, its stacked powers,
+    # the delete-one estimates and their squared deviations all held at once
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    grand_mean = float(x.mean())
+    xc = (x - grand_mean).astype(np.longdouble)
+    powers = np.vstack([xc**r for r in range(1, 5)])
+    S = powers.sum(axis=1)
+    shift = [grand_mean, 0.0, 0.0, 0.0]
+    estimates = _kstats_from_power_sums(S, np.longdouble(n)).astype(float) + shift
+    loo = _kstats_from_power_sums(S[:, None] - powers, np.longdouble(n - 1))
+    center_loo = loo.mean(axis=1, keepdims=True)
+    ses = np.sqrt((n - 1) / n * np.sum((loo - center_loo) ** 2, axis=1)).astype(float)
+    return estimates, ses
+
+
+# columns per jackknife slice: twelve longdoubles per column
+SLICE = slice_rows(10**6, 12 * np.dtype(np.longdouble).itemsize)
+
+
 class TestSampleCumulants:
+    @pytest.mark.parametrize("n", [40, SLICE - 1, SLICE, SLICE + 1, 10**5 + 3])
+    def test_sliced_jackknife_equals_the_whole_array_reference(self, n):
+        # bit for bit: each element sees the same operations, and every
+        # reduction runs over one whole row, however the columns are sliced
+        assert 1000 < SLICE < 10**5
+        rng = substream_rng(12, n)
+        data = {
+            "normal": rng.standard_normal(n) * 2.5 - 0.7,
+            "skewed": rng.exponential(size=n) ** 3,
+            "integer plus offset": rng.integers(0, 7, n) + 1e6 + 0.3,
+        }
+        for name, x in data.items():
+            vec = sample_cumulants(x)
+            estimates, ses = vstack_sample_cumulants(x)
+            assert vec.cumulants.tobytes() == estimates.tobytes(), name
+            assert vec.std_errors.tobytes() == ses.tobytes(), name
+
+    def test_budget_request_matches_the_peak(self, monkeypatch):
+        # the request is the traced peak of a warm call within 25%; the
+        # whole-array form peaked at 3.2 times it
+        requests = []
+        monkeypatch.setattr(
+            nonconv.cumulants, "ensure_within_budget", lambda b, label: requests.append((b, label))
+        )
+        x = substream_rng(13, 0).standard_normal(10**5 + 3)
+        sample_cumulants(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sample_cumulants(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        request, label = requests[-1]
+        assert label == "jackknife cumulants"
+        assert peak <= request <= 1.25 * peak
+
     def test_matches_scipy_kstats(self):
         rng = substream_rng(5, 21)
         x = rng.standard_normal(400) * 1.7 + 0.3

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import beta, binom
 
+from nonconv.budget import slice_rows
 from nonconv.config import build_experiment, parse_config_text
 from nonconv.cumulants import sample_cumulants
 from nonconv.errors import BudgetError, ConfigError
@@ -421,6 +422,18 @@ class TestKolmogorovDistance:
     def test_scale_must_be_positive(self):
         with pytest.raises(ConfigError):
             kolmogorov_distance(np.ones(10), 0.0, 0.0)
+
+    def test_sliced_distance_equals_the_whole_array_form(self):
+        # ndtr and both gaps go one slice at a time; a max ignores the order,
+        # so the distance is the whole-array one bit for bit, ties included
+        rows = slice_rows(10**6, 5 * 8)
+        rng = np.random.default_rng(43)
+        for R in (rows - 1, rows, rows + 1, 2 * rows + 5):
+            s = np.round(rng.standard_normal(R) * 1.3 + 0.2, 2)
+            z = np.sort((s - 0.2) / 1.3)
+            cdf = ndtr(z)
+            want = max(np.max(np.arange(1, R + 1) / R - cdf), np.max(cdf - np.arange(0, R) / R))
+            assert kolmogorov_distance(s, 0.2, 1.3) == float(want), R
 
 
 ORACLE_N, ORACLE_R = 64, 20_000
