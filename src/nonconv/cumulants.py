@@ -194,7 +194,8 @@ def sample_cumulants(samples: np.ndarray) -> CumulantVector:
     work = np.empty((_ORDERS, n), dtype=np.longdouble)
     # the float64 difference, widened: orders >= 2 are shift-invariant
     np.subtract(x, grand_mean, out=work[0], dtype=float)
-    for r in range(2, _ORDERS + 1):
+    np.square(work[0], out=work[1])  # x * x, as ``** 2`` is; powl need not be
+    for r in range(3, _ORDERS + 1):
         np.power(work[0], r, out=work[r - 1])
     S = work.sum(axis=1)  # full-sample power sums of the centered data
     # k-statistics of the centered data; only the first shifts back

@@ -272,13 +272,12 @@ def kolmogorov_distance(samples: np.ndarray, center: float, scale: float) -> flo
     if R == 0:
         raise ConfigError("no samples")
     rows = slice_rows(R, 5 * 8)  # ndtr, the two step heights and the two gaps
-    above, below = [], []
+    gaps = []
     for a in range(0, R, rows):
         b = min(a + rows, R)
         cdf = ndtr(z[a:b])
-        above.append(np.max(np.arange(a + 1, b + 1) / R - cdf))
-        below.append(np.max(cdf - np.arange(a, b) / R))
-    return float(max(np.max(above), np.max(below)))
+        gaps += [np.max(np.arange(a + 1, b + 1) / R - cdf), np.max(cdf - np.arange(a, b) / R)]
+    return float(np.max(gaps))
 
 
 def bootstrap_se(values: np.ndarray, master_seed: int) -> tuple[float, float]:
