@@ -12,7 +12,7 @@ increments with m <= i*N is a martingale approximating S_N.
 Every conditional expectation is an exact chain computation.  A term Y_{i,s}
 has arguments at positions j*n' with n' = s/i; the positions at or before
 the conditioning time m are read off the path, the rest are integrated out
-with the chain's path weights (``processes.path_weights``).  Each term is
+with the chain's path weights (``exact.path_weights``).  Each term is
 one lookup in a small table over the positions it reads, and that table
 depends on m only through j0, the first argument ahead, and the gap from m
 to it: it is keyed by (i, j0, gap) when j0 = i and by (i, j0, n', gap) when
@@ -35,7 +35,7 @@ vanishing marginal mean.  Summing the dropped terms s > m + horizon and
 splitting the min over the two gap shapes bounds the tail by
 2 sup|F_i| (phi_tail(floor(horizon/i)) + phi_tail(horizon)), uniformly in m,
 where phi_tail is the Dobrushin geometric certificate of
-``processes.phi_tail``.
+``exact.phi_tail``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import numpy as np
 
 from nonconv.budget import block_bytes, ensure_within_budget
 from nonconv.errors import ConfigError
+from nonconv.exact import path_weights, phi_coefficient, phi_tail
 from nonconv.indexing import IndexFamily
 from nonconv.observables import CenteredObservable, lookup_sums, lookup_terms
 from nonconv.processes import (
@@ -54,9 +55,6 @@ from nonconv.processes import (
     MarkovChainModel,
     ProcessModel,
     as_chain,
-    path_weights,
-    phi_coefficient,
-    phi_tail,
     sample_state_paths,
     transition_power,
 )

@@ -18,16 +18,9 @@ import numpy as np
 
 from nonconv.budget import block_bytes, ensure_within_budget, slice_rows
 from nonconv.errors import ConfigError
+from nonconv.exact import _product_weights, _tuples, path_weights
 from nonconv.indexing import IndexFamily
-from nonconv.processes import (
-    FiniteLaw,
-    IIDModel,
-    ProcessModel,
-    _tuples,
-    as_chain,
-    path_weights,
-    sample_state_paths,
-)
+from nonconv.processes import FiniteLaw, IIDModel, ProcessModel, as_chain, sample_state_paths
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,6 +359,7 @@ def batch_sums(
     return sums
 
 
+# kept here, not in exact: perfbench/tracer.py binds it as nonconv.observables.exact_mean_SN
 def exact_mean_SN(
     model: ProcessModel,
     centered: CenteredObservable,
@@ -390,24 +384,3 @@ def exact_mean_SN(
     f_vals = centered.table_for(chain).reshape(-1)  # (S**arity,)
     means = [float(path_weights(chain, np.diff(row)).reshape(-1) @ f_vals) for row in uniq[positions]]
     return {n: math.fsum(means[:n]) for n in n_grid}
-
-
-def exact_d_squared(model: ProcessModel, centered: CenteredObservable) -> float | None:
-    """Exact limiting variance D^2 of S_N / sqrt(N) when a closed form applies, else None.
-
-    The closed form holds for an i.i.d. model whose telescoping components
-    F_1, ..., F_{arity-1} all vanish (sup at most 1e-12), on any family:
-    IndexFamily.columns admits only strictly increasing maps.  Then two distinct
-    terms are uncorrelated: the later term's last index exceeds every other
-    index of both terms, and integrating that independent value out leaves
-    G_{arity-1} - mean = F_1 + ... + F_{arity-1} = 0.  So Var S_N is N times
-    the product-law mean of the centered table squared, which is D^2 (at
-    arity 1, the marginal variance of F).  Chains, and i.i.d. models with a
-    live lower component, get None.
-    """
-    if not isinstance(model, IIDModel):
-        return None
-    if max(centered.component_sups[:-1], default=0.0) > 1e-12:
-        return None
-    table = centered.table_for(model).ravel()
-    return float(table**2 @ _product_weights(model.law, centered.arity))

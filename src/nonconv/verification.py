@@ -29,6 +29,7 @@ from nonconv.cumulants import (
     noncum_bound,
 )
 from nonconv.errors import ConfigError
+from nonconv.exact import alpha_coefficient, exact_d_squared, phi_bruteforce, phi_coefficient
 from nonconv.indexing import neighborhood_cap, neighborhood_sizes
 from nonconv.martingale import (
     build_decomposition,
@@ -52,13 +53,7 @@ from nonconv.montecarlo import (
     sums_over_grid,
     variance_scan,
 )
-from nonconv.observables import exact_d_squared
-from nonconv.processes import (
-    alpha_coefficient,
-    markov_model,
-    phi_bruteforce,
-    phi_coefficient,
-)
+from nonconv.processes import markov_model
 from nonconv.rng import substream_rng
 
 GAMMA = 1.0  # bounded presets with exponential mixing: gamma = 1/eta = 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nonconv.errors import BudgetError, ConfigError
+from nonconv.exact import phi_coefficient, phi_tail
 from nonconv.indexing import linear_family
 from nonconv.martingale import (
     MartingaleCheck,
@@ -20,8 +21,6 @@ from nonconv.processes import (
     doubling_model,
     iid_model,
     markov_model,
-    phi_coefficient,
-    phi_tail,
     sample_state_paths,
     transition_power,
 )

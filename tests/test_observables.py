@@ -7,6 +7,7 @@ import pytest
 
 from nonconv.budget import slice_rows
 from nonconv.errors import BudgetError, ConfigError
+from nonconv.exact import exact_d_squared
 from nonconv.indexing import linear_family, polynomial_family
 from nonconv.observables import (
     Observable,
@@ -14,7 +15,6 @@ from nonconv.observables import (
     center,
     clipped_poly_observable,
     decompose,
-    exact_d_squared,
     exact_mean_SN,
     family_indices,
     indicator_product_observable,

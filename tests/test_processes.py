@@ -10,6 +10,7 @@ import nonconv.observables
 import nonconv.processes
 from nonconv.budget import slice_rows
 from nonconv.errors import BudgetError, ConfigError
+from nonconv.exact import alpha_coefficient, path_weights, phi_bruteforce, phi_coefficient, phi_tail
 from nonconv.indexing import linear_family
 from nonconv.martingale import MartingaleDecomposition
 from nonconv.montecarlo import sums_over_grid
@@ -19,16 +20,11 @@ from nonconv.processes import (
     _draw,
     _dyadic_cells,
     _gap_thresholds,
-    alpha_coefficient,
     as_chain,
     doubling_model,
     doubling_to_markov,
     iid_model,
     markov_model,
-    path_weights,
-    phi_bruteforce,
-    phi_coefficient,
-    phi_tail,
     sample_paths,
     sample_state_paths,
     stationary_distribution,
