@@ -35,6 +35,7 @@ from nonconv.montecarlo import (
     default_thresholds,
     kolmogorov_distance,
     mdp_diagnostic,
+    require_spread,
     sums_over_grid,
     tail_estimate,
     variance_scan,
@@ -103,6 +104,7 @@ def _stat_cumulants(exp, sums, out, manifest):
 
 
 def _stat_kolmogorov(exp, sums, out, manifest):
+    require_spread(sums, "kolmogorov")
     rows = []
     for n in exp.n_grid:
         s = sums[n].centered
@@ -188,7 +190,10 @@ def _cmd_simulate(args) -> int:
     )
     decomp = None  # the martingale decomposition every N of the Chernoff check shares
     if "chernoff" in exp.bound_checks:
-        decomp = build_decomposition(exp.model, exp.centered, exp.family)
+        try:
+            decomp = build_decomposition(exp.model, exp.centered, exp.family)
+        except ConfigError as exc:  # the model admits no certified construction
+            raise ConfigError(f"{raw.path}:{raw.header_lines['model']}: {exc}") from exc
 
     try:
         os.makedirs(args.out_dir, exist_ok=True)

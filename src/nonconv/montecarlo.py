@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -113,9 +114,12 @@ class SumSample:
     def n_replicates(self) -> int:
         return self.sums.size
 
-    @property
+    @cached_property
     def centered(self) -> np.ndarray:
-        return self.sums - self.mean_correction
+        """The sums less the mean correction, built on first read and shared read-only."""
+        centered = self.sums - self.mean_correction
+        centered.flags.writeable = False
+        return centered
 
 
 def _binomial_shortcut(
@@ -175,7 +179,7 @@ def _grid_sums(config: ExperimentConfig, n_grid: Sequence[int]) -> dict[int, Sum
     index_tables = [family_indices(config.family, n) for n in n_grid]
     try:
         corrections = exact_mean_SN(model, config.centered, *index_tables[-1], n_grid)
-    except (ConfigError, MemoryError):
+    except ConfigError:  # a doubling map above level 6 has no chain to enumerate
         corrections = {}
     outs = [np.empty(R) for _ in n_grid]
 
@@ -299,6 +303,17 @@ def _grid(sums: dict[int, SumSample]) -> tuple[int, ...]:
     return tuple(sorted(sums))
 
 
+def require_spread(sums: dict[int, SumSample], statistic: str) -> None:
+    """Raise ConfigError, naming ``statistic`` and N, at the first N whose sums are all equal.
+
+    The variance fit weighs each N by its inverse squared standard error, and
+    the Kolmogorov distance divides by the sample deviation: both are 0 there.
+    """
+    for n in _grid(sums):
+        if np.ptp(sums[n].sums) == 0:
+            raise ConfigError(f"{statistic} needs sums that spread, but every sum at N = {n} is the same")
+
+
 # ---------------------------------------------------------------------------
 # variance scan
 # ---------------------------------------------------------------------------
@@ -332,6 +347,7 @@ def variance_scan(sums: dict[int, SumSample]) -> VarianceFit:
     """
     grid = _grid(sums)
     require_variance_grid(grid)
+    require_spread(sums, "variance")
     variances = np.empty(len(grid))
     ses = np.empty(len(grid))
     for t, n in enumerate(grid):

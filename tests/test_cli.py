@@ -94,6 +94,9 @@ TINY_CHAIN_SINGLE = TINY_CHAIN.replace("arity = 2", "arity = 1").replace(
 )
 
 
+PERIODIC_CHAIN = "kind = markov\ntransition = [[0.0, 1.0], [1.0, 0.0]]\nvalues = [[1.0], [-1.0]]"
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -540,6 +543,18 @@ class TestSimulateCommand:
                 TINY_IID.replace('["tails"]', '["mdp"]') + "\n[mdp]\nmin_count = 20.5\n",
                 "exp.cfg:17: bad value in [mdp]: expected an integer, got 20.5",
             ),
+            (
+                # the Chernoff check's martingale construction, refused at [model]
+                TINY_CHAIN.replace("[[0.9, 0.1], [0.2, 0.8]]", "[[0.0, 1.0], [1.0, 0.0]]"),
+                "exp.cfg:2: no decay certificate to bound the phi tail",
+            ),
+            (
+                TINY_CHAIN.replace(
+                    "kind = markov\ntransition = [[0.9, 0.1], [0.2, 0.8]]\nvalues = [[1.0], [-1.0]]",
+                    f"kind = doubling\ntable = {[1.0, -1.0] * 64}\nlevel = 7",
+                ),
+                "exp.cfg:2: chain conversion needs level <= 6",
+            ),
         ],
         ids=[
             "chernoff-on-polynomial-family",
@@ -574,6 +589,8 @@ class TestSimulateCommand:
             "integer-run-seed-bool",
             "integer-run-workers",
             "integer-mdp-min-count",
+            "chernoff-on-periodic-chain",
+            "chernoff-on-doubling-map-past-level-6",
         ],
     )
     def test_config_only_failure_precedes_every_draw_and_file(
@@ -847,6 +864,32 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert rc == 0
         assert peak < 12 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize(
+        "model, n_grid, statistic, n",
+        [
+            ("kind = iid\natoms = [[1.0]]\nprobs = [1.0]", "[4, 64]", "variance", 4),
+            ("kind = iid\natoms = [[1.0]]\nprobs = [1.0]", "[4]", "kolmogorov", 4),
+            # the chain alternates, so every even N sums each state equally often
+            (PERIODIC_CHAIN, "[3, 48]", "variance", 48),
+            (PERIODIC_CHAIN, "[3, 4]", "kolmogorov", 4),
+        ],
+        ids=["constant-variance", "constant-kolmogorov", "periodic-variance", "periodic-kolmogorov"],
+    )
+    def test_sums_without_spread_exit_two_naming_statistic_and_n(
+        self, tmp_path, capsys, model, n_grid, statistic, n
+    ):
+        text = (
+            TINY_IID.replace("kind = iid\natoms = [[1.0], [-1.0]]\nprobs = [0.5, 0.5]", model)
+            .replace("kind = product", "kind = sum")
+            .replace("n_grid = [50]", f"n_grid = {n_grid}")
+            .replace('["tails"]', f'["{statistic}"]')
+        )
+        out = tmp_path / "o"
+        assert main(["simulate", _write(tmp_path, text), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{statistic} needs sums that spread, but every sum at N = {n} is the same" in err
+        assert not (out / "manifest.json").exists()
 
     def test_missing_config_exits_two(self, capsys):
         assert main(["simulate", "/nope/missing.cfg"]) == 2

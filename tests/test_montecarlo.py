@@ -131,6 +131,11 @@ class TestReplicateSums:
         s = replicate_sums(_config(m, 2, (32,), 256), 32)
         assert s.centering == "exact"
 
+    def test_doubling_map_past_the_chain_cap_centers_by_grand_mean(self):
+        # 128 cells: above level 6 the map has no chain to enumerate
+        m = doubling_model(np.resize([1.0, -1.0, -1.0, 1.0], 128), 7)
+        assert replicate_sums(_config(m, 2, (32,), 256), 32).centering == "grand-mean"
+
     def test_grand_mean_fallback_when_enumeration_fails(self, monkeypatch):
         import nonconv.montecarlo as mc
 
