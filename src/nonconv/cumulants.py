@@ -17,6 +17,7 @@ import numpy as np
 
 from nonconv.budget import ensure_within_budget, slice_rows
 from nonconv.errors import ConfigError
+from nonconv.special import gammaln
 
 EXACT_ORDER_CAP = 16
 _ORDERS = 4  # sample cumulants are the k-statistics of orders 1..4
@@ -221,8 +222,6 @@ def noncum_bound(n_terms: int, k: int, c0: float, gamma: float) -> float:
     """Log of the per-order cumulant envelope for the centered sum:
 
         N (k!)^(1+gamma) c0^(k-2),          k >= 3."""
-    from scipy.special import gammaln
-
     if k < 3:
         raise ConfigError("the envelope starts at order 3")
     if n_terms < 1 or c0 <= 0 or gamma < 0:

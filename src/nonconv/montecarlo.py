@@ -45,6 +45,7 @@ from nonconv.observables import (
 )
 from nonconv.processes import IIDModel, ProcessModel
 from nonconv.rng import replicate_streams, substream_rng
+from nonconv.special import betaincinv, ndtr
 
 BLOCK = 512  # replicate block size; fixed so worker count cannot affect blocking
 _ALPHA = 0.05  # tail intervals are two-sided 95% Clopper-Pearson
@@ -237,8 +238,6 @@ class TailEstimate:
 
 def tail_estimate(samples: np.ndarray, x: float) -> TailEstimate:
     """Exact-count estimate of P(sample >= x) with a 95% Clopper-Pearson interval."""
-    from scipy.special import betaincinv
-
     s = np.asarray(samples, dtype=float)
     if s.size == 0:
         raise ConfigError("no samples")
@@ -246,9 +245,6 @@ def tail_estimate(samples: np.ndarray, x: float) -> TailEstimate:
         raise ConfigError("tail estimation needs at least 100 replicates")
     R = s.size
     c = int(np.count_nonzero(s >= x))
-    # beta quantiles: betaincinv(a, b, q) equals scipy.stats.beta.ppf(q, a, b) bit for
-    # bit (a test pins it); scipy.special loads here, at the first tail estimate, so
-    # runs and suites that take none never import scipy
     lower = 0.0 if c == 0 else float(betaincinv(c, R - c + 1, _ALPHA / 2.0))
     upper = 1.0 if c == R else float(betaincinv(c + 1, R - c, 1.0 - _ALPHA / 2.0))
     return TailEstimate(
@@ -265,8 +261,6 @@ def kolmogorov_distance(samples: np.ndarray, center: float, scale: float) -> flo
     in place, and ndtr and the gaps are taken one slice at a time
     (``slice_rows``); a max does not depend on the order it runs in.
     """
-    from scipy.special import ndtr
-
     if scale <= 0:
         raise ConfigError("scale must be positive")
     z = np.asarray(samples, dtype=float) - center
@@ -358,11 +352,17 @@ def variance_scan(sums: dict[int, SumSample]) -> VarianceFit:
         var_of_var = max(m4 - v * v * (R - 3) / (R - 1), 0.0) / R
         variances[t] = v
         ses[t] = math.sqrt(var_of_var)
-    w = 1.0 / np.maximum(ses, 1e-300) ** 2
+    # the inverse squared errors, floored so a zero error weighs 1/tiny, then scaled by
+    # an even power of two to at most 1: a zero error outweighs the rest without an
+    # overflow in the sums below, and the slope and its error keep every bit
+    w = 1.0 / np.maximum(ses * ses, np.finfo(float).tiny)
+    shift = math.frexp(float(np.max(w)))[1]
+    shift += shift % 2
+    w = np.ldexp(w, -shift)
     ns = np.array(grid, dtype=float)
     denom = float(np.sum(w * ns * ns))
     d2 = float(np.sum(w * ns * variances)) / denom
-    d2_se = math.sqrt(1.0 / denom)
+    d2_se = math.ldexp(math.sqrt(1.0 / denom), -shift // 2)
     resid = variances - d2 * ns
     c1_cons = float(np.max((np.abs(resid) + 2.0 * ses) / np.sqrt(ns)))
     return VarianceFit(

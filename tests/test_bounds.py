@@ -254,15 +254,15 @@ class TestMomentComparison:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert requests[-1] == 64 * 100_000
+        assert requests[-1] == 48 * 100_000
         assert peak <= requests[-1] <= 1.25 * peak
 
     def test_terms_refused_over_the_budget(self, monkeypatch):
-        # 64 bytes for each of the (p - 1)/2 terms: 16384 fill 1 MiB exactly
+        # 48 bytes for each of the (p - 1)/2 terms: 21845 fit in 1 MiB, 21846 do not
         monkeypatch.setenv("NONCONV_BUDGET_MB", "1")
-        assert math.isfinite(momthm_log(32_769, 10, 1.0, 1.0))
+        assert math.isfinite(momthm_log(43_691, 10, 1.0, 1.0))
         with pytest.raises(BudgetError, match="moment bound terms needs 1.0 MiB"):
-            momthm_log(32_771, 10, 1.0, 1.0)
+            momthm_log(43_693, 10, 1.0, 1.0)
 
 
 def test_variance_envelope_is_sqrt_n():

@@ -185,9 +185,9 @@ class TestBoundsCommand:
         assert f"config error: {message}" in capsys.readouterr().err
 
     def test_moment_terms_over_the_budget_exit_three(self, capsys):
-        # (p - 1)/2 = 5e8 terms of 64 bytes each
+        # (p - 1)/2 = 5e8 terms of 48 bytes each
         assert main(["bounds", "momthm", "--p", "1000000001", "--n", "10"]) == 3
-        assert "budget error: moment bound terms needs 30517.6 MiB" in capsys.readouterr().err
+        assert "budget error: moment bound terms needs 22888.2 MiB" in capsys.readouterr().err
 
     def test_chernoff_takes_no_delta2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -900,18 +900,6 @@ class TestSimulateCommand:
         assert tuple(cli._BOUND_CHECKS) == config.BOUND_CHECKS
 
 
-def test_start_up_leaves_scipy_stats_unimported(child_env):
-    # scipy.stats costs most of a run's start-up; nothing the CLI or the
-    # verification suite loads may import it
-    code = "import sys, nonconv.cli, nonconv.verification; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=child_env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 # runs the CLI on its arguments, then reports whether scipy was ever imported
 _RUN_AND_REPORT_SCIPY = (
     "import sys; from nonconv.cli import main; rc = main(sys.argv[1:]); "
@@ -931,7 +919,7 @@ def _cli_child(child_env, *argv):
 
 
 def test_start_up_leaves_scipy_unimported(child_env):
-    # scipy.special loads only inside the statistics that call it
+    # nothing the CLI or the verification suite loads imports scipy or scipy.stats
     code = "import sys, nonconv.cli, nonconv.verification; print('scipy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
@@ -948,24 +936,31 @@ def test_start_up_leaves_scipy_unimported(child_env):
         # a cumulants-only preset at the fewest replicates its scan accepts
         (("simulate", "iid_skew.cfg", "--replicates", "10000"), 0),
         (("simulate", "iid_skew.cfg", "--replicates", "10"), 2),
+        # the statistics that take special functions, at small R; tails and the
+        # Chernoff check run in test_tail_statistics_skip_scipy_and_keep_their_bytes
+        (("simulate", "iid_bernoulli_mdp.cfg", "--replicates", "1000"), 0),
+        (("simulate", "iid_product.cfg", "--replicates", "1000"), 0),
+        (("bounds", "momthm", "--p", "41", "--n", "1e4"), 0),
     ],
-    ids=["verify-quick", "iid-skew", "config-error"],
+    ids=[
+        "verify-quick", "iid-skew", "config-error", "mdp", "kolmogorov", "bounds-momthm",
+    ],
 )
-def test_runs_without_special_functions_never_import_scipy(child_env, tmp_path, argv, exit_code):
+def test_runs_never_import_scipy(child_env, tmp_path, argv, exit_code):
     if argv[0] == "simulate":
         argv = ("simulate", str(PRESETS / argv[1]), *argv[2:], "--out-dir", str(tmp_path))
     assert _cli_child(child_env, *argv) == (exit_code, False)
 
 
-def test_tail_statistics_import_scipy_and_keep_their_bytes(child_env, tmp_path):
+def test_tail_statistics_skip_scipy_and_keep_their_bytes(child_env, tmp_path):
     code, loaded = _cli_child(
         child_env, "simulate", str(PRESETS / "chain_pair.cfg"), "--replicates", "10000",
         "--out-dir", str(tmp_path),
     )
-    assert code == 0 and loaded
-    # recorded when scipy.special was still imported at module level
+    assert (code, loaded) == (0, False)
+    # recorded when the Clopper-Pearson edges moved from scipy to nonconv.special
     digest = hashlib.sha256((tmp_path / "tails.csv").read_bytes()).hexdigest()
-    assert digest == "d67e57d7464d6327ebace70f90e14fa3766393ad63cf1e326a111d816d1cf355"
+    assert digest == "bf7796a19fcfb9fc3a1d436ea44a88ecbcc298eb9cab0304737fb008063d8f54"
 
 
 class TestVerifyCommand:

@@ -6,7 +6,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 from scipy.stats import beta, binom
 
 from nonconv.budget import slice_rows
@@ -35,7 +34,9 @@ from nonconv.montecarlo import (
 )
 from nonconv.observables import center, product_observable
 from nonconv.processes import _gap_thresholds, doubling_model, iid_model, markov_model
+from nonconv.special import ndtr
 from nonconv.verification import preset_experiment
+from test_special import betaincinv_exact
 
 RADEMACHER = iid_model([[1.0], [-1.0]], [0.5, 0.5])
 PAIR = markov_model([[0.9, 0.1], [0.2, 0.8]], [[1.0], [-1.0]])
@@ -395,16 +396,26 @@ class TestTailEstimate:
             tail_estimate(np.ones(50), 0.5)
 
     @pytest.mark.parametrize("R", [100, 100_000, 1_000_000])
-    def test_edges_equal_beta_ppf_bitwise(self, R):
-        # the Clopper-Pearson edges are beta quantiles; tail_estimate must give
-        # scipy.stats.beta.ppf's values to the last bit
+    def test_edges_equal_the_exact_beta_quantiles(self, R):
+        # the Clopper-Pearson edges are beta quantiles; tail_estimate must land
+        # within 1e-14 of the 50-digit roots of the binomial tail sums
         cs = {0, 1, R - 1, R} | set(np.random.default_rng(R).integers(0, R + 1, 12).tolist())
         for c in sorted(cs):
             te = tail_estimate(np.arange(R) >= R - c, 0.5)
             assert te.count == c
-            lower = 0.0 if c == 0 else float(beta.ppf(0.025, c, R - c + 1))
-            upper = 1.0 if c == R else float(beta.ppf(0.975, c + 1, R - c))
-            assert (te.lower, te.upper) == (lower, upper), c
+            if c > 0:
+                exact = betaincinv_exact(c, R - c + 1, 0.025, te.lower)
+                assert abs(te.lower - exact) <= 1e-14 * exact, c
+                # second opinion: scipy.stats.beta.ppf, itself up to 1.0e-8 off
+                assert te.lower == pytest.approx(beta.ppf(0.025, c, R - c + 1), rel=2e-8)
+            else:
+                assert te.lower == 0.0
+            if c < R:
+                exact = betaincinv_exact(c + 1, R - c, 0.975, te.upper)
+                assert abs(te.upper - exact) <= 1e-14 * exact, c
+                assert te.upper == pytest.approx(beta.ppf(0.975, c + 1, R - c), rel=2e-8)
+            else:
+                assert te.upper == 1.0
 
 
 class TestKolmogorovDistance:
@@ -520,6 +531,17 @@ class TestVarianceScan:
         c1_bare = float(np.max(np.abs(fit.residuals) / np.sqrt(grid)))
         assert 0 < c1_bare < fit.c1_conservative
         assert fit.residuals.shape == (3,)
+
+    def test_zero_standard_errors_weigh_alike_without_a_warning(self):
+        # at a scale of 1e-100 the fourth moment underflows, so every standard
+        # error is 0; the weights stay finite and the fit is the plain one
+        z = _standardized(3, 400)
+        grid = (16, 64, 256)
+        by_n = {n: _synthetic_sample(n, 1e-100 * math.sqrt(2 * n) * z) for n in grid}
+        fit = variance_scan(by_n)
+        assert np.all(fit.std_errors == 0.0)
+        assert fit.d_squared == pytest.approx(2e-200, rel=1e-12)
+        assert math.isfinite(fit.d_squared_se) and math.isfinite(fit.c1_conservative)
 
     def test_rejects_narrow_grid(self):
         z = _standardized(3, 400)

@@ -7,7 +7,8 @@ an attribute, and each public member of a class defined there must be read
 somewhere in src/nonconv as an attribute, outside the class's own
 ``__post_init__``: a field that is only validated ships no behaviour either.
 Likewise a defaulted parameter that no call in the package passes is a knob
-only tests turn: each must be passed by some call in src/nonconv.
+only tests turn: each must be passed by some call in src/nonconv.  And no
+module imports scipy, at the top or inside a function.
 """
 
 import ast
@@ -215,3 +216,20 @@ def test_every_defaulted_parameter_is_passed():
     # an allowed parameter that some call starts to pass leaves the allow-list
     assert sorted(name for name, used in defaulted if used and name in allowed) == []
     assert set(ALLOWED_UNPASSED) <= {name for name, _ in defaulted}
+
+
+def _imported(tree):
+    """The absolute module names of every import statement, function-local ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency: a lazy import in a path the tests
+    # rarely run would bring scipy back unseen
+    imports = {(module, name) for module, tree in _trees().items() for name in _imported(tree)}
+    assert sorted(f"{m}: {n}" for m, n in imports if n.split(".")[0] == "scipy") == []
+    assert ("special", "numpy") in imports
